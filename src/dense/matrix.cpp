@@ -38,6 +38,7 @@ void Matrix::reshape(Index rows, Index cols) {
 Matrix Matrix::block(Index r0, Index c0, Index nr, Index nc) const {
   assert(r0 >= 0 && c0 >= 0 && r0 + nr <= rows_ && c0 + nc <= cols_);
   Matrix b(nr, nc);
+  if (nr == 0) return b;  // no data: memcpy must not see a null pointer
   for (Index j = 0; j < nc; ++j)
     std::memcpy(b.col(j), col(c0 + j) + r0,
                 static_cast<std::size_t>(nr) * sizeof(double));
@@ -46,6 +47,7 @@ Matrix Matrix::block(Index r0, Index c0, Index nr, Index nc) const {
 
 void Matrix::set_block(Index r0, Index c0, const Matrix& b) {
   assert(r0 + b.rows() <= rows_ && c0 + b.cols() <= cols_);
+  if (b.rows() == 0) return;  // no data: memcpy must not see a null pointer
   for (Index j = 0; j < b.cols(); ++j)
     std::memcpy(col(c0 + j) + r0, b.col(j),
                 static_cast<std::size_t>(b.rows()) * sizeof(double));

@@ -59,13 +59,49 @@ QRCP::QRCP(Matrix a, Index max_steps) : qr_(std::move(a)) {
     double* ck = qr_.col(k) + k;
     const double beta = make_reflector(m - k, ck, tau_[k]);
     if (tau_[k] != 0.0) {
-      for (Index j = k + 1; j < n; ++j) {
+      // Apply the reflector to four trailing columns per sweep over ck. Each
+      // column keeps its own in-order dot-product chain, so the bits match a
+      // column-at-a-time update; the four independent chains hide the add
+      // latency that a single chain is bound by.
+      const Index len = m - k;
+      const double t = tau_[k];
+      Index j = k + 1;
+      for (; j + 4 <= n; j += 4) {
+        double* c0 = qr_.col(j) + k;
+        double* c1 = qr_.col(j + 1) + k;
+        double* c2 = qr_.col(j + 2) + k;
+        double* c3 = qr_.col(j + 3) + k;
+        double s0 = c0[0], s1 = c1[0], s2 = c2[0], s3 = c3[0];
+        for (Index i = 1; i < len; ++i) {
+          const double v = ck[i];
+          s0 += v * c0[i];
+          s1 += v * c1[i];
+          s2 += v * c2[i];
+          s3 += v * c3[i];
+        }
+        s0 *= t;
+        s1 *= t;
+        s2 *= t;
+        s3 *= t;
+        c0[0] -= s0;
+        c1[0] -= s1;
+        c2[0] -= s2;
+        c3[0] -= s3;
+        for (Index i = 1; i < len; ++i) {
+          const double v = ck[i];
+          c0[i] -= s0 * v;
+          c1[i] -= s1 * v;
+          c2[i] -= s2 * v;
+          c3[i] -= s3 * v;
+        }
+      }
+      for (; j < n; ++j) {
         double* cj = qr_.col(j) + k;
         double s = cj[0];
-        for (Index i = 1; i < m - k; ++i) s += ck[i] * cj[i];
-        s *= tau_[k];
+        for (Index i = 1; i < len; ++i) s += ck[i] * cj[i];
+        s *= t;
         cj[0] -= s;
-        for (Index i = 1; i < m - k; ++i) cj[i] -= s * ck[i];
+        for (Index i = 1; i < len; ++i) cj[i] -= s * ck[i];
       }
     }
     qr_(k, k) = beta;

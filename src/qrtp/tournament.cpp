@@ -1,39 +1,70 @@
 #include "qrtp/tournament.hpp"
 
+#include <algorithm>
 #include <numeric>
 
+#include "par/pool.hpp"
 #include "qrtp/panel.hpp"
 
 namespace lra {
+namespace {
+
+// Below this many candidate entries (ncand x k) the whole tree costs less
+// than a pool fork-join, so it runs inline on the caller.
+constexpr Index kForkWork = 8192;
+
+// The reduction tree shared by the column and row tournaments. `play(ids)`
+// selects up to k winners among the candidate ids. Leaf b plays the ids
+// [2kb, min(2k(b+1), ncand)); each internal level pairs neighbours
+// (2b, 2b+1), concatenates their winners and plays them off, and an odd node
+// out advances unchanged. Leaves and the nodes of one level are independent,
+// so each level is a parallel_for over nodes writing its result by node
+// index — the winners are identical at any pool width.
+template <typename Play>
+std::vector<Index> play_tree(std::span<const Index> cand, Index k,
+                             Play&& play) {
+  const Index ncand = static_cast<Index>(cand.size());
+  const Index width = 2 * k;
+  const Index nleaves = (ncand + width - 1) / width;
+  if (nleaves == 0) return {};
+  const bool fork = ncand * k >= kForkWork;
+  auto for_each_node = [&](Index count, auto&& fn) {
+    if (fork)
+      ThreadPool::global().parallel_for(Index{0}, count, "qr_tp", fn,
+                                        /*grain=*/1);
+    else
+      for (Index b = 0; b < count; ++b) fn(b);
+  };
+
+  std::vector<std::vector<Index>> level(static_cast<std::size_t>(nleaves));
+  for_each_node(nleaves, [&](Index b) {
+    const Index j0 = b * width;
+    level[static_cast<std::size_t>(b)] =
+        play(cand.subspan(j0, std::min(width, ncand - j0)));
+  });
+
+  while (level.size() > 1) {
+    const Index pairs = static_cast<Index>(level.size() / 2);
+    std::vector<std::vector<Index>> next(level.size() - level.size() / 2);
+    for_each_node(pairs, [&](Index b) {
+      std::vector<Index> ids = std::move(level[2 * b]);
+      const auto& right = level[2 * b + 1];
+      ids.insert(ids.end(), right.begin(), right.end());
+      next[static_cast<std::size_t>(b)] = play(ids);
+    });
+    if (level.size() % 2 == 1) next.back() = std::move(level.back());
+    level = std::move(next);
+  }
+  return std::move(level.front());
+}
+
+}  // namespace
 
 std::vector<Index> qr_tp_select(const CscMatrix& a,
                                 std::span<const Index> active_cols, Index k) {
-  // Leaves: blocks of 2k candidate columns, each reduced to k winners.
-  std::vector<std::vector<Index>> level;
-  const Index ncand = static_cast<Index>(active_cols.size());
-  for (Index j0 = 0; j0 < ncand; j0 += 2 * k) {
-    const Index j1 = std::min(j0 + 2 * k, ncand);
-    const CandidateColumns cand =
-        make_candidates(a, active_cols.subspan(j0, j1 - j0));
-    level.push_back(select_k(cand, k));
-  }
-  if (level.empty()) return {};
-
-  // Internal binary tree.
-  while (level.size() > 1) {
-    std::vector<std::vector<Index>> next;
-    for (std::size_t b = 0; b < level.size(); b += 2) {
-      if (b + 1 == level.size()) {
-        next.push_back(std::move(level[b]));
-        continue;
-      }
-      std::vector<Index> ids = std::move(level[b]);
-      ids.insert(ids.end(), level[b + 1].begin(), level[b + 1].end());
-      next.push_back(select_k(make_candidates(a, ids), k));
-    }
-    level = std::move(next);
-  }
-  return level.front();
+  return play_tree(active_cols, k, [&](std::span<const Index> ids) {
+    return select_k(make_candidates(a, ids), k);
+  });
 }
 
 std::vector<Index> qr_tp_select(const CscMatrix& a, Index k) {
@@ -45,53 +76,22 @@ std::vector<Index> qr_tp_select(const CscMatrix& a, Index k) {
 std::vector<Index> qr_tp_select_rows(const Matrix& q,
                                      std::span<const Index> global_rows,
                                      Index k) {
-  // Column tournament on q^T: candidates are rows of q, each of length k.
-  const Index m = q.rows();
-  auto block_transposed = [&](Index r0, Index r1) {
-    Matrix t(q.cols(), r1 - r0);
-    for (Index i = r0; i < r1; ++i)
-      for (Index j = 0; j < q.cols(); ++j) t(j, i - r0) = q(i, j);
-    return t;
-  };
-
-  struct Node {
-    std::vector<Index> pos;  // positions into q's rows
-  };
-  std::vector<Node> level;
-  for (Index r0 = 0; r0 < m; r0 += 2 * k) {
-    const Index r1 = std::min(r0 + 2 * k, m);
-    std::vector<Index> pos(static_cast<std::size_t>(r1 - r0));
-    std::iota(pos.begin(), pos.end(), r0);
-    const std::vector<Index> win =
-        select_k_dense(block_transposed(r0, r1), pos, k);
-    level.push_back(Node{win});
-  }
-  if (level.empty()) return {};
-
-  auto gather_transposed = [&](std::span<const Index> pos) {
-    Matrix t(q.cols(), static_cast<Index>(pos.size()));
-    for (std::size_t c = 0; c < pos.size(); ++c)
-      for (Index j = 0; j < q.cols(); ++j) t(j, static_cast<Index>(c)) = q(pos[c], j);
-    return t;
-  };
-
-  while (level.size() > 1) {
-    std::vector<Node> next;
-    for (std::size_t b = 0; b < level.size(); b += 2) {
-      if (b + 1 == level.size()) {
-        next.push_back(std::move(level[b]));
-        continue;
-      }
-      std::vector<Index> pos = std::move(level[b].pos);
-      pos.insert(pos.end(), level[b + 1].pos.begin(), level[b + 1].pos.end());
-      next.push_back(Node{select_k_dense(gather_transposed(pos), pos, k)});
-    }
-    level = std::move(next);
-  }
+  // Column tournament on q^T: candidates are rows of q, each of length k,
+  // played by their positions into q's rows.
+  std::vector<Index> rows(static_cast<std::size_t>(q.rows()));
+  std::iota(rows.begin(), rows.end(), Index{0});
+  const std::vector<Index> win =
+      play_tree(rows, k, [&](std::span<const Index> pos) {
+        Matrix t(q.cols(), static_cast<Index>(pos.size()));
+        for (std::size_t c = 0; c < pos.size(); ++c)
+          for (Index j = 0; j < q.cols(); ++j)
+            t(j, static_cast<Index>(c)) = q(pos[c], j);
+        return select_k_dense(t, pos, k);
+      });
 
   std::vector<Index> out;
-  out.reserve(level.front().pos.size());
-  for (Index p : level.front().pos) out.push_back(global_rows[p]);
+  out.reserve(win.size());
+  for (Index p : win) out.push_back(global_rows[p]);
   return out;
 }
 

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cmath>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -9,6 +11,20 @@
 #include "sparse/coo.hpp"
 
 namespace lra {
+namespace {
+
+// Upper bound on the entries reserved up front: the nnz field of the size
+// line is untrusted, so a one-line file must not be able to request an
+// unbounded allocation. Larger files simply grow the builder as they stream.
+constexpr long long kMaxReserve = 1LL << 22;
+
+[[noreturn]] void entry_error(const std::string& path, long long t,
+                              const std::string& what) {
+  throw std::runtime_error(path + ": entry " + std::to_string(t + 1) + ": " +
+                           what);
+}
+
+}  // namespace
 
 CscMatrix read_matrix_market(const std::string& path) {
   std::ifstream is(path);
@@ -40,14 +56,32 @@ CscMatrix read_matrix_market(const std::string& path) {
   if (!hdr || m <= 0 || n <= 0 || nz < 0)
     throw std::runtime_error(path + ": bad size line");
 
+  if ((symmetric || skew) && m != n)
+    throw std::runtime_error(path + ": symmetric matrix must be square");
+
   CooBuilder coo(m, n);
-  coo.reserve(static_cast<std::size_t>(symmetric || skew ? 2 * nz : nz));
+  coo.reserve(static_cast<std::size_t>(std::min(nz, kMaxReserve)) *
+              (symmetric || skew ? 2 : 1));
   for (long long t = 0; t < nz; ++t) {
     Index i = 0, j = 0;
     double v = 1.0;
     if (!(is >> i >> j)) throw std::runtime_error(path + ": truncated data");
-    if (!pattern && !(is >> v))
-      throw std::runtime_error(path + ": truncated value");
+    if (!pattern) {
+      // Parse the value token with strtod so NaN/Inf (and overflowing
+      // literals) are recognized and rejected by name.
+      std::string tok;
+      if (!(is >> tok)) throw std::runtime_error(path + ": truncated value");
+      char* end = nullptr;
+      v = std::strtod(tok.c_str(), &end);
+      if (end == tok.c_str() || *end != '\0')
+        entry_error(path, t, "bad value '" + tok + "'");
+      if (!std::isfinite(v)) entry_error(path, t, "non-finite value '" + tok + "'");
+    }
+    if (i < 1 || i > m || j < 1 || j > n)
+      entry_error(path, t,
+                  "index (" + std::to_string(i) + ", " + std::to_string(j) +
+                      ") outside the " + std::to_string(m) + " x " +
+                      std::to_string(n) + " size line");
     --i;
     --j;  // 1-based -> 0-based
     coo.add(i, j, v);

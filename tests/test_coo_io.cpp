@@ -94,5 +94,90 @@ TEST(MatrixMarket, RejectsGarbage) {
   std::remove(path.c_str());
 }
 
+// Writes `body` to a temp file, reads it back, and returns the error message
+// (empty if the read succeeded).
+std::string read_error(const std::string& name, const std::string& body) {
+  const std::string path = ::testing::TempDir() + "/" + name;
+  {
+    std::ofstream os(path);
+    os << body;
+  }
+  std::string what;
+  try {
+    read_matrix_market(path);
+  } catch (const std::runtime_error& e) {
+    what = e.what();
+  }
+  std::remove(path.c_str());
+  return what;
+}
+
+const char* const kGeneral = "%%MatrixMarket matrix coordinate real general\n";
+
+TEST(MatrixMarket, RejectsOutOfRangeIndices) {
+  const std::string row = read_error("lra_oor_row.mtx",
+                                     std::string(kGeneral) + "2 3 2\n1 1 1.0\n3 1 2.0\n");
+  EXPECT_NE(row.find("entry 2"), std::string::npos) << row;
+  EXPECT_NE(row.find("outside the 2 x 3 size line"), std::string::npos) << row;
+  EXPECT_NE(read_error("lra_oor_col.mtx", std::string(kGeneral) + "2 3 1\n1 4 1.0\n")
+                .find("index (1, 4)"),
+            std::string::npos);
+  // Matrix Market indices are 1-based: zero and negative ones are invalid.
+  EXPECT_NE(read_error("lra_zero.mtx", std::string(kGeneral) + "2 2 1\n0 1 1.0\n")
+                .find("index (0, 1)"),
+            std::string::npos);
+  EXPECT_NE(read_error("lra_neg.mtx", std::string(kGeneral) + "2 2 1\n1 -2 1.0\n")
+                .find("index (1, -2)"),
+            std::string::npos);
+  EXPECT_NE(read_error("lra_pat_oor.mtx",
+                       "%%MatrixMarket matrix coordinate pattern general\n2 2 1\n5 1\n")
+                .find("outside"),
+            std::string::npos);
+}
+
+TEST(MatrixMarket, RejectsNonSquareSymmetric) {
+  EXPECT_NE(read_error("lra_symrect.mtx",
+                       "%%MatrixMarket matrix coordinate real symmetric\n3 2 1\n3 1 1.0\n")
+                .find("must be square"),
+            std::string::npos);
+}
+
+TEST(MatrixMarket, RejectsNonFiniteValues) {
+  for (const char* v : {"nan", "NaN", "inf", "-inf", "1e999"}) {
+    const std::string what = read_error(
+        "lra_nonfinite.mtx", std::string(kGeneral) + "2 2 2\n1 1 1.0\n2 2 " + v + "\n");
+    EXPECT_NE(what.find("entry 2: non-finite value"), std::string::npos)
+        << v << ": " << what;
+  }
+  EXPECT_NE(read_error("lra_badval.mtx", std::string(kGeneral) + "1 1 1\n1 1 1.5x\n")
+                .find("bad value '1.5x'"),
+            std::string::npos);
+}
+
+TEST(MatrixMarket, HugeEntryCountInSizeLineIsNotReservedUpFront) {
+  // A one-line header claiming ~2^62 entries must fail on the missing data,
+  // not on an attempt to allocate storage for the claimed count.
+  const std::string what = read_error(
+      "lra_huge.mtx", std::string(kGeneral) + "4 4 4611686018427387904\n1 1 1.0\n");
+  EXPECT_NE(what.find("truncated"), std::string::npos) << what;
+  const std::string sym = read_error(
+      "lra_huge_sym.mtx",
+      "%%MatrixMarket matrix coordinate real symmetric\n4 4 4611686018427387904\n");
+  EXPECT_NE(sym.find("truncated"), std::string::npos) << sym;
+}
+
+TEST(MatrixMarket, AcceptsTinyAndIntegerValues) {
+  const std::string path = ::testing::TempDir() + "/lra_tiny.mtx";
+  {
+    std::ofstream os(path);
+    os << "%%MatrixMarket matrix coordinate integer general\n2 2 2\n1 1 3\n"
+       << "2 2 4.9406564584124654e-324\n";
+  }
+  const CscMatrix a = read_matrix_market(path);
+  EXPECT_EQ(a.coeff(0, 0), 3.0);
+  EXPECT_GT(a.coeff(1, 1), 0.0);  // the smallest subnormal survives
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace lra

@@ -89,8 +89,14 @@ TEST(DeterminismTest, LuCrtpFactorsIdenticalAcrossThreadCounts) {
   std::vector<LuCrtpResult> runs;
   for (int nt : kThreadCounts) {
     ThreadPool::global().set_num_threads(nt);
+    ThreadPool::global().reset_stats();
     runs.push_back(lu_crtp(a, opts));
   }
+  // The last run (8 workers) must have forked the QR_TP tournament trees,
+  // or the comparison below would not cover them.
+  const auto stats = ThreadPool::global().kernel_stats();
+  ASSERT_TRUE(stats.count("qr_tp"));
+  EXPECT_GT(stats.at("qr_tp").calls, 0u);
   for (std::size_t i = 1; i < runs.size(); ++i) {
     EXPECT_EQ(runs[i].rank, runs[0].rank);
     EXPECT_EQ(runs[i].iterations, runs[0].iterations);

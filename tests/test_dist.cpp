@@ -134,8 +134,14 @@ TEST(Dist, VirtualTimeDecreasesThenSaturates) {
   o.block_size = 16;
   o.tau = 1e-2;
   o.power = 1;
-  const double t1 = randqb_ei_dist(a, o, 1).virtual_seconds;
-  const double t2 = randqb_ei_dist(a, o, 2).virtual_seconds;
+  // Virtual time is measured thread-CPU time (~5 ms here), so a single run
+  // can absorb a host hiccup. Compare the best of five runs per rank count,
+  // interleaved so that a slow stretch of the host hits both counts alike.
+  double t1 = 1e300, t2 = 1e300;
+  for (int rep = 0; rep < 5; ++rep) {
+    t1 = std::min(t1, randqb_ei_dist(a, o, 1).virtual_seconds);
+    t2 = std::min(t2, randqb_ei_dist(a, o, 2).virtual_seconds);
+  }
   EXPECT_LT(t2, t1 * 1.05);  // some gain (allow noise)
 }
 

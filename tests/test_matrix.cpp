@@ -105,5 +105,28 @@ TEST(Matrix, EmptyShapes) {
   EXPECT_TRUE(b.empty());
 }
 
+// Zero-row blocks own no storage (a null data pointer), so every copy path
+// must skip them instead of calling memcpy from/to null — UBSan flags that
+// even at size 0. RandQB_EI reaches this by appending its first block row to
+// an empty 0 x n B.
+TEST(Matrix, ZeroRowCopiesAreSkipped) {
+  Matrix b(0, 3);
+  const Matrix c = testing::random_matrix(2, 3, 7);
+  b.append_rows(c);
+  testing::expect_near_matrix(b, c, 0.0);
+
+  Matrix d = c;
+  d.append_rows(Matrix(0, 3));
+  testing::expect_near_matrix(d, c, 0.0);
+
+  const Matrix none = c.block(1, 0, 0, 3);
+  EXPECT_EQ(none.rows(), 0);
+  EXPECT_EQ(none.cols(), 3);
+  Matrix e(0, 3);
+  EXPECT_EQ(e.block(0, 1, 0, 2).cols(), 2);
+  e.set_block(0, 0, Matrix(0, 2));
+  EXPECT_EQ(e.rows(), 0);
+}
+
 }  // namespace
 }  // namespace lra

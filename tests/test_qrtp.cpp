@@ -8,6 +8,7 @@
 #include "dense/qr.hpp"
 #include "dense/qrcp.hpp"
 #include "dense/svd.hpp"
+#include "par/pool.hpp"
 #include "qrtp/panel.hpp"
 #include "sparse/ops.hpp"
 #include "test_util.hpp"
@@ -145,6 +146,59 @@ TEST(RowTournament, GlobalIdsAreReturned) {
     EXPECT_GE(r, 100);
     EXPECT_LT(r, 112);
   }
+}
+
+// The tournament trees run each level as a parallel_for over nodes once the
+// input is large enough (ncand * k >= 8192); the winners must not depend on
+// the pool width.
+class PoolWidth {
+ public:
+  PoolWidth() : saved_(ThreadPool::global().num_threads()) {}
+  ~PoolWidth() { ThreadPool::global().set_num_threads(saved_); }
+
+ private:
+  int saved_;
+};
+
+// Runs `select` at pool widths 1, 2 and 8 and expects identical winners,
+// with the qr_tp region forked at every width above 1.
+template <typename Select>
+void expect_width_invariant(Index k, Select select) {
+  PoolWidth guard;
+  std::vector<std::vector<Index>> wins;
+  for (int nt : {1, 2, 8}) {
+    ThreadPool::global().set_num_threads(nt);
+    ThreadPool::global().reset_stats();
+    wins.push_back(select());
+    if (nt > 1) {
+      EXPECT_TRUE(ThreadPool::global().kernel_stats().count("qr_tp"))
+          << "no qr_tp region at nt=" << nt;
+    }
+  }
+  ASSERT_EQ(static_cast<Index>(wins[0].size()), k);
+  EXPECT_EQ(wins[1], wins[0]) << "nt=2";
+  EXPECT_EQ(wins[2], wins[0]) << "nt=8";
+}
+
+TEST(Tournament, WinnersIdenticalAcrossPoolWidths) {
+  const CscMatrix a = graded_random(80, 600, 161);  // 600 * 16 >= 8192
+  expect_width_invariant(16, [&] { return qr_tp_select(a, 16); });
+}
+
+TEST(RowTournament, WinnersIdenticalAcrossPoolWidths) {
+  const Matrix q = orth(testing::random_matrix(1200, 8, 162));  // 1200 * 8
+  std::vector<Index> ids(1200);
+  std::iota(ids.begin(), ids.end(), Index{5});
+  expect_width_invariant(8, [&] { return qr_tp_select_rows(q, ids, 8); });
+}
+
+TEST(Tournament, SmallTournamentStaysInline) {
+  PoolWidth guard;
+  ThreadPool::global().set_num_threads(8);
+  ThreadPool::global().reset_stats();
+  const CscMatrix a = graded_random(60, 240, 163);  // 240 * 8 < 8192
+  EXPECT_EQ(qr_tp_select(a, 8).size(), 8u);
+  EXPECT_FALSE(ThreadPool::global().kernel_stats().count("qr_tp"));
 }
 
 }  // namespace
