@@ -30,24 +30,28 @@ struct RuleOutcome {
   double achieved;  // relative error at that rank
 };
 
+// The run's final (rank, relative indicator), for when neither rule fires.
+RuleOutcome last_outcome(const LuCrtpResult& r) {
+  return {r.rank,
+          r.telemetry.empty() ? 1.0 : r.telemetry.back().indicator_rel};
+}
+
 RuleOutcome indicator_rule(const LuCrtpResult& r, double tau) {
-  for (std::size_t i = 0; i < r.trace.indicator.size(); ++i)
-    if (r.trace.indicator[i] < tau)
-      return {r.trace.rank[i], r.trace.indicator[i]};
-  return {r.rank, r.trace.indicator.empty() ? 1.0 : r.trace.indicator.back()};
+  for (const obs::IterationSample& s : r.telemetry)
+    if (s.indicator_rel < tau) return {s.rank, s.indicator_rel};
+  return last_outcome(r);
 }
 
 RuleOutcome pivot_rule(const LuCrtpResult& r, const std::vector<double>& sigma,
                        double tau) {
   // |R^(i)(k,k)| tracks sigma_{K}(A); the rule stops when it dips below
   // tau * sigma_1. Evaluate on the exact spectrum (available for sprays).
-  for (std::size_t i = 0; i < r.trace.rank.size(); ++i) {
-    const Index rk = r.trace.rank[i];
-    if (rk < static_cast<Index>(sigma.size()) &&
-        sigma[static_cast<std::size_t>(rk)] < tau * sigma[0])
-      return {rk, r.trace.indicator[i]};
+  for (const obs::IterationSample& s : r.telemetry) {
+    if (s.rank < static_cast<Index>(sigma.size()) &&
+        sigma[static_cast<std::size_t>(s.rank)] < tau * sigma[0])
+      return {s.rank, s.indicator_rel};
   }
-  return {r.rank, r.trace.indicator.empty() ? 1.0 : r.trace.indicator.back()};
+  return last_outcome(r);
 }
 
 }  // namespace

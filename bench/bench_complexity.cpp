@@ -36,22 +36,23 @@ int main(int argc, char** argv) {
     o.tau = tau;
     o.max_rank = std::min(m.a.rows(), m.a.cols()) * 6 / 10;
     const LuCrtpResult r = lu_crtp(m.a, o);
-    // Per-iteration times from the cumulative trace; nnz history gives the
-    // model denominator (nnz before the iteration = previous Schur nnz).
-    Index prev_nnz = m.a.nnz();
+    // Per-iteration times from the cumulative telemetry clock; the Schur
+    // nnz history gives the model denominator (nnz before the iteration =
+    // previous Schur nnz).
+    long long prev_nnz = m.a.nnz();
     double prev_t = 0.0;
-    for (std::size_t i = 0; i < r.trace.cum_seconds.size(); ++i) {
-      const double dt = r.trace.cum_seconds[i] - prev_t;
-      prev_t = r.trace.cum_seconds[i];
+    for (const obs::IterationSample& s : r.telemetry) {
+      const double dt = s.time_seconds - prev_t;
+      prev_t = s.time_seconds;
       const double model = static_cast<double>(k) * static_cast<double>(k) *
                            static_cast<double>(prev_nnz);
       t.row()
           .cell(label + "'")
-          .cell(static_cast<long long>(i + 1))
+          .cell(s.iteration)
           .cell(prev_nnz)
           .cell(dt, 4)
           .cell(1e9 * dt / model, 3);
-      prev_nnz = r.schur_nnz[i];
+      prev_nnz = s.schur_nnz;
     }
   }
   t.print(std::cout);
@@ -70,15 +71,15 @@ int main(int argc, char** argv) {
     ro.max_rank = std::min(m2.a.rows(), m2.a.cols()) * 6 / 10;
     const RandQbResult r = randqb_ei(m2.a, ro);
     double prev_t = 0.0;
-    for (std::size_t i = 0; i < r.trace.cum_seconds.size(); ++i) {
-      const double dt = r.trace.cum_seconds[i] - prev_t;
-      prev_t = r.trace.cum_seconds[i];
-      const double model = static_cast<double>(r.trace.rank[i]) *
-                           static_cast<double>(m2.a.nnz());
+    for (const obs::IterationSample& s : r.telemetry) {
+      const double dt = s.time_seconds - prev_t;
+      prev_t = s.time_seconds;
+      const double model =
+          static_cast<double>(s.rank) * static_cast<double>(m2.a.nnz());
       q.row()
           .cell(p)
-          .cell(static_cast<long long>(i + 1))
-          .cell(r.trace.rank[i])
+          .cell(s.iteration)
+          .cell(s.rank)
           .cell(dt, 4)
           .cell(1e9 * dt / model, 3);
     }

@@ -33,8 +33,12 @@ std::vector<double> deciles(std::vector<double> v) {
   return out;
 }
 
-double max_or_zero(const std::vector<double>& v) {
-  return v.empty() ? 0.0 : *std::max_element(v.begin(), v.end());
+// Peak Schur-complement density over the run (0 when no iteration ran).
+double max_fill(const LuCrtpResult& r) {
+  double mx = 0.0;
+  for (const obs::IterationSample& s : r.telemetry)
+    mx = std::max(mx, s.fill_density);
+  return mx;
 }
 
 }  // namespace
@@ -89,8 +93,8 @@ int main(int argc, char** argv) {
         static_cast<double>(lu_no.l.nnz() + lu_no.u.nnz()) / il_nnz);
     ratio_every.push_back(
         static_cast<double>(lu_ev.l.nnz() + lu_ev.u.nnz()) / il_nnz);
-    maxfill_lu.push_back(max_or_zero(lu.fill_density));
-    maxfill_ilut.push_back(max_or_zero(il.fill_density));
+    maxfill_lu.push_back(max_fill(lu));
+    maxfill_ilut.push_back(max_fill(il));
 
     if (ratio.back() > 1.1) ++effective;
     if (ratio.back() < 1.0) ++worse;

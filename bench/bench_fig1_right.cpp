@@ -28,12 +28,12 @@ int main(int argc, char** argv) {
     std::printf("%s' (%ld x %ld): start density %.5f, %ld iterations (%s)\n",
                 label.c_str(), m.a.rows(), m.a.cols(), m.a.density(),
                 r.iterations, to_string(r.status));
-    for (std::size_t i = 0; i < r.fill_density.size(); ++i) {
+    for (const obs::IterationSample& s : r.telemetry) {
       t.row()
           .cell(label + "'")
-          .cell(static_cast<long long>(i + 1))
-          .cell(r.fill_density[i], 4)
-          .cell(r.schur_nnz[i]);
+          .cell(s.iteration)
+          .cell(s.fill_density, 4)
+          .cell(s.schur_nnz);
     }
   }
   std::printf("\n");

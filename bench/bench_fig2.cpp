@@ -2,7 +2,7 @@
 // "minimum rank required" (exact, from the generator's spectrum — the
 // paper's TSVD reference) and the rank the methods actually used.
 //
-// Each method runs once to the tightest tolerance; the trace supplies
+// Each method runs once to the tightest tolerance; the telemetry supplies
 // (runtime, achieved-quality, rank) triples per iteration.
 //
 //   ./bench_fig2 [--scale=0.2] [--np=8] [--k=32] [--tau_min=1e-3]
@@ -18,19 +18,17 @@ namespace {
 using namespace lra;
 
 void emit_series(Table& t, const std::string& label, const std::string& method,
-                 const std::vector<double>& vs,
-                 const std::vector<double>& ind,
-                 const std::vector<Index>& rank, Index n,
+                 const obs::TelemetrySeries& series, Index n,
                  const std::vector<double>& sigma) {
-  for (std::size_t i = 0; i < ind.size(); ++i) {
-    const Index min_rank = min_rank_for_tolerance(sigma, ind[i]);
+  for (const obs::IterationSample& s : series) {
+    const Index min_rank = min_rank_for_tolerance(sigma, s.indicator_rel);
     t.row()
         .cell(label + "'")
         .cell(method)
-        .cell(vs[i], 4)
-        .cell(sci(ind[i], 2))
-        .cell(rank[i])
-        .cell(100.0 * static_cast<double>(rank[i]) / static_cast<double>(n), 3)
+        .cell(s.time_seconds, 4)
+        .cell(sci(s.indicator_rel, 2))
+        .cell(s.rank)
+        .cell(100.0 * static_cast<double>(s.rank) / static_cast<double>(n), 3)
         .cell(100.0 * static_cast<double>(min_rank) / static_cast<double>(n), 3);
   }
 }
@@ -66,23 +64,22 @@ int main(int argc, char** argv) {
       ro.max_rank = budget;
       const DistRandQbResult qb = randqb_ei_dist(m.a, ro, np);
       emit_series(t, label, "RandQB_EI p=" + std::to_string(p),
-                  qb.iter_vseconds, qb.iter_indicator, qb.iter_rank,
-                  m.a.cols(), m.sigma);
+                  qb.result.telemetry, m.a.cols(), m.sigma);
     }
     LuCrtpOptions lo;
     lo.block_size = k;
     lo.tau = tau_min;
     lo.max_rank = budget;
     const DistLuResult lu = lu_crtp_dist(m.a, lo, np);
-    emit_series(t, label, "LU_CRTP", lu.iter_vseconds, lu.iter_indicator,
-                lu.iter_rank, m.a.cols(), m.sigma);
+    emit_series(t, label, "LU_CRTP", lu.result.telemetry, m.a.cols(),
+                m.sigma);
 
     LuCrtpOptions io = lo;
     io.threshold = ThresholdMode::kIlut;
     io.estimated_iterations = lu.result.iterations;
     const DistLuResult il = lu_crtp_dist(m.a, io, np);
-    emit_series(t, label, "ILUT_CRTP", il.iter_vseconds, il.iter_indicator,
-                il.iter_rank, m.a.cols(), m.sigma);
+    emit_series(t, label, "ILUT_CRTP", il.result.telemetry, m.a.cols(),
+                m.sigma);
   }
   std::printf("\n");
   t.print(std::cout);

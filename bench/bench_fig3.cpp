@@ -30,17 +30,16 @@ int main(int argc, char** argv) {
 
   Table t({"method", "time (s)", "achieved rel. error", "rank K",
            "K as % of n", "min rank required (% of n)"});
-  auto emit = [&](const std::string& method, const std::vector<double>& vs,
-                  const std::vector<double>& ind,
-                  const std::vector<Index>& rank) {
-    for (std::size_t i = 0; i < ind.size(); ++i) {
-      const Index mr = min_rank_for_tolerance(m.sigma, ind[i]);
+  auto emit = [&](const std::string& method,
+                  const obs::TelemetrySeries& series) {
+    for (const obs::IterationSample& s : series) {
+      const Index mr = min_rank_for_tolerance(m.sigma, s.indicator_rel);
       t.row()
           .cell(method)
-          .cell(vs[i], 4)
-          .cell(sci(ind[i], 2))
-          .cell(rank[i])
-          .cell(100.0 * static_cast<double>(rank[i]) / static_cast<double>(n), 3)
+          .cell(s.time_seconds, 4)
+          .cell(sci(s.indicator_rel, 2))
+          .cell(s.rank)
+          .cell(100.0 * static_cast<double>(s.rank) / static_cast<double>(n), 3)
           .cell(100.0 * static_cast<double>(mr) / static_cast<double>(n), 3);
     }
   };
@@ -52,21 +51,20 @@ int main(int argc, char** argv) {
     ro.power = p;
     ro.max_rank = budget;
     const DistRandQbResult qb = randqb_ei_dist(m.a, ro, np);
-    emit("RandQB_EI p=" + std::to_string(p), qb.iter_vseconds,
-         qb.iter_indicator, qb.iter_rank);
+    emit("RandQB_EI p=" + std::to_string(p), qb.result.telemetry);
   }
   LuCrtpOptions lo;
   lo.block_size = k;
   lo.tau = tau_min;
   lo.max_rank = budget;
   const DistLuResult lu = lu_crtp_dist(m.a, lo, np);
-  emit("LU_CRTP", lu.iter_vseconds, lu.iter_indicator, lu.iter_rank);
+  emit("LU_CRTP", lu.result.telemetry);
 
   LuCrtpOptions io = lo;
   io.threshold = ThresholdMode::kIlut;
   io.estimated_iterations = lu.result.iterations;
   const DistLuResult il = lu_crtp_dist(m.a, io, np);
-  emit("ILUT_CRTP", il.iter_vseconds, il.iter_indicator, il.iter_rank);
+  emit("ILUT_CRTP", il.result.telemetry);
 
   t.print(std::cout);
   t.write_csv("fig3.csv");

@@ -6,8 +6,8 @@
 // Runtimes are the virtual-time parallel runtimes of the distributed engines
 // (np ranks on the simulated interconnect). RandQB_EI / LU_CRTP / RandUBV are
 // each run once per matrix at the tightest tolerance; the per-tau rows are
-// read off their convergence traces (the methods are tau-oblivious except for
-// stopping). ILUT_CRTP is rerun per tau because mu depends on tau. "-" marks
+// read off their convergence telemetry (the methods are tau-oblivious except
+// for stopping). ILUT_CRTP is rerun per tau because mu depends on tau. "-" marks
 // non-convergence within the rank budget, as in the paper.
 //
 //   ./bench_table2 [--scale=0.25] [--np=8] [--k=32] [--matrices=M1,...]
@@ -24,17 +24,24 @@ namespace {
 
 using namespace lra;
 
-// First trace position with indicator < tau, or -1.
-long long its_for_tau(const std::vector<double>& rel_ind, double tau) {
-  for (std::size_t i = 0; i < rel_ind.size(); ++i)
-    if (rel_ind[i] < tau) return static_cast<long long>(i) + 1;
+// First iteration whose indicator is below tau, or -1.
+long long its_for_tau(const obs::TelemetrySeries& series, double tau) {
+  for (const obs::IterationSample& s : series)
+    if (s.indicator_rel < tau) return s.iteration;
   return -1;
 }
 
-std::string time_cell(const std::vector<double>& vs, long long its) {
+// The sample of iteration `its` (1-based, as returned by its_for_tau).
+const obs::IterationSample& at_iteration(const obs::TelemetrySeries& series,
+                                         long long its) {
+  return series[static_cast<std::size_t>(its - 1)];
+}
+
+std::string time_cell(const obs::TelemetrySeries& series, long long its) {
   if (its < 0) return "-";
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.3g", vs[static_cast<std::size_t>(its - 1)]);
+  std::snprintf(buf, sizeof(buf), "%.3g",
+                at_iteration(series, its).time_seconds);
   return buf;
 }
 
@@ -119,7 +126,7 @@ int main(int argc, char** argv) {
     bench::report_dist_run(report.get(), label, "lu_crtp", np, tau_min, lu);
 
     for (const double tau : taus) {
-      const long long its_lu = its_for_tau(lu.iter_indicator, tau);
+      const long long its_lu = its_for_tau(lu.result.telemetry, tau);
 
       // ILUT_CRTP per tau; u = LU_CRTP's iteration count at this tau (the
       // paper's convention). Skipped ("-") when LU_CRTP needs <= 1 iteration:
@@ -136,8 +143,8 @@ int main(int argc, char** argv) {
           char buf[32];
           std::snprintf(buf, sizeof(buf), "%.3g", il.virtual_seconds);
           time_ilut = buf;
-          const Index lu_nnz =
-              lu.result.factor_nnz[static_cast<std::size_t>(its_lu - 1)];
+          const long long lu_nnz =
+              at_iteration(lu.result.telemetry, its_lu).factor_nnz;
           std::snprintf(buf, sizeof(buf), "%.1f",
                         static_cast<double>(lu_nnz) /
                             static_cast<double>(il.result.l.nnz() +
@@ -147,21 +154,21 @@ int main(int argc, char** argv) {
         }
       }
 
-      const long long i0 = its_for_tau(qb[0].iter_indicator, tau);
-      const long long i1 = its_for_tau(qb[1].iter_indicator, tau);
-      const long long i2 = its_for_tau(qb[2].iter_indicator, tau);
+      const long long i0 = its_for_tau(qb[0].result.telemetry, tau);
+      const long long i1 = its_for_tau(qb[1].result.telemetry, tau);
+      const long long i2 = its_for_tau(qb[2].result.telemetry, tau);
       t.row()
           .cell(label + "'")
           .cell(sci(tau, 0))
-          .cell(or_dash(its_for_tau(ubv.trace.indicator, tau)))
+          .cell(or_dash(its_for_tau(ubv.telemetry, tau)))
           .cell(or_dash(i0))
-          .cell(time_cell(qb[0].iter_vseconds, i0))
+          .cell(time_cell(qb[0].result.telemetry, i0))
           .cell(or_dash(i1))
-          .cell(time_cell(qb[1].iter_vseconds, i1))
+          .cell(time_cell(qb[1].result.telemetry, i1))
           .cell(or_dash(i2))
-          .cell(time_cell(qb[2].iter_vseconds, i2))
+          .cell(time_cell(qb[2].result.telemetry, i2))
           .cell(or_dash(its_lu))
-          .cell(time_cell(lu.iter_vseconds, its_lu))
+          .cell(time_cell(lu.result.telemetry, its_lu))
           .cell(time_ilut)
           .cell(ratio_nnz)
           .cell(mu);

@@ -32,7 +32,7 @@ int main(int argc, char** argv) {
   std::printf("probing %ld x %ld sparse matrix (%ld nnz)\n\n", a.rows(),
               a.cols(), a.nnz());
 
-  // One deep RandQB run; its trace gives the rank-vs-accuracy profile.
+  // One deep RandQB run; its telemetry gives the rank-vs-accuracy profile.
   RandQbOptions o;
   o.block_size = k;
   o.tau = 1e-3;
@@ -41,11 +41,11 @@ int main(int argc, char** argv) {
 
   Table ranks({"accuracy tau", "estimated min rank", "exact min rank"});
   for (const double tau : {1e-1, 3e-2, 1e-2, 3e-3, 1e-3}) {
-    // First trace point whose indicator is below tau.
-    Index est = -1;
-    for (std::size_t i = 0; i < r.trace.indicator.size(); ++i) {
-      if (r.trace.indicator[i] < tau) {
-        est = r.trace.rank[i];
+    // First iteration whose indicator is below tau.
+    long long est = -1;
+    for (const obs::IterationSample& s : r.telemetry) {
+      if (s.indicator_rel < tau) {
+        est = s.rank;
         break;
       }
     }

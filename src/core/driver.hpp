@@ -64,8 +64,8 @@ class LowRankApprox {
   double indicator_rel() const;
   /// Stored values in the factors (memory footprint proxy).
   Index factor_values() const;
-  /// Per-iteration convergence telemetry (empty when the method ran with
-  /// record_trace disabled). Uniform across all methods.
+  /// Per-iteration convergence telemetry, one sample per iteration. Uniform
+  /// across all methods.
   const obs::TelemetrySeries& telemetry() const;
 
   /// y = (H W) x — apply the approximation to a vector.

@@ -396,25 +396,16 @@ LuCrtpResult lu_crtp(const CscMatrix& a, const LuCrtpOptions& opts) {
     col_ids = std::move(next_cols);
     s = std::move(schur);
 
-    res.fill_density.push_back(s.density());
-    res.schur_nnz.push_back(s.nnz());
-    res.factor_nnz.push_back(
-        static_cast<Index>(l_entries.size() + u_entries.size()));
-    if (opts.record_trace) {
-      res.trace.cum_seconds.push_back(clock.seconds());
-      res.trace.indicator.push_back(indicator / res.anorm_f);
-      res.trace.rank.push_back(res.rank);
-      obs::IterationSample smp;
-      smp.iteration = res.iterations;
-      smp.rank = res.rank;
-      smp.indicator_rel = indicator / res.anorm_f;
-      smp.tau = opts.tau;
-      smp.time_seconds = res.trace.cum_seconds.back();
-      smp.schur_nnz = res.schur_nnz.back();
-      smp.fill_density = res.fill_density.back();
-      smp.factor_nnz = res.factor_nnz.back();
-      res.telemetry.push_back(smp);
-    }
+    res.telemetry.push_back(
+        {.iteration = res.iterations,
+         .rank = res.rank,
+         .indicator_rel = indicator / res.anorm_f,
+         .tau = opts.tau,
+         .time_seconds = clock.seconds(),
+         .schur_nnz = s.nnz(),
+         .fill_density = s.density(),
+         .factor_nnz =
+             static_cast<long long>(l_entries.size() + u_entries.size())});
     if (indicator < target) {
       res.status = Status::kConverged;
       break;

@@ -32,8 +32,6 @@ struct LuCrtpOptions {
   /// of A21 A11^{-1}; better conditioned but introduces extra small entries
   /// (the stability alternative referenced in Sections II-B3 and VI-A).
   bool stable_l = false;
-  /// Record the per-iteration trace (needed by Figs. 1-3).
-  bool record_trace = true;
 };
 
 struct LuCrtpResult {
@@ -49,22 +47,16 @@ struct LuCrtpResult {
   Perm row_perm;  // P_r: row_perm[new] = old, so (P_r A P_c)(i,j) =
   Perm col_perm;  // A(row_perm[i], col_perm[j]) ~= (L U)(i, j)
 
-  // Fill-in diagnostics (Fig. 1): density of A^(i) after each iteration.
-  std::vector<double> fill_density;
-  std::vector<Index> schur_nnz;
-  /// Cumulative nnz(L) + nnz(U) after each iteration (Table II nnz ratios).
-  std::vector<Index> factor_nnz;
-
   // ILUT bookkeeping.
   double mu = 0.0;                    // threshold actually used
   double t_norm_sq = 0.0;             // sum of ||T~^(j)||_F^2 (22)
   Index dropped_entries = 0;
   bool threshold_control_hit = false;  // line 10 of Algorithm 3 fired
 
-  IterationTrace trace;
-  /// Per-iteration convergence telemetry incl. the Schur-complement fill
-  /// diagnostics (populated with the trace; virtual time for the
-  /// distributed engine, wall time for the sequential one).
+  /// Per-iteration convergence telemetry incl. the fill-in diagnostics of
+  /// Fig. 1 and Table II: density and nnz of the Schur complement A^(i+1),
+  /// and the cumulative nnz(L) + nnz(U), after each iteration (virtual time
+  /// for the distributed engine, wall time for the sequential one).
   obs::TelemetrySeries telemetry;
 };
 

@@ -79,10 +79,7 @@ DistLuResult lu_crtp_dist(const CscMatrix& a, const LuCrtpOptions& opts,
     double indicator = anorm;
     Index rank_so_far = 0, iterations = 0;
     Status status = Status::kMaxIterations;
-    std::vector<double> iter_vs, iter_ind;
-    std::vector<Index> iter_rank;
-    std::vector<double> fill;
-    std::vector<Index> schur_nnz, factor_nnz;
+    obs::TelemetrySeries telemetry;  // rank 0's becomes the result's
 
     while (indicator >= target && rank_so_far < rank_budget) {
       const Index m_a = static_cast<Index>(row_ids.size());
@@ -392,17 +389,19 @@ DistLuResult lu_crtp_dist(const CscMatrix& a, const LuCrtpOptions& opts,
       const double ncols_glob = ctx.allreduce_sum(static_cast<double>(col_ids.size()));
       const double factor_nnz_glob = ctx.allreduce_sum(
           static_cast<double>(l_entries.size() + u_entries.size()));
-      if (r == 0) {
-        fill.push_back(ncols_glob * row_ids.size() == 0
-                           ? 0.0
-                           : nnz_glob / (static_cast<double>(row_ids.size()) *
-                                         ncols_glob));
-        schur_nnz.push_back(static_cast<Index>(nnz_glob));
-        factor_nnz.push_back(static_cast<Index>(factor_nnz_glob));
-      }
-      iter_vs.push_back(ctx.vtime());
-      iter_ind.push_back(indicator / anorm);
-      iter_rank.push_back(rank_so_far);
+      telemetry.push_back(
+          {.iteration = iterations,
+           .rank = rank_so_far,
+           .indicator_rel = indicator / anorm,
+           .tau = opts.tau,
+           .time_seconds = ctx.vtime(),
+           .schur_nnz = static_cast<long long>(nnz_glob),
+           .fill_density =
+               ncols_glob * row_ids.size() == 0
+                   ? 0.0
+                   : nnz_glob / (static_cast<double>(row_ids.size()) *
+                                 ncols_glob),
+           .factor_nnz = static_cast<long long>(factor_nnz_glob)});
       if (indicator < target) {
         status = Status::kConverged;
         break;
@@ -443,12 +442,7 @@ DistLuResult lu_crtp_dist(const CscMatrix& a, const LuCrtpOptions& opts,
       res.t_norm_sq = t_acc_sq;
       res.dropped_entries = dropped_total;
       res.threshold_control_hit = control_hit;
-      res.fill_density = fill;
-      res.schur_nnz = schur_nnz;
-      res.factor_nnz = factor_nnz;
-      out.iter_vseconds = iter_vs;
-      out.iter_indicator = iter_ind;
-      out.iter_rank = iter_rank;
+      res.telemetry = std::move(telemetry);
 
       // Collect U triplets and surviving columns from all ranks.
       std::vector<Triplet> all_u;
@@ -504,10 +498,6 @@ DistLuResult lu_crtp_dist(const CscMatrix& a, const LuCrtpOptions& opts,
   out.kernel_seconds = world.kernel_times_max();
   out.comm = world.comm_stats();
   out.trace = world.take_trace();
-  out.result.telemetry = obs::make_series(out.iter_vseconds, out.iter_indicator,
-                                          out.iter_rank, opts.tau);
-  obs::attach_fill(out.result.telemetry, out.result.fill_density,
-                   out.result.schur_nnz, out.result.factor_nnz);
   return out;
 }
 

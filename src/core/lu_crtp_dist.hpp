@@ -19,9 +19,6 @@ struct DistLuResult {
   LuCrtpResult result;            // factors + permutations, assembled
   double virtual_seconds = 0.0;   // max over ranks of the final clock
   std::map<std::string, double> kernel_seconds;  // max over ranks
-  std::vector<double> iter_vseconds;   // cumulative virtual time per iteration
-  std::vector<double> iter_indicator;  // relative error indicator per iteration
-  std::vector<Index> iter_rank;        // K after each iteration
   obs::CommStats comm;                 // per-rank comm counters (always on)
   std::vector<obs::RankTrace> trace;   // per-rank spans (collect_trace only)
 };

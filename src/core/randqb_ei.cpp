@@ -50,7 +50,7 @@ RandQbResult randqb_ei(const CscMatrix& a, const RandQbOptions& opts) {
   // Loop-carried kernel buffers: the `_into` kernels reshape them in place,
   // so after the first iteration the hot loop stops allocating (the arena
   // high-water mark and these capacities both plateau — asserted in
-  // test_kernels_blocked).
+  // test_kernels_simd).
   Matrix y, z, w, bw, qtq, proj, bkt;
 
   while (res.rank < rank_budget) {
@@ -111,18 +111,11 @@ RandQbResult randqb_ei(const CscMatrix& a, const RandQbOptions& opts) {
                                           opts.seed ^ 0x79b9)
                  : std::sqrt(std::max(0.0, e));
     res.indicator = indicator;
-    if (opts.record_trace) {
-      res.trace.cum_seconds.push_back(clock.seconds());
-      res.trace.indicator.push_back(indicator / res.anorm_f);
-      res.trace.rank.push_back(res.rank);
-      obs::IterationSample smp;
-      smp.iteration = res.iterations;
-      smp.rank = res.rank;
-      smp.indicator_rel = indicator / res.anorm_f;
-      smp.tau = opts.tau;
-      smp.time_seconds = res.trace.cum_seconds.back();
-      res.telemetry.push_back(smp);
-    }
+    res.telemetry.push_back({.iteration = res.iterations,
+                             .rank = res.rank,
+                             .indicator_rel = indicator / res.anorm_f,
+                             .tau = opts.tau,
+                             .time_seconds = clock.seconds()});
     if (indicator < target) {
       res.status = opts.tau < kRandQbIndicatorFloor ? Status::kIndicatorFloor
                                                     : Status::kConverged;

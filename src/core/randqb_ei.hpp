@@ -24,7 +24,6 @@ struct RandQbOptions {
   int power = 1;          // p in the power scheme (0..3)
   Index max_rank = -1;    // -1: min(m, n)
   std::uint64_t seed = 0x5eed;
-  bool record_trace = true;
   ErrorNorm norm = ErrorNorm::kFrobenius;
   int spectral_power_its = 12;  // power iterations per check (kSpectral)
 };
@@ -43,9 +42,9 @@ struct RandQbResult {
   /// reports in Section VI-B.
   double orth_loss = 0.0;
 
-  IterationTrace trace;
-  /// Per-iteration convergence telemetry (populated with the trace; for the
-  /// distributed engine, time_seconds is the rank's cumulative virtual time).
+  /// Per-iteration convergence telemetry — the series behind the
+  /// runtime-vs-quality plots (Figs. 2 and 3); for the distributed engine,
+  /// time_seconds is the rank's cumulative virtual time.
   obs::TelemetrySeries telemetry;
 };
 

@@ -100,8 +100,7 @@ DistRandQbResult randqb_ei_dist(const CscMatrix& a, const RandQbOptions& opts,
     double e = anorm * anorm;
     Index rank_so_far = 0;
     Index iterations = 0;
-    std::vector<double> iter_vs, iter_ind;
-    std::vector<Index> iter_rank_v;
+    obs::TelemetrySeries telemetry;  // rank 0's becomes the result's
     double indicator = anorm;
     Status status = Status::kMaxIterations;
 
@@ -270,9 +269,11 @@ DistRandQbResult randqb_ei_dist(const CscMatrix& a, const RandQbOptions& opts,
       const double bk_sq = ctx.wait_allreduce_sum(ind_req)[0];
       e -= bk_sq;
       indicator = std::sqrt(std::max(0.0, e));
-      iter_vs.push_back(ctx.vtime());
-      iter_ind.push_back(indicator / anorm);
-      iter_rank_v.push_back(rank_so_far);
+      telemetry.push_back({.iteration = iterations,
+                           .rank = rank_so_far,
+                           .indicator_rel = indicator / anorm,
+                           .tau = opts.tau,
+                           .time_seconds = ctx.vtime()});
       if (indicator < target) {
         status = opts.tau < kRandQbIndicatorFloor ? Status::kIndicatorFloor
                                                   : Status::kConverged;
@@ -315,9 +316,7 @@ DistRandQbResult randqb_ei_dist(const CscMatrix& a, const RandQbOptions& opts,
             r.b(i, s.begin + j) = bs[pos + static_cast<std::size_t>(j * rank_so_far + i)];
         pos += static_cast<std::size_t>(s.size() * rank_so_far);
       }
-      out.iter_vseconds = iter_vs;
-      out.iter_indicator = iter_ind;
-      out.iter_rank = iter_rank_v;
+      r.telemetry = std::move(telemetry);
     }
   };
 
@@ -338,8 +337,6 @@ DistRandQbResult randqb_ei_dist(const CscMatrix& a, const RandQbOptions& opts,
   out.kernel_seconds = world.kernel_times_max();
   out.comm = world.comm_stats();
   out.trace = world.take_trace();
-  out.result.telemetry = obs::make_series(out.iter_vseconds, out.iter_indicator,
-                                          out.iter_rank, opts.tau);
   return out;
 }
 

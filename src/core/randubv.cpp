@@ -49,18 +49,11 @@ RandUbvResult randubv(const CscMatrix& a, const RandUbvOptions& opts) {
 
     double indicator = std::sqrt(std::max(0.0, e));
     res.indicator = indicator;
-    if (opts.record_trace) {
-      res.trace.cum_seconds.push_back(clock.seconds());
-      res.trace.indicator.push_back(indicator / res.anorm_f);
-      res.trace.rank.push_back(res.rank);
-      obs::IterationSample smp;
-      smp.iteration = res.iterations;
-      smp.rank = res.rank;
-      smp.indicator_rel = indicator / res.anorm_f;
-      smp.tau = opts.tau;
-      smp.time_seconds = res.trace.cum_seconds.back();
-      res.telemetry.push_back(smp);
-    }
+    res.telemetry.push_back({.iteration = res.iterations,
+                             .rank = res.rank,
+                             .indicator_rel = indicator / res.anorm_f,
+                             .tau = opts.tau,
+                             .time_seconds = clock.seconds()});
     if (indicator < target) {
       res.status = opts.tau < kRandQbIndicatorFloor ? Status::kIndicatorFloor
                                                     : Status::kConverged;

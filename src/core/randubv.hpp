@@ -19,7 +19,6 @@ struct RandUbvOptions {
   Index max_rank = -1;
   std::uint64_t seed = 0x5eed;
   bool full_reorth = true;  // one-sided full reorthogonalization
-  bool record_trace = true;
 };
 
 struct RandUbvResult {
@@ -33,8 +32,7 @@ struct RandUbvResult {
   Matrix b;  // K x K block bidiagonal
   Matrix v;  // n x K
 
-  IterationTrace trace;
-  /// Per-iteration convergence telemetry (populated with the trace).
+  /// Per-iteration convergence telemetry.
   obs::TelemetrySeries telemetry;
 };
 

@@ -134,8 +134,7 @@ DistRandUbvResult randubv_dist(const CscMatrix& a, const RandUbvOptions& opts,
     Matrix u_loc(rs.size(), 0);
     Matrix v_loc(cs.size(), 0);
     std::vector<Matrix> diag_l, super_r;  // replicated small blocks
-    std::vector<double> iter_vs, iter_ind;
-    std::vector<Index> iter_rank;
+    obs::TelemetrySeries telemetry;  // rank 0's becomes the result's
 
     // V_1 = orth(Gaussian) — block generated identically, sliced, TSQR'd.
     Matrix omega_full;
@@ -185,9 +184,11 @@ DistRandUbvResult randubv_dist(const CscMatrix& a, const RandUbvOptions& opts,
       iterations += 1;
       e -= lj.frobenius_norm_sq();
       indicator = std::sqrt(std::max(0.0, e));
-      iter_vs.push_back(ctx.vtime());
-      iter_ind.push_back(indicator / anorm);
-      iter_rank.push_back(rank_so_far);
+      telemetry.push_back({.iteration = iterations,
+                           .rank = rank_so_far,
+                           .indicator_rel = indicator / anorm,
+                           .tau = opts.tau,
+                           .time_seconds = ctx.vtime()});
       if (indicator < target) {
         status = opts.tau < kRandQbIndicatorFloor ? Status::kIndicatorFloor
                                                   : Status::kConverged;
@@ -291,9 +292,7 @@ DistRandUbvResult randubv_dist(const CscMatrix& a, const RandUbvOptions& opts,
           r.b.set_block(off, off + b, super_r[j].transposed());
         off += diag_l[j].rows();
       }
-      out.iter_vseconds = iter_vs;
-      out.iter_indicator = iter_ind;
-      out.iter_rank = iter_rank;
+      r.telemetry = std::move(telemetry);
     }
   };
 
@@ -314,8 +313,6 @@ DistRandUbvResult randubv_dist(const CscMatrix& a, const RandUbvOptions& opts,
   out.kernel_seconds = world.kernel_times_max();
   out.comm = world.comm_stats();
   out.trace = world.take_trace();
-  out.result.telemetry = obs::make_series(out.iter_vseconds, out.iter_indicator,
-                                          out.iter_rank, opts.tau);
   return out;
 }
 

@@ -4,23 +4,11 @@
 // which makes the methods directly comparable (the paper's uniform
 // termination criterion).
 
-#include <vector>
-
-#include "dense/matrix.hpp"
-
 namespace lra {
 
 /// Frobenius tolerance below which the RandQB_EI indicator (4) is unreliable
 /// in double precision (Theorem 3 of Yu/Gu/Li, quoted in the paper).
 inline constexpr double kRandQbIndicatorFloor = 2.1e-7;
-
-/// One (cumulative time, indicator, rank) sample per iteration — the raw
-/// series behind the runtime-vs-quality plots (Figs. 2 and 3).
-struct IterationTrace {
-  std::vector<double> cum_seconds;
-  std::vector<double> indicator;     // E^(i), relative to ||A||_F
-  std::vector<Index> rank;           // K after the iteration
-};
 
 /// Outcome shared by all fixed-precision drivers.
 enum class Status {

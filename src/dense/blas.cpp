@@ -23,80 +23,14 @@ namespace {
 constexpr Index kForkWork = Index{1} << 16;
 
 // Columns of C are disjoint outputs and each element accumulates its k terms
-// in ascending order in every variant below, so splitting the j loop across
+// in ascending order in both variants below, so splitting the j loop across
 // threads is bitwise identical to the serial execution at any thread count.
 Index gemm_grain(Index m, Index k, Index n) {
   return m * k * n < kForkWork ? n + 1 : 1;
 }
 
-// ---------------------------------------------------------------------------
-// Naive (seed) kernels. Kept compiled and selectable via
-// LRA_KERNEL_VARIANT=naive — the baseline of bench_kernels and the reference
-// of the bitwise-identity tests.
-// ---------------------------------------------------------------------------
-
-// Panel sizes chosen so one (MC x KC) block of A fits comfortably in L2.
-constexpr Index kNaiveMc = 256;
-constexpr Index kNaiveKc = 256;
-
-// C(mxn) += A(mxk) * B(kxn), all column-major, no transposes.
-void gemm_nn_naive(Matrix& c, const Matrix& a, const Matrix& b, double alpha) {
-  const Index m = a.rows(), k = a.cols(), n = b.cols();
-  ThreadPool::global().parallel_for(
-      Index{0}, n, "gemm",
-      [&](Index j) {
-        double* cj = c.col(j);
-        const double* bj = b.col(j);
-        for (Index k0 = 0; k0 < k; k0 += kNaiveKc) {
-          const Index k1 = std::min(k0 + kNaiveKc, k);
-          for (Index i0 = 0; i0 < m; i0 += kNaiveMc) {
-            const Index i1 = std::min(i0 + kNaiveMc, m);
-            for (Index p = k0; p < k1; ++p) {
-              const double w = alpha * bj[p];
-              if (w == 0.0) continue;
-              const double* ap = a.col(p);
-              for (Index i = i0; i < i1; ++i) cj[i] += w * ap[i];
-            }
-          }
-        }
-      },
-      gemm_grain(m, k, n));
-}
-
-// C(mxn) += A^T(mxk as k x m stored) * B(kxn): A is (k x m), result row i of C
-// is dot of A column i with B column j -> use dot products (contiguous).
-void gemm_tn_naive(Matrix& c, const Matrix& a, const Matrix& b, double alpha) {
-  const Index m = a.cols(), k = a.rows(), n = b.cols();
-  ThreadPool::global().parallel_for(
-      Index{0}, n, "gemm",
-      [&](Index j) {
-        const double* bj = b.col(j);
-        double* cj = c.col(j);
-        for (Index i = 0; i < m; ++i) {
-          cj[i] += alpha * dot(k, a.col(i), bj);
-        }
-      },
-      gemm_grain(m, k, n));
-}
-
-// C(mxn) += A(mxk) * B^T (B is n x k).
-void gemm_nt_naive(Matrix& c, const Matrix& a, const Matrix& b, double alpha) {
-  const Index m = a.rows(), k = a.cols(), n = b.rows();
-  ThreadPool::global().parallel_for(
-      Index{0}, n, "gemm",
-      [&](Index j) {
-        double* cj = c.col(j);
-        for (Index p = 0; p < k; ++p) {
-          const double w = alpha * b(j, p);
-          if (w == 0.0) continue;
-          const double* ap = a.col(p);
-          for (Index i = 0; i < m; ++i) cj[i] += w * ap[i];
-        }
-      },
-      gemm_grain(m, k, n));
-}
-
-// C(mxn) += A^T(k x m) * B^T(n x k): C = (B*A)^T; fall back to explicit loop.
+// C(mxn) += A^T(k x m) * B^T(n x k). Not on any hot path: both variants share
+// this plain loop.
 void gemm_tt_naive(Matrix& c, const Matrix& a, const Matrix& b, double alpha) {
   const Index m = a.cols(), n = b.rows(), k = a.rows();
   ThreadPool::global().parallel_for(
@@ -112,213 +46,14 @@ void gemm_tt_naive(Matrix& c, const Matrix& a, const Matrix& b, double alpha) {
       gemm_grain(m, k, n));
 }
 
-// ---------------------------------------------------------------------------
-// Blocked (packed, register-tiled) kernels.
-//
-// Determinism argument: the naive nn kernel accumulates each C(i,j) directly
-// in memory, adding its k terms in ascending-p order (the kKc/kMc blocking
-// never reorders the terms of a single element). The blocked kernel loads the
-// C tile into registers, accumulates one KC slab in the same ascending-p
-// order with the same per-term expression (w = alpha*b first, then += w*a),
-// and stores the tile back before the next slab. A load/store round-trip of
-// a double is exact, so the per-element chain of floating-point operations is
-// identical for any MC/KC/MR/NR choice — and therefore at any thread count,
-// since threads only split the (disjoint) output columns. The one divergence
-// is the naive kernels' `w == 0.0` skip, which can flip a -0.0 or suppress a
-// NaN when the dense inputs contain exact zeros or non-finite values; the
-// blocked kernels always multiply through.
-// ---------------------------------------------------------------------------
-
-static_assert(kGemmMc % kGemmMr == 0,
-              "packed panel strips must tile the row block exactly");
-
-// Pack A(i0:i1, k0:k1) strip-major: strips of kGemmMr rows; within a strip
-// column p is a contiguous group of kGemmMr values, rows past i1 padded with
-// zeros so the micro-kernel can always read full strips.
-void pack_a_panel(double* LRA_RESTRICT dst, const Matrix& a, Index i0,
-                  Index i1, Index k0, Index k1) {
-  for (Index is = i0; is < i1; is += kGemmMr) {
-    const Index mr = std::min(kGemmMr, i1 - is);
-    for (Index p = k0; p < k1; ++p) {
-      const double* ap = a.col(p) + is;
-      for (Index r = 0; r < mr; ++r) dst[r] = ap[r];
-      for (Index r = mr; r < kGemmMr; ++r) dst[r] = 0.0;
-      dst += kGemmMr;
-    }
-  }
-}
-
-// Full 8x4 register tile: C(is:is+8, j:j+4) += alpha * Apack_strip * Bslab.
-// `ap` is one packed strip (kGemmMr-wide groups per k), `b0..b3` point at
-// B(k0, j..j+3), `c0..c3` at C(is, j..j+3).
-void micro_8x4(Index kc, const double* LRA_RESTRICT ap,
-               const double* LRA_RESTRICT b0, const double* LRA_RESTRICT b1,
-               const double* LRA_RESTRICT b2, const double* LRA_RESTRICT b3,
-               double alpha, double* LRA_RESTRICT c0, double* LRA_RESTRICT c1,
-               double* LRA_RESTRICT c2, double* LRA_RESTRICT c3) {
-  double acc0[kGemmMr], acc1[kGemmMr], acc2[kGemmMr], acc3[kGemmMr];
-  for (int r = 0; r < kGemmMr; ++r) {
-    acc0[r] = c0[r];
-    acc1[r] = c1[r];
-    acc2[r] = c2[r];
-    acc3[r] = c3[r];
-  }
-  for (Index p = 0; p < kc; ++p) {
-    const double* LRA_RESTRICT as = ap + p * kGemmMr;
-    const double w0 = alpha * b0[p];
-    const double w1 = alpha * b1[p];
-    const double w2 = alpha * b2[p];
-    const double w3 = alpha * b3[p];
-    for (int r = 0; r < kGemmMr; ++r) {
-      const double av = as[r];
-      acc0[r] += w0 * av;
-      acc1[r] += w1 * av;
-      acc2[r] += w2 * av;
-      acc3[r] += w3 * av;
-    }
-  }
-  for (int r = 0; r < kGemmMr; ++r) {
-    c0[r] = acc0[r];
-    c1[r] = acc1[r];
-    c2[r] = acc2[r];
-    c3[r] = acc3[r];
-  }
-}
-
-// Remainder tile (mr x nr, mr <= kGemmMr, nr <= kGemmNr): same per-element
-// accumulation chain as micro_8x4, with runtime tile bounds.
-void micro_edge(Index kc, Index mr, Index nr, const double* LRA_RESTRICT ap,
-                const double* const* bcols, double alpha, double* const* ccols) {
-  double acc[kGemmNr][kGemmMr];
-  for (Index jj = 0; jj < nr; ++jj)
-    for (Index r = 0; r < mr; ++r) acc[jj][r] = ccols[jj][r];
-  for (Index p = 0; p < kc; ++p) {
-    const double* LRA_RESTRICT as = ap + p * kGemmMr;
-    for (Index jj = 0; jj < nr; ++jj) {
-      const double w = alpha * bcols[jj][p];
-      for (Index r = 0; r < mr; ++r) acc[jj][r] += w * as[r];
-    }
-  }
-  for (Index jj = 0; jj < nr; ++jj)
-    for (Index r = 0; r < mr; ++r) ccols[jj][r] = acc[jj][r];
-}
-
-// Pack `nr` rows (j0..j0+nr-1) of B's k0:k1 slab into contiguous per-row
-// arrays so the micro-kernels can walk them with unit stride. B(j..j+nr-1, p)
-// is a contiguous run of B's column p, so each depth reads one short run.
-void pack_b_rows(double* LRA_RESTRICT dst, const Matrix& b, Index j0,
-                 Index nr, Index k0, Index k1) {
-  const Index kc = k1 - k0;
-  const Index ldb = b.rows();
-  // Row-outer order: each destination row is a contiguous write stream, and
-  // the strided source lines stay cached across consecutive rows.
-  for (Index jj = 0; jj < nr; ++jj) {
-    const double* q = b.data() + j0 + jj;
-    double* LRA_RESTRICT d = dst + jj * kc;
-    for (Index p = 0; p < kc; ++p) d[p] = q[(k0 + p) * ldb];
-  }
-}
-
-// B-row panel width for the nt path: rows jb0..jb0+kGemmJb of the current
-// k-slab are packed once and reused across every A-panel, so each B element
-// is repacked only once per k-slab instead of once per (i0, j) tile.
-constexpr Index kGemmJb = 256;
-
-// Shared nn / nt driver. The tiling is identical; the only difference is how
-// a column tile's B values are fetched: nn reads B's columns directly, nt
-// (kBT) packs a kGemmJb-row panel of B into contiguous scratch first.
-// Packing does not touch the accumulation chain, so the determinism argument
-// above covers both transposes.
-template <bool kBT>
-void gemm_nn_nt_blocked(Matrix& c, const Matrix& a, const Matrix& b,
-                        double alpha) {
-  const Index m = a.rows(), k = a.cols();
-  const Index n = kBT ? b.rows() : b.cols();
-  ThreadPool::global().parallel_ranges(
-      Index{0}, n, "gemm", gemm_grain(m, k, n),
-      [&](Index jlo, Index jhi, int /*slice*/) {
-        // Each worker packs the A-panel into its own arena scratch; the pack
-        // is reused across every column tile of the worker's j range.
-        Workspace::Scope scope;
-        double* pack = scope.doubles(
-            static_cast<std::size_t>(kGemmMc) * kGemmKc);
-        double* bpack =
-            kBT ? scope.doubles(static_cast<std::size_t>(kGemmJb) * kGemmKc)
-                : nullptr;
-        for (Index k0 = 0; k0 < k; k0 += kGemmKc) {
-          const Index k1 = std::min(k0 + kGemmKc, k);
-          const Index kc = k1 - k0;
-          for (Index jb0 = jlo; jb0 < jhi; jb0 += kGemmJb) {
-          const Index jb1 = std::min(jb0 + kGemmJb, jhi);
-          if (kBT) pack_b_rows(bpack, b, jb0, jb1 - jb0, k0, k1);
-          for (Index i0 = 0; i0 < m; i0 += kGemmMc) {
-            const Index i1 = std::min(i0 + kGemmMc, m);
-            pack_a_panel(pack, a, i0, i1, k0, k1);
-            Index j = jb0;
-            for (; j + kGemmNr <= jb1; j += kGemmNr) {
-              const double *b0, *b1, *b2, *b3;
-              if (kBT) {
-                b0 = bpack + (j - jb0) * kc;
-                b1 = b0 + kc;
-                b2 = b0 + 2 * kc;
-                b3 = b0 + 3 * kc;
-              } else {
-                b0 = b.col(j) + k0;
-                b1 = b.col(j + 1) + k0;
-                b2 = b.col(j + 2) + k0;
-                b3 = b.col(j + 3) + k0;
-              }
-              Index s = 0;
-              for (Index is = i0; is < i1; is += kGemmMr, ++s) {
-                const Index mr = std::min(kGemmMr, i1 - is);
-                const double* ap = pack + s * kc * kGemmMr;
-                if (mr == kGemmMr) {
-                  micro_8x4(kc, ap, b0, b1, b2, b3, alpha, c.col(j) + is,
-                            c.col(j + 1) + is, c.col(j + 2) + is,
-                            c.col(j + 3) + is);
-                } else {
-                  const double* bcols[kGemmNr] = {b0, b1, b2, b3};
-                  double* ccols[kGemmNr] = {c.col(j) + is, c.col(j + 1) + is,
-                                            c.col(j + 2) + is,
-                                            c.col(j + 3) + is};
-                  micro_edge(kc, mr, kGemmNr, ap, bcols, alpha, ccols);
-                }
-              }
-            }
-            if (j < jb1) {
-              const Index nr = jb1 - j;
-              const double* bcols[kGemmNr] = {nullptr, nullptr, nullptr,
-                                              nullptr};
-              double* ccols[kGemmNr] = {nullptr, nullptr, nullptr, nullptr};
-              if (kBT) {
-                for (Index jj = 0; jj < nr; ++jj)
-                  bcols[jj] = bpack + (j - jb0 + jj) * kc;
-              } else {
-                for (Index jj = 0; jj < nr; ++jj)
-                  bcols[jj] = b.col(j + jj) + k0;
-              }
-              Index s = 0;
-              for (Index is = i0; is < i1; is += kGemmMr, ++s) {
-                const Index mr = std::min(kGemmMr, i1 - is);
-                const double* ap = pack + s * kc * kGemmMr;
-                for (Index jj = 0; jj < nr; ++jj)
-                  ccols[jj] = c.col(j + jj) + is;
-                micro_edge(kc, mr, nr, ap, bcols, alpha, ccols);
-              }
-            }
-          }
-          }
-        }
-      });
-}
-
-// Blocked A^T*B: the naive kernel computes each C(i,j) as a full-k dot
-// (accumulated from 0.0 in a register) and then performs a single
-// `c += alpha * dot`. To reproduce those bits the blocked kernel must keep
-// whole-k dot accumulators too — so it register-tiles 4x4 over (i,j) with no
-// KC slabbing, quartering the traffic over A's and B's columns. Unlike the
-// nn/nt kernels this path has no zero-skip divergence: it is bitwise
-// identical to naive for every input.
+// Strict A^T*B (the simd-strict tn path): the reference kernel computes each
+// C(i,j) as a full-k dot (accumulated from 0.0 in a register) and then
+// performs a single `c += alpha * dot`. To reproduce those bits this kernel
+// keeps whole-k scalar dot accumulators too — vector-lane accumulators would
+// re-associate the reduction — and register-tiles 4x4 over (i,j) with no KC
+// slabbing, quartering the traffic over A's and B's columns. There is no
+// zero-skip in the reference tn kernel, so this path is bitwise identical to
+// it for every input.
 constexpr Index kGemmTnTile = 4;
 
 void micro_tn_4x4(Index k, const double* LRA_RESTRICT a0,
@@ -367,8 +102,8 @@ void micro_tn_4x4(Index k, const double* LRA_RESTRICT a0,
   c3[3] += alpha * s[3][3];
 }
 
-void gemm_tn_blocked(Matrix& c, const Matrix& a, const Matrix& b,
-                     double alpha) {
+void gemm_tn_strict(Matrix& c, const Matrix& a, const Matrix& b,
+                    double alpha) {
   const Index m = a.cols(), k = a.rows(), n = b.cols();
   ThreadPool::global().parallel_ranges(
       Index{0}, n, "gemm", gemm_grain(m, k, n),
@@ -385,7 +120,7 @@ void gemm_tn_blocked(Matrix& c, const Matrix& a, const Matrix& b,
                            c.col(j0 + 2) + i0, c.col(j0 + 3) + i0);
             }
           }
-          // Remainder rows/columns: identical expression to the naive
+          // Remainder rows/columns: identical expression to the reference
           // kernel — a full-k dot, then one scaled accumulate.
           for (Index jj = 0; jj < nr; ++jj) {
             const double* bj = b.col(j0 + jj);
@@ -397,21 +132,6 @@ void gemm_tn_blocked(Matrix& c, const Matrix& a, const Matrix& b,
       });
 }
 
-// Blocked A*B: the packed nn driver above.
-void gemm_nn_blocked(Matrix& c, const Matrix& a, const Matrix& b,
-                     double alpha) {
-  gemm_nn_nt_blocked<false>(c, a, b, alpha);
-}
-
-// Blocked A*B^T: the naive nt kernel accumulates each C column in memory
-// over ascending p exactly like nn, so the packed KC-slab driver reproduces
-// its chain too (same -0.0/NaN caveat as nn); only the B fetch differs,
-// handled by pack_b_rows inside the shared driver.
-void gemm_nt_blocked(Matrix& c, const Matrix& a, const Matrix& b,
-                     double alpha) {
-  gemm_nn_nt_blocked<true>(c, a, b, alpha);
-}
-
 // ---------------------------------------------------------------------------
 // SIMD (vectorized) kernels on support/simd.hpp, autotuned geometry from
 // support/autotune.hpp. Two flavours share every code path via the kFma
@@ -421,14 +141,15 @@ void gemm_nt_blocked(Matrix& c, const Matrix& a, const Matrix& b,
 //                fused op (vector fmadd in full tiles, scalar std::fma in
 //                edge tiles — the SAME rounding, so an element's bits do not
 //                depend on which path computed it). NOT bitwise comparable
-//                to naive; gated by the ULP bound in bench_kernels and
+//                to the reference kernels (tests/reference_kernels.hpp);
+//                gated by the ULP bound in bench_kernels and
 //                test_kernels_simd.
 //   simd-strict  kFma = false. Every multiply-add is the two-rounding
-//                round(round(a*b) + c) chain of the seed kernels, so for the
-//                nn/nt drivers each element reproduces naive's bits exactly
-//                (zero-skip caveat aside, as for blocked). The tn path keeps
-//                whole-k scalar dots (gemm_tn_blocked) because vector-lane
-//                dot accumulators would re-associate the reduction.
+//                round(round(a*b) + c) chain of the reference kernels, so for
+//                the nn/nt drivers each element reproduces their bits exactly
+//                (zero-skip caveat aside: the reference skips terms whose
+//                dense multiplier is exactly 0.0, these drivers multiply
+//                through). The tn path is gemm_tn_strict above.
 //
 // Determinism across geometry and threads: the micro-tile loads its C block,
 // accumulates one KC slab in ascending-p order with one multiply-add per
@@ -550,9 +271,31 @@ SimdGeom simd_geom() {
           kFma ? hit->fma : hit->strict};
 }
 
-// Pack A(i0:i1, k0:k1) strip-major with a runtime strip height (the simd
-// twin of pack_a_panel).
-void pack_a_panel_rt(double* LRA_RESTRICT dst, const Matrix& a, Index i0,
+// Pack `nr` rows (j0..j0+nr-1) of B's k0:k1 slab into contiguous per-row
+// arrays so the micro-kernels can walk them with unit stride. B(j..j+nr-1, p)
+// is a contiguous run of B's column p, so each depth reads one short run.
+void pack_b_rows(double* LRA_RESTRICT dst, const Matrix& b, Index j0,
+                 Index nr, Index k0, Index k1) {
+  const Index kc = k1 - k0;
+  const Index ldb = b.rows();
+  // Row-outer order: each destination row is a contiguous write stream, and
+  // the strided source lines stay cached across consecutive rows.
+  for (Index jj = 0; jj < nr; ++jj) {
+    const double* q = b.data() + j0 + jj;
+    double* LRA_RESTRICT d = dst + jj * kc;
+    for (Index p = 0; p < kc; ++p) d[p] = q[(k0 + p) * ldb];
+  }
+}
+
+// B-row panel width for the nt path: rows jb0..jb0+kGemmJb of the current
+// k-slab are packed once and reused across every A-panel, so each B element
+// is repacked only once per k-slab instead of once per (i0, j) tile.
+constexpr Index kGemmJb = 256;
+
+// Pack A(i0:i1, k0:k1) strip-major with a runtime strip height: strips of
+// `stride` rows, rows past i1 padded with zeros so the micro-kernels can
+// always read full strips.
+void pack_a_panel(double* LRA_RESTRICT dst, const Matrix& a, Index i0,
                      Index i1, Index k0, Index k1, Index stride) {
   for (Index is = i0; is < i1; is += stride) {
     const Index mr = std::min(stride, i1 - is);
@@ -565,8 +308,12 @@ void pack_a_panel_rt(double* LRA_RESTRICT dst, const Matrix& a, Index i0,
   }
 }
 
-// Shared simd nn / nt driver: the blocked driver's tiling with autotuned
-// geometry and the vector micro-kernels.
+// Shared simd nn / nt driver, tiled over output rows/columns with autotuned
+// geometry. The only difference between the transposes is how a column
+// tile's B values are fetched: nn reads B's columns directly, nt (kBT) packs
+// a kGemmJb-row panel of B into contiguous scratch first. Packing does not
+// touch the accumulation chain, so the determinism argument above covers
+// both.
 template <bool kBT, bool kFma>
 void gemm_nn_nt_simd(Matrix& c, const Matrix& a, const Matrix& b,
                      double alpha) {
@@ -590,7 +337,7 @@ void gemm_nn_nt_simd(Matrix& c, const Matrix& a, const Matrix& b,
             if (kBT) pack_b_rows(bpack, b, jb0, jb1 - jb0, k0, k1);
             for (Index i0 = 0; i0 < m; i0 += g.mc) {
               const Index i1 = std::min(i0 + g.mc, m);
-              pack_a_panel_rt(pack, a, i0, i1, k0, k1, g.mr);
+              pack_a_panel(pack, a, i0, i1, k0, k1, g.mr);
               for (Index j = jb0; j < jb1; j += g.nr) {
                 const Index nr = std::min(g.nr, jb1 - j);
                 const double* bcols[kSimdMaxNr];
@@ -623,7 +370,7 @@ void gemm_nn_nt_simd(Matrix& c, const Matrix& a, const Matrix& b,
 // interior tile or edge — reduces k through exactly this chain, so the bits
 // are invariant under tiling and thread slicing. (Lane accumulators
 // re-associate the reduction, which is why simd-strict routes tn through the
-// scalar gemm_tn_blocked instead.)
+// scalar gemm_tn_strict instead.)
 template <bool kFma>
 double simd_dot(Index k, const double* LRA_RESTRICT x,
                 const double* LRA_RESTRICT y) {
@@ -735,43 +482,26 @@ void gemm(Matrix& c, const Matrix& a, const Matrix& b, double alpha,
   }
   if (alpha == 0.0 || ka == 0) return;
 
-  const KernelVariant kv = kernel_variant();
+  const bool strict = kernel_variant() == KernelVariant::kSimdStrict;
   if (ta == Trans::kNo && tb == Trans::kNo) {
-    switch (kv) {
-      case KernelVariant::kNaive: gemm_nn_naive(c, a, b, alpha); break;
-      case KernelVariant::kBlocked: gemm_nn_blocked(c, a, b, alpha); break;
-      case KernelVariant::kSimd:
-        gemm_nn_nt_simd<false, simd::kHasFma>(c, a, b, alpha);
-        break;
-      case KernelVariant::kSimdStrict:
-        gemm_nn_nt_simd<false, false>(c, a, b, alpha);
-        break;
+    if (strict) {
+      gemm_nn_nt_simd<false, false>(c, a, b, alpha);
+    } else {
+      gemm_nn_nt_simd<false, simd::kHasFma>(c, a, b, alpha);
     }
   } else if (ta == Trans::kYes && tb == Trans::kNo) {
-    switch (kv) {
-      case KernelVariant::kNaive: gemm_tn_naive(c, a, b, alpha); break;
-      case KernelVariant::kSimd:
-        gemm_tn_simd<simd::kHasFma>(c, a, b, alpha);
-        break;
-      default:
-        // blocked AND simd-strict: whole-k scalar dots are the only tn
-        // shape that reproduces naive's reduction order bitwise.
-        gemm_tn_blocked(c, a, b, alpha);
-        break;
+    if (strict) {
+      gemm_tn_strict(c, a, b, alpha);
+    } else {
+      gemm_tn_simd<simd::kHasFma>(c, a, b, alpha);
     }
   } else if (ta == Trans::kNo && tb == Trans::kYes) {
-    switch (kv) {
-      case KernelVariant::kNaive: gemm_nt_naive(c, a, b, alpha); break;
-      case KernelVariant::kBlocked: gemm_nt_blocked(c, a, b, alpha); break;
-      case KernelVariant::kSimd:
-        gemm_nn_nt_simd<true, simd::kHasFma>(c, a, b, alpha);
-        break;
-      case KernelVariant::kSimdStrict:
-        gemm_nn_nt_simd<true, false>(c, a, b, alpha);
-        break;
+    if (strict) {
+      gemm_nn_nt_simd<true, false>(c, a, b, alpha);
+    } else {
+      gemm_nn_nt_simd<true, simd::kHasFma>(c, a, b, alpha);
     }
   } else {
-    // A^T * B^T is not on any hot path; every variant shares the naive loop.
     gemm_tt_naive(c, a, b, alpha);
   }
 }

@@ -1,33 +1,28 @@
 #pragma once
-// BLAS-like dense kernels on column-major Matrix. Hand-written (no external
-// BLAS in this environment). Two GEMM implementations are compiled:
+// BLAS-like dense kernels on column-major Matrix, hand-written (no external
+// BLAS dependency). GEMM runs one of two vectorized kernel families
+// on support/simd.hpp, selected at runtime by support/kernel_variant.hpp:
 //
-//   * naive   — the seed kernels: cache-blocked j-k-i rank-1 updates whose
-//               inner loop is a contiguous axpy.
-//   * blocked — packed and register-tiled: each (kGemmMc x kGemmKc) A-panel
-//               is packed once into per-thread workspace scratch, and a
-//               kGemmMr x kGemmNr register tile accumulates with sequential
-//               k innermost.
+//   * simd        — packed, register-tiled micro-kernels with hardware FMA
+//                   where the build's ISA has it; deterministic, and within
+//                   a documented ULP bound of the reference kernels.
+//   * simd-strict — the same tiling with two-rounding multiply-adds (and
+//                   whole-k scalar dots for A^T*B); bitwise identical to the
+//                   reference kernels in tests/reference_kernels.hpp (for
+//                   A*B and A*B^T on inputs without exact zeros or
+//                   non-finite values: the reference skips terms whose dense
+//                   multiplier is 0.0, the strict kernels multiply through).
 //
-// support/kernel_variant.hpp selects between them at runtime. Both variants
-// tile only over output rows/columns and never split a k reduction, so each
-// output element accumulates its k terms in the same ascending order; for
-// inputs free of exact zeros and non-finite values they produce
-// bitwise-identical results at any thread count (see ARCHITECTURE.md,
-// "Kernel layer").
+// Both families tile only over output rows/columns and never split a k
+// reduction, so each output element accumulates its k terms in the same
+// ascending order at any thread count and under any autotuned tile geometry
+// (see ARCHITECTURE.md, "The kernel layer").
 
 #include "dense/matrix.hpp"
 
 namespace lra {
 
 enum class Trans { kNo, kYes };
-
-/// Blocked-GEMM tile geometry, exported so the identity tests can target
-/// remainder-heavy shapes around the tile edges.
-inline constexpr Index kGemmMc = 128;  ///< rows per packed A-panel
-inline constexpr Index kGemmKc = 256;  ///< k-slab depth per packed A-panel
-inline constexpr Index kGemmMr = 8;    ///< register-tile rows
-inline constexpr Index kGemmNr = 4;    ///< register-tile columns
 
 /// C = alpha * op(A) * op(B) + beta * C. Shapes must conform; C must already
 /// have the result shape.

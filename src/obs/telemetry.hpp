@@ -4,9 +4,10 @@
 // accumulated rank, the relative error indicator against the fixed-precision
 // target tau, the clock at the step (virtual seconds for the distributed
 // engines, wall seconds for the sequential ones), and — for the LU-family
-// methods — the Schur-complement fill diagnostics. This is the raw series
-// behind the paper's accuracy-vs-cost trajectories (Figs. 2-3, Table II),
-// surfaced uniformly through LowRankApprox and the JSONL run reports.
+// methods — the Schur-complement fill diagnostics. This is the one
+// per-iteration series of every result type: the raw data behind the
+// paper's fill and accuracy-vs-cost figures (Figs. 1-3, Table II), surfaced
+// uniformly through LowRankApprox and the JSONL run reports.
 
 #include <vector>
 
@@ -25,43 +26,5 @@ struct IterationSample {
 };
 
 using TelemetrySeries = std::vector<IterationSample>;
-
-/// Zip the parallel per-iteration vectors every solver already records into
-/// a TelemetrySeries (shortest vector wins, defensively).
-template <typename IndexT>
-TelemetrySeries make_series(const std::vector<double>& time_seconds,
-                            const std::vector<double>& indicator_rel,
-                            const std::vector<IndexT>& rank, double tau) {
-  std::size_t n = time_seconds.size();
-  n = n < indicator_rel.size() ? n : indicator_rel.size();
-  n = n < rank.size() ? n : rank.size();
-  TelemetrySeries out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    IterationSample s;
-    s.iteration = static_cast<long long>(i) + 1;
-    s.rank = static_cast<long long>(rank[i]);
-    s.indicator_rel = indicator_rel[i];
-    s.tau = tau;
-    s.time_seconds = time_seconds[i];
-    out.push_back(s);
-  }
-  return out;
-}
-
-/// Attach the LU-family fill diagnostics to an existing series (vectors may
-/// be shorter than the series; missing entries stay at the -1 sentinels).
-template <typename IndexT>
-void attach_fill(TelemetrySeries& series, const std::vector<double>& fill,
-                 const std::vector<IndexT>& schur_nnz,
-                 const std::vector<IndexT>& factor_nnz) {
-  for (std::size_t i = 0; i < series.size(); ++i) {
-    if (i < fill.size()) series[i].fill_density = fill[i];
-    if (i < schur_nnz.size())
-      series[i].schur_nnz = static_cast<long long>(schur_nnz[i]);
-    if (i < factor_nnz.size())
-      series[i].factor_nnz = static_cast<long long>(factor_nnz[i]);
-  }
-}
 
 }  // namespace lra::obs

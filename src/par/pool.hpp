@@ -33,7 +33,7 @@
 // back to 1 worker with a warning on stderr (never UB).
 //
 // Workers are long-lived threads, so each one carries a persistent
-// thread_local workspace arena (support/workspace.hpp) that the blocked
+// thread_local workspace arena (support/workspace.hpp) that the simd
 // kernels use for packing scratch; the pool labels the arenas "worker-N" at
 // startup, and set_num_threads() folds torn-down workers' arena counters
 // into the retired workspace tally.

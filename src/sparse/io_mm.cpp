@@ -18,6 +18,13 @@ namespace {
 // unbounded allocation. Larger files simply grow the builder as they stream.
 constexpr long long kMaxReserve = 1LL << 22;
 
+// Upper bound on either dimension of the size line. CooBuilder::build()
+// allocates n + 1 column pointers up front, so an unchecked two-line file
+// claiming 2^40 columns would ask for 8 TiB. 2^27 keeps the column pointers
+// under 1 GiB and sits far above the paper's largest matrix (circuit5M_dc,
+// ~3.5M rows).
+constexpr Index kMaxDim = Index{1} << 27;
+
 [[noreturn]] void entry_error(const std::string& path, long long t,
                               const std::string& what) {
   throw std::runtime_error(path + ": entry " + std::to_string(t + 1) + ": " +
@@ -55,6 +62,11 @@ CscMatrix read_matrix_market(const std::string& path) {
   hdr >> m >> n >> nz;
   if (!hdr || m <= 0 || n <= 0 || nz < 0)
     throw std::runtime_error(path + ": bad size line");
+  if (m > kMaxDim || n > kMaxDim)
+    throw std::runtime_error(path + ": size line " + std::to_string(m) +
+                             " x " + std::to_string(n) +
+                             " exceeds the dimension cap " +
+                             std::to_string(kMaxDim));
 
   if ((symmetric || skew) && m != n)
     throw std::runtime_error(path + ": symmetric matrix must be square");

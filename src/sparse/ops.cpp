@@ -25,13 +25,9 @@ namespace {
 // many nnz-times-columns multiply-adds the fork-join overhead dominates.
 constexpr Index kForkWork = Index{1} << 15;
 
-// Column-block width of the blocked SpMM family: kSpmmNb output columns share
-// one pass over A's index/value arrays, cutting index traffic NB-fold.
+// Column-block width of the SpMM quads: kSpmmNb output columns share one
+// pass over A's index/value arrays, cutting index traffic NB-fold.
 constexpr Index kSpmmNb = 4;
-
-// Row-block depth of the blocked dense x CSC kernel: keeps a slice of the
-// output column resident in L1 across the whole scatter over A's nonzeros.
-constexpr Index kDtcIb = 256;
 
 // The parallel spmv reduces over a fixed chunk grid whose geometry depends
 // only on the matrix shape — never on the worker count — and combines the
@@ -46,7 +42,8 @@ void zero_fill(Matrix& c) {
 
 // ---- spmm: C = A * B ------------------------------------------------------
 
-// One output column, seed loop: scan A once, scatter-accumulate into cc.
+// One output column, seed loop: scan A once, scatter-accumulate into cc. Runs
+// the quad grid's edge columns (n not a multiple of kSpmmNb) in both variants.
 void spmm_col_naive(const CscMatrix& a, const double* bc, double* cc) {
   for (Index j = 0; j < a.cols(); ++j) {
     const double w = bc[j];
@@ -57,50 +54,10 @@ void spmm_col_naive(const CscMatrix& a, const double* bc, double* cc) {
   }
 }
 
-// kSpmmNb output columns in one pass over A. Each output column still
-// accumulates its terms in ascending (j, p) order with the same zero-skip as
-// the naive loop, so the result is bitwise identical to naive on any input.
-void spmm_quad_blocked(const CscMatrix& a, const Matrix& b, Matrix& c,
-                       Index c0) {
-  const double* b0 = b.col(c0);
-  const double* b1 = b.col(c0 + 1);
-  const double* b2 = b.col(c0 + 2);
-  const double* b3 = b.col(c0 + 3);
-  double* cc0 = c.col(c0);
-  double* cc1 = c.col(c0 + 1);
-  double* cc2 = c.col(c0 + 2);
-  double* cc3 = c.col(c0 + 3);
-  for (Index j = 0; j < a.cols(); ++j) {
-    const double w0 = b0[j], w1 = b1[j], w2 = b2[j], w3 = b3[j];
-    const auto rows = a.col_rows(j);
-    const auto vals = a.col_values(j);
-    if (w0 != 0.0 && w1 != 0.0 && w2 != 0.0 && w3 != 0.0) {
-      for (std::size_t p = 0; p < rows.size(); ++p) {
-        const Index r = rows[p];
-        const double v = vals[p];
-        cc0[r] += v * w0;
-        cc1[r] += v * w1;
-        cc2[r] += v * w2;
-        cc3[r] += v * w3;
-      }
-    } else {
-      // Rare (a zero in dense B): fall back per column, preserving the
-      // naive kernel's skip exactly.
-      const double ws[kSpmmNb] = {w0, w1, w2, w3};
-      double* ccs[kSpmmNb] = {cc0, cc1, cc2, cc3};
-      for (Index q = 0; q < kSpmmNb; ++q) {
-        const double w = ws[q];
-        if (w == 0.0) continue;
-        double* cc = ccs[q];
-        for (std::size_t p = 0; p < rows.size(); ++p)
-          cc[rows[p]] += vals[p] * w;
-      }
-    }
-  }
-}
-
 // ---- spmm_t: C = A^T * B --------------------------------------------------
 
+// One output column of A^T * B: one dot per A column, ascending p from 0.0.
+// Runs the quad grid's edge columns in both variants.
 void spmm_t_col_naive(const CscMatrix& a, const double* bc, double* cc) {
   for (Index j = 0; j < a.cols(); ++j) {
     const auto rows = a.col_rows(j);
@@ -111,76 +68,13 @@ void spmm_t_col_naive(const CscMatrix& a, const double* bc, double* cc) {
   }
 }
 
-// kSpmmNb dot products per pass over each A column; each accumulator runs
-// ascending p from 0.0 exactly like the naive loop (no skip exists here), so
-// this path is bitwise identical to naive on every input.
-void spmm_t_quad_blocked(const CscMatrix& a, const Matrix& b, Matrix& c,
-                         Index c0) {
-  const double* b0 = b.col(c0);
-  const double* b1 = b.col(c0 + 1);
-  const double* b2 = b.col(c0 + 2);
-  const double* b3 = b.col(c0 + 3);
-  double* cc0 = c.col(c0);
-  double* cc1 = c.col(c0 + 1);
-  double* cc2 = c.col(c0 + 2);
-  double* cc3 = c.col(c0 + 3);
-  for (Index j = 0; j < a.cols(); ++j) {
-    const auto rows = a.col_rows(j);
-    const auto vals = a.col_values(j);
-    double s0 = 0.0, s1 = 0.0, s2 = 0.0, s3 = 0.0;
-    for (std::size_t p = 0; p < rows.size(); ++p) {
-      const Index r = rows[p];
-      const double v = vals[p];
-      s0 += v * b0[r];
-      s1 += v * b1[r];
-      s2 += v * b2[r];
-      s3 += v * b3[r];
-    }
-    cc0[j] = s0;
-    cc1[j] = s1;
-    cc2[j] = s2;
-    cc3[j] = s3;
-  }
-}
-
-// ---- dense_times_csc: C = B * A -------------------------------------------
-
-void dtc_col_naive(const Matrix& b, const CscMatrix& a, Index j, double* cj) {
-  const auto rows = a.col_rows(j);
-  const auto vals = a.col_values(j);
-  for (std::size_t p = 0; p < rows.size(); ++p) {
-    const double w = vals[p];
-    const double* bk = b.col(rows[p]);
-    for (Index i = 0; i < b.rows(); ++i) cj[i] += w * bk[i];
-  }
-}
-
-// Row-blocked: the (j, p) scatter order per output element is unchanged —
-// only the i sweep is sliced so cj[i0:i1) stays in L1 while every nonzero of
-// A's column is applied. Bitwise identical to naive on every input. (Column
-// blocking buys nothing here: adjacent output columns read disjoint nonzeros
-// of A, so rows are the reuse dimension.)
-void dtc_col_blocked(const Matrix& b, const CscMatrix& a, Index j, double* cj) {
-  const auto rows = a.col_rows(j);
-  const auto vals = a.col_values(j);
-  const Index m = b.rows();
-  for (Index i0 = 0; i0 < m; i0 += kDtcIb) {
-    const Index i1 = std::min(i0 + kDtcIb, m);
-    for (std::size_t p = 0; p < rows.size(); ++p) {
-      const double w = vals[p];
-      const double* bk = b.col(rows[p]);
-      for (Index i = i0; i < i1; ++i) cj[i] += w * bk[i];
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // SIMD sparse kernels (support/simd.hpp). Flavours as in dense/blas.cpp:
 // kFma single-rounding multiply-adds for the `simd` variant, two-rounding
-// madd for `simd-strict`. The strict flavours reproduce the naive kernels'
-// per-element chains bitwise on EVERY input — including the naive spmm
-// zero-skip, which the strict quad preserves via the same all-nonzero check
-// the blocked quad uses.
+// madd for `simd-strict`. The strict flavours reproduce the reference
+// kernels' (tests/reference_kernels.hpp) per-element chains bitwise on EVERY
+// input — including the reference spmm zero-skip, which the strict quad
+// preserves by falling back per lane when a quad holds an exact zero.
 // ---------------------------------------------------------------------------
 
 template <bool kFma>
@@ -226,8 +120,8 @@ void spmm_quad_simd(const CscMatrix& a, const Matrix& b, Matrix& c, Index c0,
         }
       }
     } else {
-      // A zero in dense B: per-lane scalar fallback preserving the naive
-      // kernel's skip exactly.
+      // A zero in dense B: per-lane scalar fallback preserving the
+      // reference kernel's skip exactly.
       for (Index q = 0; q < kSpmmNb; ++q) {
         const double w = wbuf[q];
         if (w == 0.0) continue;
@@ -245,8 +139,8 @@ void spmm_quad_simd(const CscMatrix& a, const Matrix& b, Matrix& c, Index c0,
 // spmm_t quad on an interleaved B block: bpack[kSpmmNb*r + q] = B(r, c0+q),
 // packed once per quad (cost kSpmmNb*m, amortized over nnz). Per A column
 // the kSpmmNb dots run in kNV vector accumulators; lane q's chain is the
-// naive dot — ascending p from 0.0 — so the strict flavour is bitwise
-// identical to naive on every input.
+// reference dot — ascending p from 0.0 — so the strict flavour is bitwise
+// identical to the reference on every input.
 template <bool kFma>
 void spmm_t_quad_simd(const CscMatrix& a, const Matrix& b, Matrix& c, Index c0,
                       double* LRA_RESTRICT bpack) {
@@ -282,9 +176,10 @@ void spmm_t_quad_simd(const CscMatrix& a, const Matrix& b, Matrix& c, Index c0,
 // the panel's slice of every B column is one short contiguous run. One
 // output column keeps its ibc-row slice entirely in registers (nv vector
 // accumulators + a scalar tail), reads ibc contiguous doubles per nonzero,
-// and stores the slice exactly once — versus naive's read-modify-write of
-// the output slice per nonzero. Per element the chain is still ascending-p
-// with one multiply-add per term from 0.0, so strict == naive bitwise.
+// and stores the slice exactly once — versus the reference's
+// read-modify-write of the output slice per nonzero. Per element the chain is
+// still ascending-p with one multiply-add per term from 0.0, so strict ==
+// reference bitwise.
 template <int NV, bool kFma>
 void dtc_panel_col(Index ibc, Index tail0, Index tailn,
                    const double* LRA_RESTRICT bpack, const CscMatrix& a,
@@ -419,22 +314,12 @@ void spmm_into(Matrix& c, const CscMatrix& a, const Matrix& b) {
   c.reshape(a.rows(), b.cols());
   zero_fill(c);
   const Index n = b.cols();
-  // Output columns are independent (each one scans A against a single column
-  // of B), and within a column the accumulation runs over A's columns in
-  // ascending order exactly like the serial loop — any thread count yields
-  // the same bits.
-  if (kernel_variant() == KernelVariant::kNaive) {
-    const Index grain = a.nnz() * n < kForkWork ? n + 1 : 1;
-    ThreadPool::global().parallel_for(
-        Index{0}, n, "spmm",
-        [&](Index col) { spmm_col_naive(a, b.col(col), c.col(col)); }, grain);
-    return;
-  }
-  // Blocked / simd: parallel over a fixed grid of kSpmmNb-column blocks
-  // (grid geometry independent of the worker count). Edge blocks (n not a
-  // multiple of kSpmmNb — grid-determined, never thread-determined) run the
-  // naive column loop in every variant.
-  const KernelVariant kv = kernel_variant();
+  // Parallel over a fixed grid of kSpmmNb-column blocks (grid geometry
+  // independent of the worker count). Within a column the accumulation runs
+  // over A's columns in ascending order, so any thread count yields the same
+  // bits. Edge blocks (n not a multiple of kSpmmNb — grid-determined, never
+  // thread-determined) run the per-column loop in both variants.
+  const bool strict = kernel_variant() == KernelVariant::kSimdStrict;
   const Index nblocks = (n + kSpmmNb - 1) / kSpmmNb;
   const Index grain = a.nnz() * n < kForkWork ? nblocks + 1 : 1;
   ThreadPool::global().parallel_for(
@@ -443,17 +328,13 @@ void spmm_into(Matrix& c, const CscMatrix& a, const Matrix& b) {
         const Index c0 = blk * kSpmmNb;
         const Index c1 = std::min(c0 + kSpmmNb, n);
         if (c1 - c0 == kSpmmNb) {
-          if (kv == KernelVariant::kBlocked) {
-            spmm_quad_blocked(a, b, c, c0);
+          Workspace::Scope scope;
+          double* cpack =
+              scope.doubles(static_cast<std::size_t>(kSpmmNb) * a.rows());
+          if (strict) {
+            spmm_quad_simd<false, true>(a, b, c, c0, cpack);
           } else {
-            Workspace::Scope scope;
-            double* cpack = scope.doubles(
-                static_cast<std::size_t>(kSpmmNb) * a.rows());
-            if (kv == KernelVariant::kSimd) {
-              spmm_quad_simd<simd::kHasFma, false>(a, b, c, c0, cpack);
-            } else {
-              spmm_quad_simd<false, true>(a, b, c, c0, cpack);
-            }
+            spmm_quad_simd<simd::kHasFma, false>(a, b, c, c0, cpack);
           }
         } else {
           for (Index col = c0; col < c1; ++col)
@@ -476,15 +357,7 @@ void spmm_t_into(Matrix& c, const CscMatrix& a, const Matrix& b) {
   // Each output column depends on one column of b only: embarrassingly
   // parallel with bitwise-identical results per column. Every element is
   // overwritten, so no zero fill is needed.
-  if (kernel_variant() == KernelVariant::kNaive) {
-    const Index grain = a.nnz() * n < kForkWork ? n + 1 : 1;
-    ThreadPool::global().parallel_for(
-        Index{0}, n, "spmm_t",
-        [&](Index col) { spmm_t_col_naive(a, b.col(col), c.col(col)); },
-        grain);
-    return;
-  }
-  const KernelVariant kv = kernel_variant();
+  const bool strict = kernel_variant() == KernelVariant::kSimdStrict;
   const Index nblocks = (n + kSpmmNb - 1) / kSpmmNb;
   const Index grain = a.nnz() * n < kForkWork ? nblocks + 1 : 1;
   ThreadPool::global().parallel_for(
@@ -493,17 +366,13 @@ void spmm_t_into(Matrix& c, const CscMatrix& a, const Matrix& b) {
         const Index c0 = blk * kSpmmNb;
         const Index c1 = std::min(c0 + kSpmmNb, n);
         if (c1 - c0 == kSpmmNb) {
-          if (kv == KernelVariant::kBlocked) {
-            spmm_t_quad_blocked(a, b, c, c0);
+          Workspace::Scope scope;
+          double* bpack =
+              scope.doubles(static_cast<std::size_t>(kSpmmNb) * a.rows());
+          if (strict) {
+            spmm_t_quad_simd<false>(a, b, c, c0, bpack);
           } else {
-            Workspace::Scope scope;
-            double* bpack = scope.doubles(
-                static_cast<std::size_t>(kSpmmNb) * a.rows());
-            if (kv == KernelVariant::kSimd) {
-              spmm_t_quad_simd<simd::kHasFma>(a, b, c, c0, bpack);
-            } else {
-              spmm_t_quad_simd<false>(a, b, c, c0, bpack);
-            }
+            spmm_t_quad_simd<simd::kHasFma>(a, b, c, c0, bpack);
           }
         } else {
           for (Index col = c0; col < c1; ++col)
@@ -523,30 +392,14 @@ void dense_times_csc_into(Matrix& c, const Matrix& b, const CscMatrix& a) {
   assert(b.cols() == a.rows());
   c.reshape(b.rows(), a.cols());
   zero_fill(c);
-  // One output column per column of A; independent across columns. The simd
-  // flavours restructure the sweep into packed row panels (outer) over the
-  // parallel column loop (inner); the others parallelize columns directly.
-  const KernelVariant kv = kernel_variant();
-  if (kv == KernelVariant::kSimd) {
-    dtc_simd<simd::kHasFma>(c, b, a);
-    return;
-  }
-  if (kv == KernelVariant::kSimdStrict) {
+  // One output column per column of A; independent across columns. Both
+  // flavours sweep packed row panels (outer) over the parallel column loop
+  // (inner).
+  if (kernel_variant() == KernelVariant::kSimdStrict) {
     dtc_simd<false>(c, b, a);
-    return;
+  } else {
+    dtc_simd<simd::kHasFma>(c, b, a);
   }
-  const Index grain = a.nnz() * b.rows() < kForkWork ? a.cols() + 1 : 1;
-  const bool blocked = kv == KernelVariant::kBlocked;
-  ThreadPool::global().parallel_for(
-      Index{0}, a.cols(), "spmm",
-      [&](Index j) {
-        if (blocked) {
-          dtc_col_blocked(b, a, j, c.col(j));
-        } else {
-          dtc_col_naive(b, a, j, c.col(j));
-        }
-      },
-      grain);
 }
 
 Matrix dense_times_csc(const Matrix& b, const CscMatrix& a) {

@@ -9,12 +9,14 @@
 // SimWorld ranks the kernels always degrade to serial loops so the
 // virtual-time accounting is unaffected.
 //
-// Variants: the SpMM family has two selectable implementations
-// (support/kernel_variant.hpp). The blocked variant processes NB output
-// columns per pass over A's index/value arrays (SpMM/SpMM^T) or row-blocks
-// the scatter (dense x CSC); each output element still accumulates its terms
-// in the seed order, so blocked and naive are bitwise identical on every
-// input — the identity tests assert exactly that.
+// Variants: the SpMM family has two implementations, selected at runtime by
+// support/kernel_variant.hpp. Both process kSpmmNb = 4 output columns per
+// pass over A's index/value arrays (SpMM/SpMM^T) or sweep packed row panels
+// of the dense operand (dense x CSC), vectorized on support/simd.hpp: `simd`
+// fuses each multiply-add where the ISA has FMA, `simd-strict` keeps the two-rounding chain and the
+// zero-skip of the reference kernels in tests/reference_kernels.hpp, and is
+// bitwise identical to them on every input — the kernel tests assert exactly
+// that.
 //
 // Allocation: the `_into` entry points reshape a caller-owned output buffer
 // in place (no heap traffic once the buffer has grown to the working-set

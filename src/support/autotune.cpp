@@ -130,8 +130,8 @@ KernelConfig resolve_from_environment() {
 
 KernelConfig default_kernel_config() {
   KernelConfig cfg;
-  // The seed blocked kernel's geometry, restated for the simd micro-tile:
-  // an (mv*width) x nr register block with the same L1/L2 panel footprint.
+  // A 128 x 256 packed A-panel (fits L2) and an (mv*width) x nr register
+  // block; the autotuner may replace any of them, never changing results.
   cfg.gemm = GemmTile{128, 256, 2, 4};
   cfg.dtc = DtcTile{8 * simd::simd_width()};
   cfg.source = "defaults";

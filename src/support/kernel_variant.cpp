@@ -43,14 +43,6 @@ void set_kernel_variant(KernelVariant v) {
 }
 
 bool parse_kernel_variant(std::string_view text, KernelVariant* out) {
-  if (text == "naive") {
-    *out = KernelVariant::kNaive;
-    return true;
-  }
-  if (text == "blocked") {
-    *out = KernelVariant::kBlocked;
-    return true;
-  }
   if (text == "simd") {
     *out = KernelVariant::kSimd;
     return true;
@@ -64,10 +56,6 @@ bool parse_kernel_variant(std::string_view text, KernelVariant* out) {
 
 const char* to_string(KernelVariant v) {
   switch (v) {
-    case KernelVariant::kNaive:
-      return "naive";
-    case KernelVariant::kBlocked:
-      return "blocked";
     case KernelVariant::kSimd:
       return "simd";
     case KernelVariant::kSimdStrict:

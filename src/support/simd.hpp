@@ -19,11 +19,12 @@
 //   * fmadd(a, b, c) is a*b + c with a SINGLE rounding where the ISA has
 //     hardware FMA, and falls back to madd() otherwise. Kernels built on it
 //     (the `simd` variant) are deterministic — same input, same shape, same
-//     bits at any thread count — but are NOT bitwise comparable to the naive
-//     reference; they are gated by a ULP/relative-error bound instead.
+//     bits at any thread count — but are NOT bitwise comparable to the
+//     reference kernels (tests/reference_kernels.hpp); they are gated by a
+//     ULP/relative-error bound instead.
 //   * madd(a, b, c) is round(round(a*b) + c) in every lane on every ISA —
-//     exactly the scalar chain the seed kernels execute. Kernels built on it
-//     (the `simd-strict` variant) stay bitwise identical to naive.
+//     exactly the scalar chain the reference kernels execute. Kernels built
+//     on it (the `simd-strict` variant) stay bitwise identical to them.
 //
 // Each ISA's definitions live in a distinct inline namespace so that two TUs
 // compiled at different widths never violate the ODR; code outside the
@@ -38,9 +39,8 @@
 // Full unrolling for the constant-trip register-tile loops of the simd
 // micro-kernels. At -O2 GCC leaves those loops rolled, which keeps the
 // accumulator arrays on the stack instead of in ymm registers and roughly
-// halves GEMM throughput; the pragma (unlike a file-wide -O3/-funroll-loops,
-// which degrades the scalar blocked micro-kernels) scopes the fix to exactly
-// the loops that need it. 16 bounds every micro-tile dimension in use.
+// halves GEMM throughput; the pragma (unlike a file-wide -O3/-funroll-loops)
+// scopes the fix to exactly the loops that need it. 16 bounds every micro-tile dimension in use.
 #if defined(__clang__)
 #define LRA_UNROLL _Pragma("unroll")
 #elif defined(__GNUC__)

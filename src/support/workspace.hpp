@@ -27,7 +27,7 @@
 // over live and retired arenas, and obs/report emits the totals as a
 // "workspace" JSONL record. The high-water mark is the steady-state
 // zero-allocation witness: if it is stable across solver iterations, the
-// hot loops stopped touching the heap (asserted in test_kernels_blocked).
+// hot loops stopped touching the heap (asserted in test_kernels_simd).
 
 #include <atomic>
 #include <cstddef>

@@ -166,6 +166,19 @@ TEST(MatrixMarket, HugeEntryCountInSizeLineIsNotReservedUpFront) {
   EXPECT_NE(sym.find("truncated"), std::string::npos) << sym;
 }
 
+TEST(MatrixMarket, RejectsDimensionsAboveTheCap) {
+  // Two lines claiming 2^40 columns: building the CSC column pointers alone
+  // would need 8 TiB, so the size line itself must be refused.
+  const std::string wide =
+      read_error("lra_wide.mtx", std::string(kGeneral) + "1 1099511627776 0\n");
+  EXPECT_NE(wide.find("size line 1 x 1099511627776 exceeds the dimension cap"),
+            std::string::npos)
+      << wide;
+  const std::string tall = read_error(
+      "lra_tall.mtx", std::string(kGeneral) + "134217729 1 1\n1 1 1.0\n");
+  EXPECT_NE(tall.find("size line 134217729 x 1"), std::string::npos) << tall;
+}
+
 TEST(MatrixMarket, AcceptsTinyAndIntegerValues) {
   const std::string path = ::testing::TempDir() + "/lra_tiny.mtx";
   {

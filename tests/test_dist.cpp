@@ -304,16 +304,17 @@ TEST(DistFaults, BenignPlanKeepsDecisionsBitIdentical) {
   EXPECT_GT(events, 0u);
 }
 
-TEST(Dist, IterVsecondsMonotone) {
+TEST(Dist, TelemetryVirtualTimeMonotone) {
   const CscMatrix a = test_matrix(200);
   LuCrtpOptions o;
   o.block_size = 16;
   o.tau = 1e-3;
   const DistLuResult d = lu_crtp_dist(a, o, 2);
-  ASSERT_FALSE(d.iter_vseconds.empty());
-  for (std::size_t i = 1; i < d.iter_vseconds.size(); ++i)
-    EXPECT_GE(d.iter_vseconds[i], d.iter_vseconds[i - 1]);
-  EXPECT_LE(d.iter_vseconds.back(), d.virtual_seconds + 1e-9);
+  const obs::TelemetrySeries& t = d.result.telemetry;
+  ASSERT_FALSE(t.empty());
+  for (std::size_t i = 1; i < t.size(); ++i)
+    EXPECT_GE(t[i].time_seconds, t[i - 1].time_seconds);
+  EXPECT_LE(t.back().time_seconds, d.virtual_seconds + 1e-9);
 }
 
 }  // namespace

@@ -126,12 +126,12 @@ TEST(Ilut, SchurNnzNeverAboveLuCrtp) {
   // Compare per-iteration Schur nnz for the common prefix: thresholded runs
   // should carry no more nonzeros.
   const std::size_t common =
-      std::min(lu.schur_nnz.size(), il.schur_nnz.size());
+      std::min(lu.telemetry.size(), il.telemetry.size());
   ASSERT_GT(common, 0u);
-  Index lu_total = 0, il_total = 0;
+  long long lu_total = 0, il_total = 0;
   for (std::size_t i = 0; i < common; ++i) {
-    lu_total += lu.schur_nnz[i];
-    il_total += il.schur_nnz[i];
+    lu_total += lu.telemetry[i].schur_nnz;
+    il_total += il.telemetry[i].schur_nnz;
   }
   EXPECT_LE(il_total, lu_total);
 }

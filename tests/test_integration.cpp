@@ -78,9 +78,9 @@ TEST(Integration, IlutBeatsLuOnFillHeavyProblem) {
       static_cast<double>(il.l.nnz() + il.u.nnz());
   EXPECT_GT(ratio_nnz, 1.3);
   // Work proxy: total Schur nnz processed.
-  Index lu_work = 0, il_work = 0;
-  for (Index v : lu.schur_nnz) lu_work += v;
-  for (Index v : il.schur_nnz) il_work += v;
+  long long lu_work = 0, il_work = 0;
+  for (const obs::IterationSample& s : lu.telemetry) lu_work += s.schur_nnz;
+  for (const obs::IterationSample& s : il.telemetry) il_work += s.schur_nnz;
   EXPECT_LT(il_work, lu_work);
 }
 
@@ -92,8 +92,8 @@ TEST(Integration, FillInGrowsOnScatteredProblem) {
   o.block_size = 16;
   o.tau = 1e-3;
   const LuCrtpResult lu = lu_crtp(t.a, o);
-  ASSERT_GE(lu.fill_density.size(), 3u);
-  EXPECT_GT(lu.fill_density[lu.fill_density.size() - 2],
+  ASSERT_GE(lu.telemetry.size(), 3u);
+  EXPECT_GT(lu.telemetry[lu.telemetry.size() - 2].fill_density,
             2.0 * t.a.density());
 }
 
@@ -113,12 +113,12 @@ TEST(Integration, LocalStructureFillsLessThanScattered) {
   const LuCrtpResult r_local = lu_crtp(local, o);
   const LuCrtpResult r_scat = lu_crtp(scattered, o);
   const std::size_t half =
-      std::min(r_local.fill_density.size(), r_scat.fill_density.size()) / 2;
+      std::min(r_local.telemetry.size(), r_scat.telemetry.size()) / 2;
   ASSERT_GT(half, 0u);
   double mean_local = 0.0, mean_scat = 0.0;
   for (std::size_t i = 0; i < half; ++i) {
-    mean_local += r_local.fill_density[i];
-    mean_scat += r_scat.fill_density[i];
+    mean_local += r_local.telemetry[i].fill_density;
+    mean_scat += r_scat.telemetry[i].fill_density;
   }
   EXPECT_LT(mean_local, mean_scat);
 }

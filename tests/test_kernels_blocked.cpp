@@ -1,32 +1,30 @@
-// Blocked-vs-naive kernel identity and the workspace-arena guarantees.
+// Kernel guarantees that hold under every kernel variant: spmv and the
+// workspace arenas.
 //
-// The blocked GEMM and sparse kernels (support/kernel_variant.hpp) tile only
-// over output rows/columns and never split a k reduction, so on zero-free
-// inputs every output element accumulates the same terms in the same order
-// as the naive seed kernels — asserted here as raw memcmp equality (stricter
-// than operator==, which treats -0.0 == +0.0) across remainder-heavy shapes
-// straddling the tile edges, at pool widths 1, 2, and 8. The sparse blocked
-// kernels preserve the naive zero-skip and so must match on *every* input.
+// spmv / spmv_t run a fixed chunk grid with a serial fold, so their output is
+// the same at every pool width and matches the reference SpMM on a single
+// column.
 //
 // The arena tests pin down the workspace contract the solver hot loops rely
 // on: nested Scope allocations never alias, freed scratch is reused, and a
 // steady-state RandQB_EI iteration stops growing the arenas (the
 // zero-allocation witness: high-water mark and block count stable across
 // repeat solves while the allocation count keeps advancing).
+//
+// The file name dates from when it also compared the former `blocked` kernel
+// variant against the naive one; the two kernel contracts are checked
+// against the reference kernels in test_kernels_simd.cpp.
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <vector>
 
-#include "core/lu_crtp.hpp"
 #include "core/randqb_ei.hpp"
-#include "dense/blas.hpp"
 #include "gen/givens_spray.hpp"
 #include "gen/spectrum.hpp"
 #include "par/pool.hpp"
+#include "reference_kernels.hpp"
 #include "sparse/ops.hpp"
-#include "support/kernel_variant.hpp"
 #include "support/workspace.hpp"
 
 namespace lra {
@@ -41,111 +39,12 @@ class PoolGuard {
   int saved_;
 };
 
-class VariantGuard {
- public:
-  VariantGuard() : saved_(kernel_variant()) {}
-  ~VariantGuard() { set_kernel_variant(saved_); }
-
- private:
-  KernelVariant saved_;
-};
-
 const int kWidths[] = {1, 2, 8};
-
-bool bits_equal(const Matrix& x, const Matrix& y) {
-  return x.rows() == y.rows() && x.cols() == y.cols() &&
-         (x.size() == 0 ||
-          std::memcmp(x.data(), y.data(),
-                      static_cast<std::size_t>(x.size()) * sizeof(double)) == 0);
-}
 
 CscMatrix sparse_matrix(Index n = 600, std::uint64_t seed = 7) {
   return givens_spray(geometric_spectrum(n, 5.0, 0.93),
                       {.left_passes = 3, .right_passes = 3, .bandwidth = 0,
                        .seed = seed});
-}
-
-// One gemm case: gaussian operands (zero-free, so the naive kernels' skip
-// never fires), C seeded gaussian so beta != 0 paths are exercised too.
-Matrix run_gemm(Index m, Index n, Index k, Trans ta, Trans tb, double alpha,
-                double beta) {
-  const Matrix a = ta == Trans::kNo ? Matrix::gaussian(m, k, 11)
-                                    : Matrix::gaussian(k, m, 11);
-  const Matrix b = tb == Trans::kNo ? Matrix::gaussian(k, n, 12)
-                                    : Matrix::gaussian(n, k, 12);
-  Matrix c = Matrix::gaussian(m, n, 13);
-  gemm(c, a, b, alpha, beta, ta, tb);
-  return c;
-}
-
-struct TransCase {
-  Trans ta, tb;
-  const char* name;
-};
-const TransCase kTransCases[] = {{Trans::kNo, Trans::kNo, "nn"},
-                                 {Trans::kYes, Trans::kNo, "tn"},
-                                 {Trans::kNo, Trans::kYes, "nt"}};
-
-void check_gemm_shape(Index m, Index n, Index k) {
-  for (const TransCase& t : kTransCases) {
-    for (const auto& [alpha, beta] :
-         std::vector<std::pair<double, double>>{{1.0, 0.0}, {1.25, 0.75}}) {
-      set_kernel_variant(KernelVariant::kNaive);
-      const Matrix ref = run_gemm(m, n, k, t.ta, t.tb, alpha, beta);
-      set_kernel_variant(KernelVariant::kBlocked);
-      for (int w : kWidths) {
-        ThreadPool::global().set_num_threads(w);
-        const Matrix got = run_gemm(m, n, k, t.ta, t.tb, alpha, beta);
-        EXPECT_TRUE(bits_equal(ref, got))
-            << t.name << " m=" << m << " n=" << n << " k=" << k
-            << " alpha=" << alpha << " beta=" << beta << " width=" << w;
-      }
-    }
-  }
-}
-
-TEST(KernelsBlockedTest, GemmBitwiseIdenticalOnRemainderShapes) {
-  PoolGuard pool;
-  VariantGuard variant;
-  // Everything below one register tile, straddling it, and straddling the
-  // kGemmMc / kGemmKc panel edges (261 = 2 * kGemmMc + 5).
-  const Index small[] = {1, 3, 7, 8, 9};
-  for (Index m : small)
-    for (Index n : small)
-      for (Index k : small) check_gemm_shape(m, n, k);
-  check_gemm_shape(261, 261, 261);
-  check_gemm_shape(261, 9, 8);
-  check_gemm_shape(8, 261, 3);
-  check_gemm_shape(3, 7, 261);
-  check_gemm_shape(kGemmMc, kGemmNr, kGemmKc);  // exact tile multiples
-}
-
-TEST(KernelsBlockedTest, SparseKernelsBitwiseIdenticalAcrossWidths) {
-  PoolGuard pool;
-  VariantGuard variant;
-  const CscMatrix a = sparse_matrix();
-  // Column counts around the kSpmmNb = 4 quad edge.
-  for (Index cols : {3, 4, 5, 8, 9}) {
-    const Matrix b = Matrix::gaussian(a.cols(), cols, 21);
-    const Matrix bt = Matrix::gaussian(a.rows(), cols, 22);
-    const Matrix left = Matrix::gaussian(cols, a.rows(), 23);
-
-    set_kernel_variant(KernelVariant::kNaive);
-    const Matrix ref_mm = spmm(a, b);
-    const Matrix ref_tm = spmm_t(a, bt);
-    const Matrix ref_dc = dense_times_csc(left, a);
-
-    set_kernel_variant(KernelVariant::kBlocked);
-    for (int w : kWidths) {
-      ThreadPool::global().set_num_threads(w);
-      EXPECT_TRUE(bits_equal(ref_mm, spmm(a, b))) << "spmm cols=" << cols
-                                                  << " width=" << w;
-      EXPECT_TRUE(bits_equal(ref_tm, spmm_t(a, bt)))
-          << "spmm_t cols=" << cols << " width=" << w;
-      EXPECT_TRUE(bits_equal(ref_dc, dense_times_csc(left, a)))
-          << "dense_times_csc cols=" << cols << " width=" << w;
-    }
-  }
 }
 
 TEST(KernelsBlockedTest, SpmvMatchesReferenceAndIsWidthInvariant) {
@@ -157,9 +56,8 @@ TEST(KernelsBlockedTest, SpmvMatchesReferenceAndIsWidthInvariant) {
     const Matrix x = Matrix::gaussian(n, 1, 32);
     const Matrix xr = Matrix::gaussian(n, 1, 33);
 
-    // Reference through the (already deterministic) column kernels.
-    const Matrix y_ref = spmm(a, x);
-    const Matrix yt_ref = spmm_t(a, xr);
+    const Matrix y_ref = ref::spmm(a, x);
+    const Matrix yt_ref = ref::spmm_t(a, xr);
 
     std::vector<std::vector<double>> ys, yts;
     for (int w : kWidths) {
@@ -239,41 +137,6 @@ TEST(KernelsBlockedTest, SolverSteadyStateStopsGrowingArenas) {
   EXPECT_EQ(s2.grows, s1.grows) << "warm run reserved new arena blocks";
   EXPECT_EQ(s3.grows, s2.grows);
   EXPECT_GT(s3.allocs, s2.allocs);  // scopes kept serving from warm blocks
-}
-
-TEST(KernelsBlockedTest, SolversIdenticalAcrossVariants) {
-  PoolGuard pool;
-  VariantGuard variant;
-  ThreadPool::global().set_num_threads(4);
-  const CscMatrix a = sparse_matrix();
-
-  RandQbOptions qo;
-  qo.block_size = 16;
-  qo.tau = 1e-4;
-  qo.max_rank = 128;
-  LuCrtpOptions lo;
-  lo.block_size = 16;
-  lo.tau = 1e-4;
-  lo.max_rank = 128;
-
-  set_kernel_variant(KernelVariant::kNaive);
-  const RandQbResult q_naive = randqb_ei(a, qo);
-  const LuCrtpResult l_naive = lu_crtp(a, lo);
-  set_kernel_variant(KernelVariant::kBlocked);
-  const RandQbResult q_blocked = randqb_ei(a, qo);
-  const LuCrtpResult l_blocked = lu_crtp(a, lo);
-
-  EXPECT_EQ(q_naive.rank, q_blocked.rank);
-  EXPECT_EQ(q_naive.indicator, q_blocked.indicator);
-  EXPECT_EQ(q_naive.q, q_blocked.q);
-  EXPECT_EQ(q_naive.b, q_blocked.b);
-
-  EXPECT_EQ(l_naive.rank, l_blocked.rank);
-  EXPECT_EQ(l_naive.indicator, l_blocked.indicator);
-  EXPECT_EQ(l_naive.l.values(), l_blocked.l.values());
-  EXPECT_EQ(l_naive.u.values(), l_blocked.u.values());
-  EXPECT_EQ(l_naive.row_perm, l_blocked.row_perm);
-  EXPECT_EQ(l_naive.col_perm, l_blocked.col_perm);
 }
 
 }  // namespace

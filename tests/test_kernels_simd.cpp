@@ -1,15 +1,18 @@
-// SIMD kernel variants: the strict bitwise contract, the fmadd ULP contract,
-// and the autotune cache.
+// The two kernel contracts against the reference loops, and the autotune
+// cache. The variant-free spmv and workspace-arena tests are in
+// test_kernels_blocked.cpp.
 //
-// `simd-strict` builds every accumulation from madd() — the seed kernels'
-// two-rounding chain, lane-sequential in k — so its output must be bitwise
-// identical (memcmp, stricter than operator==) to the naive reference for
-// every driver, on remainder-heavy shapes straddling the vector width and
-// panel edges, at pool widths 1, 2, and 8.
+// `simd-strict` builds every accumulation from madd() — the reference
+// kernels' two-rounding chain, lane-sequential in k — so its output must be
+// bitwise identical (memcmp, stricter than operator==, which treats -0.0 ==
+// +0.0) to the reference kernels in reference_kernels.hpp for every driver,
+// on remainder-heavy shapes straddling the vector width and panel edges, at
+// pool widths 1, 2, and 8.
 //
 // `simd` uses hardware FMA where compiled in: same terms, same order, single
-// rounding per term. It is gated against naive by the documented ULP bound
-//   |simd - naive| <= 4 * k_eff * eps * (naive on |inputs|)
+// rounding per term. It is gated against the reference by the documented ULP
+// bound
+//   |simd - ref| <= 4 * k_eff * eps * (ref on |inputs|)
 // where k_eff is the reduction length actually feeding an element, and must
 // itself be deterministic — same bits at every pool width and under every
 // valid tile geometry (the autotune config is a pure perf knob).
@@ -32,6 +35,7 @@
 #include "gen/givens_spray.hpp"
 #include "gen/spectrum.hpp"
 #include "par/pool.hpp"
+#include "reference_kernels.hpp"
 #include "sparse/ops.hpp"
 #include "support/autotune.hpp"
 #include "support/kernel_variant.hpp"
@@ -125,14 +129,21 @@ CscMatrix sparse_matrix(Index n = 600, std::uint64_t seed = 7) {
                        .seed = seed});
 }
 
-Matrix run_gemm(Index m, Index n, Index k, Trans ta, Trans tb, double alpha,
-                double beta) {
+// One gemm case: gaussian operands (zero-free, so the reference kernels'
+// skip never fires), C seeded gaussian so beta != 0 paths are exercised too.
+// `reference` runs ref::gemm instead of the active library variant.
+Matrix run_gemm(bool reference, Index m, Index n, Index k, Trans ta, Trans tb,
+                double alpha, double beta) {
   const Matrix a = ta == Trans::kNo ? Matrix::gaussian(m, k, 11)
                                     : Matrix::gaussian(k, m, 11);
   const Matrix b = tb == Trans::kNo ? Matrix::gaussian(k, n, 12)
                                     : Matrix::gaussian(n, k, 12);
   Matrix c = Matrix::gaussian(m, n, 13);
-  gemm(c, a, b, alpha, beta, ta, tb);
+  if (reference) {
+    ref::gemm(c, a, b, alpha, beta, ta, tb);
+  } else {
+    gemm(c, a, b, alpha, beta, ta, tb);
+  }
   return c;
 }
 
@@ -144,19 +155,18 @@ const TransCase kTransCases[] = {{Trans::kNo, Trans::kNo, "nn"},
                                  {Trans::kYes, Trans::kNo, "tn"},
                                  {Trans::kNo, Trans::kYes, "nt"}};
 
-// --- simd-strict: bitwise identical to naive -------------------------------
+// --- simd-strict: bitwise identical to the reference -----------------------
 
 void check_strict_gemm_shape(Index m, Index n, Index k) {
   for (const TransCase& t : kTransCases) {
     for (const auto& [alpha, beta] :
          std::vector<std::pair<double, double>>{{1.0, 0.0}, {1.25, 0.75}}) {
-      set_kernel_variant(KernelVariant::kNaive);
-      const Matrix ref = run_gemm(m, n, k, t.ta, t.tb, alpha, beta);
+      const Matrix want = run_gemm(true, m, n, k, t.ta, t.tb, alpha, beta);
       set_kernel_variant(KernelVariant::kSimdStrict);
       for (int w : kWidths) {
         ThreadPool::global().set_num_threads(w);
-        const Matrix got = run_gemm(m, n, k, t.ta, t.tb, alpha, beta);
-        EXPECT_TRUE(bits_equal(ref, got))
+        const Matrix got = run_gemm(false, m, n, k, t.ta, t.tb, alpha, beta);
+        EXPECT_TRUE(bits_equal(want, got))
             << "strict " << t.name << " m=" << m << " n=" << n << " k=" << k
             << " alpha=" << alpha << " beta=" << beta << " width=" << w;
       }
@@ -189,10 +199,9 @@ TEST(KernelsSimdTest, StrictSparseKernelsBitwiseIdenticalAcrossWidths) {
     const Matrix bt = Matrix::gaussian(a.rows(), cols, 22);
     const Matrix left = Matrix::gaussian(cols, a.rows(), 23);
 
-    set_kernel_variant(KernelVariant::kNaive);
-    const Matrix ref_mm = spmm(a, b);
-    const Matrix ref_tm = spmm_t(a, bt);
-    const Matrix ref_dc = dense_times_csc(left, a);
+    const Matrix ref_mm = ref::spmm(a, b);
+    const Matrix ref_tm = ref::spmm_t(a, bt);
+    const Matrix ref_dc = ref::dense_times_csc(left, a);
 
     set_kernel_variant(KernelVariant::kSimdStrict);
     for (int w : kWidths) {
@@ -208,7 +217,7 @@ TEST(KernelsSimdTest, StrictSparseKernelsBitwiseIdenticalAcrossWidths) {
 }
 
 TEST(KernelsSimdTest, StrictSparsePreservesZeroSkipOnExplicitZeros) {
-  // The naive sparse kernels skip explicit zero B entries; the strict quads
+  // The reference sparse kernels skip explicit zero B entries; the strict quads
   // fall back per-lane when a quad holds a zero so they must still match
   // bitwise — including on inputs where the skipped term would be NaN * 0.
   PoolGuard pool;
@@ -219,18 +228,17 @@ TEST(KernelsSimdTest, StrictSparsePreservesZeroSkipOnExplicitZeros) {
   b(1, 1) = 0.0;
   b(5, 2) = 0.0;
   b(2, 3) = std::numeric_limits<double>::quiet_NaN();
-  set_kernel_variant(KernelVariant::kNaive);
-  const Matrix ref = spmm(a, b);
+  const Matrix want = ref::spmm(a, b);
   set_kernel_variant(KernelVariant::kSimdStrict);
   for (int w : kWidths) {
     ThreadPool::global().set_num_threads(w);
-    EXPECT_TRUE(bits_equal(ref, spmm(a, b))) << "width=" << w;
+    EXPECT_TRUE(bits_equal(want, spmm(a, b))) << "width=" << w;
   }
 }
 
-// --- simd: ULP-bounded against naive, deterministic in itself --------------
+// --- simd: ULP-bounded against the reference, deterministic in itself -------
 
-TEST(KernelsSimdTest, SimdGemmWithinUlpBoundOfNaive) {
+TEST(KernelsSimdTest, SimdGemmWithinUlpBoundOfReference) {
   PoolGuard pool;
   VariantGuard variant;
   const Index shapes[][3] = {{7, 9, 8}, {33, 17, 64}, {64, 64, 64},
@@ -242,21 +250,20 @@ TEST(KernelsSimdTest, SimdGemmWithinUlpBoundOfNaive) {
                                           : Matrix::gaussian(k, m, 11);
       const Matrix b = t.tb == Trans::kNo ? Matrix::gaussian(k, n, 12)
                                           : Matrix::gaussian(n, k, 12);
-      set_kernel_variant(KernelVariant::kNaive);
-      Matrix ref(m, n);
-      gemm(ref, a, b, 1.0, 0.0, t.ta, t.tb);
+      Matrix want(m, n);
+      ref::gemm(want, a, b, 1.0, 0.0, t.ta, t.tb);
       Matrix absref(m, n);
-      gemm(absref, abs_matrix(a), abs_matrix(b), 1.0, 0.0, t.ta, t.tb);
+      ref::gemm(absref, abs_matrix(a), abs_matrix(b), 1.0, 0.0, t.ta, t.tb);
       set_kernel_variant(KernelVariant::kSimd);
       ThreadPool::global().set_num_threads(2);
       Matrix got(m, n);
       gemm(got, a, b, 1.0, 0.0, t.ta, t.tb);
-      expect_ulp_close(ref, absref, got, k, t.name);
+      expect_ulp_close(want, absref, got, k, t.name);
     }
   }
 }
 
-TEST(KernelsSimdTest, SimdSparseKernelsWithinUlpBoundOfNaive) {
+TEST(KernelsSimdTest, SimdSparseKernelsWithinUlpBoundOfReference) {
   PoolGuard pool;
   VariantGuard variant;
   const CscMatrix a = sparse_matrix(400, 9);
@@ -265,13 +272,12 @@ TEST(KernelsSimdTest, SimdSparseKernelsWithinUlpBoundOfNaive) {
   const Matrix bt = Matrix::gaussian(a.rows(), 8, 22);
   const Matrix left = Matrix::gaussian(8, a.rows(), 23);
 
-  set_kernel_variant(KernelVariant::kNaive);
-  const Matrix ref_mm = spmm(a, b);
-  const Matrix ref_tm = spmm_t(a, bt);
-  const Matrix ref_dc = dense_times_csc(left, a);
-  const Matrix abs_mm = spmm(aa, abs_matrix(b));
-  const Matrix abs_tm = spmm_t(aa, abs_matrix(bt));
-  const Matrix abs_dc = dense_times_csc(abs_matrix(left), aa);
+  const Matrix ref_mm = ref::spmm(a, b);
+  const Matrix ref_tm = ref::spmm_t(a, bt);
+  const Matrix ref_dc = ref::dense_times_csc(left, a);
+  const Matrix abs_mm = ref::spmm(aa, abs_matrix(b));
+  const Matrix abs_tm = ref::spmm_t(aa, abs_matrix(bt));
+  const Matrix abs_dc = ref::dense_times_csc(abs_matrix(left), aa);
 
   set_kernel_variant(KernelVariant::kSimd);
   ThreadPool::global().set_num_threads(2);
@@ -371,14 +377,13 @@ TEST(KernelsSimdTest, DtcPanelRemainders) {
   const Index keff = max_col_nnz(a);
   for (Index m : {1, 5, 8, 31, 32, 33, 67}) {
     const Matrix left = Matrix::gaussian(m, a.rows(), 52);
-    set_kernel_variant(KernelVariant::kNaive);
-    const Matrix ref = dense_times_csc(left, a);
-    const Matrix absref = dense_times_csc(abs_matrix(left), aa);
+    const Matrix want = ref::dense_times_csc(left, a);
+    const Matrix absref = ref::dense_times_csc(abs_matrix(left), aa);
     set_kernel_variant(KernelVariant::kSimdStrict);
-    EXPECT_TRUE(bits_equal(ref, dense_times_csc(left, a)))
+    EXPECT_TRUE(bits_equal(want, dense_times_csc(left, a)))
         << "strict dtc m=" << m;
     set_kernel_variant(KernelVariant::kSimd);
-    expect_ulp_close(ref, absref, dense_times_csc(left, a), keff, "dtc");
+    expect_ulp_close(want, absref, dense_times_csc(left, a), keff, "dtc");
   }
 }
 

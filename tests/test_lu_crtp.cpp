@@ -131,10 +131,12 @@ TEST(LuCrtp, FillHistoryRecorded) {
   o.block_size = 10;
   o.tau = 1e-3;
   const LuCrtpResult r = lu_crtp(a, o);
-  EXPECT_EQ(static_cast<Index>(r.fill_density.size()), r.iterations);
-  for (double d : r.fill_density) {
-    EXPECT_GE(d, 0.0);
-    EXPECT_LE(d, 1.0);
+  ASSERT_EQ(static_cast<Index>(r.telemetry.size()), r.iterations);
+  for (const obs::IterationSample& s : r.telemetry) {
+    EXPECT_GE(s.fill_density, 0.0);
+    EXPECT_LE(s.fill_density, 1.0);
+    EXPECT_GE(s.schur_nnz, 0);
+    EXPECT_GT(s.factor_nnz, 0);
   }
 }
 

@@ -97,8 +97,9 @@ TEST_P(QbProperty, MonotoneIndicator) {
   o.block_size = k;
   o.tau = 1e-3;
   const RandQbResult r = randqb_ei(a, o);
-  for (std::size_t i = 1; i < r.trace.indicator.size(); ++i)
-    EXPECT_LE(r.trace.indicator[i], r.trace.indicator[i - 1] + 1e-12);
+  for (std::size_t i = 1; i < r.telemetry.size(); ++i)
+    EXPECT_LE(r.telemetry[i].indicator_rel,
+              r.telemetry[i - 1].indicator_rel + 1e-12);
 }
 
 INSTANTIATE_TEST_SUITE_P(

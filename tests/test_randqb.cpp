@@ -134,10 +134,12 @@ TEST(RandQb, TraceIsMonotone) {
   o.block_size = 10;
   o.tau = 1e-3;
   const RandQbResult r = randqb_ei(a, o);
-  ASSERT_EQ(static_cast<Index>(r.trace.indicator.size()), r.iterations);
-  for (std::size_t i = 1; i < r.trace.indicator.size(); ++i) {
-    EXPECT_LE(r.trace.indicator[i], r.trace.indicator[i - 1] + 1e-12);
-    EXPECT_GE(r.trace.cum_seconds[i], r.trace.cum_seconds[i - 1]);
+  const obs::TelemetrySeries& t = r.telemetry;
+  ASSERT_EQ(static_cast<Index>(t.size()), r.iterations);
+  for (std::size_t i = 1; i < t.size(); ++i) {
+    EXPECT_EQ(t[i].iteration, t[i - 1].iteration + 1);
+    EXPECT_LE(t[i].indicator_rel, t[i - 1].indicator_rel + 1e-12);
+    EXPECT_GE(t[i].time_seconds, t[i - 1].time_seconds);
   }
 }
 

@@ -16,7 +16,8 @@
 
 namespace lra::testing {
 
-/// Naive triple-loop reference GEMM for validating the blocked kernels.
+/// Triple-loop GEMM (one plain dot per element) for tolerance checks of
+/// lra::gemm; the bitwise references live in reference_kernels.hpp.
 inline Matrix naive_matmul(const Matrix& a, const Matrix& b) {
   Matrix c(a.rows(), b.cols());
   for (Index i = 0; i < a.rows(); ++i)

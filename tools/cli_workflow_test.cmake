@@ -109,32 +109,35 @@ file(WRITE ${repro} "{\"matrix\": \"M1\", \"scale\": 0.25, \"method\": \"lu_crtp
 run(${LRA_CLI} repro --file=${repro})
 run(${LRA_CLI} --repro=${repro})
 
-# Kernel-variant leg: the same approximation computed with the naive, the
-# blocked and the simd-strict kernels must serialize to byte-identical factor
-# files (randqb and lu cover the GEMM-heavy and the Schur-update paths end to
-# end; simd-strict is the vectorized variant whose contract is bitwise
-# identity with naive — `simd` is only ULP-comparable and is gated in
-# bench_kernels instead).
+# Thread-count leg: under each kernel variant (the `simd` default and the
+# bitwise `simd-strict` contract), the same approximation computed on 1 and
+# on 4 pool workers must serialize to byte-identical factor files. randqb and
+# lu cover the GEMM/SpMM-heavy and the Schur-update paths end to end; M2' at
+# scale 0.3 (600 x 600, ~37k nonzeros) is large enough that their kernels
+# fork onto the pool instead of running inline.
+set(mtx_threads ${WORK_DIR}/cli_test_threads.mtx)
+run(${LRA_CLI} generate --preset=M2 --scale=0.3 --out=${mtx_threads})
 foreach(method randqb lu)
-  set(fact_naive ${WORK_DIR}/cli_test_${method}_naive.fact)
-  run(${LRA_CLI} approx --mtx=${mtx} --method=${method} --tau=1e-2
-      --kernel-variant=naive --out=${fact_naive})
-  foreach(variant blocked simd-strict)
-    set(fact_variant ${WORK_DIR}/cli_test_${method}_${variant}.fact)
-    run(${LRA_CLI} approx --mtx=${mtx} --method=${method} --tau=1e-2
-        --kernel-variant=${variant} --out=${fact_variant})
+  foreach(variant simd simd-strict)
+    set(fact_t1 ${WORK_DIR}/cli_test_${method}_${variant}_t1.fact)
+    set(fact_t4 ${WORK_DIR}/cli_test_${method}_${variant}_t4.fact)
+    foreach(threads 1 4)
+      run(${LRA_CLI} approx --mtx=${mtx_threads} --method=${method} --tau=1e-2
+          --kernel-variant=${variant} --threads=${threads}
+          --out=${fact_t${threads}})
+    endforeach()
     execute_process(
-      COMMAND ${CMAKE_COMMAND} -E compare_files ${fact_naive} ${fact_variant}
+      COMMAND ${CMAKE_COMMAND} -E compare_files ${fact_t1} ${fact_t4}
       RESULT_VARIABLE rc)
     if(NOT rc EQUAL 0)
       message(FATAL_ERROR
-              "${method}: naive and ${variant} kernel variants produced "
-              "different factor files (${fact_naive} vs ${fact_variant})")
+              "${method} (${variant}): --threads=1 and --threads=4 produced "
+              "different factor files (${fact_t1} vs ${fact_t4})")
     endif()
-    file(REMOVE ${fact_variant})
+    file(REMOVE ${fact_t1} ${fact_t4})
   endforeach()
-  file(REMOVE ${fact_naive})
 endforeach()
+file(REMOVE ${mtx_threads})
 
 # Autotune leg: `tune` writes a schema-valid cache that the next invocation
 # picks up from $LRA_AUTOTUNE_CACHE (any valid geometry must leave the
@@ -164,17 +167,22 @@ if(NOT rc EQUAL 0)
 endif()
 file(REMOVE ${fact_default} ${fact_tuned} ${tune_cache})
 
-# A bad variant must be rejected with the usage exit code, not run.
-execute_process(
-  COMMAND ${LRA_CLI} approx --mtx=${mtx} --tau=1e-2 --kernel-variant=fast
-  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
-if(NOT rc EQUAL 2)
-  message(FATAL_ERROR "--kernel-variant=fast exited ${rc}, expected 2:\n${err}")
-endif()
-string(FIND "${err}" "expected naive|blocked|simd|simd-strict" found)
-if(found EQUAL -1)
-  message(FATAL_ERROR "--kernel-variant=fast did not explain itself:\n${err}")
-endif()
+# A bad variant must be rejected with the usage exit code, not run. `naive`
+# names the reference kernels, which are test-only and not a runtime variant.
+foreach(bad fast naive)
+  execute_process(
+    COMMAND ${LRA_CLI} approx --mtx=${mtx} --tau=1e-2 --kernel-variant=${bad}
+    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR
+            "--kernel-variant=${bad} exited ${rc}, expected 2:\n${err}")
+  endif()
+  string(FIND "${err}" "expected simd|simd-strict" found)
+  if(found EQUAL -1)
+    message(FATAL_ERROR
+            "--kernel-variant=${bad} did not explain itself:\n${err}")
+  endif()
+endforeach()
 
 # --threads=0 must not be UB: the CLI warns on stderr and runs on 1 worker.
 execute_process(

@@ -38,11 +38,11 @@
 //   pool (default: LRA_NUM_THREADS or the hardware concurrency; 0 or
 //   negative values warn and fall back to 1). Simulated ranks (--np) always
 //   compute single-threaded per rank so virtual times stay comparable.
-//   Every subcommand also accepts
-//   --kernel-variant=naive|blocked|simd|simd-strict to pick the
-//   compute-kernel implementations (default: LRA_KERNEL_VARIANT or simd);
-//   `naive` selects the reference loops for differential checks and
-//   `simd-strict` the vectorized kernels that stay bitwise identical to them.
+//   Every subcommand also accepts --kernel-variant=simd|simd-strict to pick
+//   the compute-kernel contract (default: LRA_KERNEL_VARIANT or simd):
+//   `simd` fuses multiply-adds where the ISA has FMA, `simd-strict` keeps
+//   the two-rounding chain and stays bitwise identical to the reference
+//   loops the kernel tests compare against.
 //   lra_cli verify --mtx=a.mtx --fact=fact.bin
 //       Reload stored factors and report the exact achieved error.
 //   lra_cli tune [--quick] [--reps=5] [--out=lra_autotune.json]
