@@ -37,15 +37,16 @@ int main(int argc, char** argv) {
     full.tau = tau;
     full.max_rank = std::min(m.a.rows(), m.a.cols()) * 9 / 10;
     const RandQbResult rf = randqb_ei(m.a, full);
+    const double loss1 = orth_loss(r1.q), lossf = orth_loss(rf.q);
 
     t.row()
         .cell(label + "'")
         .cell(sci(tau, 0))
         .cell(rf.iterations)
         .cell(rf.rank)
-        .cell(sci(r1.orth_loss, 2))
-        .cell(sci(rf.orth_loss, 2))
-        .cell(rf.orth_loss / std::max(r1.orth_loss, 1e-300), 2);
+        .cell(sci(loss1, 2))
+        .cell(sci(lossf, 2))
+        .cell(lossf / std::max(loss1, 1e-300), 2);
   }
   t.print(std::cout);
   t.write_csv("orthogonality.csv");

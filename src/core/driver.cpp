@@ -1,6 +1,7 @@
 #include "core/driver.hpp"
 
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 
 #include "dense/blas.hpp"
@@ -45,6 +46,8 @@ Index LowRankApprox::rank() const {
 double LowRankApprox::indicator_rel() const {
   return std::visit(
       [](const auto& r) {
+        if (r.status == Status::kInvalidInput)
+          return std::numeric_limits<double>::quiet_NaN();
         return r.anorm_f > 0.0 ? r.indicator / r.anorm_f : 0.0;
       },
       result_);

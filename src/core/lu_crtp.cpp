@@ -1,101 +1,34 @@
 #include "core/lu_crtp.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <numeric>
+#include <stdexcept>
 
+#include "core/ilut_crtp.hpp"
+#include "core/lu_crtp_dist.hpp"
+#include "core/spmd.hpp"
 #include "dense/lu.hpp"
 #include "dense/qr.hpp"
+#include "obs/prof/phase.hpp"
 #include "par/pool.hpp"
-#include "qrtp/tournament.hpp"
+#include "qrtp/qrtp_dist.hpp"
 #include "sparse/colamd.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/drop.hpp"
 #include "sparse/ops.hpp"
 #include "sparse/spgemm.hpp"
-#include "support/stopwatch.hpp"
 #include "support/workspace.hpp"
 
 namespace lra {
 namespace {
 
+using obs::prof::PhaseScope;
+
 struct Triplet {
   Index i, j;
   double v;
 };
-
-// One iteration's split of the working matrix around the selected pivot
-// block, all in the *local* (compacted) index space of S.
-struct PivotSplit {
-  Matrix a11;                    // kk x kk dense
-  CscMatrix a21;                 // (m_a - kk) x kk, rows compacted to "rest"
-  CscMatrix a12;                 // kk x (n_a - kk)
-  CscMatrix a22;                 // (m_a - kk) x (n_a - kk)
-  std::vector<Index> rest_rows;  // local row ids, in original order
-  std::vector<Index> rest_cols;  // local col ids, in original order
-};
-
-PivotSplit split_pivot(const CscMatrix& s, const std::vector<Index>& sel_cols,
-                       const std::vector<Index>& sel_rows) {
-  const Index m = s.rows(), n = s.cols();
-  const Index kk = static_cast<Index>(sel_cols.size());
-  PivotSplit out;
-
-  // Row classification: selpos[r] = position among selected rows, else -1;
-  // restpos[r] = position among the rest.
-  std::vector<Index> selpos(static_cast<std::size_t>(m), -1);
-  for (Index p = 0; p < kk; ++p) selpos[sel_rows[p]] = p;
-  std::vector<Index> restpos(static_cast<std::size_t>(m), -1);
-  out.rest_rows.reserve(static_cast<std::size_t>(m - kk));
-  for (Index r = 0; r < m; ++r) {
-    if (selpos[r] < 0) {
-      restpos[r] = static_cast<Index>(out.rest_rows.size());
-      out.rest_rows.push_back(r);
-    }
-  }
-  std::vector<char> colsel(static_cast<std::size_t>(n), 0);
-  for (Index c : sel_cols) colsel[c] = 1;
-  out.rest_cols.reserve(static_cast<std::size_t>(n - kk));
-  for (Index c = 0; c < n; ++c)
-    if (!colsel[c]) out.rest_cols.push_back(c);
-
-  // Selected columns -> A11 (dense) and A21.
-  out.a11 = Matrix(kk, kk);
-  CooBuilder a21(m - kk, kk);
-  for (Index p = 0; p < kk; ++p) {
-    const Index j = sel_cols[p];
-    const auto rows = s.col_rows(j);
-    const auto vals = s.col_values(j);
-    for (std::size_t q = 0; q < rows.size(); ++q) {
-      const Index r = rows[q];
-      if (selpos[r] >= 0)
-        out.a11(selpos[r], p) = vals[q];
-      else
-        a21.add(restpos[r], p, vals[q]);
-    }
-  }
-  out.a21 = a21.build();
-
-  // Remaining columns -> A12 (selected rows) and A22 (rest rows).
-  CooBuilder a12(kk, n - kk);
-  CooBuilder a22(m - kk, n - kk);
-  for (std::size_t cpos = 0; cpos < out.rest_cols.size(); ++cpos) {
-    const Index j = out.rest_cols[cpos];
-    const auto rows = s.col_rows(j);
-    const auto vals = s.col_values(j);
-    for (std::size_t q = 0; q < rows.size(); ++q) {
-      const Index r = rows[q];
-      if (selpos[r] >= 0)
-        a12.add(selpos[r], static_cast<Index>(cpos), vals[q]);
-      else
-        a22.add(restpos[r], static_cast<Index>(cpos), vals[q]);
-    }
-  }
-  out.a12 = a12.build();
-  out.a22 = a22.build();
-  return out;
-}
 
 // Row-equilibration of the pivot block: A11 = D * S with D = diag(row max
 // magnitudes). Conditioning is judged on S (scale-invariant), and the solve
@@ -109,6 +42,10 @@ struct EquilibratedPivot {
 
   explicit EquilibratedPivot(const Matrix& a11)
       : lu(scaled(a11, dinv, degenerate)) {}
+
+  bool breakdown() const {
+    return degenerate || lu.singular() || lu.rcond_estimate() < 1e-15;
+  }
 
  private:
   static Matrix scaled(const Matrix& a11, std::vector<double>& dinv,
@@ -132,97 +69,148 @@ struct EquilibratedPivot {
   }
 };
 
-// X = A21 * A11^{-1} as sparse, computed row-by-row through transposed
-// solves on the equilibrated block: row r of X solves y^T S = a21_r^T, then
-// X(r, j) = y(j) * dinv[j]. The solves are independent per row of A21
-// (column of A21^T), so they run on the thread pool with per-column output
-// buffers stitched back in column order — bitwise identical at any thread
-// count.
-CscMatrix solve_a21(const CscMatrix& a21, const EquilibratedPivot& piv,
-                    Index kk) {
-  const CscMatrix a21t = a21.transposed();  // kk x (m - kk)
-  const Index nc = a21t.cols();
-  std::vector<std::vector<Index>> out_rows(static_cast<std::size_t>(nc));
-  std::vector<std::vector<double>> out_vals(static_cast<std::size_t>(nc));
-  ThreadPool::global().parallel_ranges(
-      Index{0}, nc, "lu_solve", /*grain=*/16, [&](Index c0, Index c1, int) {
-        // Per-slice solve buffer from the worker's arena — reused across
-        // iterations of the outer factorization loop without heap traffic.
-        Workspace::Scope scope;
-        double* rhs = scope.doubles(static_cast<std::size_t>(kk));
-        for (Index c = c0; c < c1; ++c) {
-          if (a21t.col_nnz(c) == 0) continue;
-          std::fill(rhs, rhs + kk, 0.0);
-          const auto rows = a21t.col_rows(c);
-          const auto vals = a21t.col_values(c);
-          for (std::size_t q = 0; q < rows.size(); ++q) rhs[rows[q]] = vals[q];
-          piv.lu.solve_row_inplace(rhs);
-          for (Index r = 0; r < kk; ++r) {
-            const double v = rhs[r] * piv.dinv[r];
-            if (v != 0.0 && std::isfinite(v)) {
-              out_rows[static_cast<std::size_t>(c)].push_back(r);
-              out_vals[static_cast<std::size_t>(c)].push_back(v);
-            }
+// X = A21 * A11^{-1} as sparse, row by row through transposed solves on the
+// equilibrated block: row c of X solves y^T S = a21_c^T, then
+// X(c, j) = y(j) * dinv[j]. The nonzero rows of A21 are dealt round-robin
+// over the ranks; each rank solves its share on the pool, writing row i of
+// its share into slot i of the payload, and the allgathered rows form X —
+// bitwise identical at any thread count. Only nonzero, finite values enter X.
+CscMatrix solve_a21(RankCtx& ctx, const CscMatrix& a21,
+                    const EquilibratedPivot& piv, Index kk) {
+  const CscMatrix a21t = a21.transposed();  // kk x (m_a - kk)
+  std::vector<Index> mine;
+  for (Index c = 0, counter = 0; c < a21t.cols(); ++c)
+    if (a21t.col_nnz(c) > 0 && static_cast<int>(counter++ % ctx.size()) == ctx.rank())
+      mine.push_back(c);
+  const std::size_t stride = static_cast<std::size_t>(kk) + 1;
+  std::vector<double> payload(mine.size() * stride);  // [row, x_0..x_kk-1]*
+  ctx.compute("solve_a21", [&] {
+    ThreadPool::global().parallel_ranges(
+        Index{0}, static_cast<Index>(mine.size()), "lu_solve", /*grain=*/16,
+        [&](Index i0, Index i1, int) {
+          for (Index i = i0; i < i1; ++i) {
+            const Index c = mine[static_cast<std::size_t>(i)];
+            double* out = payload.data() + static_cast<std::size_t>(i) * stride;
+            out[0] = static_cast<double>(c);
+            double* rhs = out + 1;
+            const auto rows = a21t.col_rows(c);
+            const auto vals = a21t.col_values(c);
+            for (std::size_t t = 0; t < rows.size(); ++t) rhs[rows[t]] = vals[t];
+            piv.lu.solve_row_inplace(rhs);
+            for (Index j = 0; j < kk; ++j) rhs[j] *= piv.dinv[j];
           }
-        }
-      });
-  CooBuilder xt(kk, nc);
-  for (Index c = 0; c < nc; ++c) {
-    const auto& rr = out_rows[static_cast<std::size_t>(c)];
-    const auto& vv = out_vals[static_cast<std::size_t>(c)];
-    for (std::size_t q = 0; q < rr.size(); ++q) xt.add(rr[q], c, vv[q]);
-  }
-  return xt.build().transposed();
+        });
+  });
+  const std::vector<double> all = ctx.allgatherv(std::move(payload));
+  // Assembled as X^T, one column per solved row, so the entries reach the
+  // builder's (column, row) sort nearly in order.
+  return ctx.compute("solve_a21", [&] {
+    CooBuilder xt(kk, a21.rows());
+    for (std::size_t pos = 0; pos + stride <= all.size(); pos += stride) {
+      const Index row = static_cast<Index>(all[pos]);
+      for (Index j = 0; j < kk; ++j) {
+        const double v = all[pos + 1 + static_cast<std::size_t>(j)];
+        if (v != 0.0 && std::isfinite(v)) xt.add(j, row, v);
+      }
+    }
+    return xt.build().transposed();
+  });
 }
 
-}  // namespace
+// The stability alternative (Sections II-B3 and VI-A): X = Q21 Q11^{-1}
+// from the panel's orthogonal factor instead of A21 A11^{-1}; better
+// conditioned, but it introduces extra small entries. `q` holds the panel
+// Q's rows for the `live` rows and is replicated, so every rank forms all
+// of X. Each live rest row r of X solves x^T Q11 = q_r^T. Returns false
+// when Q11 is singular.
+bool stable_x(const Matrix& q, const std::vector<Index>& live,
+              const std::vector<Index>& sel_rows,
+              const std::vector<Index>& restpos, Index m_a, Index kk,
+              CscMatrix& x) {
+  std::vector<Index> live_pos(static_cast<std::size_t>(m_a), -1);
+  for (std::size_t p = 0; p < live.size(); ++p)
+    live_pos[live[p]] = static_cast<Index>(p);
+  Matrix q11(kk, kk);  // rows in sel_rows order
+  for (Index r = 0; r < kk; ++r)
+    for (Index c = 0; c < kk; ++c) q11(r, c) = q(live_pos[sel_rows[r]], c);
+  const PartialPivLU luq(q11);
+  if (luq.singular()) return false;
+  CooBuilder xb(m_a - kk, kk);
+  Workspace::Scope scope;
+  double* rowbuf = scope.doubles(static_cast<std::size_t>(kk));
+  for (std::size_t p = 0; p < live.size(); ++p) {
+    const Index r = live[p];
+    if (restpos[r] < 0) continue;  // selected row
+    for (Index j = 0; j < kk; ++j) rowbuf[j] = q(static_cast<Index>(p), j);
+    luq.solve_row_inplace(rowbuf);
+    for (Index j = 0; j < kk; ++j)
+      if (rowbuf[j] != 0.0) xb.add(restpos[r], j, rowbuf[j]);
+  }
+  x = xb.build();
+  return true;
+}
 
-LuCrtpResult lu_crtp(const CscMatrix& a, const LuCrtpOptions& opts) {
-  Stopwatch clock;
-  LuCrtpResult res;
-  res.anorm_f = a.frobenius_norm();
+// The LU_CRTP / ILUT_CRTP body (Algorithms 2 and 3), run by every rank.
+// Layout: the working matrix A^(i) and U_K are distributed by columns
+// (cyclic blocks of width k), L_K lives on rank 0. The column tournament is
+// a two-stage reduction tree; the kk selected columns are QR-factored on
+// rank 0 and Q is broadcast; the row tournament runs on row slices of Q;
+// the A21 A11^{-1} solve is scattered over ranks and allgathered; the Schur
+// update is embarrassingly parallel over local columns. `pre` is the
+// preprocessing column order (COLAMD). Rank 0 writes `res`, whose anorm_f
+// spmd::admit() set.
+void lu_body(RankCtx& ctx, const CscMatrix& a, const Perm& pre,
+             const LuCrtpOptions& opts, LuCrtpResult& res) {
+  const int p = ctx.size();
+  const int r = ctx.rank();
   const Index k = opts.block_size;
   const Index lmax = std::min(a.rows(), a.cols());
-  const Index rank_budget = opts.max_rank < 0 ? lmax : std::min(opts.max_rank, lmax);
-  const double target = opts.tau * res.anorm_f;
+  const Index rank_budget =
+      opts.max_rank < 0 ? lmax : std::min(opts.max_rank, lmax);
+  const double anorm = res.anorm_f;
+  const double target = opts.tau * anorm;
 
-  // Preprocessing: COLAMD + column-etree postorder (Section V).
-  Perm pre = identity_perm(a.cols());
-  CscMatrix s = a;
-  if (opts.colamd != ColamdMode::kOff) {
-    pre = colamd_postordered(a);
-    s = permute_columns(a, pre);
+  // My columns: ids in the preprocessed order (aligned with s_loc's
+  // columns), taken straight from A through `pre`.
+  std::vector<Index> col_ids;
+  for (Index j = 0; j < a.cols(); ++j)
+    if (static_cast<int>((j / std::max<Index>(1, k)) % p) == r)
+      col_ids.push_back(j);
+  CscMatrix s_loc;
+  {
+    std::vector<Index> src(col_ids.size());
+    for (std::size_t j = 0; j < col_ids.size(); ++j) src[j] = pre[col_ids[j]];
+    s_loc = a.select_columns(src);
   }
-
-  // Local-to-global id maps for the shrinking working matrix. Column ids
-  // refer to the *preprocessed* column order; folded back through `pre` at
-  // the end.
+  // Active rows: replicated compact space; row_ids[local] = global id.
   std::vector<Index> row_ids(static_cast<std::size_t>(a.rows()));
   std::iota(row_ids.begin(), row_ids.end(), Index{0});
-  std::vector<Index> col_ids(static_cast<std::size_t>(a.cols()));
-  std::iota(col_ids.begin(), col_ids.end(), Index{0});
 
   std::vector<Index> sel_rows_global, sel_cols_global;  // iteration order
-  std::vector<Triplet> l_entries, u_entries;            // global-id coords
+  std::vector<Triplet> l_entries, u_entries;  // global ids (L on rank 0)
 
-  double mu = 0.0;
-  double phi = 0.0;
-  double t_acc_sq = 0.0;
+  double mu = 0.0, phi = 0.0, t_acc_sq = 0.0, r11_first = 0.0;
   bool threshold_enabled = opts.threshold != ThresholdMode::kNone;
+  bool control_hit = false;
+  Index dropped_total = 0;
 
-  double indicator = s.frobenius_norm();
-  res.indicator = indicator;
-  if (indicator <= target) {
-    res.status = Status::kConverged;  // zero-ish input
-  }
+  double indicator = anorm;
+  Index rank_so_far = 0, iterations = 0;
+  Status status = Status::kMaxIterations;
+  obs::TelemetrySeries telemetry;
 
-  while (indicator > target && res.rank < rank_budget) {
-    Index kk = std::min({k, s.rows(), s.cols(), rank_budget - res.rank});
+  while (indicator > target && rank_so_far < rank_budget) {
+    const Index m_a = static_cast<Index>(row_ids.size());
+    const Index n_a = static_cast<Index>(
+        ctx.allreduce_sum(static_cast<double>(col_ids.size())));
+    Index kk = std::min({k, m_a, n_a, rank_budget - rank_so_far});
     if (kk <= 0) break;
 
-    if (opts.colamd == ColamdMode::kEvery && res.iterations > 0) {
-      const Perm ord = colamd_postordered(s);
-      s = permute_columns(s, ord);
+    if (opts.colamd == ColamdMode::kEvery && iterations > 0) {
+      // Re-order the working matrix; it is whole on this rank, since
+      // lu_crtp_dist allows kEvery only at nranks = 1.
+      const Perm ord = colamd_postordered(s_loc);
+      s_loc = permute_columns(s_loc, ord);
       std::vector<Index> reordered(col_ids.size());
       for (std::size_t j = 0; j < ord.size(); ++j)
         reordered[j] = col_ids[ord[j]];
@@ -230,212 +218,392 @@ LuCrtpResult lu_crtp(const CscMatrix& a, const LuCrtpOptions& opts) {
     }
 
     // --- Column tournament (line 5 of Algorithm 2) ---
-    std::vector<Index> all_cols(static_cast<std::size_t>(s.cols()));
-    std::iota(all_cols.begin(), all_cols.end(), Index{0});
-    std::vector<Index> sel_cols = qr_tp_select(s, all_cols, kk);
+    CandidateColumns winners = qr_tp_dist(ctx, s_loc, col_ids, kk, "col_qrtp");
+    kk = std::min<Index>(kk, winners.cols.cols());
 
-    // --- Panel QR (line 6): QR of the kk selected columns ---
-    const CscMatrix panel = s.select_columns(sel_cols);
-    std::vector<Index> live = panel.nonempty_rows();
-    if (static_cast<Index>(live.size()) < kk) {
-      // Structurally rank-deficient panel: shrink the block.
-      kk = static_cast<Index>(live.size());
-      if (kk == 0) {
-        res.status = Status::kBreakdown;
-        break;
+    // --- Panel QR (line 6) on rank 0, Q broadcast ---
+    std::vector<Index> live;
+    Matrix q;  // live.size() x kk
+    double r00 = 0.0;
+    {
+      PhaseScope panel_phase(ctx, "panel");
+      ByteWriter w;
+      if (r == 0) {
+        ctx.compute("col_qr", [&] {
+          live = winners.cols.nonempty_rows();
+          // A structurally rank-deficient panel shrinks the block.
+          if (static_cast<Index>(live.size()) < kk)
+            kk = static_cast<Index>(live.size());
+          if (kk > 0) {
+            const Matrix pd = dense_row_subset(winners.cols, live);
+            HouseholderQR f(pd.block(0, 0, pd.rows(), kk));
+            q = f.thin_q();
+            r00 = std::fabs(f.r()(0, 0));
+          }
+        });
+        w.put<std::int64_t>(kk);
+        w.put<double>(r00);
+        w.put_vec(live);
+        w.put_span(std::span<const double>(q.data(), q.size()));
       }
-      sel_cols.resize(static_cast<std::size_t>(kk));
+      std::vector<std::byte> blob = w.take();
+      ctx.bcast_bytes(blob, 0);
+      if (r != 0) {
+        ByteReader rd(blob);
+        kk = rd.get<std::int64_t>();
+        r00 = rd.get<double>();
+        live = rd.get_vec<Index>();
+        std::vector<double> qflat = rd.get_vec<double>();
+        if (kk < 0 ||
+            qflat.size() != live.size() * static_cast<std::size_t>(kk))
+          throw std::out_of_range("panel broadcast: Q does not match its shape");
+        q = Matrix(static_cast<Index>(live.size()), kk, std::move(qflat));
+      }
     }
-    const Matrix panel_dense = dense_row_subset(panel, live);
-    HouseholderQR panel_qr(panel_dense.block(0, 0, panel_dense.rows(), kk));
-    if (res.iterations == 0) res.r11_first = std::fabs(panel_qr.r()(0, 0));
-    const Matrix q = panel_qr.thin_q();  // live.size() x kk
+    if (kk == 0) {
+      status = Status::kBreakdown;
+      break;
+    }
+    if (iterations == 0) r11_first = r00;
+    winners.global_index.resize(static_cast<std::size_t>(kk));
+    if (winners.cols.cols() > kk) {
+      std::vector<Index> keep(static_cast<std::size_t>(kk));
+      std::iota(keep.begin(), keep.end(), Index{0});
+      winners.cols = winners.cols.select_columns(keep);
+    }
 
-    // --- Row tournament on Q^T (line 7) ---
-    const std::vector<Index> sel_rows = qr_tp_select_rows(q, live, kk);
+    // --- Row tournament on Q^T (line 7), over row slices of Q ---
+    const spmd::Slice qs =
+        spmd::slice_of(static_cast<Index>(live.size()), p, r);
+    Matrix q_rows;  // my row slice of Q, when it is not all of Q
+    if (qs.size() != q.rows()) q_rows = q.block(qs.begin, 0, qs.size(), kk);
+    const Matrix& q_slice = qs.size() == q.rows() ? q : q_rows;
+    const std::vector<Index> sel_rows = qr_tp_rows_dist(
+        ctx, q_slice, std::span<const Index>(live).subspan(qs.begin, qs.size()),
+        kk, "row_qrtp");
     if (static_cast<Index>(sel_rows.size()) < kk) {
-      res.status = Status::kBreakdown;
+      status = Status::kBreakdown;
       break;
     }
 
-    // --- Split around the pivot block (line 8) ---
-    PivotSplit sp = split_pivot(s, sel_cols, sel_rows);
+    // --- Split around the pivot block (line 8; "row_perm" in Fig. 5) ---
+    std::vector<Index> rest_rows;
+    std::vector<Index> restpos(static_cast<std::size_t>(m_a), -1);
+    Matrix a11(kk, kk);
+    CscMatrix a21;
+    CscMatrix u12_loc, a22_loc;
+    std::vector<Index> next_col_ids;
+    {
+      PhaseScope row_perm_phase(ctx, "row_perm");
+      std::vector<Index> selpos(static_cast<std::size_t>(m_a), -1);
+      for (Index j = 0; j < kk; ++j) selpos[sel_rows[j]] = j;
+      rest_rows.reserve(static_cast<std::size_t>(m_a - kk));
+      for (Index i = 0; i < m_a; ++i)
+        if (selpos[i] < 0) {
+          restpos[i] = static_cast<Index>(rest_rows.size());
+          rest_rows.push_back(i);
+        }
+
+      // The winner columns (replicated by the tournament) split into A11
+      // (dense) and A21.
+      ctx.compute("row_perm", [&] {
+        CooBuilder b21(m_a - kk, kk);
+        for (Index c = 0; c < kk; ++c) {
+          const auto rows = winners.cols.col_rows(c);
+          const auto vals = winners.cols.col_values(c);
+          for (std::size_t t = 0; t < rows.size(); ++t) {
+            if (selpos[rows[t]] >= 0)
+              a11(selpos[rows[t]], c) = vals[t];
+            else
+              b21.add(restpos[rows[t]], c, vals[t]);
+          }
+        }
+        a21 = b21.build();
+      });
+
+      // My other columns split into U12 (selected rows) and A22.
+      ctx.compute("row_perm", [&] {
+        std::vector<char> won(static_cast<std::size_t>(a.cols()), 0);
+        for (Index g : winners.global_index) won[g] = 1;
+        std::vector<Index> keep;
+        for (std::size_t j = 0; j < col_ids.size(); ++j)
+          if (!won[col_ids[j]]) {
+            keep.push_back(static_cast<Index>(j));
+            next_col_ids.push_back(col_ids[j]);
+          }
+        const Index nkeep = static_cast<Index>(keep.size());
+        CooBuilder b12(kk, nkeep);
+        CooBuilder b22(m_a - kk, nkeep);
+        for (Index j = 0; j < nkeep; ++j) {
+          const auto rows = s_loc.col_rows(keep[static_cast<std::size_t>(j)]);
+          const auto vals = s_loc.col_values(keep[static_cast<std::size_t>(j)]);
+          for (std::size_t t = 0; t < rows.size(); ++t) {
+            if (selpos[rows[t]] >= 0)
+              b12.add(selpos[rows[t]], j, vals[t]);
+            else
+              b22.add(restpos[rows[t]], j, vals[t]);
+          }
+        }
+        u12_loc = b12.build();
+        a22_loc = b22.build();
+      });
+    }
 
     // --- L block: X = A21 A11^{-1} (line 10) ---
-    EquilibratedPivot piv(sp.a11);
-    if (piv.degenerate || piv.lu.singular() ||
-        piv.lu.rcond_estimate() < 1e-15) {
-      res.status = Status::kBreakdown;
-      break;
-    }
-    CscMatrix x;
-    if (!opts.stable_l) {
-      x = solve_a21(sp.a21, piv, kk);
-    } else {
-      // Stability alternative: X = Q21 * Q11^{-1} using the panel's
-      // orthogonal factor (Section II-B3). Dense on the live rows.
-      std::vector<Index> live_selpos;  // positions of selected rows in `live`
-      std::vector<char> is_sel(static_cast<std::size_t>(s.rows()), 0);
-      for (Index r : sel_rows) is_sel[r] = 1;
-      Matrix q11(kk, kk);
-      Index sq = 0;
-      for (std::size_t p = 0; p < live.size(); ++p) {
-        if (is_sel[live[p]]) {
-          for (Index j = 0; j < kk; ++j) q11(sq, j) = q(static_cast<Index>(p), j);
-          ++sq;
-        }
-      }
-      // Order q11 rows to match sel_rows order.
-      // (rebuild with explicit mapping to be exact)
-      std::vector<Index> selpos_in_live(static_cast<std::size_t>(kk), -1);
-      {
-        std::vector<Index> live_pos(static_cast<std::size_t>(s.rows()), -1);
-        for (std::size_t p = 0; p < live.size(); ++p)
-          live_pos[live[p]] = static_cast<Index>(p);
-        for (Index j = 0; j < kk; ++j) selpos_in_live[j] = live_pos[sel_rows[j]];
-        for (Index r = 0; r < kk; ++r)
-          for (Index c = 0; c < kk; ++c)
-            q11(r, c) = q(selpos_in_live[r], c);
-      }
-      PartialPivLU luq(q11);
-      if (luq.singular()) {
-        res.status = Status::kBreakdown;
+    CscMatrix x;  // (m_a - kk) x kk, replicated
+    {
+      PhaseScope solve_phase(ctx, "solve_a21");
+      const EquilibratedPivot piv =
+          ctx.compute("solve_a21", [&] { return EquilibratedPivot(a11); });
+      if (piv.breakdown()) {
+        status = Status::kBreakdown;
         break;
       }
-      // X rows only for live, non-selected rows.
-      std::vector<Index> restpos(static_cast<std::size_t>(s.rows()), -1);
-      for (std::size_t p = 0; p < sp.rest_rows.size(); ++p)
-        restpos[sp.rest_rows[p]] = static_cast<Index>(p);
-      CooBuilder xb(s.rows() - kk, kk);
-      Workspace::Scope scope;
-      double* rowbuf = scope.doubles(static_cast<std::size_t>(kk));
-      for (std::size_t p = 0; p < live.size(); ++p) {
-        const Index r = live[p];
-        if (restpos[r] < 0) continue;  // selected row
-        for (Index j = 0; j < kk; ++j) rowbuf[j] = q(static_cast<Index>(p), j);
-        luq.solve_row_inplace(rowbuf);
-        for (Index j = 0; j < kk; ++j)
-          if (rowbuf[j] != 0.0) xb.add(restpos[r], j, rowbuf[j]);
+      if (!opts.stable_l) {
+        x = solve_a21(ctx, a21, piv, kk);
+      } else if (!ctx.compute("solve_a21", [&] {
+                   return stable_x(q, live, sel_rows, restpos, m_a, kk, x);
+                 })) {
+        status = Status::kBreakdown;
+        break;
       }
-      x = xb.build();
     }
 
-    // --- Emit L and U triplets in global coordinates (line 11) ---
-    const Index koff = res.rank;
+    // --- Schur complement (line 12) of the local columns ---
+    CscMatrix schur_loc;
+    {
+      PhaseScope schur_phase(ctx, "schur");
+      schur_loc = ctx.compute("schur", [&] {
+        CscMatrix sc = schur_update(a22_loc, x, u12_loc);
+        sc.prune(0.0);
+        return sc;
+      });
+    }
+
+    // Post the error-indicator reduction now and record this round's factor
+    // triplets while it is in flight: the recording reads only panel state
+    // (x, a11, u12), none of which the reduction touches, so the
+    // bookkeeping overlaps the modeled allreduce.
+    CollRequest ind_req;
+    {
+      PhaseScope err_phase(ctx, "error_check");
+      const double local_sq = schur_loc.frobenius_norm_sq();
+      ind_req = ctx.iallreduce_sum(std::vector<double>{local_sq});
+    }
+
+    // --- L and U triplets (line 11; L on rank 0, U on the owning ranks) ---
+    const Index koff = rank_so_far;
     for (Index j = 0; j < kk; ++j) {
       sel_rows_global.push_back(row_ids[sel_rows[j]]);
-      sel_cols_global.push_back(col_ids[sel_cols[j]]);
-      l_entries.push_back({sel_rows_global.back(), koff + j, 1.0});
+      sel_cols_global.push_back(winners.global_index[j]);
     }
-    for (Index j = 0; j < x.cols(); ++j) {
-      const auto rows = x.col_rows(j);
-      const auto vals = x.col_values(j);
-      for (std::size_t p = 0; p < rows.size(); ++p)
-        l_entries.push_back(
-            {row_ids[sp.rest_rows[rows[p]]], koff + j, vals[p]});
+    if (r == 0) {
+      for (Index j = 0; j < kk; ++j)
+        l_entries.push_back({row_ids[sel_rows[j]], koff + j, 1.0});
+      for (Index j = 0; j < x.cols(); ++j) {
+        const auto rows = x.col_rows(j);
+        const auto vals = x.col_values(j);
+        for (std::size_t t = 0; t < rows.size(); ++t)
+          l_entries.push_back(
+              {row_ids[rest_rows[rows[t]]], koff + j, vals[t]});
+      }
+      for (Index rr = 0; rr < kk; ++rr)
+        for (Index c = 0; c < kk; ++c)
+          if (a11(rr, c) != 0.0)
+            u_entries.push_back(
+                {koff + rr, winners.global_index[c], a11(rr, c)});
     }
-    for (Index r = 0; r < kk; ++r)
-      for (Index c = 0; c < kk; ++c)
-        if (sp.a11(r, c) != 0.0)
-          u_entries.push_back(
-              {koff + r, col_ids[sel_cols[c]], sp.a11(r, c)});
-    for (Index j = 0; j < sp.a12.cols(); ++j) {
-      const auto rows = sp.a12.col_rows(j);
-      const auto vals = sp.a12.col_values(j);
-      for (std::size_t p = 0; p < rows.size(); ++p)
-        u_entries.push_back(
-            {koff + rows[p], col_ids[sp.rest_cols[j]], vals[p]});
+    for (Index j = 0; j < u12_loc.cols(); ++j) {
+      const auto rows = u12_loc.col_rows(j);
+      const auto vals = u12_loc.col_values(j);
+      for (std::size_t t = 0; t < rows.size(); ++t)
+        u_entries.push_back({koff + rows[t], next_col_ids[j], vals[t]});
     }
 
-    // --- Schur complement (line 12) ---
-    CscMatrix schur = schur_update(sp.a22, x, sp.a12);
-    schur.prune(0.0);
-
-    res.rank += kk;
-    res.iterations += 1;
-    indicator = schur.frobenius_norm();
+    rank_so_far += kk;
+    iterations += 1;
+    indicator = std::sqrt(std::max(0.0, ctx.wait_allreduce_sum(ind_req)[0]));
 
     // --- ILUT thresholding (Algorithm 3, lines 5-10) ---
-    if (threshold_enabled && res.iterations == 1) {
-      const Index u_est = opts.estimated_iterations > 0
-                              ? opts.estimated_iterations
-                              : std::max<Index>(1, rank_budget / std::max<Index>(1, k));
-      mu = opts.tau * res.r11_first /
-           (static_cast<double>(u_est) *
-            std::sqrt(static_cast<double>(std::max<Index>(1, a.nnz()))));
-      phi = opts.phi > 0.0 ? opts.phi : opts.tau * res.r11_first;
-      res.mu = mu;
+    if (threshold_enabled && iterations == 1) {
+      const Index u_est =
+          opts.estimated_iterations > 0
+              ? opts.estimated_iterations
+              : std::max<Index>(1, rank_budget / std::max<Index>(1, k));
+      mu = ilut_mu(opts.tau, r11_first, u_est, a.nnz());
+      phi = opts.phi > 0.0 ? opts.phi : opts.tau * r11_first;
     }
     if (threshold_enabled && indicator >= target) {
-      CscMatrix backup = schur;
-      DropResult dr;
-      if (opts.threshold == ThresholdMode::kIlut)
-        dr = drop_below(schur, mu);
-      else
-        dr = drop_budgeted(schur, phi, t_acc_sq);
-      if (std::sqrt(t_acc_sq + dr.fro_sq) >= phi) {
+      PhaseScope threshold_phase(ctx, "threshold");
+      CscMatrix backup = schur_loc;
+      const DropResult dr = ctx.compute("threshold", [&] {
+        return opts.threshold == ThresholdMode::kIlut
+                   ? drop_below(schur_loc, mu)
+                   : drop_budgeted(schur_loc, phi, t_acc_sq);
+      });
+      const double drop_sq = ctx.allreduce_sum(dr.fro_sq);
+      const double dropped =
+          ctx.allreduce_sum(static_cast<double>(dr.dropped));
+      if (std::sqrt(t_acc_sq + drop_sq) >= phi) {
         // Threshold control (line 10): undo and stop thresholding.
-        schur = std::move(backup);
-        mu = 0.0;
+        schur_loc = std::move(backup);
         threshold_enabled = false;
-        res.threshold_control_hit = true;
+        control_hit = true;
       } else {
-        t_acc_sq += dr.fro_sq;
-        res.dropped_entries += dr.dropped;
+        t_acc_sq += drop_sq;
+        dropped_total += static_cast<Index>(dropped);
       }
     }
-    res.t_norm_sq = t_acc_sq;
 
     // --- Bookkeeping for the next iteration ---
-    std::vector<Index> next_rows, next_cols;
-    next_rows.reserve(sp.rest_rows.size());
-    for (Index r : sp.rest_rows) next_rows.push_back(row_ids[r]);
-    next_cols.reserve(sp.rest_cols.size());
-    for (Index c : sp.rest_cols) next_cols.push_back(col_ids[c]);
+    std::vector<Index> next_rows;
+    next_rows.reserve(rest_rows.size());
+    for (Index i : rest_rows) next_rows.push_back(row_ids[i]);
     row_ids = std::move(next_rows);
-    col_ids = std::move(next_cols);
-    s = std::move(schur);
+    col_ids = std::move(next_col_ids);
+    s_loc = std::move(schur_loc);
 
-    res.telemetry.push_back(
-        {.iteration = res.iterations,
-         .rank = res.rank,
-         .indicator_rel = indicator / res.anorm_f,
+    const double nnz_glob =
+        ctx.allreduce_sum(static_cast<double>(s_loc.nnz()));
+    const double ncols_glob =
+        ctx.allreduce_sum(static_cast<double>(col_ids.size()));
+    const double factor_nnz_glob = ctx.allreduce_sum(
+        static_cast<double>(l_entries.size() + u_entries.size()));
+    telemetry.push_back(
+        {.iteration = iterations,
+         .rank = rank_so_far,
+         .indicator_rel = indicator / anorm,
          .tau = opts.tau,
-         .time_seconds = clock.seconds(),
-         .schur_nnz = s.nnz(),
-         .fill_density = s.density(),
-         .factor_nnz =
-             static_cast<long long>(l_entries.size() + u_entries.size())});
+         .time_seconds = ctx.vtime(),
+         .schur_nnz = static_cast<long long>(nnz_glob),
+         .fill_density =
+             ncols_glob * row_ids.size() == 0
+                 ? 0.0
+                 : nnz_glob /
+                       (static_cast<double>(row_ids.size()) * ncols_glob),
+         .factor_nnz = static_cast<long long>(factor_nnz_glob)});
     if (indicator < target) {
-      res.status = Status::kConverged;
+      status = Status::kConverged;
       break;
     }
   }
-  if (indicator < target) res.status = Status::kConverged;
-  res.indicator = indicator;
+  if (indicator < target) status = Status::kConverged;
 
-  // --- Assemble L, U and the permutations ---
-  // Final row order: selected rows in order, then surviving rows; same for
-  // columns (column ids are positions in the preprocessed order; compose
-  // with `pre` to express P_c against the original matrix).
+  // --- Gather the factors on rank 0 (not part of the timed algorithm) ---
+  // U triplets and surviving column ids from every rank.
+  PhaseScope assemble_phase(ctx, "assemble");
+  ByteWriter w;
+  {
+    w.put_vec(col_ids);  // surviving columns on this rank
+    std::vector<Index> uti, utj;
+    std::vector<double> utv;
+    for (const Triplet& t : u_entries) {
+      uti.push_back(t.i);
+      utj.push_back(t.j);
+      utv.push_back(t.v);
+    }
+    w.put_vec(uti);
+    w.put_vec(utj);
+    w.put_vec(utv);
+  }
+  const auto blobs = ctx.exchange_all(w.take(), 0.0, "gather_factors");
+  if (r != 0) return;
+
+  // Final order: the selected rows (columns) in iteration order, then the
+  // surviving ones — in ascending preprocessed order, except that kEvery
+  // keeps its own last ordering. Column ids are positions in the
+  // preprocessed order; composing with `pre` expresses P_c against A.
+  Perm colp = sel_cols_global;
+  const std::size_t n_sel = colp.size();
+  for (const auto& blob : blobs) {
+    const auto sc = ByteReader(blob).get_vec<Index>();
+    colp.insert(colp.end(), sc.begin(), sc.end());
+  }
+  if (opts.colamd != ColamdMode::kEvery)
+    std::sort(colp.begin() + static_cast<std::ptrdiff_t>(n_sel), colp.end());
+
+  res.status = status;
+  res.rank = rank_so_far;
+  res.iterations = iterations;
+  res.indicator = indicator;
+  res.r11_first = r11_first;
+  res.mu = mu;
+  res.t_norm_sq = t_acc_sq;
+  res.dropped_entries = dropped_total;
+  res.threshold_control_hit = control_hit;
+  res.telemetry = std::move(telemetry);
+
   res.row_perm = sel_rows_global;
   res.row_perm.insert(res.row_perm.end(), row_ids.begin(), row_ids.end());
-  Perm colp = sel_cols_global;
-  colp.insert(colp.end(), col_ids.begin(), col_ids.end());
   res.col_perm.resize(colp.size());
   for (std::size_t j = 0; j < colp.size(); ++j) res.col_perm[j] = pre[colp[j]];
 
   const Perm row_pos = invert(res.row_perm);
   Perm col_pos(colp.size());
-  for (std::size_t j = 0; j < colp.size(); ++j) col_pos[colp[j]] = static_cast<Index>(j);
+  for (std::size_t j = 0; j < colp.size(); ++j)
+    col_pos[colp[j]] = static_cast<Index>(j);
 
-  CooBuilder lb(a.rows(), res.rank);
+  CooBuilder lb(a.rows(), rank_so_far);
   for (const Triplet& t : l_entries) lb.add(row_pos[t.i], t.j, t.v);
   res.l = lb.build();
-  CooBuilder ub(res.rank, a.cols());
+  // Rank 0's own triplets are still at hand; the other ranks' arrive packed.
+  CooBuilder ub(rank_so_far, a.cols());
   for (const Triplet& t : u_entries) ub.add(t.i, col_pos[t.j], t.v);
+  for (std::size_t src = 1; src < blobs.size(); ++src) {
+    ByteReader rd(blobs[src]);
+    rd.get_vec<Index>();  // the surviving columns, read above
+    const auto uti = rd.get_vec<Index>();
+    const auto utj = rd.get_vec<Index>();
+    const auto utv = rd.get_vec<double>();
+    for (std::size_t t = 0; t < uti.size(); ++t)
+      ub.add(uti[t], col_pos[utj[t]], utv[t]);
+  }
   res.u = ub.build();
+}
+
+// Preprocessing column order (Section V): COLAMD + column-etree postorder.
+Perm preorder(const CscMatrix& a, const LuCrtpOptions& opts) {
+  return opts.colamd == ColamdMode::kOff ? identity_perm(a.cols())
+                                         : colamd_postordered(a);
+}
+
+// The rank-0 factors of a run that spmd::admit() stopped.
+void no_factors(const CscMatrix& a, LuCrtpResult& res) {
+  res.l = CscMatrix(a.rows(), 0);
+  res.u = CscMatrix(0, a.cols());
+  res.row_perm = identity_perm(a.rows());
+  res.col_perm = identity_perm(a.cols());
+}
+
+}  // namespace
+
+LuCrtpResult lu_crtp(const CscMatrix& a, const LuCrtpOptions& opts) {
+  RankCtx ctx = RankCtx::in_process();  // telemetry time includes COLAMD
+  LuCrtpResult res;
+  if (spmd::admit(a, res))
+    lu_body(ctx, a, preorder(a, opts), opts, res);
+  else
+    no_factors(a, res);
   return res;
+}
+
+DistLuResult lu_crtp_dist(const CscMatrix& a, const LuCrtpOptions& opts,
+                          int nranks, const SimOptions& sim) {
+  spmd::require_one_rank(opts.colamd == ColamdMode::kEvery, nranks,
+                         "lu_crtp_dist: ColamdMode::kEvery");
+  DistLuResult out;
+  if (!spmd::admit(a, out.result)) {
+    no_factors(a, out.result);
+    return out;
+  }
+  // COLAMD is "a local, intrinsically sequential reordering heuristic ...
+  // applied as a preprocessing step" (paper, Section V); it is not charged
+  // to the parallel runtime.
+  const Perm pre = preorder(a, opts);
+  spmd::run_world(out, nranks, sim, [&](RankCtx& ctx) {
+    lu_body(ctx, a, pre, opts, out.result);
+  });
+  return out;
 }
 
 double lu_crtp_exact_error(const CscMatrix& a, const LuCrtpResult& r) {

@@ -1,8 +1,10 @@
 #pragma once
 // Fixed-precision truncated LU with column/row tournament pivoting
 // (LU_CRTP, Algorithm 2 of the paper) and its incomplete thresholded
-// variant (ILUT_CRTP, Algorithm 3). Both are driven by the same engine;
-// ILUT_CRTP adds the dropping step and perturbation accounting.
+// variant (ILUT_CRTP, Algorithm 3). Both are driven by the same SPMD body
+// (core/lu_crtp.cpp), which lu_crtp runs as the single rank of the
+// in-process context and lu_crtp_dist on simulated ranks; ILUT_CRTP adds
+// the dropping step and perturbation accounting.
 
 #include <vector>
 
@@ -48,7 +50,8 @@ struct LuCrtpResult {
   Perm col_perm;  // A(row_perm[i], col_perm[j]) ~= (L U)(i, j)
 
   // ILUT bookkeeping.
-  double mu = 0.0;                    // threshold actually used
+  double mu = 0.0;                    // the mu heuristic (24), kept after
+                                      // threshold control stops dropping
   double t_norm_sq = 0.0;             // sum of ||T~^(j)||_F^2 (22)
   Index dropped_entries = 0;
   bool threshold_control_hit = false;  // line 10 of Algorithm 3 fired
@@ -56,7 +59,8 @@ struct LuCrtpResult {
   /// Per-iteration convergence telemetry incl. the fill-in diagnostics of
   /// Fig. 1 and Table II: density and nnz of the Schur complement A^(i+1),
   /// and the cumulative nnz(L) + nnz(U), after each iteration (virtual time
-  /// for the distributed engine, wall time for the sequential one).
+  /// for lu_crtp_dist; for lu_crtp, wall time since the call, COLAMD
+  /// included).
   obs::TelemetrySeries telemetry;
 };
 

@@ -5,7 +5,9 @@
 // the k selected columns are QR-factored on one process and the orthogonal
 // factor is broadcast; the row tournament runs on row slices of Q; the
 // A21 A11^{-1} solve is scattered over ranks and allgathered; the Schur
-// update is embarrassingly parallel over local columns.
+// update is embarrassingly parallel over local columns. The SPMD body lives
+// in core/lu_crtp.cpp and is the one LU_CRTP: lu_crtp runs it as a single
+// in-process rank.
 
 #include <map>
 #include <string>
@@ -27,7 +29,9 @@ struct DistLuResult {
 /// optional deterministic fault plan). A payload corruption injected by the
 /// plan and detected by the transport aborts the run and is reported as
 /// Status::kCommFault — with virtual times, comm counters and traces
-/// collected up to the abort — never as a crash.
+/// collected up to the abort — never as a crash. ColamdMode::kEvery needs
+/// the whole matrix on one rank: at nranks > 1 it throws
+/// std::invalid_argument.
 DistLuResult lu_crtp_dist(const CscMatrix& a, const LuCrtpOptions& opts,
                           int nranks, const SimOptions& sim);
 

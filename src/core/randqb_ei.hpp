@@ -38,19 +38,23 @@ struct RandQbResult {
   Matrix q;  // m x K, orthonormal columns
   Matrix b;  // K x n
 
-  /// ||Q^T Q - I||_inf at exit — the orthogonality-loss diagnostic the paper
-  /// reports in Section VI-B.
-  double orth_loss = 0.0;
-
   /// Per-iteration convergence telemetry — the series behind the
-  /// runtime-vs-quality plots (Figs. 2 and 3); for the distributed engine,
-  /// time_seconds is the rank's cumulative virtual time.
+  /// runtime-vs-quality plots (Figs. 2 and 3). time_seconds is wall time
+  /// since the call for randqb_ei, and the rank's cumulative virtual time
+  /// for randqb_ei_dist.
   obs::TelemetrySeries telemetry;
 };
 
+/// Run RandQB_EI: the SPMD body of randqb_ei_dist, as the single rank of the
+/// in-process context (par/simcomm.hpp), with the kernels on the pool.
 RandQbResult randqb_ei(const CscMatrix& a, const RandQbOptions& opts);
 
 /// Exact ||A - Q B||_F (dense verification for tests/small problems).
 double randqb_exact_error(const CscMatrix& a, const RandQbResult& r);
+
+/// ||Q^T Q - I||_inf (max row sum) — the orthogonality-loss diagnostic the
+/// paper reports in Section VI-B. Costs a K x K Gram product, so no solve
+/// computes it; call it on the factor.
+double orth_loss(const Matrix& q);
 
 }  // namespace lra

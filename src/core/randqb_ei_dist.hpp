@@ -4,7 +4,8 @@
 // 1D row-distributed, B_K is column-distributed; orthonormalization uses the
 // allgather-TSQR scheme (local QR, allgather of the k x k R factors,
 // redundant small QR, local Q update) — the standard communication-avoiding
-// tall-skinny QR for this layout.
+// tall-skinny QR for this layout. The SPMD body lives in core/randqb_ei.cpp
+// and is the one RandQB_EI: randqb_ei runs it as a single in-process rank.
 
 #include <map>
 #include <string>
@@ -26,7 +27,9 @@ struct DistRandQbResult {
 /// optional deterministic fault plan). A payload corruption injected by the
 /// plan and detected by the transport aborts the run and is reported as
 /// Status::kCommFault — with virtual times, comm counters and traces
-/// collected up to the abort — never as a crash.
+/// collected up to the abort — never as a crash. ErrorNorm::kSpectral needs
+/// the whole matrix on one rank: at nranks > 1 it throws
+/// std::invalid_argument.
 DistRandQbResult randqb_ei_dist(const CscMatrix& a, const RandQbOptions& opts,
                                 int nranks, const SimOptions& sim);
 

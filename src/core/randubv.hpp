@@ -3,7 +3,9 @@
 // Lanczos bidiagonalization with a random start block. A ~= U B V^T with B
 // block bidiagonal; the error indicator mirrors RandQB_EI's:
 // ||A - U B V^T||_F^2 = ||A||_F^2 - ||B||_F^2. The paper evaluates RandUBV
-// sequentially (Section VI-B); so do we.
+// sequentially only (Section VI-B) and names a parallel version as future
+// work. Here it is one SPMD body (core/randubv.cpp): randubv runs it as the
+// single rank of the in-process context, randubv_dist on simulated ranks.
 
 #include <cstdint>
 

@@ -4,7 +4,9 @@
 // implementation of RandUBV", Section VI-B). Layout mirrors the distributed
 // RandQB_EI: A and U are 1D row-distributed over m, V is row-distributed
 // over n; every orthonormalization is an allgather-TSQR; the block products
-// A V and A^T U are local SpMMs followed by an allreduce.
+// A V and A^T U are local SpMMs followed by an allreduce. The SPMD body lives
+// in core/randubv.cpp and is the one RandUBV: randubv runs it as a single
+// in-process rank.
 
 #include <map>
 #include <string>

@@ -14,6 +14,8 @@ const char* to_string(Status s) {
       return "indicator-floor";
     case Status::kCommFault:
       return "comm-fault";
+    case Status::kInvalidInput:
+      return "invalid-input";
   }
   return "unknown";
 }

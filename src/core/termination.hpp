@@ -18,6 +18,8 @@ enum class Status {
   kIndicatorFloor,   // tau below the double-precision indicator floor
   kCommFault,        // distributed run aborted on a detected payload
                      // corruption (sim/fault injection, CommFaultError)
+  kInvalidInput,     // ||A||_F is not finite (NaN/Inf entries, or overflow);
+                     // rank 0, no iterations
 };
 
 const char* to_string(Status s);

@@ -14,6 +14,12 @@ Matrix::Matrix(Index rows, Index cols)
   assert(rows >= 0 && cols >= 0);
 }
 
+Matrix::Matrix(Index rows, Index cols, std::vector<double> data)
+    : rows_(rows), cols_(cols), data_(std::move(data)) {
+  assert(rows >= 0 && cols >= 0 &&
+         data_.size() == static_cast<std::size_t>(rows * cols));
+}
+
 Matrix Matrix::identity(Index n) {
   Matrix a(n, n);
   for (Index i = 0; i < n; ++i) a(i, i) = 1.0;

@@ -3,6 +3,7 @@
 // all dense kernels (dense/blas.hpp, dense/qr.hpp, ...) operate on it.
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 namespace lra {
@@ -14,6 +15,9 @@ class Matrix {
   Matrix() = default;
   /// rows x cols, zero-initialized.
   Matrix(Index rows, Index cols);
+  /// rows x cols over `data` (column-major, rows * cols entries), adopted
+  /// without a copy.
+  Matrix(Index rows, Index cols, std::vector<double> data);
 
   static Matrix zeros(Index rows, Index cols) { return Matrix(rows, cols); }
   static Matrix identity(Index n);
@@ -38,6 +42,8 @@ class Matrix {
 
   double* data() noexcept { return data_.data(); }
   const double* data() const noexcept { return data_.data(); }
+  /// Hand over the column-major storage without a copy.
+  std::vector<double> release() && { return std::move(data_); }
 
   /// Re-shape to rows x cols, reusing the existing allocation when it is
   /// large enough (capacity is never released). Contents are unspecified

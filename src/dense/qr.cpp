@@ -135,22 +135,31 @@ Matrix HouseholderQR::solve(const Matrix& b) const {
   return x;
 }
 
-Matrix orth(const Matrix& a) {
-  if (a.empty()) return Matrix(a.rows(), 0);
-  // Tall-skinny panels (the RandQB_EI hot path) go through TSQR so the
-  // stage-1 block factorizations run on the thread pool. The 16-block grid
-  // is a function of the shape only, never of the worker count, so the
-  // returned basis is bitwise identical at any thread count. Short or
-  // near-square inputs keep the one-shot Householder path (no parallelism
-  // to win there, and other callers rely on its exact bits for small
-  // panels).
+PanelQR::PanelQR(Matrix a) {
+  // Tall-skinny panels (the randomized solvers' hot path) go through TSQR so
+  // the stage-1 block factorizations run on the thread pool. Short or
+  // near-square panels keep the one-shot Householder path (no parallelism to
+  // win there, and other callers rely on its exact bits for small panels).
   constexpr Index kTsqrBlocks = 16;
-  if (a.rows() >= 8 * a.cols() && a.rows() >= 2048) {
+  if (a.cols() > 0 && a.rows() >= 8 * a.cols() && a.rows() >= 2048) {
     const Index block_rows =
         std::max(a.cols(), (a.rows() + kTsqrBlocks - 1) / kTsqrBlocks);
-    return tsqr(a, block_rows).q;
+    TsqrResult f = tsqr(a, block_rows);
+    q_ = std::move(f.q);
+    r_ = std::move(f.r);
+  } else {
+    one_shot_.emplace(std::move(a));
+    r_ = one_shot_->r();
   }
-  return HouseholderQR(a).thin_q();
+}
+
+Matrix PanelQR::take_q() {
+  return one_shot_ ? one_shot_->thin_q() : std::move(q_);
+}
+
+Matrix orth(const Matrix& a) {
+  if (a.empty()) return Matrix(a.rows(), 0);
+  return PanelQR(a).take_q();
 }
 
 }  // namespace lra

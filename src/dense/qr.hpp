@@ -1,6 +1,9 @@
 #pragma once
-// Householder QR factorization (unpivoted) of a dense matrix, plus the
-// orthonormalization helper `orth` used throughout RandQB_EI.
+// Householder QR factorization (unpivoted) of a dense matrix, the panel QR
+// shape rule, and the orthonormalization helper `orth` used throughout
+// RandQB_EI.
+
+#include <optional>
 
 #include "dense/matrix.hpp"
 
@@ -34,10 +37,32 @@ class HouseholderQR {
   std::vector<double> tau_;   // reflector scaling factors
 };
 
-/// Orthonormal basis of range(A) via Householder QR: returns thin Q with
-/// exactly min(m, n) columns (matches `orth` in Algorithm 1 of the paper;
-/// rank deficiency yields an orthonormal completion, which is harmless for
-/// the QB iteration because the corresponding B rows carry no weight).
+/// QR of a panel by the one shape rule every orthonormalization follows.
+/// Tall-skinny panels (>= 2048 rows and >= 8x as many rows as columns) go
+/// through the 16-block pool TSQR; every other panel through one-shot
+/// Householder. The block grid is a function of the shape only, so Q and R
+/// are bitwise identical at any thread count. R is formed on construction
+/// and Q on demand, so a caller can hand R to its peers before it pays for
+/// the Householder backtransform.
+class PanelQR {
+ public:
+  explicit PanelQR(Matrix a);
+
+  /// Upper-triangular/trapezoidal R (min(m, n) x n).
+  const Matrix& r() const { return r_; }
+  /// Thin orthonormal Q (m x min(m, n)); call once.
+  Matrix take_q();
+
+ private:
+  std::optional<HouseholderQR> one_shot_;
+  Matrix q_;  // TSQR panels form Q together with R
+  Matrix r_;
+};
+
+/// Orthonormal basis of range(A) via PanelQR: returns thin Q with exactly
+/// min(m, n) columns (matches `orth` in Algorithm 1 of the paper; rank
+/// deficiency yields an orthonormal completion, which is harmless for the QB
+/// iteration because the corresponding B rows carry no weight).
 Matrix orth(const Matrix& a);
 
 }  // namespace lra

@@ -1,6 +1,7 @@
 #pragma once
-// Tall-skinny QR (Demmel et al., communication-avoiding QR). The sequential
-// form here factors a tall matrix by row blocks; the distributed RandQB_EI
+// Tall-skinny QR (Demmel et al., communication-avoiding QR). The form here
+// factors a tall matrix by row blocks on the pool (PanelQR in dense/qr.hpp
+// uses it for tall panels); the solvers' allgather-TSQR (core/spmd.hpp)
 // runs the same two-stage scheme with the R-reduction done across ranks.
 
 #include "dense/matrix.hpp"

@@ -7,7 +7,7 @@
 //   iteration   — one per solver iteration (from obs::TelemetrySeries)
 //   comm        — aggregated communication counters of a distributed run
 //   pool_kernel — one per thread-pool kernel label: calls, wall seconds,
-//                 worker count (sequential engine only; simulated ranks
+//                 worker count (sequential runs only; simulated ranks
 //                 never fork onto the pool)
 //   workspace   — one per run: aggregated per-thread arena counters
 //                 (capacity, high-water mark, allocation/grow counts) — the

@@ -2,8 +2,9 @@
 // Unified per-iteration convergence telemetry emitted by every solver
 // (sequential and distributed): one sample per iteration carrying the
 // accumulated rank, the relative error indicator against the fixed-precision
-// target tau, the clock at the step (virtual seconds for the distributed
-// engines, wall seconds for the sequential ones), and — for the LU-family
+// target tau, the clock at the step (virtual seconds on simulated ranks,
+// wall seconds since the call for the sequential entry points), and — for
+// the LU-family
 // methods — the Schur-complement fill diagnostics. This is the one
 // per-iteration series of every result type: the raw data behind the
 // paper's fill and accuracy-vs-cost figures (Figs. 1-3, Table II), surfaced

@@ -28,14 +28,36 @@ void flip_bit(std::vector<std::byte>& data, std::uint64_t bit) {
 
 }  // namespace
 
-int RankCtx::size() const { return world_->nranks_; }
+int RankCtx::size() const { return world_ ? world_->nranks_ : 1; }
 
-const CostModel& RankCtx::cost() const { return world_->cost_; }
+const CostModel& RankCtx::cost() const {
+  static const CostModel kInProcess{};
+  return world_ ? world_->cost_ : kInProcess;
+}
+
+CollRequest RankCtx::local_request(std::vector<double> contribution) {
+  CollRequest req;
+  req.gen_ = 0;
+  req.elems_ = contribution.size();
+  req.local_ = std::move(contribution);
+  return req;
+}
+
+std::vector<double> RankCtx::take_local(CollRequest& req) {
+  if (!req.valid())
+    throw std::logic_error("CollRequest: wait on an invalid request");
+  if (req.done_)
+    throw std::logic_error("CollRequest: collective already waited on");
+  req.done_ = true;
+  return std::move(req.local_);
+}
 
 // --- point-to-point ---
 
 SimRequest RankCtx::isend_bytes(int dst, std::vector<std::byte> data,
                                 int tag) {
+  if (!world_)
+    throw std::logic_error("RankCtx: the in-process context has no peers");
   if (world_->aborted_.load(std::memory_order_relaxed)) throw SimAbort{};
   SimWorld::Mailbox& box =
       world_->mailbox_[static_cast<std::size_t>(dst) * world_->nranks_ + rank_];
@@ -146,6 +168,8 @@ void RankCtx::send_bytes(int dst, std::vector<std::byte> data, int tag) {
 }
 
 SimRequest RankCtx::irecv_bytes(int src, int tag) {
+  if (!world_)
+    throw std::logic_error("RankCtx: the in-process context has no peers");
   if (world_->aborted_.load(std::memory_order_relaxed)) throw SimAbort{};
   SimWorld::Mailbox& box =
       world_->mailbox_[static_cast<std::size_t>(rank_) * world_->nranks_ + src];
@@ -431,17 +455,24 @@ std::vector<std::vector<std::byte>> RankCtx::wait_exchange(CollRequest& req) {
 std::vector<std::vector<std::byte>> RankCtx::exchange_all(
     std::vector<std::byte> contribution, double modeled_cost,
     const char* label, CostTerms terms) {
+  if (!world_) {
+    std::vector<std::vector<std::byte>> mine;
+    mine.push_back(std::move(contribution));
+    return mine;
+  }
   CollRequest req = ipost_exchange(std::move(contribution), modeled_cost,
                                    label, CommAlgo::kTree, terms);
   return wait_exchange(req);
 }
 
 void RankCtx::barrier() {
+  if (!world_) return;
   exchange_all({}, world_->cost_.tree(world_->nranks_, 8), "barrier",
                world_->cost_.tree_terms(world_->nranks_, 8));
 }
 
 void RankCtx::bcast_bytes(std::vector<std::byte>& buf, int root) {
+  if (!world_) return;
   std::vector<std::byte> contrib = rank_ == root ? buf : std::vector<std::byte>{};
   const double cost = world_->cost_.tree(world_->nranks_, buf.size());
   // Non-roots do not know the size yet; the cost max over ranks is what
@@ -454,12 +485,13 @@ void RankCtx::bcast_bytes(std::vector<std::byte>& buf, int root) {
 }
 
 CollRequest RankCtx::iallreduce_sum(std::vector<double> local) {
+  if (!world_) return local_request(std::move(local));
   const std::size_t nbytes = local.size() * sizeof(double);
   CommAlgo algo = CommAlgo::kTree;
   const double cost =
       world_->cost_.coll_allreduce(world_->nranks_, nbytes, &algo);
   std::vector<std::byte> b(nbytes);
-  std::memcpy(b.data(), local.data(), nbytes);
+  if (nbytes) std::memcpy(b.data(), local.data(), nbytes);
   CollRequest req = ipost_exchange(
       std::move(b), cost, "allreduce", algo,
       world_->cost_.coll_allreduce_terms(world_->nranks_, nbytes));
@@ -468,6 +500,7 @@ CollRequest RankCtx::iallreduce_sum(std::vector<double> local) {
 }
 
 std::vector<double> RankCtx::wait_allreduce_sum(CollRequest& req) {
+  if (!world_) return take_local(req);
   const std::size_t elems = req.elems_;
   auto all = wait_exchange(req);
   std::vector<double> out(elems, 0.0);
@@ -484,11 +517,19 @@ std::vector<double> RankCtx::allreduce_sum(std::vector<double> local) {
   return wait_allreduce_sum(req);
 }
 
+void RankCtx::allreduce_sum_inplace(std::span<double> buf) {
+  if (!world_ || buf.empty()) return;
+  const std::vector<double> sum =
+      allreduce_sum(std::vector<double>(buf.begin(), buf.end()));
+  std::copy(sum.begin(), sum.end(), buf.begin());
+}
+
 double RankCtx::allreduce_sum(double x) {
   return allreduce_sum(std::vector<double>{x})[0];
 }
 
 double RankCtx::allreduce_max(double x) {
+  if (!world_) return x;
   std::vector<std::byte> b(sizeof(double));
   std::memcpy(b.data(), &x, sizeof(double));
   CommAlgo algo = CommAlgo::kTree;
@@ -511,10 +552,16 @@ long long RankCtx::allreduce_max(long long x) {
   return static_cast<long long>(allreduce_max(static_cast<double>(x)));
 }
 
+CollRequest RankCtx::iallgatherv(std::vector<double>&& local) {
+  if (!world_) return local_request(std::move(local));
+  return iallgatherv(static_cast<const std::vector<double>&>(local));
+}
+
 CollRequest RankCtx::iallgatherv(const std::vector<double>& local) {
+  if (!world_) return local_request(local);
   const std::size_t nbytes = local.size() * sizeof(double);
   std::vector<std::byte> b(nbytes);
-  std::memcpy(b.data(), local.data(), nbytes);
+  if (nbytes) std::memcpy(b.data(), local.data(), nbytes);
   // Total volume is only known post-exchange; approximate with P * local
   // size, which is exact for the uniform distributions used here.
   CommAlgo algo = CommAlgo::kTree;
@@ -526,6 +573,7 @@ CollRequest RankCtx::iallgatherv(const std::vector<double>& local) {
 }
 
 std::vector<double> RankCtx::wait_allgatherv(CollRequest& req) {
+  if (!world_) return take_local(req);
   auto all = wait_exchange(req);
   std::vector<double> out;
   for (const auto& blob : all) {
@@ -540,7 +588,13 @@ std::vector<double> RankCtx::allgatherv(const std::vector<double>& local) {
   return wait_allgatherv(req);
 }
 
+std::vector<double> RankCtx::allgatherv(std::vector<double>&& local) {
+  CollRequest req = iallgatherv(std::move(local));
+  return wait_allgatherv(req);
+}
+
 std::vector<long long> RankCtx::allgather(long long x) {
+  if (!world_) return {x};
   std::vector<std::byte> b(sizeof(long long));
   std::memcpy(b.data(), &x, sizeof(long long));
   CommAlgo algo = CommAlgo::kTree;

@@ -41,9 +41,18 @@
 // pins a ThreadPool::ScopedSerial guard on every rank thread, so kernels
 // invoked inside compute() never fork onto the pool — a pool worker's CPU
 // time would escape the CLOCK_THREAD_CPUTIME_ID accounting. Simulated ranks
-// are single-threaded per rank by design; the pool accelerates only the
-// sequential engine. Consequence: virtual-time results are independent of
-// --threads / LRA_NUM_THREADS.
+// are single-threaded per rank by design. Consequence: virtual-time results
+// are independent of --threads / LRA_NUM_THREADS.
+//
+// The in-process context (RankCtx::in_process()) is the one place where an
+// SPMD body forks onto the pool. Each method is written once, as an SPMD
+// body; the sequential entry points (randqb_ei, randubv, lu_crtp,
+// approximate) run that body as the single rank of this context, while
+// `*_dist(..., 1)` keeps the simulated single rank above. On the context the
+// body runs on the calling thread with no ScopedSerial; collectives hand
+// back the caller's own contribution (no mailbox, no payload copy, no
+// counters); compute() runs its lambda untimed; and vtime() is wall time
+// since the context was created.
 
 #include <algorithm>
 #include <atomic>
@@ -55,6 +64,7 @@
 #include <functional>
 #include <map>
 #include <mutex>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -108,7 +118,7 @@ class SimRequest {
   std::vector<T> take() {
     static_assert(std::is_trivially_copyable_v<T>);
     std::vector<T> v(data_.size() / sizeof(T));
-    std::memcpy(v.data(), data_.data(), v.size() * sizeof(T));
+    if (!v.empty()) std::memcpy(v.data(), data_.data(), v.size() * sizeof(T));
     data_.clear();
     return v;
   }
@@ -155,20 +165,27 @@ class CollRequest {
   const char* phase_ = "";  // innermost PhaseScope at post time
   CommAlgo algo_ = CommAlgo::kTree;
   bool done_ = false;
+  std::vector<double> local_;  // the contribution, on the in-process context
 };
 
 /// Per-rank execution context handed to the SPMD body.
 ///
 /// Ownership and lifetime: created and owned by SimWorld::run(); the
 /// reference passed to the body is valid only for the duration of the body.
+/// The in-process context is the exception: in_process() returns it by value
+/// to the sequential entry point that runs the body.
 /// Thread-safety: a RankCtx belongs to exactly one rank thread — never share
 /// it across ranks. Cross-rank interaction goes exclusively through the
 /// send/recv/collective calls below, which synchronize internally.
 class RankCtx {
  public:
+  /// The in-process context: one rank on the calling thread, with no
+  /// SimWorld behind it (see the file comment). Its vtime() starts now.
+  static RankCtx in_process() { return RankCtx(nullptr, 0); }
+
   int rank() const { return rank_; }
   int size() const;
-  double vtime() const { return vclock_; }
+  double vtime() const { return world_ ? vclock_ : wall_.seconds(); }
   /// Add modeled seconds to this rank's virtual clock.
   void charge(double seconds) {
     const double v0 = vclock_;
@@ -185,6 +202,7 @@ class RankCtx {
   /// Run `f`, charging its thread-CPU time to the virtual clock.
   template <typename F>
   decltype(auto) compute(F&& f) {
+    if (!world_) return f();
     const double t0 = thread_cpu_seconds();
     if constexpr (std::is_void_v<decltype(f())>) {
       f();
@@ -205,6 +223,7 @@ class RankCtx {
   /// Same, also accumulating into the named kernel timer (Figs. 5-6).
   template <typename F>
   decltype(auto) compute(const std::string& kernel, F&& f) {
+    if (!world_) return f();
     const double t0 = thread_cpu_seconds();
     if constexpr (std::is_void_v<decltype(f())>) {
       f();
@@ -249,7 +268,7 @@ class RankCtx {
   void send(int dst, const std::vector<T>& v, int tag = 0) {
     static_assert(std::is_trivially_copyable_v<T>);
     std::vector<std::byte> b(v.size() * sizeof(T));
-    std::memcpy(b.data(), v.data(), b.size());
+    if (!b.empty()) std::memcpy(b.data(), v.data(), b.size());
     send_bytes(dst, std::move(b), tag);
   }
   template <typename T>
@@ -257,7 +276,7 @@ class RankCtx {
     static_assert(std::is_trivially_copyable_v<T>);
     std::vector<std::byte> b = recv_bytes(src, tag);
     std::vector<T> v(b.size() / sizeof(T));
-    std::memcpy(v.data(), b.data(), v.size() * sizeof(T));
+    if (!v.empty()) std::memcpy(v.data(), b.data(), v.size() * sizeof(T));
     return v;
   }
 
@@ -276,7 +295,7 @@ class RankCtx {
   SimRequest isend(int dst, const std::vector<T>& v, int tag = 0) {
     static_assert(std::is_trivially_copyable_v<T>);
     std::vector<std::byte> b(v.size() * sizeof(T));
-    std::memcpy(b.data(), v.data(), b.size());
+    if (!b.empty()) std::memcpy(b.data(), v.data(), b.size());
     return isend_bytes(dst, std::move(b), tag);
   }
   /// Typed receive: post with irecv_bytes, read with req.take<T>() after
@@ -314,11 +333,15 @@ class RankCtx {
 
   void bcast_bytes(std::vector<std::byte>& buf, int root);
   std::vector<double> allreduce_sum(std::vector<double> local);
+  /// Elementwise sum over all ranks, written back into `buf` (the same sums
+  /// as allreduce_sum).
+  void allreduce_sum_inplace(std::span<double> buf);
   double allreduce_sum(double x);
   double allreduce_max(double x);
   long long allreduce_max(long long x);
   /// Concatenation of all ranks' vectors in rank order.
   std::vector<double> allgatherv(const std::vector<double>& local);
+  std::vector<double> allgatherv(std::vector<double>&& local);
   std::vector<long long> allgather(long long x);
 
   // --- nonblocking collectives ---
@@ -332,6 +355,7 @@ class RankCtx {
   CollRequest iallreduce_sum(std::vector<double> local);
   std::vector<double> wait_allreduce_sum(CollRequest& req);
   CollRequest iallgatherv(const std::vector<double>& local);
+  CollRequest iallgatherv(std::vector<double>&& local);
   std::vector<double> wait_allgatherv(CollRequest& req);
 
   /// Per-kernel accumulated seconds on this rank.
@@ -357,6 +381,11 @@ class RankCtx {
   /// Block until the request's generation completes; synchronizes the clock
   /// and returns every rank's contribution.
   std::vector<std::vector<std::byte>> wait_exchange(CollRequest& req);
+
+  /// The in-process context's collectives: the request carries the caller's
+  /// own contribution, and the wait hands it back.
+  static CollRequest local_request(std::vector<double> contribution);
+  static std::vector<double> take_local(CollRequest& req);
 
   /// Scan the request's mailbox (lock held by `lock`) for its matching
   /// message; on a hit consume it — clock advance, counters, checksum
@@ -419,8 +448,9 @@ class RankCtx {
     return 0.0;
   }
 
-  SimWorld* world_;
+  SimWorld* world_;  // null on the in-process context
   int rank_;
+  Stopwatch wall_;   // the in-process context's clock
   double vclock_ = 0.0;
   double compute_factor_ = 1.0;  // straggler CPU-time inflation
   std::map<std::string, double> kernel_time_;
@@ -583,8 +613,14 @@ class ByteWriter {
   }
   template <typename T>
   void put_vec(const std::vector<T>& v) {
+    put_span(std::span<const T>(v));
+  }
+  /// Same layout as put_vec: read back with ByteReader::get_vec.
+  template <typename T>
+  void put_span(std::span<const T> v) {
     static_assert(std::is_trivially_copyable_v<T>);
     put<std::uint64_t>(v.size());
+    if (v.empty()) return;  // memcpy must not see a null pointer
     const std::size_t off = buf_.size();
     buf_.resize(off + v.size() * sizeof(T));
     std::memcpy(buf_.data() + off, v.data(), v.size() * sizeof(T));
@@ -622,6 +658,7 @@ class ByteReader {
           std::to_string(sizeof(T)) + "-byte elements exceeds the " +
           std::to_string(buf_.size() - pos_) + " bytes remaining");
     std::vector<T> v(n);
+    if (n == 0) return v;  // memcpy must not see a null pointer
     std::memcpy(v.data(), buf_.data() + pos_, n * sizeof(T));
     pos_ += n * sizeof(T);
     return v;

@@ -12,15 +12,20 @@ using obs::prof::PhaseScope;
 
 constexpr int kTagTournament = 71;
 
-CandidateColumns local_winners(const CandidateColumns& local, Index k) {
-  if (local.cols.cols() <= k) return local;
-  std::vector<Index> positions(static_cast<std::size_t>(local.cols.cols()));
-  std::iota(positions.begin(), positions.end(), Index{0});
-  const std::vector<Index> win = qr_tp_select(local.cols, positions, k);
+CandidateColumns local_winners(const CscMatrix& cols,
+                               std::span<const Index> global_index, Index k) {
   CandidateColumns out;
-  out.cols = local.cols.select_columns(win);
+  if (cols.cols() <= k) {
+    out.cols = cols;
+    out.global_index.assign(global_index.begin(), global_index.end());
+    return out;
+  }
+  std::vector<Index> positions(static_cast<std::size_t>(cols.cols()));
+  std::iota(positions.begin(), positions.end(), Index{0});
+  const std::vector<Index> win = qr_tp_select(cols, positions, k);
+  out.cols = cols.select_columns(win);
   out.global_index.reserve(win.size());
-  for (Index p : win) out.global_index.push_back(local.global_index[p]);
+  for (Index p : win) out.global_index.push_back(global_index[p]);
   return out;
 }
 
@@ -28,10 +33,16 @@ CandidateColumns local_winners(const CandidateColumns& local, Index k) {
 
 CandidateColumns qr_tp_dist(RankCtx& ctx, const CandidateColumns& local,
                             Index k, const std::string& kernel) {
+  return qr_tp_dist(ctx, local.cols, local.global_index, k, kernel);
+}
+
+CandidateColumns qr_tp_dist(RankCtx& ctx, const CscMatrix& cols,
+                            std::span<const Index> global_index, Index k,
+                            const std::string& kernel) {
   PhaseScope phase(ctx, "tournament");
   // Stage 1: communication-free local reduction.
-  CandidateColumns mine =
-      ctx.compute(kernel, [&] { return local_winners(local, k); });
+  CandidateColumns mine = ctx.compute(
+      kernel, [&] { return local_winners(cols, global_index, k); });
 
   // Stage 2: binary reduction tree (pairs at stride 1, 2, 4, ...). The
   // schedule is static, so a receiver posts every round's panel receive up
@@ -55,7 +66,8 @@ CandidateColumns qr_tp_dist(RankCtx& ctx, const CandidateColumns& local,
         const CandidateColumns theirs =
             unpack_candidates(ctx.wait(pending[round++]));
         mine = ctx.compute(kernel, [&] {
-          return local_winners(merge(mine, theirs), k);
+          const CandidateColumns both = merge(mine, theirs);
+          return local_winners(both.cols, both.global_index, k);
         });
       }
     } else if (r % (2 * stride) == stride) {

@@ -19,6 +19,12 @@ namespace lra {
 CandidateColumns qr_tp_dist(RankCtx& ctx, const CandidateColumns& local,
                             Index k, const std::string& kernel);
 
+/// The same tournament over this rank's candidates given as the columns of
+/// `cols` with global ids `global_index` — no copy of the candidate matrix.
+CandidateColumns qr_tp_dist(RankCtx& ctx, const CscMatrix& cols,
+                            std::span<const Index> global_index, Index k,
+                            const std::string& kernel);
+
 /// Row tournament on a row-distributed dense Q (m_loc x k slice per rank).
 /// `global_rows[i]` is the global id of local row i. Returns the replicated
 /// <= k winning global row ids.

@@ -163,22 +163,25 @@ void check_invariants(OracleReport& rep, const char* which,
              (d.comm.aborted ? "aborted unexpectedly" : "did not abort"));
 }
 
-void check_bitwise_equal(OracleReport& rep, const char* which,
-                         const SolverDigest& got, const SolverDigest& want) {
+// Decision fields bitwise equal: status, rank, iterations, and the exit
+// indicator as an exact double. `ref` names the run `got` is held to.
+void check_bitwise_equal(OracleReport& rep, const std::string& which,
+                         const SolverDigest& got, const SolverDigest& want,
+                         const char* ref = "clean") {
+  const std::string vs = std::string(" vs ") + ref + " ";
   if (got.status != want.status)
-    rep.fail(std::string(which) + " changed the status: " +
-             to_string(got.status) + " vs clean " + to_string(want.status));
+    rep.fail(which + " changed the status: " + to_string(got.status) + vs +
+             to_string(want.status));
   if (got.rank != want.rank)
-    rep.fail(std::string(which) + " changed the rank: " +
-             std::to_string(got.rank) + " vs clean " +
+    rep.fail(which + " changed the rank: " + std::to_string(got.rank) + vs +
              std::to_string(want.rank));
   if (got.iterations != want.iterations)
-    rep.fail(std::string(which) + " changed the iteration count: " +
-             std::to_string(got.iterations) + " vs clean " +
+    rep.fail(which + " changed the iteration count: " +
+             std::to_string(got.iterations) + vs +
              std::to_string(want.iterations));
   if (got.indicator != want.indicator)  // exact: payloads must be untouched
-    rep.fail(std::string(which) + " changed the exit indicator: " +
-             fmt(got.indicator) + " vs clean " + fmt(want.indicator));
+    rep.fail(which + " changed the exit indicator: " + fmt(got.indicator) +
+             vs + fmt(want.indicator));
 }
 
 }  // namespace
@@ -190,16 +193,23 @@ OracleReport run_differential_oracle(const ReproConfig& cfg) {
   rep.seq = run_sequential(a, cfg);
   rep.clean = run_distributed(a, cfg, FaultPlan{});
 
-  if (rep.seq.status != rep.clean.status)
-    rep.fail(std::string("status mismatch: sequential ") +
-             to_string(rep.seq.status) + " vs distributed " +
-             to_string(rep.clean.status));
-  if (std::llabs(static_cast<long long>(rep.seq.rank - rep.clean.rank)) >
-      cfg.block_size)
-    rep.fail("rank decisions differ by more than one block: sequential " +
-             std::to_string(rep.seq.rank) + " vs distributed " +
-             std::to_string(rep.clean.rank) + " (block size " +
-             std::to_string(cfg.block_size) + ")");
+  if (cfg.nranks == 1) {
+    // One SPMD body per method: on one rank the two engines run the same
+    // arithmetic, so their decisions must agree bit for bit.
+    check_bitwise_equal(rep, "the single-rank distributed run", rep.clean,
+                        rep.seq, "sequential");
+  } else {
+    if (rep.seq.status != rep.clean.status)
+      rep.fail(std::string("status mismatch: sequential ") +
+               to_string(rep.seq.status) + " vs distributed " +
+               to_string(rep.clean.status));
+    if (std::llabs(static_cast<long long>(rep.seq.rank - rep.clean.rank)) >
+        cfg.block_size)
+      rep.fail("rank decisions differ by more than one block: sequential " +
+               std::to_string(rep.seq.rank) + " vs distributed " +
+               std::to_string(rep.clean.rank) + " (block size " +
+               std::to_string(cfg.block_size) + ")");
+  }
   check_honest(rep, "sequential", rep.seq, cfg.tau);
   check_honest(rep, "distributed", rep.clean, cfg.tau);
   check_invariants(rep, "clean distributed", rep.clean,

@@ -6,19 +6,23 @@
 // Checks and their documented tolerances (see EXPERIMENTS.md, HARNESS):
 //
 //   sequential vs clean distributed
-//     * termination statuses are identical;
-//     * rank decisions agree within one block (|K_seq - K_dist| <=
-//       block_size: the engines pivot/sketch over different data layouts, so
-//       they may stop one panel apart, never more);
+//     * at nranks == 1 the decision fields are bitwise identical (status,
+//       rank, iterations and the exit indicator as exact doubles): both
+//       engines run the method's one SPMD body, the sequential one as the
+//       single rank of the in-process context;
+//     * at nranks > 1 termination statuses are identical and rank decisions
+//       agree within one block (|K_seq - K_dist| <= block_size: the engines
+//       pivot/sketch over different data layouts, so they may stop one
+//       panel apart, never more);
 //     * both converged results are *honest*: the dense exact error satisfies
 //       ||A - H W||_F <= 1.1 * max(tau * ||A||_F, indicator) (the shared
 //       ExpectHonestBound from the robustness tests);
 //     * the distributed run's comm counters satisfy every cross-rank
 //       invariant (CommStats::check_invariants) and the run is not aborted.
-//     Error indicators are NOT compared across engines: tournament pivoting
-//     over a reduction tree may select different pivots than the sequential
-//     tournament, and TSQR reassociates sums — both engines only promise the
-//     honesty bound above.
+//     At nranks > 1 error indicators are NOT compared across engines:
+//     tournament pivoting over a reduction tree may select different pivots
+//     than the one-rank tournament, and TSQR reassociates sums — both
+//     engines only promise the honesty bound above.
 //
 //   clean distributed vs benign-faulted distributed (the plan with its
 //   flip clause removed: delay / dup / straggle only)

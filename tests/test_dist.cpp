@@ -1,12 +1,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
+#include <limits>
+#include <stdexcept>
+#include <string>
 
+#include "core/driver.hpp"
 #include "core/lu_crtp_dist.hpp"
 #include "core/randqb_ei_dist.hpp"
 #include "core/randubv_dist.hpp"
 #include "gen/givens_spray.hpp"
+#include "gen/presets.hpp"
 #include "gen/spectrum.hpp"
 #include "test_util.hpp"
 #include "support/kernel_variant.hpp"
@@ -27,6 +33,17 @@ CscMatrix test_matrix(Index n = 260, std::uint64_t seed = 7) {
   return givens_spray(geometric_spectrum(n, 10.0, 0.94),
                       {.left_passes = 2, .right_passes = 2, .bandwidth = 0,
                        .seed = seed});
+}
+
+bool same_dense(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         std::equal(a.data(), a.data() + a.size(), b.data());
+}
+
+bool same_csc(const CscMatrix& a, const CscMatrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         a.colptr() == b.colptr() && a.rowind() == b.rowind() &&
+         a.values() == b.values();
 }
 
 class Ranks : public ::testing::TestWithParam<int> {};
@@ -115,15 +132,185 @@ TEST(Dist, LuResultsIdenticalAcrossRankCounts) {
               0.2 * d1.result.indicator + 1e-12);
 }
 
+// The sequential entry points run the `_dist` SPMD body as one in-process
+// rank, so at one simulated rank every factor must match bit for bit.
+void ExpectSameFactors(const LuCrtpResult& seq, const LuCrtpResult& par) {
+  EXPECT_EQ(seq.status, par.status);
+  EXPECT_EQ(seq.rank, par.rank);
+  EXPECT_EQ(seq.iterations, par.iterations);
+  EXPECT_EQ(seq.indicator, par.indicator);
+  EXPECT_EQ(seq.r11_first, par.r11_first);
+  EXPECT_EQ(seq.mu, par.mu);
+  EXPECT_EQ(seq.t_norm_sq, par.t_norm_sq);
+  EXPECT_EQ(seq.dropped_entries, par.dropped_entries);
+  EXPECT_EQ(seq.row_perm, par.row_perm);
+  EXPECT_EQ(seq.col_perm, par.col_perm);
+  EXPECT_TRUE(same_csc(seq.l, par.l));
+  EXPECT_TRUE(same_csc(seq.u, par.u));
+}
+
+void ExpectSameFactors(const RandQbResult& seq, const RandQbResult& par) {
+  EXPECT_EQ(seq.status, par.status);
+  EXPECT_EQ(seq.rank, par.rank);
+  EXPECT_EQ(seq.iterations, par.iterations);
+  EXPECT_EQ(seq.indicator, par.indicator);
+  EXPECT_TRUE(same_dense(seq.q, par.q));
+  EXPECT_TRUE(same_dense(seq.b, par.b));
+}
+
+void ExpectSameFactors(const RandUbvResult& seq, const RandUbvResult& par) {
+  EXPECT_EQ(seq.status, par.status);
+  EXPECT_EQ(seq.rank, par.rank);
+  EXPECT_EQ(seq.iterations, par.iterations);
+  EXPECT_EQ(seq.indicator, par.indicator);
+  EXPECT_TRUE(same_dense(seq.u, par.u));
+  EXPECT_TRUE(same_dense(seq.b, par.b));
+  EXPECT_TRUE(same_dense(seq.v, par.v));
+}
+
 TEST(Dist, SingleRankMatchesSequentialQuality) {
+  const CscMatrix a = test_matrix(200);
+  LuCrtpOptions lo;
+  lo.block_size = 16;
+  lo.tau = 1e-2;
+  ExpectSameFactors(lu_crtp(a, lo), lu_crtp_dist(a, lo, 1).result);
+  LuCrtpOptions io = lo;
+  io.threshold = ThresholdMode::kIlut;
+  ExpectSameFactors(lu_crtp(a, io), lu_crtp_dist(a, io, 1).result);
+
+  RandQbOptions qo;
+  qo.block_size = 16;
+  qo.tau = 1e-2;
+  ExpectSameFactors(randqb_ei(a, qo), randqb_ei_dist(a, qo, 1).result);
+
+  RandUbvOptions uo;
+  uo.block_size = 16;
+  uo.tau = 1e-2;
+  ExpectSameFactors(randubv(a, uo), randubv_dist(a, uo, 1).result);
+}
+
+TEST(Dist, SingleRankMatchesSequentialInTsqrRegime) {
+  // Panels of >= 2048 rows take the 16-block pool TSQR inside the rank-local
+  // factorization, as orth() does (dense/qr.hpp, PanelQR).
+  const TestMatrix m4 = make_preset("M4", 0.6, 1);
+  ASSERT_GE(m4.a.rows(), 2048);
+  RandQbOptions o4;
+  o4.block_size = 32;
+  o4.tau = 1e-1;
+  ExpectSameFactors(randqb_ei(m4.a, o4), randqb_ei_dist(m4.a, o4, 1).result);
+
+  const TestMatrix m6 = make_preset("M6", 0.26, 1);
+  ASSERT_GE(m6.a.rows(), 2048);
+  RandQbOptions o6;
+  o6.block_size = 32;
+  o6.tau = 1e-3;
+  ExpectSameFactors(randqb_ei(m6.a, o6), randqb_ei_dist(m6.a, o6, 1).result);
+  RandUbvOptions u6;
+  u6.block_size = 32;
+  u6.tau = 1e-3;
+  ExpectSameFactors(randubv(m6.a, u6), randubv_dist(m6.a, u6, 1).result);
+}
+
+// Options that need the whole matrix on one rank run at nranks = 1 and are
+// refused, by name, above it — never silently ignored.
+TEST(Dist, WholeMatrixOptionsRunOnOneRankOnly) {
+  const CscMatrix a = test_matrix(200);
+  RandQbOptions qo;
+  qo.block_size = 16;
+  qo.tau = 1e-2;
+  qo.norm = ErrorNorm::kSpectral;
+  ExpectSameFactors(randqb_ei(a, qo), randqb_ei_dist(a, qo, 1).result);
+  try {
+    randqb_ei_dist(a, qo, 2);
+    ADD_FAILURE() << "kSpectral at nranks = 2 did not throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("kSpectral"), std::string::npos)
+        << e.what();
+  }
+
+  LuCrtpOptions lo;
+  lo.block_size = 16;
+  lo.tau = 1e-2;
+  lo.colamd = ColamdMode::kEvery;
+  ExpectSameFactors(lu_crtp(a, lo), lu_crtp_dist(a, lo, 1).result);
+  try {
+    lu_crtp_dist(a, lo, 2);
+    ADD_FAILURE() << "ColamdMode::kEvery at nranks = 2 did not throw";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("kEvery"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Dist, StableLRunsAtEveryRankCount) {
   const CscMatrix a = test_matrix(200);
   LuCrtpOptions o;
   o.block_size = 16;
   o.tau = 1e-2;
-  const LuCrtpResult seq = lu_crtp(a, o);
-  const DistLuResult par = lu_crtp_dist(a, o, 1);
-  EXPECT_EQ(seq.rank, par.result.rank);
-  EXPECT_EQ(seq.iterations, par.result.iterations);
+  o.stable_l = true;
+  ExpectSameFactors(lu_crtp(a, o), lu_crtp_dist(a, o, 1).result);
+
+  const DistLuResult stable = lu_crtp_dist(a, o, 2);
+  EXPECT_EQ(stable.result.status, Status::kConverged);
+  testing::ExpectHonestBound(a, stable.result, o.tau, "dist stable_l");
+  o.stable_l = false;
+  const DistLuResult plain = lu_crtp_dist(a, o, 2);
+  EXPECT_FALSE(same_csc(stable.result.l, plain.result.l))
+      << "stable_l did not change L at nranks = 2";
+}
+
+// One input prologue for every entry point: a non-finite ||A||_F stops with
+// kInvalidInput and a zero matrix converges, both at rank 0 with no
+// iterations, sequentially and on simulated ranks alike.
+template <typename R>
+void ExpectStoppedAtRankZero(const R& r, Status want, const char* what) {
+  SCOPED_TRACE(what);
+  EXPECT_EQ(r.status, want);
+  EXPECT_EQ(r.rank, 0);
+  EXPECT_EQ(r.iterations, 0);
+  EXPECT_TRUE(r.telemetry.empty());
+}
+
+void ExpectEveryMethodStops(const CscMatrix& a, Status want) {
+  RandQbOptions qo;
+  qo.block_size = 8;
+  RandUbvOptions uo;
+  uo.block_size = 8;
+  LuCrtpOptions lo;
+  lo.block_size = 8;
+  LuCrtpOptions io = lo;
+  io.threshold = ThresholdMode::kIlut;
+  ExpectStoppedAtRankZero(randqb_ei(a, qo), want, "randqb_ei");
+  ExpectStoppedAtRankZero(randubv(a, uo), want, "randubv");
+  ExpectStoppedAtRankZero(lu_crtp(a, lo), want, "lu_crtp");
+  ExpectStoppedAtRankZero(lu_crtp(a, io), want, "ilut_crtp");
+  ExpectStoppedAtRankZero(randqb_ei_dist(a, qo, 2).result, want,
+                          "randqb_ei_dist");
+  ExpectStoppedAtRankZero(randubv_dist(a, uo, 2).result, want, "randubv_dist");
+  ExpectStoppedAtRankZero(lu_crtp_dist(a, lo, 2).result, want, "lu_crtp_dist");
+  ExpectStoppedAtRankZero(lu_crtp_dist(a, io, 2).result, want,
+                          "ilut_crtp_dist");
+}
+
+TEST(Dist, NonFiniteInputIsRejectedByEveryEntryPoint) {
+  CscMatrix a = test_matrix(60);
+  a.values()[a.nnz() / 2] = std::numeric_limits<double>::quiet_NaN();
+  ExpectEveryMethodStops(a, Status::kInvalidInput);
+  EXPECT_STREQ(to_string(Status::kInvalidInput), "invalid-input");
+  for (const Method m : {Method::kRandQbEi, Method::kRandUbv, Method::kLuCrtp,
+                         Method::kIlutCrtp}) {
+    ApproxOptions o;
+    o.method = m;
+    const LowRankApprox r = approximate(a, o);
+    EXPECT_EQ(r.status(), Status::kInvalidInput) << to_string(m);
+    EXPECT_TRUE(std::isnan(r.indicator_rel())) << to_string(m);
+  }
+}
+
+TEST(Dist, ZeroMatrixConvergesAtRankZeroOnEveryEntryPoint) {
+  ExpectEveryMethodStops(CscMatrix(40, 40), Status::kConverged);
+  const LowRankApprox r = approximate(CscMatrix(40, 40), {});
+  EXPECT_EQ(r.indicator_rel(), 0.0);
 }
 
 TEST(Dist, VirtualTimeDecreasesThenSaturates) {
@@ -164,17 +351,6 @@ TEST(Dist, KernelTimersCoverDetKernels) {
 }
 
 // --- ring vs tree collective algorithms --------------------------------------
-
-bool same_dense(const Matrix& a, const Matrix& b) {
-  return a.rows() == b.rows() && a.cols() == b.cols() &&
-         std::equal(a.data(), a.data() + a.size(), b.data());
-}
-
-bool same_csc(const CscMatrix& a, const CscMatrix& b) {
-  return a.rows() == b.rows() && a.cols() == b.cols() &&
-         a.colptr() == b.colptr() && a.rowind() == b.rowind() &&
-         a.values() == b.values();
-}
 
 CostModel ring_model() {
   CostModel cm;

@@ -85,7 +85,7 @@ TEST_P(QbProperty, IndicatorTracksExactErrorEveryIteration) {
   ASSERT_EQ(r.status, Status::kConverged);
   testing::ExpectHonestBound(a, r, o.tau, "randqb_ei grid");
   EXPECT_NEAR(r.indicator, randqb_exact_error(a, r), 1e-7 * r.anorm_f);
-  EXPECT_LT(r.orth_loss, 1e-10);
+  EXPECT_LT(orth_loss(r.q), 1e-10);
 }
 
 TEST_P(QbProperty, MonotoneIndicator) {

@@ -47,7 +47,7 @@ TEST(RandQb, QIsOrthonormal) {
   o.tau = 1e-3;
   const RandQbResult r = randqb_ei(a, o);
   EXPECT_LT(testing::orthogonality_defect(r.q), 1e-10);
-  EXPECT_LT(r.orth_loss, 1e-10);
+  EXPECT_LT(orth_loss(r.q), 1e-10);
 }
 
 TEST(RandQb, RankIsMultipleOfBlockSize) {

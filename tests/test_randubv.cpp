@@ -98,5 +98,16 @@ TEST(RandUbv, MaxRankBudget) {
   EXPECT_LE(r.rank, 48);
 }
 
+TEST(RandUbv, ZeroRankBudgetStops) {
+  // A zero budget means zero-width blocks; the loop must stop, not spin.
+  const CscMatrix a = test_matrix();
+  RandUbvOptions o;
+  o.block_size = 16;
+  o.max_rank = 0;
+  const RandUbvResult r = randubv(a, o);
+  EXPECT_EQ(r.rank, 0);
+  EXPECT_EQ(r.status, Status::kMaxIterations);
+}
+
 }  // namespace
 }  // namespace lra

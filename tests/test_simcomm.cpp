@@ -180,6 +180,39 @@ TEST(CommCountersTest, SingleRankRingCollectivesCountTheAlgorithm) {
   EXPECT_EQ(w.elapsed_virtual(), 0.0);
 }
 
+TEST(SimComm, InProcessContextHandsBackOwnContribution) {
+  // The context the sequential solvers run their SPMD bodies on: one rank,
+  // collectives return the caller's data untouched (a -0.0 stays -0.0, no
+  // 0.0 + x fold), nothing is counted, there are no peers, and compute()
+  // only runs its lambda.
+  RankCtx ctx = RankCtx::in_process();
+  EXPECT_EQ(ctx.size(), 1);
+  EXPECT_EQ(ctx.rank(), 0);
+  const std::vector<double> v = {-0.0, 1.5, -2.25};
+  const std::vector<double> s = ctx.allreduce_sum(v);
+  ASSERT_EQ(s.size(), v.size());
+  EXPECT_TRUE(std::signbit(s[0]));
+  EXPECT_EQ(s[1], 1.5);
+  std::vector<double> in_place = v;
+  ctx.allreduce_sum_inplace(in_place);
+  EXPECT_TRUE(std::signbit(in_place[0]));
+  EXPECT_EQ(ctx.allgatherv(v), v);
+  CollRequest req = ctx.iallgatherv(v);
+  EXPECT_EQ(ctx.wait_allgatherv(req), v);
+  EXPECT_THROW(ctx.wait_allgatherv(req), std::logic_error);
+  EXPECT_EQ(ctx.allreduce_max(3.0), 3.0);
+  EXPECT_EQ(ctx.allgather(7LL), std::vector<long long>{7});
+  std::vector<std::byte> blob = {std::byte{1}, std::byte{2}};
+  ctx.bcast_bytes(blob, 0);
+  EXPECT_EQ(blob.size(), 2u);
+  ctx.barrier();
+  EXPECT_THROW(ctx.send(0, v), std::logic_error);
+  EXPECT_EQ(ctx.compute("k", [] { return 42; }), 42);
+  EXPECT_TRUE(ctx.kernel_times().empty());
+  EXPECT_TRUE(ctx.counters().collective_calls.empty());
+  EXPECT_GE(ctx.vtime(), 0.0);
+}
+
 TEST(SimComm, VirtualTimeAdvancesWithComm) {
   SimWorld w(4);
   w.run([&](RankCtx& ctx) {
