@@ -3,9 +3,10 @@
 // (tests/reference_kernels.hpp), with correctness gates.
 //
 // For each kernel (gemm_nn, gemm_tn, gemm_nt, spmm, spmm_t, dense_times_csc)
-// and each reference shape the harness runs three legs — the reference
-// (recorded as variant `naive`), simd and simd-strict — takes the median of
-// --reps timed repetitions each, and gates:
+// and each reference shape (square GEMMs, plus the randomized solvers'
+// narrow m x K times K x 32 products) the harness runs three legs — the
+// reference (recorded as variant `naive`), simd and simd-strict — takes the
+// median of --reps timed repetitions each, and gates:
 //
 //   * simd-strict must be bitwise identical to the reference (memcmp) — the
 //     inputs are Gaussian, so the reference zero-skip never fires;
@@ -210,37 +211,43 @@ int main(int argc, char** argv) {
   std::vector<Row> rows;
   bool all_ok = true;
 
-  // Dense GEMM reference shapes. Gaussian inputs have no exact zeros, so the
-  // reference kernels' zero-skip never fires and simd-strict must match
-  // bitwise.
+  // Dense GEMM: one m x k x n product per leg, C = op(A) * op(B). Gaussian
+  // inputs have no exact zeros, so the reference kernels' zero-skip never
+  // fires and simd-strict must match bitwise.
+  const auto gemm_leg = [&](const char* kernel, Index m, Index k, Index n,
+                            Trans ta, Trans tb) {
+    const Matrix a = ta == Trans::kNo ? Matrix::gaussian(m, k, 1)
+                                      : Matrix::gaussian(k, m, 1);
+    const Matrix b = tb == Trans::kNo ? Matrix::gaussian(k, n, 2)
+                                      : Matrix::gaussian(n, k, 2);
+    const Matrix aa = abs_matrix(a);
+    const Matrix ab = abs_matrix(b);
+    Matrix c(m, n);
+    const double flops = 2.0 * m * k * n;
+    // A + B read once, C in/out.
+    const double bytes1 = 8.0 * (m * k + k * n + 2.0 * m * n);
+    const double bytes[3] = {bytes1, bytes1, bytes1};
+    all_ok &= bench_case(
+        rows, kernel, shape3(m, k, n), flops, bytes, static_cast<double>(k),
+        reps, c, [&] { gemm(c, a, b, 1.0, 0.0, ta, tb); },
+        [&] { ref::gemm(c, a, b, 1.0, 0.0, ta, tb); },
+        [&] { ref::gemm(c, aa, ab, 1.0, 0.0, ta, tb); });
+  };
   const std::vector<Index> gemm_sizes =
       quick ? std::vector<Index>{128} : std::vector<Index>{256, 512};
   for (const Index n : gemm_sizes) {
-    const Matrix a = Matrix::gaussian(n, n, 1);
-    const Matrix b = Matrix::gaussian(n, n, 2);
-    const Matrix aa = abs_matrix(a);
-    const Matrix ab = abs_matrix(b);
-    Matrix c(n, n);
-    const double flops = 2.0 * n * n * n;
-    const double bytes1 = 8.0 * (3.0 * n * n + n * n);  // A + B + C in/out
-    const double bytes[3] = {bytes1, bytes1, bytes1};
-    const double keff = static_cast<double>(n);
-
-    all_ok &= bench_case(
-        rows, "gemm_nn", shape3(n, n, n), flops, bytes, keff, reps, c,
-        [&] { gemm(c, a, b); }, [&] { ref::gemm(c, a, b); },
-        [&] { ref::gemm(c, aa, ab); });
-    all_ok &= bench_case(
-        rows, "gemm_tn", shape3(n, n, n), flops, bytes, keff, reps, c,
-        [&] { gemm(c, a, b, 1.0, 0.0, Trans::kYes); },
-        [&] { ref::gemm(c, a, b, 1.0, 0.0, Trans::kYes); },
-        [&] { ref::gemm(c, aa, ab, 1.0, 0.0, Trans::kYes); });
-    all_ok &= bench_case(
-        rows, "gemm_nt", shape3(n, n, n), flops, bytes, keff, reps, c,
-        [&] { gemm(c, a, b, 1.0, 0.0, Trans::kNo, Trans::kYes); },
-        [&] { ref::gemm(c, a, b, 1.0, 0.0, Trans::kNo, Trans::kYes); },
-        [&] { ref::gemm(c, aa, ab, 1.0, 0.0, Trans::kNo, Trans::kYes); });
+    gemm_leg("gemm_nn", n, n, n, Trans::kNo, Trans::kNo);
+    gemm_leg("gemm_tn", n, n, n, Trans::kYes, Trans::kNo);
+    gemm_leg("gemm_nt", n, n, n, Trans::kNo, Trans::kYes);
   }
+  // The randomized solvers' narrow products at randomized_seq's largest
+  // shapes (M4' at scale 0.7: m = n = 2450, K = 1248, block k = 32), halved
+  // under --quick: B * Omega (K x n times n x k), Q * X (m x K times K x k)
+  // and Q^T * Y ((m x K)^T times m x k).
+  const Index sm = quick ? 1225 : 2450, sbig = quick ? 624 : 1248, sblk = 32;
+  gemm_leg("gemm_nn", sbig, sm, sblk, Trans::kNo, Trans::kNo);
+  gemm_leg("gemm_nn", sm, sbig, sblk, Trans::kNo, Trans::kNo);
+  gemm_leg("gemm_tn", sbig, sm, sblk, Trans::kYes, Trans::kNo);
 
   // Sparse kernels: an n x n givens spray, k dense columns. The simd
   // variants amortize the pass over A's value/index arrays across

@@ -32,6 +32,15 @@ TsqrOut tsqr(RankCtx& ctx, Matrix y_loc, Index kk, const std::string& kernel) {
   // Local QR. Ranks with fewer rows than kk contribute a short R block.
   PanelQR f = ctx.compute(kernel, [&] { return PanelQR(std::move(y_loc)); });
   const Matrix& r_loc = f.r();  // min(m_loc, kk) x kk
+  if (!ctx.simulated()) {
+    // The lone R is already triangular: the reduction would find every
+    // tau = 0 and Q2 = I exactly, so the rank-local factorization is the
+    // answer (see spmd.hpp for why a simulated single rank still reduces).
+    TsqrOut out;
+    out.r = r_loc;
+    out.q_loc = f.take_q();
+    return out;
+  }
 
   // Allgather the R factors, row-major, each prefixed with its row count so
   // ranks can unpack heterogeneous blocks. Post the exchange, then form this

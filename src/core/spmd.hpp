@@ -56,8 +56,11 @@ void allreduce_inplace(RankCtx& ctx, Matrix& m);
 /// Allgather-TSQR of the row-distributed tall matrix whose rows on this rank
 /// are `y_loc` (kk columns): a rank-local PanelQR, an allgather of the R
 /// factors, a redundant QR of the stacked R's, and Q_loc = Q1_loc * Q2_block.
-/// The reduction runs at every rank count; on one rank the stacked R is
-/// already triangular, so Q2 = I and Q_loc reproduces Q1 bit for bit.
+/// On one rank the stacked R is already triangular (every tau = 0, Q2 = I
+/// exactly), so the in-process context returns the rank-local factorization
+/// as it is: no allgather, no second QR and no Q1 * Q2 product. A simulated
+/// single rank keeps the reduction, so its virtual time models the same
+/// algorithm as P > 1; the bits are the same either way.
 struct TsqrOut {
   Matrix q_loc;  // this rank's rows of Q
   Matrix r;      // kk x kk upper triangular, replicated

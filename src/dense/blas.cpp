@@ -22,11 +22,37 @@ namespace {
 // Below this many multiply-adds the fork-join overhead beats the speedup.
 constexpr Index kForkWork = Index{1} << 16;
 
-// Columns of C are disjoint outputs and each element accumulates its k terms
-// in ascending order in both variants below, so splitting the j loop across
-// threads is bitwise identical to the serial execution at any thread count.
-Index gemm_grain(Index m, Index k, Index n) {
-  return m * k * n < kForkWork ? n + 1 : 1;
+// Grain for a pool split of `range` indices of an m x k x n product: run the
+// whole range inline below kForkWork. Elements of C are disjoint outputs and
+// each accumulates its k terms in ascending order in both variants below, so
+// splitting C's rows or columns across threads is bitwise identical to the
+// serial execution at any thread count.
+Index gemm_grain(Index m, Index k, Index n, Index range) {
+  return m * k * n < kForkWork ? range + 1 : 1;
+}
+
+// Runs block(ilo, ihi, jlo, jhi) on the pool over the parts of C (m x n) of
+// an m x k x n product. With `rows` and at least one `strip`-row strip per
+// thread, the parts are contiguous runs of strips (ilo a multiple of
+// `strip`); otherwise they are runs of columns. The choice reads only the
+// shape and the thread count.
+template <typename Block>
+void split_c(Index m, Index k, Index n, Index strip, bool rows,
+             const Block& block) {
+  ThreadPool& pool = ThreadPool::global();
+  const Index strips = (m + strip - 1) / strip;
+  if (rows && strips >= pool.num_threads()) {
+    pool.parallel_ranges(Index{0}, strips, "gemm",
+                         gemm_grain(m, k, n, strips),
+                         [&](Index slo, Index shi, int /*slice*/) {
+                           block(slo * strip, std::min(shi * strip, m), 0, n);
+                         });
+  } else {
+    pool.parallel_ranges(Index{0}, n, "gemm", gemm_grain(m, k, n, n),
+                         [&](Index jlo, Index jhi, int /*slice*/) {
+                           block(0, m, jlo, jhi);
+                         });
+  }
 }
 
 // C(mxn) += A^T(k x m) * B^T(n x k). Not on any hot path: both variants share
@@ -43,7 +69,7 @@ void gemm_tt_naive(Matrix& c, const Matrix& a, const Matrix& b, double alpha) {
           for (Index i = 0; i < m; ++i) cj[i] += w * a(p, i);
         }
       },
-      gemm_grain(m, k, n));
+      gemm_grain(m, k, n, n));
 }
 
 // Strict A^T*B (the simd-strict tn path): the reference kernel computes each
@@ -106,7 +132,7 @@ void gemm_tn_strict(Matrix& c, const Matrix& a, const Matrix& b,
                     double alpha) {
   const Index m = a.cols(), k = a.rows(), n = b.cols();
   ThreadPool::global().parallel_ranges(
-      Index{0}, n, "gemm", gemm_grain(m, k, n),
+      Index{0}, n, "gemm", gemm_grain(m, k, n, n),
       [&](Index jlo, Index jhi, int /*slice*/) {
         for (Index j0 = jlo; j0 < jhi; j0 += kGemmTnTile) {
           const Index nr = std::min(kGemmTnTile, jhi - j0);
@@ -314,55 +340,61 @@ void pack_a_panel(double* LRA_RESTRICT dst, const Matrix& a, Index i0,
 // a kGemmJb-row panel of B into contiguous scratch first. Packing does not
 // touch the accumulation chain, so the determinism argument above covers
 // both.
+//
+// The work is split over threads by output columns, except for narrow
+// products (n <= kGemmJb, one B panel: the randomized solvers' m x K times
+// K x k blocks) with at least one mr-strip of rows per thread. Those split
+// over contiguous runs of mr-strips instead, so each thread packs only its
+// own rows of A rather than all of it. Neither split reorders any element's
+// k chain.
 template <bool kBT, bool kFma>
 void gemm_nn_nt_simd(Matrix& c, const Matrix& a, const Matrix& b,
                      double alpha) {
   const Index m = a.rows(), k = a.cols();
   const Index n = kBT ? b.rows() : b.cols();
   const SimdGeom g = simd_geom<kFma>();
-  ThreadPool::global().parallel_ranges(
-      Index{0}, n, "gemm", gemm_grain(m, k, n),
-      [&](Index jlo, Index jhi, int /*slice*/) {
-        Workspace::Scope scope;
-        double* pack =
-            scope.doubles(static_cast<std::size_t>(g.mc) * g.kc);
-        double* bpack =
-            kBT ? scope.doubles(static_cast<std::size_t>(kGemmJb) * g.kc)
-                : nullptr;
-        for (Index k0 = 0; k0 < k; k0 += g.kc) {
-          const Index k1 = std::min(k0 + g.kc, k);
-          const Index kc = k1 - k0;
-          for (Index jb0 = jlo; jb0 < jhi; jb0 += kGemmJb) {
-            const Index jb1 = std::min(jb0 + kGemmJb, jhi);
-            if (kBT) pack_b_rows(bpack, b, jb0, jb1 - jb0, k0, k1);
-            for (Index i0 = 0; i0 < m; i0 += g.mc) {
-              const Index i1 = std::min(i0 + g.mc, m);
-              pack_a_panel(pack, a, i0, i1, k0, k1, g.mr);
-              for (Index j = jb0; j < jb1; j += g.nr) {
-                const Index nr = std::min(g.nr, jb1 - j);
-                const double* bcols[kSimdMaxNr];
-                double* ccols[kSimdMaxNr];
-                for (Index jj = 0; jj < nr; ++jj)
-                  bcols[jj] = kBT ? bpack + (j - jb0 + jj) * kc
-                                  : b.col(j + jj) + k0;
-                Index s = 0;
-                for (Index is = i0; is < i1; is += g.mr, ++s) {
-                  const Index mr = std::min(g.mr, i1 - is);
-                  const double* ap = pack + s * kc * g.mr;
-                  for (Index jj = 0; jj < nr; ++jj)
-                    ccols[jj] = c.col(j + jj) + is;
-                  if (mr == g.mr && nr == g.nr) {
-                    g.fn(kc, ap, bcols, alpha, ccols);
-                  } else {
-                    micro_edge_simd<kFma>(kc, mr, nr, g.mr, ap, bcols, alpha,
-                                          ccols);
-                  }
-                }
+  // C(ilo:ihi, jlo:jhi); ilo is a multiple of g.mr.
+  const auto block = [&](Index ilo, Index ihi, Index jlo, Index jhi) {
+    Workspace::Scope scope;
+    double* pack = scope.doubles(static_cast<std::size_t>(g.mc) * g.kc);
+    double* bpack =
+        kBT ? scope.doubles(static_cast<std::size_t>(kGemmJb) * g.kc)
+            : nullptr;
+    for (Index k0 = 0; k0 < k; k0 += g.kc) {
+      const Index k1 = std::min(k0 + g.kc, k);
+      const Index kc = k1 - k0;
+      for (Index jb0 = jlo; jb0 < jhi; jb0 += kGemmJb) {
+        const Index jb1 = std::min(jb0 + kGemmJb, jhi);
+        if (kBT) pack_b_rows(bpack, b, jb0, jb1 - jb0, k0, k1);
+        for (Index i0 = ilo; i0 < ihi; i0 += g.mc) {
+          const Index i1 = std::min(i0 + g.mc, ihi);
+          pack_a_panel(pack, a, i0, i1, k0, k1, g.mr);
+          for (Index j = jb0; j < jb1; j += g.nr) {
+            const Index nr = std::min(g.nr, jb1 - j);
+            const double* bcols[kSimdMaxNr];
+            double* ccols[kSimdMaxNr];
+            for (Index jj = 0; jj < nr; ++jj)
+              bcols[jj] = kBT ? bpack + (j - jb0 + jj) * kc
+                              : b.col(j + jj) + k0;
+            Index s = 0;
+            for (Index is = i0; is < i1; is += g.mr, ++s) {
+              const Index mr = std::min(g.mr, i1 - is);
+              const double* ap = pack + s * kc * g.mr;
+              for (Index jj = 0; jj < nr; ++jj)
+                ccols[jj] = c.col(j + jj) + is;
+              if (mr == g.mr && nr == g.nr) {
+                g.fn(kc, ap, bcols, alpha, ccols);
+              } else {
+                micro_edge_simd<kFma>(kc, mr, nr, g.mr, ap, bcols, alpha,
+                                      ccols);
               }
             }
           }
         }
-      });
+      }
+    }
+  };
+  split_c(m, k, n, g.mr, n <= kGemmJb, block);
 }
 
 // Canonical vectorized dot: one width-wide accumulator over ascending p, the
@@ -433,29 +465,31 @@ void micro_tn_simd(Index k, const double* LRA_RESTRICT a0,
   }
 }
 
+// A's columns are the outer loop, so each 4-column strip of A is read from
+// memory once and reused against every column pair of B while it is cache
+// resident; A is streamed once per call, not once per column pair. The pool
+// splits C by runs of those strips (rows of C) when each thread gets one.
 template <bool kFma>
 void gemm_tn_simd(Matrix& c, const Matrix& a, const Matrix& b, double alpha) {
   const Index m = a.cols(), k = a.rows(), n = b.cols();
-  ThreadPool::global().parallel_ranges(
-      Index{0}, n, "gemm", gemm_grain(m, k, n),
-      [&](Index jlo, Index jhi, int /*slice*/) {
-        for (Index j0 = jlo; j0 < jhi; j0 += 2) {
-          const Index nr = std::min<Index>(2, jhi - j0);
-          Index i0 = 0;
-          if (nr == 2) {
-            for (; i0 + 4 <= m; i0 += 4)
-              micro_tn_simd<kFma>(k, a.col(i0), a.col(i0 + 1), a.col(i0 + 2),
-                                  a.col(i0 + 3), b.col(j0), b.col(j0 + 1),
-                                  alpha, c.col(j0) + i0, c.col(j0 + 1) + i0);
-          }
-          for (Index jj = 0; jj < nr; ++jj) {
-            const double* bj = b.col(j0 + jj);
-            double* cj = c.col(j0 + jj);
-            for (Index i = i0; i < m; ++i)
-              cj[i] += alpha * simd_dot<kFma>(k, a.col(i), bj);
-          }
-        }
-      });
+  // C(ilo:ihi, jlo:jhi).
+  const auto block = [&](Index ilo, Index ihi, Index jlo, Index jhi) {
+    Index i0 = ilo;
+    for (; i0 + 4 <= ihi; i0 += 4) {
+      Index j0 = jlo;
+      for (; j0 + 2 <= jhi; j0 += 2)
+        micro_tn_simd<kFma>(k, a.col(i0), a.col(i0 + 1), a.col(i0 + 2),
+                            a.col(i0 + 3), b.col(j0), b.col(j0 + 1), alpha,
+                            c.col(j0) + i0, c.col(j0 + 1) + i0);
+      for (; j0 < jhi; ++j0)
+        for (Index i = i0; i < i0 + 4; ++i)
+          c(i, j0) += alpha * simd_dot<kFma>(k, a.col(i), b.col(j0));
+    }
+    for (Index j = jlo; j < jhi; ++j)
+      for (Index i = i0; i < ihi; ++i)
+        c(i, j) += alpha * simd_dot<kFma>(k, a.col(i), b.col(j));
+  };
+  split_c(m, k, n, 4, true, block);
 }
 
 }  // namespace

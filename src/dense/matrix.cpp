@@ -82,10 +82,27 @@ void Matrix::append_rows(const Matrix& b) {
     return;
   }
   assert(cols_ == b.cols());
-  Matrix out(rows_ + b.rows(), cols_);
-  out.set_block(0, 0, *this);
-  out.set_block(rows_, 0, b);
-  *this = std::move(out);
+  if (&b == this) {
+    const Matrix copy = b;
+    append_rows(copy);
+    return;
+  }
+  const Index old = rows_, add = b.rows(), rows = old + add;
+  if (add == 0) return;  // no data: memcpy must not see a null pointer
+  // Grow the storage in place (capacity grows geometrically), then spread
+  // the columns from the last to the first: column j moves up from j*old to
+  // j*rows, past the end of every column still to be moved, and b's column
+  // j fills the gap behind it.
+  data_.resize(static_cast<std::size_t>(rows * cols_));
+  for (Index j = cols_ - 1; j >= 0; --j) {
+    double* dst = data_.data() + j * rows;
+    if (j > 0 && old > 0)
+      std::memmove(dst, data_.data() + j * old,
+                   static_cast<std::size_t>(old) * sizeof(double));
+    std::memcpy(dst + old, b.col(j),
+                static_cast<std::size_t>(add) * sizeof(double));
+  }
+  rows_ = rows;
 }
 
 double Matrix::frobenius_norm_sq() const noexcept {

@@ -61,7 +61,8 @@ class Matrix {
 
   /// Append columns of `b` on the right (rows must match; empty self ok).
   void append_cols(const Matrix& b);
-  /// Append rows of `b` at the bottom (cols must match; empty self ok).
+  /// Append rows of `b` at the bottom (cols must match; empty self ok). The
+  /// storage grows in place, so repeated appends amortize the allocation.
   void append_rows(const Matrix& b);
 
   /// Frobenius norm, max-abs-entry norm, and squared Frobenius norm.

@@ -1,16 +1,12 @@
 #include "dense/qr.hpp"
 
-#include <cassert>
 #include <cmath>
 
 #include "dense/blas.hpp"
 #include "dense/tsqr.hpp"
 
 namespace lra {
-namespace {
 
-// Compute the Householder reflector for x (length n): returns beta such that
-// (I - tau v v^T) x = (beta, 0, ..., 0)^T, with v(0)=1 stored in x(1:).
 double make_reflector(Index n, double* x, double& tau) {
   if (n <= 1) {
     tau = 0.0;
@@ -29,27 +25,59 @@ double make_reflector(Index n, double* x, double& tau) {
   return beta;
 }
 
-}  // namespace
+void apply_reflector(const double* v, Index len, double tau, Matrix& a,
+                     Index r0, Index j0, Index j1) {
+  // Four columns per sweep over v: the four independent dot chains hide the
+  // add latency that a single chain is bound by, and each keeps its own
+  // in-order chain, so the bits match a column-at-a-time update.
+  Index j = j0;
+  for (; j + 4 <= j1; j += 4) {
+    double* c0 = a.col(j) + r0;
+    double* c1 = a.col(j + 1) + r0;
+    double* c2 = a.col(j + 2) + r0;
+    double* c3 = a.col(j + 3) + r0;
+    double s0 = c0[0], s1 = c1[0], s2 = c2[0], s3 = c3[0];
+    for (Index i = 1; i < len; ++i) {
+      const double vi = v[i];
+      s0 += vi * c0[i];
+      s1 += vi * c1[i];
+      s2 += vi * c2[i];
+      s3 += vi * c3[i];
+    }
+    s0 *= tau;
+    s1 *= tau;
+    s2 *= tau;
+    s3 *= tau;
+    c0[0] -= s0;
+    c1[0] -= s1;
+    c2[0] -= s2;
+    c3[0] -= s3;
+    for (Index i = 1; i < len; ++i) {
+      const double vi = v[i];
+      c0[i] -= s0 * vi;
+      c1[i] -= s1 * vi;
+      c2[i] -= s2 * vi;
+      c3[i] -= s3 * vi;
+    }
+  }
+  for (; j < j1; ++j) {
+    double* cj = a.col(j) + r0;
+    double s = cj[0];
+    for (Index i = 1; i < len; ++i) s += v[i] * cj[i];
+    s *= tau;
+    cj[0] -= s;
+    for (Index i = 1; i < len; ++i) cj[i] -= s * v[i];
+  }
+}
 
 HouseholderQR::HouseholderQR(Matrix a) : qr_(std::move(a)) {
   const Index m = qr_.rows(), n = qr_.cols();
   const Index kmax = std::min(m, n);
   tau_.assign(static_cast<std::size_t>(kmax), 0.0);
-  std::vector<double> w(static_cast<std::size_t>(n));
   for (Index k = 0; k < kmax; ++k) {
     double* ck = qr_.col(k) + k;
     const double beta = make_reflector(m - k, ck, tau_[k]);
-    if (tau_[k] != 0.0) {
-      // Apply (I - tau v v^T) to the trailing columns.
-      for (Index j = k + 1; j < n; ++j) {
-        double* cj = qr_.col(j) + k;
-        double s = cj[0];
-        for (Index i = 1; i < m - k; ++i) s += ck[i] * cj[i];
-        s *= tau_[k];
-        cj[0] -= s;
-        for (Index i = 1; i < m - k; ++i) cj[i] -= s * ck[i];
-      }
-    }
+    if (tau_[k] != 0.0) apply_reflector(ck, m - k, tau_[k], qr_, k, k + 1, n);
     qr_(k, k) = beta;
   }
 }
@@ -61,16 +89,8 @@ Matrix HouseholderQR::thin_q() const {
   for (Index j = 0; j < k; ++j) q(j, j) = 1.0;
   // Accumulate reflectors back to front.
   for (Index p = k - 1; p >= 0; --p) {
-    if (tau_[p] == 0.0) continue;
-    const double* v = qr_.col(p) + p;
-    for (Index j = p; j < k; ++j) {
-      double* cj = q.col(j) + p;
-      double s = cj[0];
-      for (Index i = 1; i < m - p; ++i) s += v[i] * cj[i];
-      s *= tau_[p];
-      cj[0] -= s;
-      for (Index i = 1; i < m - p; ++i) cj[i] -= s * v[i];
-    }
+    if (tau_[p] != 0.0)
+      apply_reflector(qr_.col(p) + p, m - p, tau_[p], q, p, p, k);
   }
   return q;
 }
@@ -81,58 +101,6 @@ Matrix HouseholderQR::r() const {
   for (Index j = 0; j < qr_.cols(); ++j)
     for (Index i = 0; i <= std::min(j, k - 1); ++i) r(i, j) = qr_(i, j);
   return r;
-}
-
-void HouseholderQR::apply_qt(Matrix& b) const {
-  const Index m = qr_.rows();
-  assert(b.rows() == m);
-  const Index k = static_cast<Index>(tau_.size());
-  for (Index p = 0; p < k; ++p) {
-    if (tau_[p] == 0.0) continue;
-    const double* v = qr_.col(p) + p;
-    for (Index j = 0; j < b.cols(); ++j) {
-      double* cj = b.col(j) + p;
-      double s = cj[0];
-      for (Index i = 1; i < m - p; ++i) s += v[i] * cj[i];
-      s *= tau_[p];
-      cj[0] -= s;
-      for (Index i = 1; i < m - p; ++i) cj[i] -= s * v[i];
-    }
-  }
-}
-
-void HouseholderQR::apply_q(Matrix& b) const {
-  const Index m = qr_.rows();
-  assert(b.rows() == m);
-  const Index k = static_cast<Index>(tau_.size());
-  for (Index p = k - 1; p >= 0; --p) {
-    if (tau_[p] == 0.0) continue;
-    const double* v = qr_.col(p) + p;
-    for (Index j = 0; j < b.cols(); ++j) {
-      double* cj = b.col(j) + p;
-      double s = cj[0];
-      for (Index i = 1; i < m - p; ++i) s += v[i] * cj[i];
-      s *= tau_[p];
-      cj[0] -= s;
-      for (Index i = 1; i < m - p; ++i) cj[i] -= s * v[i];
-    }
-  }
-}
-
-Matrix HouseholderQR::solve(const Matrix& b) const {
-  const Index n = qr_.cols();
-  assert(qr_.rows() >= n);
-  Matrix y = b;
-  apply_qt(y);
-  Matrix x(n, b.cols());
-  for (Index j = 0; j < b.cols(); ++j) {
-    for (Index i = n - 1; i >= 0; --i) {
-      double s = y(i, j);
-      for (Index p = i + 1; p < n; ++p) s -= qr_(i, p) * x(p, j);
-      x(i, j) = s / qr_(i, i);
-    }
-  }
-  return x;
 }
 
 PanelQR::PanelQR(Matrix a) {

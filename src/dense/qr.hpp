@@ -1,13 +1,25 @@
 #pragma once
-// Householder QR factorization (unpivoted) of a dense matrix, the panel QR
-// shape rule, and the orthonormalization helper `orth` used throughout
-// RandQB_EI.
+// Householder QR factorization (unpivoted) of a dense matrix, the reflector
+// kernels it shares with QRCP (dense/qrcp.hpp), the panel QR shape rule, and
+// the orthonormalization helper `orth` used throughout RandQB_EI.
 
 #include <optional>
 
 #include "dense/matrix.hpp"
 
 namespace lra {
+
+/// Householder reflector for x (length n): overwrites x(1:) with v(1:)
+/// (v(0) = 1 is implicit) and returns beta such that
+/// (I - tau v v^T) x = (beta, 0, ..., 0)^T. tau = 0 when x(1:) is zero.
+double make_reflector(Index n, double* x, double& tau);
+
+/// Applies (I - tau v v^T) to A(r0 : r0+len, j0 : j1), where v has `len`
+/// entries (v(0) = 1 implicit; v(1:) read from v + 1). Every column keeps its
+/// own in-order dot chain, so the bits equal a column-at-a-time update
+/// whatever the sweep width. The one sweep HouseholderQR and QRCP share.
+void apply_reflector(const double* v, Index len, double tau, Matrix& a,
+                     Index r0, Index j0, Index j1);
 
 /// In-place Householder QR: A = Q R with Q stored as reflectors.
 class HouseholderQR {
@@ -21,16 +33,6 @@ class HouseholderQR {
   Matrix thin_q() const;
   /// Upper-triangular/trapezoidal factor R (min(m,n) x n).
   Matrix r() const;
-
-  /// b := Q^T b (applies all reflectors; b has m rows).
-  void apply_qt(Matrix& b) const;
-  /// b := Q b.
-  void apply_q(Matrix& b) const;
-
-  /// Least-squares solve min ||A x - b||_2 (requires m >= n, full rank).
-  Matrix solve(const Matrix& b) const;
-
-  const Matrix& packed() const { return qr_; }
 
  private:
   Matrix qr_;                 // reflectors below diagonal, R on/above

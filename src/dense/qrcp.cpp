@@ -1,32 +1,11 @@
 #include "dense/qrcp.hpp"
 
-#include <cassert>
 #include <cmath>
 
 #include "dense/blas.hpp"
+#include "dense/qr.hpp"
 
 namespace lra {
-namespace {
-
-double make_reflector(Index n, double* x, double& tau) {
-  if (n <= 1) {
-    tau = 0.0;
-    return n == 1 ? x[0] : 0.0;
-  }
-  const double alpha = x[0];
-  const double xnorm = nrm2(n - 1, x + 1);
-  if (xnorm == 0.0) {
-    tau = 0.0;
-    return alpha;
-  }
-  double beta = -std::copysign(std::hypot(alpha, xnorm), alpha);
-  tau = (beta - alpha) / beta;
-  const double inv = 1.0 / (alpha - beta);
-  for (Index i = 1; i < n; ++i) x[i] *= inv;
-  return beta;
-}
-
-}  // namespace
 
 QRCP::QRCP(Matrix a, Index max_steps) : qr_(std::move(a)) {
   const Index m = qr_.rows(), n = qr_.cols();
@@ -58,52 +37,7 @@ QRCP::QRCP(Matrix a, Index max_steps) : qr_(std::move(a)) {
 
     double* ck = qr_.col(k) + k;
     const double beta = make_reflector(m - k, ck, tau_[k]);
-    if (tau_[k] != 0.0) {
-      // Apply the reflector to four trailing columns per sweep over ck. Each
-      // column keeps its own in-order dot-product chain, so the bits match a
-      // column-at-a-time update; the four independent chains hide the add
-      // latency that a single chain is bound by.
-      const Index len = m - k;
-      const double t = tau_[k];
-      Index j = k + 1;
-      for (; j + 4 <= n; j += 4) {
-        double* c0 = qr_.col(j) + k;
-        double* c1 = qr_.col(j + 1) + k;
-        double* c2 = qr_.col(j + 2) + k;
-        double* c3 = qr_.col(j + 3) + k;
-        double s0 = c0[0], s1 = c1[0], s2 = c2[0], s3 = c3[0];
-        for (Index i = 1; i < len; ++i) {
-          const double v = ck[i];
-          s0 += v * c0[i];
-          s1 += v * c1[i];
-          s2 += v * c2[i];
-          s3 += v * c3[i];
-        }
-        s0 *= t;
-        s1 *= t;
-        s2 *= t;
-        s3 *= t;
-        c0[0] -= s0;
-        c1[0] -= s1;
-        c2[0] -= s2;
-        c3[0] -= s3;
-        for (Index i = 1; i < len; ++i) {
-          const double v = ck[i];
-          c0[i] -= s0 * v;
-          c1[i] -= s1 * v;
-          c2[i] -= s2 * v;
-          c3[i] -= s3 * v;
-        }
-      }
-      for (; j < n; ++j) {
-        double* cj = qr_.col(j) + k;
-        double s = cj[0];
-        for (Index i = 1; i < len; ++i) s += ck[i] * cj[i];
-        s *= t;
-        cj[0] -= s;
-        for (Index i = 1; i < len; ++i) cj[i] -= s * ck[i];
-      }
-    }
+    if (tau_[k] != 0.0) apply_reflector(ck, m - k, tau_[k], qr_, k, k + 1, n);
     qr_(k, k) = beta;
 
     // Downdate trailing norms.
@@ -135,16 +69,8 @@ Matrix QRCP::thin_q() const {
   Matrix q(m, steps_);
   for (Index j = 0; j < steps_; ++j) q(j, j) = 1.0;
   for (Index p = steps_ - 1; p >= 0; --p) {
-    if (tau_[p] == 0.0) continue;
-    const double* v = qr_.col(p) + p;
-    for (Index j = p; j < steps_; ++j) {
-      double* cj = q.col(j) + p;
-      double s = cj[0];
-      for (Index i = 1; i < m - p; ++i) s += v[i] * cj[i];
-      s *= tau_[p];
-      cj[0] -= s;
-      for (Index i = 1; i < m - p; ++i) cj[i] -= s * v[i];
-    }
+    if (tau_[p] != 0.0)
+      apply_reflector(qr_.col(p) + p, m - p, tau_[p], q, p, p, steps_);
   }
   return q;
 }

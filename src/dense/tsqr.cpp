@@ -8,44 +8,35 @@
 #include "par/pool.hpp"
 
 namespace lra {
-namespace {
-
-// Row-block offsets for an m-row matrix cut into block_rows-row panels.
-std::vector<Index> block_offsets(Index m, Index block_rows) {
-  std::vector<Index> offs;
-  for (Index r0 = 0; r0 < m; r0 += block_rows) offs.push_back(r0);
-  return offs;
-}
-
-}  // namespace
 
 TsqrResult tsqr(const Matrix& a, Index block_rows) {
   const Index m = a.rows(), n = a.cols();
   assert(m >= n && block_rows >= n);
 
-  // Stage 1: independent QR per row block — the classic TSQR parallelism.
-  // Block b owns rows [offs[b], offs[b] + nr) of A and rows
-  // [b*n, b*n + min(nr, n)) of the stacked R, so every write is disjoint and
-  // the result is identical at any thread count.
-  const std::vector<Index> offs = block_offsets(m, block_rows);
+  // Row-block b owns rows [offs[b], offs[b] + min(block_rows, m - offs[b]))
+  // of A and rows [stack_off[b], stack_off[b + 1]) of the stacked R: its R
+  // has min(block rows, n) rows.
+  std::vector<Index> offs, stack_off{0};
+  for (Index r0 = 0; r0 < m; r0 += block_rows) {
+    offs.push_back(r0);
+    stack_off.push_back(stack_off.back() +
+                        std::min(std::min(block_rows, m - r0), n));
+  }
   const Index nblocks = static_cast<Index>(offs.size());
+
+  // Stage 1: independent QR per row block — the classic TSQR parallelism.
+  // Every block writes only its own rows of the preallocated stack, so the
+  // result is identical at any thread count.
   std::vector<Matrix> qs(static_cast<std::size_t>(nblocks));
-  std::vector<Matrix> rs(static_cast<std::size_t>(nblocks));
+  Matrix stacked_r(stack_off.back(), n);
   ThreadPool::global().parallel_for(
       Index{0}, nblocks, "tsqr", [&](Index b) {
-        const Index r0 = offs[static_cast<std::size_t>(b)];
-        const Index nr = std::min(block_rows, m - r0);
-        HouseholderQR f(a.block(r0, 0, nr, n));
-        qs[static_cast<std::size_t>(b)] = f.thin_q();
-        rs[static_cast<std::size_t>(b)] = f.r();
+        const std::size_t bi = static_cast<std::size_t>(b);
+        const Index nr = std::min(block_rows, m - offs[bi]);
+        HouseholderQR f(a.block(offs[bi], 0, nr, n));
+        qs[bi] = f.thin_q();
+        stacked_r.set_block(stack_off[bi], 0, f.r());
       });
-
-  Matrix stacked_r(0, n);
-  std::vector<Index> stack_off(static_cast<std::size_t>(nblocks));
-  for (Index b = 0; b < nblocks; ++b) {
-    stack_off[static_cast<std::size_t>(b)] = stacked_r.rows();
-    stacked_r.append_rows(rs[static_cast<std::size_t>(b)]);
-  }
 
   // Stage 2: QR of the stacked R factors (small, serial).
   HouseholderQR top(std::move(stacked_r));
@@ -58,28 +49,11 @@ TsqrResult tsqr(const Matrix& a, Index block_rows) {
   ThreadPool::global().parallel_for(
       Index{0}, nblocks, "tsqr", [&](Index b) {
         const std::size_t bi = static_cast<std::size_t>(b);
-        const Matrix q2b = q2.block(stack_off[bi], 0, rs[bi].rows(), n);
+        const Matrix q2b = q2.block(stack_off[bi], 0,
+                                    stack_off[bi + 1] - stack_off[bi], n);
         out.q.set_block(offs[bi], 0, matmul(qs[bi], q2b));
       });
   return out;
-}
-
-Matrix tsqr_r(const Matrix& a, Index block_rows) {
-  const Index m = a.rows(), n = a.cols();
-  assert(m >= n && block_rows >= n);
-  const std::vector<Index> offs = block_offsets(m, block_rows);
-  const Index nblocks = static_cast<Index>(offs.size());
-  std::vector<Matrix> rs(static_cast<std::size_t>(nblocks));
-  ThreadPool::global().parallel_for(
-      Index{0}, nblocks, "tsqr", [&](Index b) {
-        const Index r0 = offs[static_cast<std::size_t>(b)];
-        const Index nr = std::min(block_rows, m - r0);
-        rs[static_cast<std::size_t>(b)] = HouseholderQR(a.block(r0, 0, nr, n)).r();
-      });
-  Matrix stacked_r(0, n);
-  for (Index b = 0; b < nblocks; ++b)
-    stacked_r.append_rows(rs[static_cast<std::size_t>(b)]);
-  return HouseholderQR(std::move(stacked_r)).r();
 }
 
 }  // namespace lra

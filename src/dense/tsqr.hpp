@@ -17,7 +17,4 @@ struct TsqrResult {
 /// rows (the last block may be smaller). Requires rows >= cols.
 TsqrResult tsqr(const Matrix& a, Index block_rows);
 
-/// R-only variant (no Q reconstruction).
-Matrix tsqr_r(const Matrix& a, Index block_rows);
-
 }  // namespace lra

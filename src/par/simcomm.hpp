@@ -185,6 +185,8 @@ class RankCtx {
 
   int rank() const { return rank_; }
   int size() const;
+  /// True on a SimWorld rank, false on the in-process context.
+  bool simulated() const { return world_ != nullptr; }
   double vtime() const { return world_ ? vclock_ : wall_.seconds(); }
   /// Add modeled seconds to this rank's virtual clock.
   void charge(double seconds) {

@@ -190,6 +190,29 @@ TEST(KernelsSimdTest, StrictGemmBitwiseIdenticalOnRemainderShapes) {
   check_strict_gemm_shape(17, 19, 23);  // coprime to every lane count
 }
 
+// Tall narrow products (n <= 256, the randomized solvers' m x K times K x k
+// blocks) split over runs of row strips instead of columns, and tn walks A's
+// columns in its outer loop. The shapes span several mc panels with a
+// partial last one, two kc slabs, and for tn an A column count that is not a
+// multiple of 4, at column counts below and around one 32-column block.
+const Index kNarrowNs[] = {1, 3, 32, 33};
+
+struct NarrowShape {
+  Index m, k;
+};
+
+NarrowShape narrow_shape() {
+  const KernelConfig& cfg = kernel_config();
+  return {.m = 4 * cfg.gemm.mc + 13, .k = cfg.gemm.kc + 9};
+}
+
+TEST(KernelsSimdTest, StrictGemmBitwiseIdenticalOnTallNarrowShapes) {
+  PoolGuard pool;
+  VariantGuard variant;
+  const NarrowShape s = narrow_shape();
+  for (Index n : kNarrowNs) check_strict_gemm_shape(s.m, n, s.k);
+}
+
 TEST(KernelsSimdTest, StrictSparseKernelsBitwiseIdenticalAcrossWidths) {
   PoolGuard pool;
   VariantGuard variant;
@@ -363,6 +386,35 @@ TEST(KernelsSimdTest, SimdBitsInvariantAcrossWidthsAndTileConfigs) {
         << " nr=" << cd.nr;
     EXPECT_TRUE(bits_equal(d_ref, dense_times_csc(left, sa)))
         << "dtc ib=" << cd.ib;
+  }
+}
+
+TEST(KernelsSimdTest, SimdBitsInvariantAcrossWidthsOnTallNarrowShapes) {
+  PoolGuard pool;
+  VariantGuard variant;
+  set_kernel_variant(KernelVariant::kSimd);
+  const NarrowShape s = narrow_shape();
+  for (Index n : kNarrowNs) {
+    for (const TransCase& t : kTransCases) {
+      ThreadPool::global().set_num_threads(1);
+      const Matrix want = run_gemm(false, s.m, n, s.k, t.ta, t.tb, 1.0, 0.0);
+      for (int w : kWidths) {
+        ThreadPool::global().set_num_threads(w);
+        const Matrix got = run_gemm(false, s.m, n, s.k, t.ta, t.tb, 1.0, 0.0);
+        EXPECT_TRUE(bits_equal(want, got))
+            << "simd " << t.name << " m=" << s.m << " n=" << n << " k=" << s.k
+            << " width=" << w;
+      }
+      // And the split stays inside the documented ULP bound.
+      const Matrix a = t.ta == Trans::kNo ? Matrix::gaussian(s.m, s.k, 11)
+                                          : Matrix::gaussian(s.k, s.m, 11);
+      const Matrix b = t.tb == Trans::kNo ? Matrix::gaussian(s.k, n, 12)
+                                          : Matrix::gaussian(n, s.k, 12);
+      Matrix ref(s.m, n), absref(s.m, n);
+      ref::gemm(ref, a, b, 1.0, 0.0, t.ta, t.tb);
+      ref::gemm(absref, abs_matrix(a), abs_matrix(b), 1.0, 0.0, t.ta, t.tb);
+      expect_ulp_close(ref, absref, want, s.k, t.name);
+    }
   }
 }
 

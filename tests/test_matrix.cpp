@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <iterator>
+#include <vector>
+
 #include "test_util.hpp"
 
 namespace lra {
@@ -103,6 +107,42 @@ TEST(Matrix, EmptyShapes) {
   EXPECT_EQ(a.frobenius_norm(), 0.0);
   Matrix b(5, 0);
   EXPECT_TRUE(b.empty());
+}
+
+// append_rows grows its storage in place and spreads the old columns
+// through it; every append must leave exactly what set_block would assemble.
+// The blocks start from an empty matrix and include a 0-row block (no
+// storage: the in-place path must not hand memcpy/memmove a null pointer).
+TEST(Matrix, AppendRowsMatchesSetBlockAssembly) {
+  const Index cols = 7;
+  const Index heights[] = {3, 1, 0, 32, 5, 0, 17, 2, 64, 1};
+  std::vector<Matrix> blocks;
+  Index total = 0;
+  for (Index i = 0; i < static_cast<Index>(std::size(heights)); ++i) {
+    blocks.push_back(testing::random_matrix(heights[i], cols, 90 + i));
+    total += heights[i];
+  }
+  Matrix want(total, cols);
+  Index r0 = 0;
+  Matrix grown(0, cols);
+  for (const Matrix& blk : blocks) {
+    want.set_block(r0, 0, blk);
+    r0 += blk.rows();
+    grown.append_rows(blk);
+    ASSERT_EQ(grown.rows(), r0);
+    ASSERT_EQ(grown.cols(), cols);
+    EXPECT_EQ(std::memcmp(grown.data(), want.block(0, 0, r0, cols).data(),
+                          static_cast<std::size_t>(grown.size()) *
+                              sizeof(double)),
+              0)
+        << "after " << r0 << " rows";
+  }
+  // Appending a matrix to itself doubles it.
+  Matrix twice = blocks[0];
+  twice.append_rows(twice);
+  Matrix stacked = blocks[0];
+  stacked.append_rows(blocks[0]);
+  EXPECT_EQ(twice, stacked);
 }
 
 // Zero-row blocks own no storage (a null data pointer), so every copy path
