@@ -114,12 +114,12 @@ void scaling_block(Table& t, const TestMatrix& m, Index k, double tau,
     const DistRandQbResult dqb =
         randqb_ei_dist(m.a, ro, static_cast<int>(np), sim);
     const double t_qb = dqb.virtual_seconds;
-    bench::report_dist_run(report, m.label, "randqb_ei(p=1)",
-                           static_cast<int>(np), tau, dqb);
+    bench::report_run(report, m.label, "randqb_ei(p=1)",
+                      static_cast<int>(np), tau, dqb);
     profile_run(report, "randqb_ei", m.label, static_cast<int>(np), dqb);
     check_ring_vs_tree(
         "randqb_ei", m.label, static_cast<int>(np), dqb,
-        [&] { return randqb_ei_dist(m.a, ro, static_cast<int>(np), CostModel{}); },
+        [&] { return randqb_ei_dist(m.a, ro, static_cast<int>(np)); },
         large_payload);
 
     LuCrtpOptions lo;
@@ -128,12 +128,12 @@ void scaling_block(Table& t, const TestMatrix& m, Index k, double tau,
     lo.max_rank = budget;
     const DistLuResult lu = lu_crtp_dist(m.a, lo, static_cast<int>(np), sim);
     if (np == nps.front()) lu_its = lu.result.iterations;
-    bench::report_dist_run(report, m.label, "lu_crtp", static_cast<int>(np),
-                           tau, lu);
+    bench::report_run(report, m.label, "lu_crtp", static_cast<int>(np), tau,
+                      lu);
     profile_run(report, "lu_crtp", m.label, static_cast<int>(np), lu);
     check_ring_vs_tree(
         "lu_crtp", m.label, static_cast<int>(np), lu,
-        [&] { return lu_crtp_dist(m.a, lo, static_cast<int>(np), CostModel{}); },
+        [&] { return lu_crtp_dist(m.a, lo, static_cast<int>(np)); },
         /*assert_cost=*/false);
 
     LuCrtpOptions io = lo;
@@ -141,12 +141,12 @@ void scaling_block(Table& t, const TestMatrix& m, Index k, double tau,
     io.estimated_iterations = lu_its;
     const DistLuResult il = lu_crtp_dist(m.a, io, static_cast<int>(np), sim);
     const double t_il = il.virtual_seconds;
-    bench::report_dist_run(report, m.label, "ilut_crtp", static_cast<int>(np),
-                           tau, il);
+    bench::report_run(report, m.label, "ilut_crtp", static_cast<int>(np),
+                      tau, il);
     profile_run(report, "ilut_crtp", m.label, static_cast<int>(np), il);
     check_ring_vs_tree(
         "ilut_crtp", m.label, static_cast<int>(np), il,
-        [&] { return lu_crtp_dist(m.a, io, static_cast<int>(np), CostModel{}); },
+        [&] { return lu_crtp_dist(m.a, io, static_cast<int>(np)); },
         /*assert_cost=*/false);
 
     if (np == nps.front()) {

@@ -1,13 +1,22 @@
 // Fig. 5 — runtime breakdown of the computational kernels in LU_CRTP and
 // ILUT_CRTP for M2' at tau = 1e-3, sweeping the number of simulated ranks
 // and the block size. Kernel times are accumulated over all iterations and
-// the maximum across ranks is reported, exactly as in the paper's figure.
+// the maximum across ranks is reported, exactly as in the paper's figure:
+// each run is traced, and obs::kernel_seconds folds its compute events.
 //
 //   ./bench_fig5 [--scale=0.2] [--k=8,16,32] [--np=4,8,16,32] [--tau=1e-3]
 
 #include "bench_util.hpp"
 #include "core/lu_crtp_dist.hpp"
-#include "par/kernel_timers.hpp"
+
+namespace {
+
+/// The kernels of LU_CRTP/ILUT_CRTP the figure plots.
+const std::vector<std::string> kDetKernels = {
+    "col_qrtp", "col_qr", "row_qrtp", "row_perm", "solve_a21", "schur",
+    "threshold"};
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace lra;
@@ -36,14 +45,16 @@ int main(int argc, char** argv) {
         o.tau = tau;
         o.max_rank = n * 7 / 10;
         if (ilut) o.threshold = ThresholdMode::kIlut;
-        const DistLuResult d = lu_crtp_dist(m.a, o, static_cast<int>(np));
+        const DistLuResult d = lu_crtp_dist(m.a, o, static_cast<int>(np),
+                                            {.collect_trace = true});
         std::printf("\n%s  k=%lld np=%lld  total %.4fs  (%ld its, %s)\n",
                     ilut ? "ILUT_CRTP" : "LU_CRTP  ", k, np,
                     d.virtual_seconds, d.result.iterations,
                     to_string(d.result.status));
-        print_kernel_breakdown(std::cout, d.kernel_seconds, kDetKernels,
-                               d.virtual_seconds);
-        for (const auto& [name, secs] : d.kernel_seconds)
+        const auto kernels = obs::kernel_seconds(d.trace);
+        obs::print_kernel_breakdown(std::cout, kernels, kDetKernels,
+                                    d.virtual_seconds);
+        for (const auto& [name, secs] : kernels)
           csv.row()
               .cell(ilut ? "ILUT_CRTP" : "LU_CRTP")
               .cell(k)

@@ -1,12 +1,21 @@
 // Fig. 6 — runtime breakdown of the computational kernels in RandQB_EI for
 // M2' at tau = 1e-3, sweeping the number of simulated ranks, the block size
-// and the power parameter p in {0, 2}.
+// and the power parameter p in {0, 2}. Each run is traced, and
+// obs::kernel_seconds folds its compute events into the max-over-ranks
+// per-kernel seconds.
 //
 //   ./bench_fig6 [--scale=0.2] [--k=8,16,32] [--np=4,8,16,32] [--tau=1e-3]
 
 #include "bench_util.hpp"
 #include "core/randqb_ei_dist.hpp"
-#include "par/kernel_timers.hpp"
+
+namespace {
+
+/// The kernels of RandQB_EI the figure plots.
+const std::vector<std::string> kRandKernels = {
+    "spmm", "orth", "power", "reorth", "b_update", "error_check"};
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace lra;
@@ -35,13 +44,14 @@ int main(int argc, char** argv) {
         o.tau = tau;
         o.power = p;
         o.max_rank = n * 7 / 10;
-        const DistRandQbResult d =
-            randqb_ei_dist(m.a, o, static_cast<int>(np));
+        const DistRandQbResult d = randqb_ei_dist(
+            m.a, o, static_cast<int>(np), {.collect_trace = true});
         std::printf("\nRandQB_EI p=%d  k=%lld np=%lld  total %.4fs  (%ld its)\n",
                     p, k, np, d.virtual_seconds, d.result.iterations);
-        print_kernel_breakdown(std::cout, d.kernel_seconds, kRandKernels,
-                               d.virtual_seconds);
-        for (const auto& [name, secs] : d.kernel_seconds)
+        const auto kernels = obs::kernel_seconds(d.trace);
+        obs::print_kernel_breakdown(std::cout, kernels, kRandKernels,
+                                    d.virtual_seconds);
+        for (const auto& [name, secs] : kernels)
           csv.row().cell(p).cell(k).cell(np).cell(name).cell(secs, 5);
       }
     }

@@ -88,20 +88,7 @@ int main(int argc, char** argv) {
     uo.tau = tau_min;
     uo.max_rank = budget;
     const RandUbvResult ubv = randubv(m.a, uo);
-    if (report) {
-      obs::JsonObj rec;
-      rec.field("type", "summary")
-          .field("matrix", label)
-          .field("method", "randubv")
-          .field("np", 1)
-          .field("tau", tau_min)
-          .field("status", to_string(ubv.status))
-          .field("rank", static_cast<long long>(ubv.rank))
-          .field("iterations", static_cast<long long>(ubv.iterations))
-          .field("indicator_rel",
-                 ubv.anorm_f > 0.0 ? ubv.indicator / ubv.anorm_f : 0.0);
-      report->write(rec);
-    }
+    bench::report_run(report.get(), label, "randubv", 1, tau_min, ubv);
 
     // --- RandQB_EI with p = 0, 1, 2 ---
     std::vector<DistRandQbResult> qb;
@@ -112,9 +99,9 @@ int main(int argc, char** argv) {
       ro.power = p;
       ro.max_rank = budget;
       qb.push_back(randqb_ei_dist(m.a, ro, np, sim));
-      bench::report_dist_run(report.get(), label,
-                             "randqb_ei(p=" + std::to_string(p) + ")", np,
-                             tau_min, qb.back());
+      bench::report_run(report.get(), label,
+                        "randqb_ei(p=" + std::to_string(p) + ")", np, tau_min,
+                        qb.back());
     }
 
     // --- LU_CRTP ---
@@ -123,7 +110,7 @@ int main(int argc, char** argv) {
     lo.tau = tau_min;
     lo.max_rank = budget;
     const DistLuResult lu = lu_crtp_dist(m.a, lo, np, sim);
-    bench::report_dist_run(report.get(), label, "lu_crtp", np, tau_min, lu);
+    bench::report_run(report.get(), label, "lu_crtp", np, tau_min, lu);
 
     for (const double tau : taus) {
       const long long its_lu = its_for_tau(lu.result.telemetry, tau);
@@ -138,7 +125,7 @@ int main(int argc, char** argv) {
         io.threshold = ThresholdMode::kIlut;
         io.estimated_iterations = its_lu;
         const DistLuResult il = lu_crtp_dist(m.a, io, np, sim);
-        bench::report_dist_run(report.get(), label, "ilut_crtp", np, tau, il);
+        bench::report_run(report.get(), label, "ilut_crtp", np, tau, il);
         if (il.result.status == Status::kConverged) {
           char buf[32];
           std::snprintf(buf, sizeof(buf), "%.3g", il.virtual_seconds);

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "core/run_record.hpp"
 #include "gen/presets.hpp"
 #include "obs/prof/profile.hpp"
 #include "obs/report.hpp"
@@ -64,51 +65,21 @@ inline std::unique_ptr<obs::ReportWriter> open_report(const Cli& cli,
   const std::string path = cli.get("report", "");
   if (path.empty()) return nullptr;
   auto w = std::make_unique<obs::ReportWriter>(path);
-  obs::JsonObj meta;
-  meta.field("type", "meta").field("tool", tool);
-  w->write(meta);
+  w->write(obs::meta_record(tool));
   return w;
 }
 
-/// One "summary" record per distributed-engine invocation (DistRandQbResult,
-/// DistLuResult, DistRandUbvResult all fit this shape).
-template <typename DistResult>
-void report_dist_run(obs::ReportWriter* w, const std::string& matrix,
-                     const std::string& method, int np, double tau,
-                     const DistResult& d) {
+/// One "summary" record (summary_record) for one run of `method` on
+/// `matrix`: a method result or a simulated run (SimRun).
+template <typename Run>
+void report_run(obs::ReportWriter* w, const std::string& matrix,
+                const std::string& method, int np, double tau, const Run& r) {
   if (!w) return;
-  obs::JsonObj rec;
-  rec.field("type", "summary")
-      .field("matrix", matrix)
+  obs::JsonObj rec = summary_record(r);
+  rec.field("matrix", matrix)
       .field("method", method)
       .field("np", np)
-      .field("tau", tau)
-      .field("status", to_string(d.result.status))
-      .field("rank", static_cast<long long>(d.result.rank))
-      .field("iterations", static_cast<long long>(d.result.iterations))
-      .field("indicator_rel", d.result.anorm_f > 0.0
-                                  ? d.result.indicator / d.result.anorm_f
-                                  : 0.0)
-      .field("virtual_seconds", d.virtual_seconds)
-      .field("total_msgs", d.comm.total_msgs())
-      .field("total_bytes", d.comm.total_bytes());
-  // Traced runs carry the solver phase breakdown inline, in the profiler's
-  // schema (same keys as the "profile_phase" records: per-phase compute and
-  // comm virtual seconds; "" = time outside every PhaseScope).
-  if (!d.trace.empty()) {
-    const obs::prof::Profile p = obs::prof::build_profile(d.trace);
-    std::string ph = "{";
-    bool first = true;
-    for (const auto& [name, cost] : p.phases) {
-      if (!first) ph += ',';
-      first = false;
-      ph += '"' + obs::json_escape(name) +
-            "\":{\"compute\":" + obs::json_number(cost.compute) +
-            ",\"comm\":" + obs::json_number(cost.comm) + '}';
-    }
-    ph += '}';
-    rec.raw("phases", ph);
-  }
+      .field("tau", tau);
   w->write(rec);
 }
 

@@ -1,9 +1,11 @@
 #include "core/driver.hpp"
 
 #include <cmath>
-#include <limits>
 #include <stdexcept>
 
+#include "core/lu_crtp_dist.hpp"
+#include "core/randqb_ei_dist.hpp"
+#include "core/randubv_dist.hpp"
 #include "dense/blas.hpp"
 #include "sparse/ops.hpp"
 #include "sparse/permute.hpp"
@@ -43,14 +45,20 @@ Index LowRankApprox::rank() const {
   return std::visit([](const auto& r) { return r.rank; }, result_);
 }
 
+Index LowRankApprox::iterations() const {
+  return std::visit([](const auto& r) { return r.iterations; }, result_);
+}
+
+double LowRankApprox::indicator() const {
+  return std::visit([](const auto& r) { return r.indicator; }, result_);
+}
+
+double LowRankApprox::anorm_f() const {
+  return std::visit([](const auto& r) { return r.anorm_f; }, result_);
+}
+
 double LowRankApprox::indicator_rel() const {
-  return std::visit(
-      [](const auto& r) {
-        if (r.status == Status::kInvalidInput)
-          return std::numeric_limits<double>::quiet_NaN();
-        return r.anorm_f > 0.0 ? r.indicator / r.anorm_f : 0.0;
-      },
-      result_);
+  return relative_indicator(status(), indicator(), anorm_f());
 }
 
 Index LowRankApprox::factor_values() const {
@@ -60,6 +68,14 @@ Index LowRankApprox::factor_values() const {
     return qb->q.size() + qb->b.size();
   const auto& ubv = std::get<RandUbvResult>(result_);
   return ubv.u.size() + ubv.v.size() + ubv.b.size();
+}
+
+double LowRankApprox::exact_error(const CscMatrix& a) const {
+  if (const auto* qb = std::get_if<RandQbResult>(&result_))
+    return randqb_exact_error(a, *qb);
+  if (const auto* lu = std::get_if<LuCrtpResult>(&result_))
+    return lu_crtp_exact_error(a, *lu);
+  return randubv_exact_error(a, std::get<RandUbvResult>(result_));
 }
 
 const obs::TelemetrySeries& LowRankApprox::telemetry() const {
@@ -140,13 +156,13 @@ Method choose_method_dist(const CscMatrix& a, const ApproxOptions& opts) {
   return Method::kRandQbEi;
 }
 
-LowRankApprox approximate(const CscMatrix& a, const ApproxOptions& opts) {
-  const Method method = choose_method(a, opts);
+namespace {
 
-  LowRankApprox out;
-  out.method_ = method;
-  out.rows_ = a.rows();
-  out.cols_ = a.cols();
+/// The one Method -> options mapping: calls `f(options, entry, dist_entry)`
+/// with the resolved method's options and its sequential and simulated
+/// entry points.
+template <typename F>
+void with_options(Method method, const ApproxOptions& opts, F&& f) {
   switch (method) {
     case Method::kRandQbEi: {
       RandQbOptions o;
@@ -155,8 +171,8 @@ LowRankApprox approximate(const CscMatrix& a, const ApproxOptions& opts) {
       o.power = opts.power;
       o.seed = opts.seed;
       o.max_rank = opts.max_rank;
-      out.result_ = randqb_ei(a, o);
-      break;
+      f(o, randqb_ei, randqb_ei_dist);
+      return;
     }
     case Method::kLuCrtp:
     case Method::kIlutCrtp: {
@@ -166,8 +182,8 @@ LowRankApprox approximate(const CscMatrix& a, const ApproxOptions& opts) {
       o.max_rank = opts.max_rank;
       o.colamd = opts.colamd;
       if (method == Method::kIlutCrtp) o.threshold = ThresholdMode::kIlut;
-      out.result_ = lu_crtp(a, o);
-      break;
+      f(o, lu_crtp, lu_crtp_dist);
+      return;
     }
     case Method::kRandUbv: {
       RandUbvOptions o;
@@ -175,12 +191,41 @@ LowRankApprox approximate(const CscMatrix& a, const ApproxOptions& opts) {
       o.tau = opts.tau;
       o.seed = opts.seed;
       o.max_rank = opts.max_rank;
-      out.result_ = randubv(a, o);
-      break;
+      f(o, randubv, randubv_dist);
+      return;
     }
     case Method::kAuto:
-      break;  // unreachable
+      return;  // unreachable: the callers resolve it first
   }
+}
+
+}  // namespace
+
+LowRankApprox approximate(const CscMatrix& a, const ApproxOptions& opts) {
+  LowRankApprox out;
+  out.method_ = choose_method(a, opts);
+  out.rows_ = a.rows();
+  out.cols_ = a.cols();
+  with_options(out.method_, opts, [&](const auto& o, auto run, auto) {
+    out.result_ = run(a, o);
+  });
+  return out;
+}
+
+SimRun<LowRankApprox> approximate(const CscMatrix& a, const ApproxOptions& opts,
+                                  int nranks, const SimOptions& sim) {
+  SimRun<LowRankApprox> out;
+  LowRankApprox& r = out.result;
+  r.method_ = choose_method_dist(a, opts);
+  r.rows_ = a.rows();
+  r.cols_ = a.cols();
+  with_options(r.method_, opts, [&](const auto& o, auto, auto run) {
+    auto d = run(a, o, nranks, sim);
+    r.result_ = std::move(d.result);
+    out.virtual_seconds = d.virtual_seconds;
+    out.comm = std::move(d.comm);
+    out.trace = std::move(d.trace);
+  });
   return out;
 }
 

@@ -11,6 +11,7 @@
 #include "core/lu_crtp.hpp"
 #include "core/randqb_ei.hpp"
 #include "core/randubv.hpp"
+#include "par/simcomm.hpp"
 
 namespace lra {
 
@@ -58,10 +59,17 @@ class LowRankApprox {
   Method method() const { return method_; }
   Status status() const;
   Index rank() const;
+  Index iterations() const;
   Index rows() const { return rows_; }
   Index cols() const { return cols_; }
-  /// Error indicator at exit, relative to ||A||_F.
+  /// Error indicator at exit, absolute and relative to ||A||_F.
+  double indicator() const;
   double indicator_rel() const;
+  /// ||A||_F as the run measured it.
+  double anorm_f() const;
+  /// Dense exact ||A - H W||_F against the input `a` (verification only:
+  /// it densifies the residual).
+  double exact_error(const CscMatrix& a) const;
   /// Stored values in the factors (memory footprint proxy).
   Index factor_values() const;
   /// Per-iteration convergence telemetry, one sample per iteration. Uniform
@@ -91,6 +99,9 @@ class LowRankApprox {
 
  private:
   friend LowRankApprox approximate(const CscMatrix&, const ApproxOptions&);
+  friend SimRun<LowRankApprox> approximate(const CscMatrix&,
+                                           const ApproxOptions&, int,
+                                           const SimOptions&);
   Method method_ = Method::kRandQbEi;
   Index rows_ = 0, cols_ = 0;
   std::variant<RandQbResult, LuCrtpResult, RandUbvResult> result_;
@@ -117,5 +128,11 @@ Method choose_method_dist(const CscMatrix& a, const ApproxOptions& opts);
 ///       --threads / LRA_NUM_THREADS); the result is bitwise identical at
 ///       any worker count.
 LowRankApprox approximate(const CscMatrix& a, const ApproxOptions& opts = {});
+
+/// The same run on `nranks` simulated ranks under `sim` (par/simcomm.hpp,
+/// SimRun): the same options mapping, with kAuto resolved by
+/// choose_method_dist().
+SimRun<LowRankApprox> approximate(const CscMatrix& a, const ApproxOptions& opts,
+                                  int nranks, const SimOptions& sim = {});
 
 }  // namespace lra

@@ -9,37 +9,17 @@
 // in core/lu_crtp.cpp and is the one LU_CRTP: lu_crtp runs it as a single
 // in-process rank.
 
-#include <map>
-#include <string>
-
 #include "core/lu_crtp.hpp"
 #include "par/simcomm.hpp"
 
 namespace lra {
 
-struct DistLuResult {
-  LuCrtpResult result;            // factors + permutations, assembled
-  double virtual_seconds = 0.0;   // max over ranks of the final clock
-  std::map<std::string, double> kernel_seconds;  // max over ranks
-  obs::CommStats comm;                 // per-rank comm counters (always on)
-  std::vector<obs::RankTrace> trace;   // per-rank spans (collect_trace only)
-};
+using DistLuResult = SimRun<LuCrtpResult>;
 
-/// Primary overload: bundled runtime options (cost model, tracing, and an
-/// optional deterministic fault plan). A payload corruption injected by the
-/// plan and detected by the transport aborts the run and is reported as
-/// Status::kCommFault — with virtual times, comm counters and traces
-/// collected up to the abort — never as a crash. ColamdMode::kEvery needs
-/// the whole matrix on one rank: at nranks > 1 it throws
-/// std::invalid_argument.
+/// Run on `nranks` simulated ranks under `sim` (see SimRun for what a run
+/// returns, a detected fault included). ColamdMode::kEvery needs the whole
+/// matrix on one rank: at nranks > 1 it throws std::invalid_argument.
 DistLuResult lu_crtp_dist(const CscMatrix& a, const LuCrtpOptions& opts,
-                          int nranks, const SimOptions& sim);
-
-/// Legacy fault-free overload.
-inline DistLuResult lu_crtp_dist(const CscMatrix& a, const LuCrtpOptions& opts,
-                                 int nranks, CostModel cm = {},
-                                 bool collect_trace = false) {
-  return lu_crtp_dist(a, opts, nranks, SimOptions{cm, collect_trace, {}});
-}
+                          int nranks, const SimOptions& sim = {});
 
 }  // namespace lra

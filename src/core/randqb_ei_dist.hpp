@@ -7,38 +7,17 @@
 // tall-skinny QR for this layout. The SPMD body lives in core/randqb_ei.cpp
 // and is the one RandQB_EI: randqb_ei runs it as a single in-process rank.
 
-#include <map>
-#include <string>
-
 #include "core/randqb_ei.hpp"
 #include "par/simcomm.hpp"
 
 namespace lra {
 
-struct DistRandQbResult {
-  RandQbResult result;            // factors assembled on return
-  double virtual_seconds = 0.0;   // max over ranks of the final clock
-  std::map<std::string, double> kernel_seconds;  // max over ranks
-  obs::CommStats comm;                 // per-rank comm counters (always on)
-  std::vector<obs::RankTrace> trace;   // per-rank spans (collect_trace only)
-};
+using DistRandQbResult = SimRun<RandQbResult>;
 
-/// Primary overload: bundled runtime options (cost model, tracing, and an
-/// optional deterministic fault plan). A payload corruption injected by the
-/// plan and detected by the transport aborts the run and is reported as
-/// Status::kCommFault — with virtual times, comm counters and traces
-/// collected up to the abort — never as a crash. ErrorNorm::kSpectral needs
-/// the whole matrix on one rank: at nranks > 1 it throws
-/// std::invalid_argument.
+/// Run on `nranks` simulated ranks under `sim` (see SimRun for what a run
+/// returns, a detected fault included). ErrorNorm::kSpectral needs the whole
+/// matrix on one rank: at nranks > 1 it throws std::invalid_argument.
 DistRandQbResult randqb_ei_dist(const CscMatrix& a, const RandQbOptions& opts,
-                                int nranks, const SimOptions& sim);
-
-/// Legacy fault-free overload.
-inline DistRandQbResult randqb_ei_dist(const CscMatrix& a,
-                                       const RandQbOptions& opts, int nranks,
-                                       CostModel cm = {},
-                                       bool collect_trace = false) {
-  return randqb_ei_dist(a, opts, nranks, SimOptions{cm, collect_trace, {}});
-}
+                                int nranks, const SimOptions& sim = {});
 
 }  // namespace lra

@@ -111,16 +111,9 @@ class Reader {
     auto values = vec<double>();
     // Validate the CSC structure before handing it to the constructor (whose
     // debug-only assert is no defence in release builds): corrupted index
-    // data must be a structured error, not a latent out-of-bounds read.
-    bool ok = colptr.size() == static_cast<std::size_t>(cols) + 1 &&
-              !colptr.empty() && colptr.front() == 0 &&
-              rowind.size() == values.size() &&
-              colptr.back() == static_cast<Index>(rowind.size());
-    for (std::size_t j = 0; ok && j + 1 < colptr.size(); ++j)
-      ok = colptr[j] <= colptr[j + 1];
-    for (std::size_t p = 0; ok && p < rowind.size(); ++p)
-      ok = rowind[p] >= 0 && rowind[p] < rows;
-    if (!ok)
+    // data must be a structured error, never a matrix whose unsorted or
+    // repeated rows break every kernel's invariant downstream.
+    if (!CscMatrix::valid_structure(rows, cols, colptr, rowind, values.size()))
       throw std::runtime_error(
           "corrupt factorization file: invalid sparse structure");
     return CscMatrix(rows, cols, std::move(colptr), std::move(rowind),

@@ -87,8 +87,9 @@ Matrix gather_cols(RankCtx& ctx, Matrix loc, Index total_cols);
 /// bounds checks (reachable only with a fault plan installed), ends the run
 /// as Status::kCommFault with the virtual times, comm counters and traces
 /// collected up to the abort — never as a crash.
-template <typename Dist, typename Body>
-void run_world(Dist& out, int nranks, const SimOptions& sim, Body&& body) {
+template <typename Result, typename Body>
+void run_world(SimRun<Result>& out, int nranks, const SimOptions& sim,
+               Body&& body) {
   SimWorld world(nranks, sim);
   try {
     world.run(body);
@@ -99,7 +100,6 @@ void run_world(Dist& out, int nranks, const SimOptions& sim, Body&& body) {
     out.result.status = Status::kCommFault;
   }
   out.virtual_seconds = world.elapsed_virtual();
-  out.kernel_seconds = world.kernel_times_max();
   out.comm = world.comm_stats();
   out.trace = world.take_trace();
 }

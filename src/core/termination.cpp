@@ -1,5 +1,7 @@
 #include "core/termination.hpp"
 
+#include <limits>
+
 namespace lra {
 
 const char* to_string(Status s) {
@@ -18,6 +20,12 @@ const char* to_string(Status s) {
       return "invalid-input";
   }
   return "unknown";
+}
+
+double relative_indicator(Status s, double indicator, double anorm_f) {
+  if (s == Status::kInvalidInput)
+    return std::numeric_limits<double>::quiet_NaN();
+  return anorm_f > 0.0 ? indicator / anorm_f : 0.0;
 }
 
 }  // namespace lra

@@ -24,4 +24,8 @@ enum class Status {
 
 const char* to_string(Status s);
 
+/// The exit indicator relative to ||A||_F: NaN for kInvalidInput (the norm
+/// is not finite), 0 for a zero matrix.
+double relative_indicator(Status s, double indicator, double anorm_f);
+
 }  // namespace lra

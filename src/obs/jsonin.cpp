@@ -54,8 +54,16 @@ class Parser {
   JsonValue parse_value() {
     skip_ws();
     switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        // Every document read here is shallow; the limit keeps hostile
+        // input (a repro file, an autotune cache) from exhausting the stack.
+        if (depth_ == kMaxDepth) fail("nesting deeper than 64 levels");
+        ++depth_;
+        JsonValue v = peek() == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': return JsonValue(parse_string());
       case 't':
         if (!consume_literal("true")) fail("bad literal");
@@ -81,9 +89,11 @@ class Parser {
     for (;;) {
       skip_ws();
       std::string key = parse_string();
+      if (obj.count(key)) fail("duplicate key \"" + key + "\"");
       skip_ws();
       expect(':');
-      obj[std::move(key)] = parse_value();
+      JsonValue value = parse_value();
+      obj.emplace(std::move(key), std::move(value));
       skip_ws();
       if (peek() == ',') {
         ++pos_;
@@ -190,19 +200,27 @@ class Parser {
     JsonValue v(std::strtod(tok.c_str(), &end));
     if (end != tok.c_str() + tok.size() || errno == ERANGE)
       fail("bad number '" + tok + "'");
+    // Keep the exact integer payload alongside the double: flow ids and
+    // seeds use all 64 bits and lose precision through the double path.
     if (integral && tok[0] != '-') {
-      // Keep the exact unsigned payload alongside the double: flow ids pack
-      // 64 bits and lose precision through the double path.
       errno = 0;
       const unsigned long long u = std::strtoull(tok.c_str(), &end, 10);
       if (end == tok.c_str() + tok.size() && errno != ERANGE)
-        v.set_exact_uint(static_cast<std::uint64_t>(u));
+        v.set_exact_int(static_cast<std::uint64_t>(u), false);
+    } else if (integral) {
+      errno = 0;
+      const long long i = std::strtoll(tok.c_str(), &end, 10);
+      if (end == tok.c_str() + tok.size() && errno != ERANGE)
+        v.set_exact_int(static_cast<std::uint64_t>(i), true);
     }
     return v;
   }
 
+  static constexpr int kMaxDepth = 64;
+
   const std::string& s_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // open objects and arrays
 };
 
 }  // namespace

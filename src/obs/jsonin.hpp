@@ -1,9 +1,13 @@
 #pragma once
-// Minimal recursive-descent JSON reader for the repo's own outputs (Chrome
-// traces, BENCH_*.json, JSONL reports). Full-document DOM, no dependencies;
+// Minimal recursive-descent JSON reader for every JSON input of the repo:
+// its own outputs (Chrome traces, BENCH_*.json, JSONL reports), repro files
+// (sim/repro) and the autotune cache (support/autotune). Full-document DOM,
+// no dependencies (it is compiled into lra_support, the bottom library);
 // numbers parse via strtod, so %.17g doubles written by JsonObj round-trip
-// bitwise. Not a general-purpose validator: it accepts the JSON this repo
-// writes and rejects the rest with a position-tagged error.
+// bitwise, and integer literals also keep their exact value. Not a
+// general-purpose validator: it accepts the JSON this repo writes and
+// rejects the rest, duplicate object keys included, with a position-tagged
+// error.
 
 #include <cstdint>
 #include <map>
@@ -16,7 +20,7 @@ namespace lra::obs {
 
 class JsonValue;
 using JsonArray = std::vector<JsonValue>;
-// std::map keeps keys ordered; none of our documents rely on duplicates.
+// std::map keeps keys ordered; the parser rejects duplicate keys.
 using JsonObject = std::map<std::string, JsonValue>;
 
 class JsonValue {
@@ -57,7 +61,22 @@ class JsonValue {
     // %.17g round-trips uint64 below 2^53 exactly; flow ids pack 32+32 bits
     // so they can exceed that — they are written as integer literals and
     // reparsed through the integer fast path in the parser (see num_i_).
-    return has_int_ ? num_i_ : static_cast<std::uint64_t>(num_);
+    return int_ == IntLiteral::kNonNegative ? num_i_
+                                            : static_cast<std::uint64_t>(num_);
+  }
+  /// The exact value of an integer literal (no fraction, no exponent) that
+  /// fits the target type; false for any other value.
+  bool exact_int64(std::int64_t* out) const {
+    if (int_ == IntLiteral::kNone ||
+        (int_ == IntLiteral::kNonNegative && num_i_ > INT64_MAX))
+      return false;
+    *out = static_cast<std::int64_t>(num_i_);
+    return true;
+  }
+  bool exact_uint64(std::uint64_t* out) const {
+    if (int_ != IntLiteral::kNonNegative) return false;
+    *out = num_i_;
+    return true;
   }
   const std::string& as_string() const {
     require(Kind::kString, "string");
@@ -88,11 +107,12 @@ class JsonValue {
     return v && v->is_string() ? v->as_string() : std::move(dflt);
   }
 
-  /// Parser hook: attach the exact unsigned payload of an integer literal
-  /// (the double path loses precision above 2^53, e.g. for flow ids).
-  void set_exact_uint(std::uint64_t u) {
-    num_i_ = u;
-    has_int_ = true;
+  /// Parser hook: attach the exact payload of an integer literal, two's
+  /// complement if negative (the double path loses precision above 2^53,
+  /// e.g. for flow ids and seeds).
+  void set_exact_int(std::uint64_t bits, bool negative) {
+    num_i_ = bits;
+    int_ = negative ? IntLiteral::kNegative : IntLiteral::kNonNegative;
   }
 
  private:
@@ -101,11 +121,13 @@ class JsonValue {
       throw std::runtime_error(std::string("json: expected ") + what);
   }
 
+  enum class IntLiteral { kNone, kNonNegative, kNegative };
+
   Kind kind_ = Kind::kNull;
   bool bool_ = false;
   double num_ = 0.0;
-  std::uint64_t num_i_ = 0;  // exact integer payload when has_int_
-  bool has_int_ = false;
+  std::uint64_t num_i_ = 0;             // an integer literal's exact value
+  IntLiteral int_ = IntLiteral::kNone;  // whether num_i_ holds one
   std::string str_;
   std::shared_ptr<JsonArray> arr_;
   std::shared_ptr<JsonObject> obj_;

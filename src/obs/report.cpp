@@ -23,6 +23,17 @@ void ReportWriter::write_lines(const std::string& jsonl) {
     if (c == '\n') ++records_;
 }
 
+JsonObj meta_record(const std::string& tool) {
+  JsonObj o;
+  o.field("type", "meta")
+      .field("tool", tool)
+      .field("kernel_variant", to_string(kernel_variant()))
+      .field("isa", simd::simd_isa_name())
+      .field("autotune", kernel_config_summary(kernel_config()))
+      .field("pool_threads", ThreadPool::global().num_threads());
+  return o;
+}
+
 void write_telemetry(ReportWriter& w, const std::string& method,
                      const TelemetrySeries& series) {
   for (const IterationSample& s : series) {

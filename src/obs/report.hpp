@@ -3,7 +3,8 @@
 // the CLI (--report=FILE) and the bench harnesses (--report=FILE), so
 // trajectory data comes out of the tools machine-readable instead of being
 // scraped from printed tables. Every record carries a "type" discriminator:
-//   meta        — one per run: tool, matrix, method, parameters
+//   meta        — one per run: tool, kernel provenance (meta_record), then
+//                 the tool's matrix, method and parameters
 //   iteration   — one per solver iteration (from obs::TelemetrySeries)
 //   comm        — aggregated communication counters of a distributed run
 //   pool_kernel — one per thread-pool kernel label: calls, wall seconds,
@@ -13,6 +14,7 @@
 //                 (capacity, high-water mark, allocation/grow counts) — the
 //                 zero-allocation witness of the kernel hot loops
 //   summary     — one per run: status, final rank/indicator, total seconds
+//                 (built by lra::summary_record, core/run_record.hpp)
 
 #include <fstream>
 #include <map>
@@ -44,6 +46,12 @@ class ReportWriter {
   std::ofstream out_;
   int records_ = 0;
 };
+
+/// The "meta" record every report opens with: `tool`, and the kernel
+/// provenance the solve benchmark stamps on its own outputs —
+/// kernel_variant, isa, autotune (kernel_config_summary()) and pool_threads.
+/// Callers append their run parameters before writing it.
+JsonObj meta_record(const std::string& tool);
 
 /// One "iteration" record per sample, tagged with the method name.
 void write_telemetry(ReportWriter& w, const std::string& method,

@@ -1,5 +1,8 @@
 #include "obs/trace.hpp"
 
+#include <algorithm>
+#include <cmath>
+#include <cstdio>
 #include <fstream>
 #include <ostream>
 #include <stdexcept>
@@ -67,6 +70,60 @@ long long coll_display_id(std::uint64_t flow) {
 }
 
 }  // namespace
+
+std::map<std::string, double> kernel_seconds(
+    const std::vector<RankTrace>& ranks) {
+  std::map<std::string, double> out;
+  for (const RankTrace& rank : ranks) {
+    std::map<std::string, double> mine;
+    for (const TraceEvent& e : rank.events)
+      if (e.op == SpanOp::kCompute && e.name != kUnnamedCompute &&
+          e.name != kChargeSpan)
+        mine[e.name] += e.cost_v;
+    for (const auto& [name, secs] : mine) {
+      double& slot = out[name];
+      slot = std::max(slot, secs);
+    }
+  }
+  return out;
+}
+
+void print_kernel_breakdown(std::ostream& os,
+                            const std::map<std::string, double>& times,
+                            const std::vector<std::string>& kernels,
+                            double total) {
+  double accounted = 0.0;
+  double maxval = 1e-12;
+  for (const auto& k : kernels) {
+    auto it = times.find(k);
+    const double v = it == times.end() ? 0.0 : it->second;
+    accounted += v;
+    maxval = std::max(maxval, v);
+  }
+  // Kernel sums can exceed `total` by rounding (each is a max over ranks);
+  // the remainder must clamp at zero, never print as a negative row. A
+  // non-finite total degrades to an empty remainder instead of NaN bars.
+  const double remainder = std::isfinite(total) ? total - accounted : 0.0;
+  const double other = std::max(0.0, remainder);
+  maxval = std::max(maxval, other);
+
+  auto bar = [&](double v) {
+    const int width =
+        v > 0.0 ? static_cast<int>(40.0 * v / maxval + 0.5) : 0;
+    return std::string(static_cast<std::size_t>(std::max(0, width)), '#');
+  };
+  char buf[160];
+  for (const auto& k : kernels) {
+    auto it = times.find(k);
+    const double v = it == times.end() ? 0.0 : it->second;
+    std::snprintf(buf, sizeof(buf), "  %-12s %10.4fs  %s\n", k.c_str(), v,
+                  bar(v).c_str());
+    os << buf;
+  }
+  std::snprintf(buf, sizeof(buf), "  %-12s %10.4fs  %s\n", "other", other,
+                bar(other).c_str());
+  os << buf;
+}
 
 void write_chrome_trace(std::ostream& os, const std::vector<RankTrace>& ranks) {
   os << "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n";

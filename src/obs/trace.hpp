@@ -21,10 +21,16 @@
 
 #include <cstdint>
 #include <iosfwd>
+#include <map>
 #include <string>
 #include <vector>
 
 namespace lra::obs {
+
+/// Names of the compute events that belong to no kernel: an unnamed
+/// RankCtx::compute section and a modeled RankCtx::charge.
+inline constexpr const char* kUnnamedCompute = "compute";
+inline constexpr const char* kChargeSpan = "charge";
 
 enum class SpanCat {
   kCompute,     // ctx.compute(...) sections, charged by thread-CPU time
@@ -40,7 +46,7 @@ const char* to_string(SpanCat cat);
 /// span() calls); the profiler treats a non-zero-length kGeneric as compute.
 enum class SpanOp {
   kGeneric,   // legacy span / zero-length marker
-  kCompute,   // compute()/charge()/charge_kernel(): clock += cost_v
+  kCompute,   // compute()/charge(): clock += cost_v
   kSend,      // isend post: injection charge cost_v; avail_v = arrival
   kRecv,      // p2p completion: clock = max(block_v, avail_v)
   kCollPost,  // zero-length marker at collective post time
@@ -106,6 +112,19 @@ struct RankTrace {
   }
   void push(TraceEvent e) { events.push_back(std::move(e)); }
 };
+
+/// Per-kernel compute seconds of a traced run, as plotted in Figs. 5-6: each
+/// rank's compute events summed by name in program order (the unnamed ones
+/// skipped), then the max over ranks.
+std::map<std::string, double> kernel_seconds(
+    const std::vector<RankTrace>& ranks);
+
+/// Print "label  seconds  [bar]" rows for the listed kernels (absent kernels
+/// print 0), followed by an "other" row holding the remainder vs `total`.
+void print_kernel_breakdown(std::ostream& os,
+                            const std::map<std::string, double>& times,
+                            const std::vector<std::string>& kernels,
+                            double total);
 
 /// Emit Chrome trace-event JSON: one "X" event per span (args carry the
 /// profiling fields in full %.17g precision, so a parsed trace round-trips

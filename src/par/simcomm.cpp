@@ -695,16 +695,11 @@ void SimWorld::run(const std::function<void(RankCtx&)>& body) {
   // Aggregate before rethrowing: an aborted run still reports its virtual
   // times, counters and traces (the harness asserts on them).
   elapsed_virtual_ = 0.0;
-  kernel_max_.clear();
   comm_stats_.per_rank.clear();
   comm_stats_.per_rank.reserve(static_cast<std::size_t>(nranks_));
   comm_stats_.aborted = aborted_.load();
   for (const auto& c : ctx) {
     elapsed_virtual_ = std::max(elapsed_virtual_, c.vtime());
-    for (const auto& [name, secs] : c.kernel_times()) {
-      auto& slot = kernel_max_[name];
-      slot = std::max(slot, secs);
-    }
     comm_stats_.per_rank.push_back(c.counters());
   }
   // Queue-depth high-water marks live in the destination mailboxes; fold the

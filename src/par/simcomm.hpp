@@ -83,13 +83,26 @@ class RankCtx;
 
 /// Bundled configuration of a SimWorld-backed run: the alpha-beta cost
 /// model, event tracing, and an optional deterministic fault plan
-/// (sim/fault). The distributed solvers take a SimOptions so fault-injection
-/// and tracing flow through one parameter; the legacy (CostModel, bool)
-/// overloads remain for fault-free callers.
+/// (sim/fault). Every simulated entry point takes one (default: fault-free,
+/// untraced, the default cost model).
 struct SimOptions {
   CostModel cost{};
   bool collect_trace = false;
   sim::FaultPlan faults{};  // faults.enabled() == false -> no fault layer
+};
+
+/// What every simulated entry point returns: the method's result, assembled
+/// on rank 0, and what the runtime measured. A payload corruption injected
+/// by the fault plan and detected by the transport aborts the run as
+/// Status::kCommFault, with the clocks, counters and traces collected up to
+/// the abort, never as a crash. The per-kernel compute seconds of Figs. 5-6
+/// are a fold over `trace` (obs::kernel_seconds).
+template <typename Result>
+struct SimRun {
+  Result result;
+  double virtual_seconds = 0.0;       // max over ranks of the final clock
+  obs::CommStats comm;                // per-rank comm counters (always on)
+  std::vector<obs::RankTrace> trace;  // per-rank spans (collect_trace only)
 };
 
 /// Handle for a nonblocking point-to-point operation. Move-only value type;
@@ -192,7 +205,7 @@ class RankCtx {
   void charge(double seconds) {
     const double v0 = vclock_;
     vclock_ += seconds;
-    trace_compute("charge", v0, seconds);
+    trace_compute(obs::kChargeSpan, v0, seconds);
   }
 
   const CostModel& cost() const;
@@ -201,56 +214,26 @@ class RankCtx {
   /// pointer bookkeeping — never touches the clock or the heap.
   obs::prof::PhaseStack& phases() { return phases_; }
 
-  /// Run `f`, charging its thread-CPU time to the virtual clock.
-  template <typename F>
-  decltype(auto) compute(F&& f) {
-    if (!world_) return f();
-    const double t0 = thread_cpu_seconds();
-    if constexpr (std::is_void_v<decltype(f())>) {
-      f();
-      const double dt = straggle(thread_cpu_seconds() - t0);
-      const double v0 = vclock_;
-      vclock_ += dt;
-      trace_compute("compute", v0, dt);
-    } else {
-      decltype(auto) r = f();
-      const double dt = straggle(thread_cpu_seconds() - t0);
-      const double v0 = vclock_;
-      vclock_ += dt;
-      trace_compute("compute", v0, dt);
-      return r;
-    }
-  }
-
-  /// Same, also accumulating into the named kernel timer (Figs. 5-6).
+  /// Run `f`, charging its thread-CPU time to the virtual clock. On a
+  /// traced world the section is one compute event named `kernel`: the
+  /// trace is the per-kernel record Figs. 5-6 fold (obs::kernel_seconds).
   template <typename F>
   decltype(auto) compute(const std::string& kernel, F&& f) {
     if (!world_) return f();
     const double t0 = thread_cpu_seconds();
     if constexpr (std::is_void_v<decltype(f())>) {
       f();
-      const double dt = straggle(thread_cpu_seconds() - t0);
-      const double v0 = vclock_;
-      vclock_ += dt;
-      kernel_time_[kernel] += dt;
-      trace_compute(kernel, v0, dt);
+      charge_compute(kernel, t0);
     } else {
       decltype(auto) r = f();
-      const double dt = straggle(thread_cpu_seconds() - t0);
-      const double v0 = vclock_;
-      vclock_ += dt;
-      kernel_time_[kernel] += dt;
-      trace_compute(kernel, v0, dt);
+      charge_compute(kernel, t0);
       return r;
     }
   }
-
-  /// Charge modeled communication seconds to a named kernel as well.
-  void charge_kernel(const std::string& kernel, double seconds) {
-    const double v0 = vclock_;
-    vclock_ += seconds;
-    kernel_time_[kernel] += seconds;
-    trace_compute(kernel, v0, seconds);
+  /// An unnamed section (obs::kUnnamedCompute, which the fold skips).
+  template <typename F>
+  decltype(auto) compute(F&& f) {
+    return compute(obs::kUnnamedCompute, std::forward<F>(f));
   }
 
   // --- point-to-point (buffered send, blocking receive) ---
@@ -360,11 +343,6 @@ class RankCtx {
   CollRequest iallgatherv(std::vector<double>&& local);
   std::vector<double> wait_allgatherv(CollRequest& req);
 
-  /// Per-kernel accumulated seconds on this rank.
-  const std::map<std::string, double>& kernel_times() const {
-    return kernel_time_;
-  }
-
   /// This rank's communication counters (always collected).
   const obs::CommCounters& counters() const { return counters_; }
 
@@ -403,6 +381,15 @@ class RankCtx {
   /// Block until `req` completes, leaving the payload in the request
   /// (wait/waitall are thin wrappers). `v_entry` as in try_complete_recv.
   void wait_complete(SimRequest& req, double v_entry);
+
+  /// Close a compute section opened at thread-CPU time `t0`: advance the
+  /// clock by the (straggled) CPU time and trace it under `kernel`.
+  void charge_compute(const std::string& kernel, double t0) {
+    const double dt = straggle(thread_cpu_seconds() - t0);
+    const double v0 = vclock_;
+    vclock_ += dt;
+    trace_compute(kernel, v0, dt);
+  }
 
   /// Record a compute span [v0, vclock_] for an advance of `dt` modeled
   /// seconds (v0 is the clock captured *before* the advance, so events tile
@@ -455,7 +442,6 @@ class RankCtx {
   Stopwatch wall_;   // the in-process context's clock
   double vclock_ = 0.0;
   double compute_factor_ = 1.0;  // straggler CPU-time inflation
-  std::map<std::string, double> kernel_time_;
   // Per-destination send and per-rank collective sequence numbers: the keys
   // of the deterministic fault-decision streams (only advanced when a fault
   // plan is installed).
@@ -470,8 +456,8 @@ class RankCtx {
 /// The virtual-time SPMD world (see file comment for the clock semantics).
 ///
 /// Usage: construct, optionally enable_tracing(), call run() with the SPMD
-/// body, then read elapsed_virtual() / kernel_times_max() / comm_stats() /
-/// trace(). A SimWorld is reusable: each run() resets per-run state.
+/// body, then read elapsed_virtual() / comm_stats() / trace(). A SimWorld is
+/// reusable: each run() resets per-run state.
 /// Thread-safety: drive it from one controlling thread; run() itself spawns
 /// and joins the rank threads internally.
 class SimWorld {
@@ -515,10 +501,6 @@ class SimWorld {
 
   /// Max over ranks of the final virtual clock (the "parallel runtime").
   double elapsed_virtual() const { return elapsed_virtual_; }
-  /// Per-kernel max-over-ranks accumulated time, as plotted in Figs. 5-6.
-  const std::map<std::string, double>& kernel_times_max() const {
-    return kernel_max_;
-  }
 
   /// Per-rank communication counters of the last run (always collected).
   const obs::CommStats& comm_stats() const { return comm_stats_; }
@@ -598,7 +580,6 @@ class SimWorld {
   const sim::FaultPlan* fault_plan_ = nullptr; // null = fault layer off
   std::atomic<bool> aborted_{false};
   double elapsed_virtual_ = 0.0;
-  std::map<std::string, double> kernel_max_;
   obs::CommStats comm_stats_;
   std::vector<obs::RankTrace> trace_bufs_;
 };

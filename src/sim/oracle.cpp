@@ -5,51 +5,35 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "core/lu_crtp.hpp"
-#include "core/lu_crtp_dist.hpp"
-#include "core/randqb_ei.hpp"
-#include "core/randqb_ei_dist.hpp"
-#include "core/randubv.hpp"
-#include "core/randubv_dist.hpp"
+#include "core/driver.hpp"
 
 namespace lra::sim {
 namespace {
 
-RandQbOptions qb_opts(const ReproConfig& c) {
-  RandQbOptions o;
-  o.block_size = c.block_size;
+ApproxOptions approx_options(const ReproConfig& c) {
+  if (c.method == Method::kAuto)
+    throw std::invalid_argument("oracle configs must name a method");
+  ApproxOptions o;
+  o.method = c.method;
   o.tau = c.tau;
+  o.block_size = c.block_size;
   o.power = c.power;
   o.seed = c.solver_seed;
   o.max_rank = c.max_rank;
   return o;
 }
 
-LuCrtpOptions lu_opts(const ReproConfig& c) {
-  LuCrtpOptions o;
-  o.block_size = c.block_size;
-  o.tau = c.tau;
-  o.max_rank = c.max_rank;
-  if (c.method == Method::kIlutCrtp) o.threshold = ThresholdMode::kIlut;
-  return o;
-}
-
-RandUbvOptions ubv_opts(const ReproConfig& c) {
-  RandUbvOptions o;
-  o.block_size = c.block_size;
-  o.tau = c.tau;
-  o.seed = c.solver_seed;
-  o.max_rank = c.max_rank;
-  return o;
-}
-
-template <typename R>
-void fill_decisions(SolverDigest& d, const R& r) {
-  d.status = r.status;
-  d.rank = r.rank;
-  d.iterations = r.iterations;
-  d.indicator = r.indicator;
-  d.anorm_f = r.anorm_f;
+/// The decision fields of a run, and its dense exact error when it
+/// converged.
+SolverDigest digest(const CscMatrix& a, const LowRankApprox& r) {
+  SolverDigest d;
+  d.status = r.status();
+  d.rank = r.rank();
+  d.iterations = r.iterations();
+  d.indicator = r.indicator();
+  d.anorm_f = r.anorm_f();
+  if (d.status == Status::kConverged) d.exact_error = r.exact_error(a);
+  return d;
 }
 
 std::uint64_t flips_injected(const obs::CommStats& s) {
@@ -71,72 +55,17 @@ std::string fmt(double v) {
 }  // namespace
 
 SolverDigest run_sequential(const CscMatrix& a, const ReproConfig& cfg) {
-  SolverDigest d;
-  switch (cfg.method) {
-    case Method::kRandQbEi: {
-      const RandQbResult r = randqb_ei(a, qb_opts(cfg));
-      fill_decisions(d, r);
-      if (r.status == Status::kConverged)
-        d.exact_error = randqb_exact_error(a, r);
-      break;
-    }
-    case Method::kLuCrtp:
-    case Method::kIlutCrtp: {
-      const LuCrtpResult r = lu_crtp(a, lu_opts(cfg));
-      fill_decisions(d, r);
-      if (r.status == Status::kConverged)
-        d.exact_error = lu_crtp_exact_error(a, r);
-      break;
-    }
-    case Method::kRandUbv: {
-      const RandUbvResult r = randubv(a, ubv_opts(cfg));
-      fill_decisions(d, r);
-      if (r.status == Status::kConverged)
-        d.exact_error = randubv_exact_error(a, r);
-      break;
-    }
-    case Method::kAuto:
-      throw std::invalid_argument("oracle configs must name a method");
-  }
-  return d;
+  return digest(a, approximate(a, approx_options(cfg)));
 }
 
 SolverDigest run_distributed(const CscMatrix& a, const ReproConfig& cfg,
                              const FaultPlan& plan) {
-  SolverDigest d;
-  const SimOptions sim{cfg.cost, /*collect_trace=*/false, plan};
-  switch (cfg.method) {
-    case Method::kRandQbEi: {
-      const DistRandQbResult r = randqb_ei_dist(a, qb_opts(cfg), cfg.nranks, sim);
-      fill_decisions(d, r.result);
-      d.virtual_seconds = r.virtual_seconds;
-      d.comm = r.comm;
-      if (r.result.status == Status::kConverged)
-        d.exact_error = randqb_exact_error(a, r.result);
-      break;
-    }
-    case Method::kLuCrtp:
-    case Method::kIlutCrtp: {
-      const DistLuResult r = lu_crtp_dist(a, lu_opts(cfg), cfg.nranks, sim);
-      fill_decisions(d, r.result);
-      d.virtual_seconds = r.virtual_seconds;
-      d.comm = r.comm;
-      if (r.result.status == Status::kConverged)
-        d.exact_error = lu_crtp_exact_error(a, r.result);
-      break;
-    }
-    case Method::kRandUbv: {
-      const DistRandUbvResult r = randubv_dist(a, ubv_opts(cfg), cfg.nranks, sim);
-      fill_decisions(d, r.result);
-      d.virtual_seconds = r.virtual_seconds;
-      d.comm = r.comm;
-      if (r.result.status == Status::kConverged)
-        d.exact_error = randubv_exact_error(a, r.result);
-      break;
-    }
-    case Method::kAuto:
-      throw std::invalid_argument("oracle configs must name a method");
-  }
+  SimRun<LowRankApprox> run =
+      approximate(a, approx_options(cfg), cfg.nranks,
+                  SimOptions{cfg.cost, /*collect_trace=*/false, plan});
+  SolverDigest d = digest(a, run.result);
+  d.virtual_seconds = run.virtual_seconds;
+  d.comm = std::move(run.comm);
   return d;
 }
 

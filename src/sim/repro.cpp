@@ -1,14 +1,13 @@
 #include "sim/repro.hpp"
 
-#include <cctype>
-#include <cstdlib>
 #include <fstream>
-#include <map>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "gen/presets.hpp"
 #include "obs/json.hpp"
+#include "obs/jsonin.hpp"
 
 namespace lra::sim {
 namespace {
@@ -17,87 +16,47 @@ namespace {
   throw std::invalid_argument("repro JSON: " + what);
 }
 
-/// Tokenize one flat JSON object into key -> raw value (strings unquoted,
-/// numbers kept verbatim). No nesting, no escapes, no arrays.
-std::map<std::string, std::string> parse_flat_object(const std::string& s) {
-  std::map<std::string, std::string> kv;
-  std::size_t i = 0;
-  auto skip_ws = [&] {
-    while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
-  };
-  auto expect = [&](char c) {
-    skip_ws();
-    if (i >= s.size() || s[i] != c)
-      malformed(std::string("expected '") + c + "' at offset " +
-                std::to_string(i));
-    ++i;
-  };
-  auto parse_string = [&] {
-    expect('"');
-    const std::size_t start = i;
-    while (i < s.size() && s[i] != '"') {
-      if (s[i] == '\\') malformed("escape sequences are not supported");
-      ++i;
-    }
-    if (i >= s.size()) malformed("unterminated string");
-    return s.substr(start, i++ - start);
-  };
-
-  expect('{');
-  skip_ws();
-  if (i < s.size() && s[i] == '}') {
-    ++i;
-  } else {
-    for (;;) {
-      const std::string key = parse_string();
-      expect(':');
-      skip_ws();
-      if (i >= s.size()) malformed("missing value for key " + key);
-      std::string value;
-      if (s[i] == '"') {
-        value = parse_string();
-      } else {
-        const std::size_t start = i;
-        while (i < s.size() && (std::isalnum(static_cast<unsigned char>(s[i])) ||
-                                s[i] == '+' || s[i] == '-' || s[i] == '.'))
-          ++i;
-        value = s.substr(start, i - start);
-        if (value.empty()) malformed("empty value for key " + key);
-      }
-      if (!kv.emplace(key, value).second) malformed("duplicate key " + key);
-      skip_ws();
-      if (i < s.size() && s[i] == ',') {
-        ++i;
-        continue;
-      }
-      break;
-    }
-    expect('}');
+/// One flat object (string and number values, no nesting, no escapes).
+obs::JsonObject parse_flat_object(const std::string& s) {
+  // to_json never escapes, so a backslash is a foreign file.
+  if (s.find('\\') != std::string::npos)
+    malformed("escape sequences are not supported");
+  obs::JsonValue doc;
+  try {
+    doc = obs::parse_json(s);
+  } catch (const std::runtime_error& e) {
+    malformed(e.what());
   }
-  skip_ws();
-  if (i != s.size()) malformed("trailing content after the object");
-  return kv;
+  if (!doc.is_object()) malformed("expected one object");
+  return doc.as_object();
 }
 
-double to_double(const std::string& key, const std::string& v) {
-  char* end = nullptr;
-  const double x = std::strtod(v.c_str(), &end);
-  if (end != v.c_str() + v.size()) malformed("non-numeric value for " + key);
-  return x;
+const std::string& to_string_value(const std::string& key,
+                                   const obs::JsonValue& v) {
+  if (!v.is_string()) malformed("non-string value for " + key);
+  return v.as_string();
 }
 
-long long to_int(const std::string& key, const std::string& v) {
-  char* end = nullptr;
-  const long long x = std::strtoll(v.c_str(), &end, 10);
-  if (end != v.c_str() + v.size()) malformed("non-integer value for " + key);
-  return x;
+double to_double(const std::string& key, const obs::JsonValue& v) {
+  if (!v.is_number()) malformed("non-numeric value for " + key);
+  return v.as_double();
 }
 
-std::uint64_t to_u64(const std::string& key, const std::string& v) {
-  char* end = nullptr;
-  const unsigned long long x = std::strtoull(v.c_str(), &end, 10);
-  if (end != v.c_str() + v.size()) malformed("non-integer value for " + key);
-  return static_cast<std::uint64_t>(x);
+/// An integer literal that fits in T.
+template <typename T>
+T to_int(const std::string& key, const obs::JsonValue& v) {
+  std::int64_t x = 0;
+  if (!v.exact_int64(&x)) malformed("non-integer value for " + key);
+  if (!std::in_range<T>(x)) malformed("out-of-range value for " + key);
+  return static_cast<T>(x);
+}
+
+/// A seed: any 64-bit pattern, written either unsigned or (as to_json
+/// does) as the signed long long of the same bits.
+std::uint64_t to_u64(const std::string& key, const obs::JsonValue& v) {
+  std::uint64_t u = 0;
+  if (v.exact_uint64(&u)) return u;
+  return static_cast<std::uint64_t>(to_int<std::int64_t>(key, v));
 }
 
 }  // namespace
@@ -129,34 +88,35 @@ ReproConfig repro_from_json(const std::string& json) {
   ReproConfig c;
   for (const auto& [key, v] : parse_flat_object(json)) {
     if (key == "matrix") {
-      c.matrix = v;
+      c.matrix = to_string_value(key, v);
     } else if (key == "scale") {
       c.scale = to_double(key, v);
     } else if (key == "matrix_seed") {
       c.matrix_seed = to_u64(key, v);
     } else if (key == "method") {
-      c.method = method_from_string(v);
+      c.method = method_from_string(to_string_value(key, v));
     } else if (key == "tau") {
       c.tau = to_double(key, v);
     } else if (key == "block_size") {
-      c.block_size = static_cast<Index>(to_int(key, v));
+      c.block_size = to_int<Index>(key, v);
     } else if (key == "power") {
-      c.power = static_cast<int>(to_int(key, v));
+      c.power = to_int<int>(key, v);
     } else if (key == "solver_seed") {
       c.solver_seed = to_u64(key, v);
     } else if (key == "max_rank") {
-      c.max_rank = static_cast<Index>(to_int(key, v));
+      c.max_rank = to_int<Index>(key, v);
     } else if (key == "nranks") {
-      c.nranks = static_cast<int>(to_int(key, v));
+      c.nranks = to_int<int>(key, v);
     } else if (key == "alpha") {
       c.cost.alpha = to_double(key, v);
     } else if (key == "beta") {
       c.cost.beta = to_double(key, v);
     } else if (key == "comm_algo") {
-      if (!parse_comm_algo(v, &c.cost.comm_algo))
-        malformed("comm_algo must be tree|ring|auto, got \"" + v + "\"");
+      const std::string& algo = to_string_value(key, v);
+      if (!parse_comm_algo(algo, &c.cost.comm_algo))
+        malformed("comm_algo must be tree|ring|auto, got \"" + algo + "\"");
     } else if (key == "faults") {
-      c.faults = v;
+      c.faults = to_string_value(key, v);
     } else {
       malformed("unknown key " + key);
     }

@@ -9,9 +9,10 @@
 //   lra_cli repro --file=FILE    (equivalently: lra_cli --repro=FILE)
 // invocation. The JSON schema is documented in EXPERIMENTS.md (HARNESS).
 //
-// The parser is deliberately tiny: one flat object, string and number
-// values only, no nesting, no escapes — exactly what to_json emits. It
-// throws std::invalid_argument on anything else rather than guessing.
+// Files are read through obs/jsonin and held to exactly what to_json emits:
+// one flat object, string and number values only (integer keys take integer
+// literals), no nesting, no escapes, no duplicate keys. Anything else throws
+// std::invalid_argument rather than guessing.
 
 #include <string>
 

@@ -202,19 +202,29 @@ void CscMatrix::prune(double tol) {
   colptr_ = std::move(colptr);
 }
 
-bool CscMatrix::structurally_valid() const {
-  if (static_cast<Index>(colptr_.size()) != cols_ + 1) return false;
-  if (colptr_.front() != 0) return false;
-  if (colptr_.back() != nnz()) return false;
-  if (rowind_.size() != values_.size()) return false;
-  for (Index j = 0; j < cols_; ++j) {
-    if (colptr_[j] > colptr_[j + 1]) return false;
-    for (Index p = colptr_[j]; p < colptr_[j + 1]; ++p) {
-      if (rowind_[p] < 0 || rowind_[p] >= rows_) return false;
-      if (p > colptr_[j] && rowind_[p - 1] >= rowind_[p]) return false;
+bool CscMatrix::valid_structure(Index rows, Index cols,
+                                std::span<const Index> colptr,
+                                std::span<const Index> rowind,
+                                std::size_t nvalues) {
+  if (rows < 0 || cols < 0 ||
+      colptr.size() != static_cast<std::size_t>(cols) + 1 ||
+      rowind.size() != nvalues || colptr.front() != 0 ||
+      colptr.back() != static_cast<Index>(rowind.size()))
+    return false;
+  // Every offset first, so that the row scan below stays inside rowind.
+  for (Index j = 0; j < cols; ++j)
+    if (colptr[j] > colptr[j + 1]) return false;
+  for (Index j = 0; j < cols; ++j) {
+    for (Index p = colptr[j]; p < colptr[j + 1]; ++p) {
+      if (rowind[p] < 0 || rowind[p] >= rows) return false;
+      if (p > colptr[j] && rowind[p - 1] >= rowind[p]) return false;
     }
   }
   return true;
+}
+
+bool CscMatrix::structurally_valid() const {
+  return valid_structure(rows_, cols_, colptr_, rowind_, values_.size());
 }
 
 }  // namespace lra

@@ -76,7 +76,17 @@ class CscMatrix {
   /// Remove stored entries with |value| <= tol (exact zeros when tol = 0).
   void prune(double tol = 0.0);
 
-  bool structurally_valid() const;  // invariant checker for tests
+  /// True when the arrays describe a valid CSC structure: `colptr` holds
+  /// cols + 1 nondecreasing offsets from 0 to rowind.size(), there are as
+  /// many values as row indices, and each column's row indices strictly
+  /// increase within [0, rows). Safe on arbitrary (corrupted) input; the
+  /// factor-file loader checks with it before constructing.
+  static bool valid_structure(Index rows, Index cols,
+                              std::span<const Index> colptr,
+                              std::span<const Index> rowind,
+                              std::size_t nvalues);
+  /// valid_structure() of this matrix (the constructors' invariant).
+  bool structurally_valid() const;
 
  private:
   Index rows_ = 0;

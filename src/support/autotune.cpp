@@ -1,97 +1,42 @@
 #include "support/autotune.hpp"
 
-#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <map>
 #include <mutex>
 #include <sstream>
+#include <stdexcept>
+#include <utility>
 
+#include "obs/jsonin.hpp"
 #include "support/simd.hpp"
-
-// The JSON reader below is deliberately hand-rolled: lra_support is the
-// bottom library of the dependency stack and must not pull in lra_obs (which
-// owns the full jsonin parser but links back onto support). The cache files
-// are machine-written flat objects — two levels of nesting, string and
-// integer values only — so a ~60-line recursive scanner covers them; anything
-// it cannot read is treated as a corrupt cache and rejected.
 
 namespace lra {
 namespace {
 
-struct FlatJson {
-  // Dotted-path keys: "schema", "gemm.mc", "dtc.ib", ...
-  std::map<std::string, std::string> strings;
-  std::map<std::string, long> numbers;
-};
-
-struct Parser {
-  const std::string& s;
-  std::size_t i = 0;
-
-  bool eof() const { return i >= s.size(); }
-  void skip_ws() {
-    while (!eof() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
+// The cache is a machine-written object: two levels of nesting, string and
+// integer values only. Anything else is a corrupt cache.
+bool well_formed(const obs::JsonValue& obj, int depth) {
+  for (const auto& [key, v] : obj.as_object()) {
+    std::int64_t i;
+    const bool ok = v.is_object() ? depth < 2 && well_formed(v, depth + 1)
+                                  : v.is_string() || v.exact_int64(&i);
+    if (!ok) return false;
   }
-  bool consume(char c) {
-    skip_ws();
-    if (eof() || s[i] != c) return false;
-    ++i;
-    return true;
-  }
-  bool parse_string(std::string* out) {
-    skip_ws();
-    if (eof() || s[i] != '"') return false;
-    ++i;
-    out->clear();
-    while (!eof() && s[i] != '"') {
-      if (s[i] == '\\') return false;  // cache values never need escapes
-      out->push_back(s[i++]);
-    }
-    if (eof()) return false;  // unterminated string
-    ++i;                      // closing quote
-    return true;
-  }
-  bool parse_object(const std::string& prefix, FlatJson* out, int depth) {
-    if (depth > 2 || !consume('{')) return false;
-    skip_ws();
-    if (consume('}')) return true;
-    while (true) {
-      std::string key;
-      if (!parse_string(&key) || !consume(':')) return false;
-      const std::string path = prefix.empty() ? key : prefix + "." + key;
-      skip_ws();
-      if (eof()) return false;
-      if (s[i] == '{') {
-        if (!parse_object(path, out, depth + 1)) return false;
-      } else if (s[i] == '"') {
-        std::string val;
-        if (!parse_string(&val)) return false;
-        out->strings[path] = val;
-      } else {
-        std::size_t start = i;
-        if (s[i] == '-') ++i;
-        while (!eof() && std::isdigit(static_cast<unsigned char>(s[i]))) ++i;
-        if (i == start) return false;
-        out->numbers[path] = std::strtol(s.c_str() + start, nullptr, 10);
-      }
-      if (consume(',')) continue;
-      return consume('}');
-    }
-  }
-};
-
-bool parse_flat_json(const std::string& text, FlatJson* out) {
-  Parser p{text};
-  if (!p.parse_object("", out, 0)) return false;
-  p.skip_ws();
-  return p.eof();
+  return true;
 }
 
-int number_or(const FlatJson& doc, const std::string& key, int fallback) {
-  const auto it = doc.numbers.find(key);
-  return it == doc.numbers.end() ? fallback : static_cast<int>(it->second);
+/// Read `section.key` into `*v` when present; false when present but not an
+/// integer that fits in int.
+bool int_field(const obs::JsonValue& doc, const char* section, const char* key,
+               int* v) {
+  const obs::JsonValue* s = doc.find(section);
+  const obs::JsonValue* f = s != nullptr ? s->find(key) : nullptr;
+  if (f == nullptr) return true;
+  std::int64_t i;
+  if (!f->exact_int64(&i) || !std::in_range<int>(i)) return false;
+  *v = static_cast<int>(i);
+  return true;
 }
 
 // --- resolution ------------------------------------------------------------
@@ -191,30 +136,51 @@ bool load_kernel_config_file(const std::string& path, KernelConfig* out,
   }
   std::stringstream ss;
   ss << in.rdbuf();
-  FlatJson doc;
-  if (!parse_flat_json(ss.str(), &doc)) {
-    if (err != nullptr) *err = "not parseable as a flat JSON object";
+  const std::string text = ss.str();
+  obs::JsonValue doc;
+  try {
+    // The writer never escapes: a backslash means a foreign or corrupt file.
+    if (text.find('\\') != std::string::npos)
+      throw std::runtime_error("escape sequences are not supported");
+    doc = obs::parse_json(text);
+    if (!doc.is_object() || !well_formed(doc, 0))
+      throw std::runtime_error("values must be strings, integers or objects "
+                               "nested at most two deep");
+  } catch (const std::runtime_error& e) {
+    if (err != nullptr)
+      *err = "not parseable as a flat JSON object (" + std::string(e.what()) +
+             ")";
     return false;
   }
-  const auto schema = doc.strings.find("schema");
-  if (schema == doc.strings.end() || schema->second != kAutotuneSchema) {
+  const std::string schema = doc.string_or("schema", "");
+  if (schema != kAutotuneSchema) {
     if (err != nullptr) *err = "schema is not " + std::string(kAutotuneSchema);
     return false;
   }
-  const auto isa = doc.strings.find("isa");
-  if (isa == doc.strings.end() || isa->second != simd::simd_isa_name()) {
+  const std::string isa = doc.string_or("isa", "?");
+  if (isa != simd::simd_isa_name()) {
     if (err != nullptr)
-      *err = "cache ISA \"" +
-             (isa == doc.strings.end() ? std::string("?") : isa->second) +
-             "\" does not match this build (" + simd::simd_isa_name() + ")";
+      *err = "cache ISA \"" + isa + "\" does not match this build (" +
+             simd::simd_isa_name() + ")";
     return false;
   }
   KernelConfig cfg = default_kernel_config();
-  cfg.gemm.mc = number_or(doc, "gemm.mc", cfg.gemm.mc);
-  cfg.gemm.kc = number_or(doc, "gemm.kc", cfg.gemm.kc);
-  cfg.gemm.mv = number_or(doc, "gemm.mv", cfg.gemm.mv);
-  cfg.gemm.nr = number_or(doc, "gemm.nr", cfg.gemm.nr);
-  cfg.dtc.ib = number_or(doc, "dtc.ib", cfg.dtc.ib);
+  const struct {
+    const char* section;
+    const char* key;
+    int* value;
+  } fields[] = {{"gemm", "mc", &cfg.gemm.mc},
+                {"gemm", "kc", &cfg.gemm.kc},
+                {"gemm", "mv", &cfg.gemm.mv},
+                {"gemm", "nr", &cfg.gemm.nr},
+                {"dtc", "ib", &cfg.dtc.ib}};
+  for (const auto& f : fields) {
+    if (!int_field(doc, f.section, f.key, f.value)) {
+      if (err != nullptr)
+        *err = std::string(f.section) + "." + f.key + " is not an int";
+      return false;
+    }
+  }
   cfg.source = path;
   if (!validate_kernel_config(cfg, err)) return false;
   *out = cfg;

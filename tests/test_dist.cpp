@@ -337,13 +337,14 @@ TEST(Dist, KernelTimersCoverDetKernels) {
   LuCrtpOptions o;
   o.block_size = 16;
   o.tau = 1e-2;
-  const DistLuResult d = lu_crtp_dist(a, o, 4);
-  EXPECT_TRUE(d.kernel_seconds.count("col_qrtp"));
-  EXPECT_TRUE(d.kernel_seconds.count("row_qrtp"));
-  EXPECT_TRUE(d.kernel_seconds.count("schur"));
-  EXPECT_TRUE(d.kernel_seconds.count("solve_a21"));
+  const DistLuResult d = lu_crtp_dist(a, o, 4, {.collect_trace = true});
+  const auto kernels = obs::kernel_seconds(d.trace);
+  EXPECT_TRUE(kernels.count("col_qrtp"));
+  EXPECT_TRUE(kernels.count("row_qrtp"));
+  EXPECT_TRUE(kernels.count("schur"));
+  EXPECT_TRUE(kernels.count("solve_a21"));
   double total = 0.0;
-  for (const auto& [k, v] : d.kernel_seconds) {
+  for (const auto& [k, v] : kernels) {
     EXPECT_GE(v, 0.0);
     total += v;
   }
@@ -373,7 +374,7 @@ TEST_P(RingVsTree, LuAndIlutFactorsBitwiseIdentical) {
     o.tau = 1e-2;
     o.threshold = mode;
     const DistLuResult tree = lu_crtp_dist(a, o, np);
-    const DistLuResult ring = lu_crtp_dist(a, o, np, ring_model());
+    const DistLuResult ring = lu_crtp_dist(a, o, np, {ring_model()});
     EXPECT_EQ(ring.result.status, tree.result.status);
     EXPECT_EQ(ring.result.rank, tree.result.rank);
     EXPECT_EQ(ring.result.iterations, tree.result.iterations);
@@ -394,7 +395,7 @@ TEST_P(RingVsTree, RandQbFactorsBitwiseIdentical) {
   o.tau = 1e-2;
   o.power = 1;
   const DistRandQbResult tree = randqb_ei_dist(a, o, np);
-  const DistRandQbResult ring = randqb_ei_dist(a, o, np, ring_model());
+  const DistRandQbResult ring = randqb_ei_dist(a, o, np, {ring_model()});
   EXPECT_EQ(ring.result.status, tree.result.status);
   EXPECT_EQ(ring.result.rank, tree.result.rank);
   EXPECT_EQ(ring.result.iterations, tree.result.iterations);
@@ -411,7 +412,7 @@ TEST_P(RingVsTree, RandUbvFactorsBitwiseIdentical) {
   o.block_size = 16;
   o.tau = 1e-2;
   const DistRandUbvResult tree = randubv_dist(a, o, np);
-  const DistRandUbvResult ring = randubv_dist(a, o, np, ring_model());
+  const DistRandUbvResult ring = randubv_dist(a, o, np, {ring_model()});
   EXPECT_EQ(ring.result.status, tree.result.status);
   EXPECT_EQ(ring.result.rank, tree.result.rank);
   EXPECT_EQ(ring.result.iterations, tree.result.iterations);

@@ -127,6 +127,30 @@ TEST(ReproJson, RejectsMalformedInput) {
                std::invalid_argument);
 }
 
+TEST(ReproJson, SeedsRoundTripAndIntegerKeysTakeIntegers) {
+  ReproConfig c;
+  c.solver_seed = ~0ull;  // written as the signed long long -1
+  c.matrix_seed = 1ull << 63;
+  const ReproConfig d = repro_from_json(to_json(c));
+  EXPECT_EQ(d.solver_seed, c.solver_seed);
+  EXPECT_EQ(d.matrix_seed, c.matrix_seed);
+  EXPECT_EQ(repro_from_json("{\"solver_seed\": 18446744073709551615}")
+                .solver_seed,
+            ~0ull);
+  EXPECT_THROW(repro_from_json("{\"block_size\": 8.0}"),
+               std::invalid_argument);
+  EXPECT_THROW(repro_from_json("{\"power\": 1e0}"), std::invalid_argument);
+  // 2^32 + 4 would wrap to 4 through a cast to int.
+  EXPECT_THROW(repro_from_json("{\"nranks\": 4294967300}"),
+               std::invalid_argument);
+  EXPECT_THROW(repro_from_json("{\"matrix_seed\": 18446744073709551616}"),
+               std::invalid_argument);
+  EXPECT_THROW(repro_from_json("{\"matrix\": [\"M1\"]}"),
+               std::invalid_argument);
+  EXPECT_THROW(repro_from_json("{\"m\": " + std::string(1 << 20, '[')),
+               std::invalid_argument);
+}
+
 TEST(ReproJson, FileRoundTrip) {
   const std::string path = ::testing::TempDir() + "repro_roundtrip.json";
   const ReproConfig c = complex_config();

@@ -509,6 +509,30 @@ TEST(KernelsSimdTest, AutotuneCacheRejectsCorruptAndForeignFiles) {
     std::remove(p.c_str());
 }
 
+TEST(KernelsSimdTest, AutotuneCacheRejectsDuplicateKeysAndFieldsBeyondInt) {
+  ConfigGuard config;
+  std::string err;
+  KernelConfig out;
+  const std::string path = temp_path("lra_autotune_strict.json");
+  const auto write = [&](const std::string& gemm) {
+    std::ofstream(path) << "{\"schema\": \"lra_autotune/v1\", \"isa\": \""
+                        << simd::simd_isa_name() << "\", \"gemm\": {" << gemm
+                        << "}, \"dtc\": {\"ib\": 8}}";
+  };
+  write("\"mc\": 128, \"kc\": 256, \"mv\": 2, \"nr\": 4");
+  EXPECT_TRUE(load_kernel_config_file(path, &out, &err)) << err;
+  // 2^32 + 128 would wrap to a valid 128 through a cast to int.
+  write("\"mc\": 4294967424, \"kc\": 256, \"mv\": 2, \"nr\": 4");
+  EXPECT_FALSE(load_kernel_config_file(path, &out, &err));
+  EXPECT_NE(err.find("gemm.mc"), std::string::npos) << err;
+  write("\"mc\": 128, \"kc\": 256, \"kc\": 128, \"mv\": 2, \"nr\": 4");
+  EXPECT_FALSE(load_kernel_config_file(path, &out, &err));
+  EXPECT_NE(err.find("duplicate"), std::string::npos) << err;
+  write("\"mc\": 128.5, \"kc\": 256, \"mv\": 2, \"nr\": 4");
+  EXPECT_FALSE(load_kernel_config_file(path, &out, &err));
+  std::remove(path.c_str());
+}
+
 TEST(KernelsSimdTest, SetKernelConfigRejectsInvalidGeometry) {
   ConfigGuard config;
   const KernelConfig before = kernel_config();

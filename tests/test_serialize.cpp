@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <vector>
 
@@ -114,7 +115,10 @@ std::vector<unsigned char> slurp(const std::string& path) {
 void spit(const std::string& path, const std::vector<unsigned char>& bytes) {
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
-  ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  // fwrite must not see the null pointer of an empty (zero-length) prefix.
+  if (!bytes.empty()) {
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f), bytes.size());
+  }
   std::fclose(f);
 }
 
@@ -155,6 +159,60 @@ TEST(Serialize, SingleBitFlipsNeverCrashTheLoader) {
     }
   }
   EXPECT_GT(rejected, 0);  // header flips must not pass silently
+  std::remove(path.c_str());
+}
+
+namespace {
+
+// In the file image `bytes`, where m's row indices are stored verbatim,
+// overwrite the second row index of m's first column holding two entries:
+// with the first one (`repeat`), or by swapping the pair. False when m has
+// no such column or its indices are not found.
+bool corrupt_row_pair(std::vector<unsigned char>& bytes, const CscMatrix& m,
+                      bool repeat) {
+  const auto* needle =
+      reinterpret_cast<const unsigned char*>(m.rowind().data());
+  const auto at = std::search(bytes.begin(), bytes.end(), needle,
+                              needle + m.nnz() * sizeof(Index));
+  if (at == bytes.end()) return false;
+  for (Index j = 0; j < m.cols(); ++j) {
+    if (m.col_nnz(j) < 2) continue;
+    const auto first = at + static_cast<long>(m.colptr()[j] * sizeof(Index));
+    const auto second = first + sizeof(Index);
+    if (repeat)
+      std::copy(first, second, second);
+    else
+      std::swap_ranges(first, second, second);
+    return true;
+  }
+  return false;
+}
+
+}  // namespace
+
+TEST(Serialize, UnsortedOrRepeatedRowIndicesAreRejected) {
+  // A column whose row indices do not strictly increase passes the pointer
+  // and range checks, but breaks the CSC invariant every kernel relies on:
+  // both loaders must refuse it with the structured error.
+  const CscMatrix a = test_matrix();
+  const std::string path = ::testing::TempDir() + "/lra_rows.fact";
+  for (const bool repeat : {false, true}) {
+    save_csc(path, a);
+    std::vector<unsigned char> bytes = slurp(path);
+    ASSERT_TRUE(corrupt_row_pair(bytes, a, repeat));
+    spit(path, bytes);
+    EXPECT_THROW(load_csc(path), std::runtime_error) << "repeat " << repeat;
+  }
+
+  LuCrtpOptions o;
+  o.block_size = 10;
+  o.tau = 1e-2;
+  const LuCrtpResult r = ilut_crtp(a, o);
+  save_factorization(path, r);
+  std::vector<unsigned char> bytes = slurp(path);
+  ASSERT_TRUE(corrupt_row_pair(bytes, r.l, /*repeat=*/false));
+  spit(path, bytes);
+  EXPECT_THROW(load_lu_factorization(path), std::runtime_error);
   std::remove(path.c_str());
 }
 

@@ -64,10 +64,8 @@
 
 #include "core/driver.hpp"
 #include "core/fixed_rank.hpp"
-#include "core/lu_crtp_dist.hpp"
 #include "core/metrics.hpp"
-#include "core/randqb_ei_dist.hpp"
-#include "core/randubv_dist.hpp"
+#include "core/run_record.hpp"
 #include "core/serialize.hpp"
 #include "dense/blas.hpp"
 #include "dense/svd.hpp"
@@ -134,33 +132,6 @@ int cmd_info(const Cli& cli) {
   return 0;
 }
 
-// Distributed run digest shared by the four method dispatches below.
-struct DistDigest {
-  Status status = Status::kMaxIterations;
-  Index rank = 0;
-  Index iterations = 0;
-  double indicator_rel = 0.0;
-  double virtual_seconds = 0.0;
-  obs::TelemetrySeries telemetry;
-  obs::CommStats comm;
-  std::vector<obs::RankTrace> trace;
-};
-
-template <typename DistResult>
-DistDigest digest(DistResult&& d) {
-  DistDigest g;
-  g.status = d.result.status;
-  g.rank = d.result.rank;
-  g.iterations = d.result.iterations;
-  g.indicator_rel =
-      d.result.anorm_f > 0.0 ? d.result.indicator / d.result.anorm_f : 0.0;
-  g.virtual_seconds = d.virtual_seconds;
-  g.telemetry = std::move(d.result.telemetry);
-  g.comm = std::move(d.comm);
-  g.trace = std::move(d.trace);
-  return g;
-}
-
 int cmd_approx(const Cli& cli) {
   const std::string mtx = cli.get("mtx", "");
   const CscMatrix a = read_matrix_market(mtx);
@@ -189,150 +160,110 @@ int cmd_approx(const Cli& cli) {
                  algo_str.c_str());
     return 2;
   }
-
-  // Distributed runs resolve "auto" with the paper's parallel guidance
-  // (deterministic methods at coarse-to-moderate tau), sequential runs with
-  // the sequential one.
-  const Method method = np > 0 ? choose_method_dist(a, o) : choose_method(a, o);
+  sim.collect_trace = !trace_path.empty() || want_profile;
 
   std::unique_ptr<obs::ReportWriter> report;
   if (!report_path.empty())
     report = std::make_unique<obs::ReportWriter>(report_path);
+
+  // The driver resolves "auto": with the paper's parallel guidance on
+  // simulated ranks (deterministic methods at coarse-to-moderate tau), with
+  // the sequential one otherwise.
+  SimRun<LowRankApprox> run;
+  double seconds = 0.0;
+  if (np > 0) {
+    run = approximate(a, o, np, sim);
+  } else {
+    ThreadPool::global().reset_stats();
+    Stopwatch clock;
+    run.result = approximate(a, o);
+    seconds = clock.seconds();
+  }
+  const LowRankApprox& approx = run.result;
+  const char* method = to_string(approx.method());
+
   if (report) {
-    obs::JsonObj meta;
-    meta.field("type", "meta")
-        .field("tool", "lra_cli approx")
-        .field("matrix", mtx)
+    obs::JsonObj meta = obs::meta_record("lra_cli approx");
+    meta.field("matrix", mtx)
         .field("rows", static_cast<long long>(a.rows()))
         .field("cols", static_cast<long long>(a.cols()))
         .field("nnz", static_cast<long long>(a.nnz()))
         .field("density", a.density())
-        .field("method", to_string(method))
+        .field("method", method)
         .field("tau", o.tau)
         .field("block_size", static_cast<long long>(o.block_size))
         .field("np", np)
         .field("comm_algo", to_string(sim.cost.comm_algo));
     report->write(meta);
+    obs::write_telemetry(*report, method, approx.telemetry());
   }
 
+  obs::prof::Profile prof;
   if (np > 0) {
-    sim.collect_trace = !trace_path.empty() || want_profile;
-    DistDigest g;
-    switch (method) {
-      case Method::kRandQbEi: {
-        RandQbOptions qo;
-        qo.block_size = o.block_size;
-        qo.tau = o.tau;
-        qo.power = o.power;
-        qo.seed = o.seed;
-        qo.max_rank = o.max_rank;
-        g = digest(randqb_ei_dist(a, qo, np, sim));
-        break;
-      }
-      case Method::kLuCrtp:
-      case Method::kIlutCrtp: {
-        LuCrtpOptions lo;
-        lo.block_size = o.block_size;
-        lo.tau = o.tau;
-        lo.max_rank = o.max_rank;
-        lo.colamd = o.colamd;
-        if (method == Method::kIlutCrtp) lo.threshold = ThresholdMode::kIlut;
-        g = digest(lu_crtp_dist(a, lo, np, sim));
-        break;
-      }
-      case Method::kRandUbv: {
-        RandUbvOptions uo;
-        uo.block_size = o.block_size;
-        uo.tau = o.tau;
-        uo.seed = o.seed;
-        uo.max_rank = o.max_rank;
-        g = digest(randubv_dist(a, uo, np, sim));
-        break;
-      }
-      case Method::kAuto:
-        break;  // unreachable: choose_method resolved it
-    }
-    std::printf("method    : %s (simulated distributed, np=%d)\n",
-                to_string(method), np);
-    std::printf("status    : %s\n", to_string(g.status));
-    std::printf("rank      : %ld in %.6fs virtual\n", g.rank,
-                g.virtual_seconds);
-    std::printf("indicator : %.3e (target %.3e)\n", g.indicator_rel, o.tau);
+    std::printf("method    : %s (simulated distributed, np=%d)\n", method, np);
+    std::printf("status    : %s\n", to_string(approx.status()));
+    std::printf("rank      : %ld in %.6fs virtual\n", approx.rank(),
+                run.virtual_seconds);
+    std::printf("indicator : %.3e (target %.3e)\n", approx.indicator_rel(),
+                o.tau);
     std::printf("comm      : %llu msgs, %llu bytes, max queue depth %llu\n",
-                static_cast<unsigned long long>(g.comm.total_msgs()),
-                static_cast<unsigned long long>(g.comm.total_bytes()),
-                static_cast<unsigned long long>(g.comm.max_queue_depth()));
+                static_cast<unsigned long long>(run.comm.total_msgs()),
+                static_cast<unsigned long long>(run.comm.total_bytes()),
+                static_cast<unsigned long long>(run.comm.max_queue_depth()));
     if (sim.faults.enabled())
       std::printf("faults    : plan \"%s\", %llu events%s\n",
                   sim::to_spec(sim.faults).c_str(),
-                  static_cast<unsigned long long>(g.comm.total_fault_events()),
-                  g.comm.aborted ? ", run aborted" : "");
+                  static_cast<unsigned long long>(run.comm.total_fault_events()),
+                  run.comm.aborted ? ", run aborted" : "");
     if (!trace_path.empty()) {
       // Written even when the run aborted on a fault: the partial trace is
       // still well-formed and analyzable (attribution covers [0, abort]).
-      obs::write_chrome_trace_file(trace_path, g.trace);
+      obs::write_chrome_trace_file(trace_path, run.trace);
       std::printf("trace     -> %s (%zu ranks)\n", trace_path.c_str(),
-                  g.trace.size());
+                  run.trace.size());
     }
-    obs::prof::Profile prof;
     if (want_profile) {
-      prof = obs::prof::build_profile(g.trace);
+      prof = obs::prof::build_profile(run.trace);
       obs::prof::print_profile(std::cout, prof);
     }
     if (report) {
-      obs::write_telemetry(*report, to_string(method), g.telemetry);
-      obs::write_comm_stats(*report, g.comm);
-      obs::JsonObj summary;
-      summary.field("type", "summary")
-          .field("status", to_string(g.status))
-          .field("rank", static_cast<long long>(g.rank))
-          .field("iterations", static_cast<long long>(g.iterations))
-          .field("indicator_rel", g.indicator_rel)
-          .field("virtual_seconds", g.virtual_seconds);
+      obs::write_comm_stats(*report, run.comm);
+      obs::JsonObj summary = summary_record(run);
+      summary.field("factor_values",
+                    static_cast<long long>(approx.factor_values()));
       report->write(summary);
       if (want_profile) {
         std::ostringstream ss;
-        obs::prof::write_profile_jsonl(ss, prof, to_string(method));
+        obs::prof::write_profile_jsonl(ss, prof, method);
         report->write_lines(ss.str());
       }
-      std::printf("report    -> %s (%d records)\n", report_path.c_str(),
-                  report->records());
     }
-    if (want_profile && !prof.conserved) {
-      for (const std::string& v : prof.violations)
-        std::fprintf(stderr, "profile violation: %s\n", v.c_str());
-      return 1;
+  } else {
+    std::printf("method    : %s\n", method);
+    std::printf("threads   : %d\n", ThreadPool::global().num_threads());
+    std::printf("status    : %s\n", to_string(approx.status()));
+    std::printf("rank      : %ld in %.2fs\n", approx.rank(), seconds);
+    std::printf("indicator : %.3e (target %.3e)\n", approx.indicator_rel(),
+                o.tau);
+    std::printf("factor sz : %ld stored values (input nnz %ld)\n",
+                approx.factor_values(), a.nnz());
+    if (report) {
+      obs::write_pool_stats(*report, ThreadPool::global().kernel_stats());
+      obs::write_workspace_stats(*report, Workspace::aggregate());
+      obs::JsonObj summary = summary_record(approx);
+      summary.field("wall_seconds", seconds)
+          .field("factor_values",
+                 static_cast<long long>(approx.factor_values()));
+      report->write(summary);
     }
-    return 0;
   }
-
-  ThreadPool::global().reset_stats();
-  Stopwatch clock;
-  const LowRankApprox approx = approximate(a, o);
-  const double seconds = clock.seconds();
-  std::printf("method    : %s\n", to_string(approx.method()));
-  std::printf("threads   : %d\n", ThreadPool::global().num_threads());
-  std::printf("status    : %s\n", to_string(approx.status()));
-  std::printf("rank      : %ld in %.2fs\n", approx.rank(), seconds);
-  std::printf("indicator : %.3e (target %.3e)\n", approx.indicator_rel(),
-              o.tau);
-  std::printf("factor sz : %ld stored values (input nnz %ld)\n",
-              approx.factor_values(), a.nnz());
-  if (report) {
-    obs::write_telemetry(*report, to_string(approx.method()),
-                         approx.telemetry());
-    obs::write_pool_stats(*report, ThreadPool::global().kernel_stats());
-    obs::write_workspace_stats(*report, Workspace::aggregate());
-    obs::JsonObj summary;
-    summary.field("type", "summary")
-        .field("status", to_string(approx.status()))
-        .field("rank", static_cast<long long>(approx.rank()))
-        .field("indicator_rel", approx.indicator_rel())
-        .field("wall_seconds", seconds)
-        .field("factor_values", static_cast<long long>(approx.factor_values()));
-    report->write(summary);
+  if (report)
     std::printf("report    -> %s (%d records)\n", report_path.c_str(),
                 report->records());
+  if (want_profile && !prof.conserved) {
+    for (const std::string& v : prof.violations)
+      std::fprintf(stderr, "profile violation: %s\n", v.c_str());
+    return 1;
   }
 
   const std::string out = cli.get("out", "");
@@ -343,7 +274,7 @@ int cmd_approx(const Cli& cli) {
       save_factorization(out, *qb);
     } else {
       std::fprintf(stderr, "storing %s factorizations is not supported\n",
-                   to_string(approx.method()));
+                   method);
       return 1;
     }
     std::printf("factors   -> %s\n", out.c_str());
