@@ -55,6 +55,8 @@ int main(int argc, char** argv) {
   const Cli cli(argc, argv);
   const Index n = cli.get_int("n", 2000);
   const Index k = cli.get_int("k", 16);
+  bench::configure_threads(cli);
+  cli.reject_unread();
 
   bench::print_header("Ablation: panel compression inside QR_TP",
                       "design choice 1 in DESIGN.md (cf. SuiteSparseQR use in "

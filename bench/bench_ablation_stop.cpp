@@ -62,6 +62,8 @@ int main(int argc, char** argv) {
   const Index n = cli.get_int("n", 400);
   const Index k = cli.get_int("k", 16);
   const double tau = cli.get_double("tau", 1e-2);
+  bench::configure_threads(cli);
+  cli.reject_unread();
 
   bench::print_header("Ablation: |R(k,k)| stop vs error-indicator stop (9)",
                       "Section II-B2 of the paper");

@@ -27,6 +27,8 @@ int main(int argc, char** argv) {
   const Index n = cli.get_int("n", 800);
   const double tau = cli.get_double("tau", 1e-2);
   const Index k = cli.get_int("k", 16);
+  bench::configure_threads(cli);
+  cli.reject_unread();
 
   bench::print_header("Fixed-precision baselines (Section I-A related work)",
                       "the algorithm-selection argument of Section I");

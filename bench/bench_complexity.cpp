@@ -23,6 +23,8 @@ int main(int argc, char** argv) {
   const double scale = cli.get_double("scale", 0.2);
   const Index k = cli.get_int("k", 16);
   const double tau = cli.get_double("tau", 1e-3);
+  bench::configure_threads(cli);
+  cli.reject_unread();
 
   bench::print_header("Section IV: measured cost vs asymptotic model",
                       "complexity analysis of Section IV");

@@ -50,6 +50,8 @@ int main(int argc, char** argv) {
   so.per_family = static_cast<int>(cli.get_int("per_family", 6));
   const double tau = cli.get_double("tau", 1e-6);
   const bool aggressive = cli.get_bool("aggressive", false);
+  bench::configure_threads(cli);
+  cli.reject_unread();
 
   bench::print_header("Fig. 1 (left): thresholding effectiveness over a "
                       "small-matrix population",

@@ -13,6 +13,8 @@ int main(int argc, char** argv) {
   const double scale = cli.get_double("scale", 0.25);
   const Index k = cli.get_int("k", 32);
   const double tau = cli.get_double("tau", 1e-3);
+  bench::configure_threads(cli);
+  cli.reject_unread();
 
   bench::print_header("Fig. 1 (right): fill-in of A^(i) per LU_CRTP iteration",
                       "Fig. 1 right of the paper (matrices M2-M5)");

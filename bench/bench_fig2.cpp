@@ -44,6 +44,8 @@ int main(int argc, char** argv) {
   const double tau_min = cli.get_double("tau_min", 1e-3);
   std::vector<std::string> labels = {"M3", "M4"};
   if (cli.has("matrices")) labels = bench::requested_labels(cli);
+  bench::configure_threads(cli);
+  cli.reject_unread();
 
   bench::print_header("Fig. 2: runtime vs approximation quality (M3', M4')",
                       "Fig. 2 of the paper");

@@ -17,6 +17,8 @@ int main(int argc, char** argv) {
   const int np = static_cast<int>(cli.get_int("np", 8));
   const Index k = cli.get_int("k", 16);
   const double tau_min = cli.get_double("tau_min", 1e-4);
+  bench::configure_threads(cli);
+  cli.reject_unread();
 
   bench::print_header(
       "Fig. 3: runtime vs approximation quality, extended range (M5')",

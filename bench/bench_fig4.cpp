@@ -5,26 +5,13 @@
 //
 //   ./bench_fig4 [--scale=0.2] [--np=1,2,4,8,16,32] [--k_left=16]
 //                [--k_right=32] [--tau_left=1e-4] [--tau_right=1e-3]
-//                [--report=fig4.jsonl] [--comm-algo=tree|ring|auto]
+//                [--report=fig4.jsonl] [--threads=N]
 //
 // The left-plot (M2') np = 2 sweep point runs with tracing on: its report
 // summaries carry per-phase cost breakdowns and the full profile /
 // profile_rank / profile_phase records with what-if projections (see
 // EXPERIMENTS.md). The process exits nonzero if any traced run violates the
 // profiler's conservation or what-if ordering invariants.
-//
-// --comm-algo selects the modeled collective algorithm for every run. With
-// --comm-algo=ring the harness doubles as a smoke check: each run is repeated
-// under the tree algorithm and the process exits nonzero unless (a) every run
-// reaches bitwise-identical decisions under both algorithms (status/rank/
-// iterations/exit indicator — the rendezvous exchange moves the same payloads
-// either way) and (b) ring's deterministic modeled collective time is no
-// worse than tree's at np >= 2 on the large-payload legs: RandQB_EI in the
-// right-plot (k = 32) blocks, whose TSQR allgathers and projection allreduces
-// carry panel-sized payloads. The LU-family legs are dominated by 8-byte
-// indicator allreduces, where ring's extra alpha hops legitimately cost more
-// than tree — exactly the size-dependent tradeoff --comm-algo=auto resolves —
-// so they are held to check (a) only.
 
 #include "bench_util.hpp"
 #include "core/lu_crtp_dist.hpp"
@@ -34,45 +21,7 @@ namespace {
 
 using namespace lra;
 
-CostModel g_cost;              // --comm-algo applied to every run
-bool g_check_ring = false;     // ring smoke mode (see header comment)
-int g_check_failures = 0;
-int g_profile_failures = 0;    // conservation / what-if violations
-
-template <typename DistResult>
-double max_coll_seconds(const DistResult& d) {
-  double s = 0.0;
-  for (const auto& c : d.comm.per_rank)
-    if (c.coll_seconds > s) s = c.coll_seconds;
-  return s;
-}
-
-// Re-run under tree and compare decisions (always) + modeled collective time
-// (only when assert_cost: the large-payload legs, see the header comment).
-template <typename Runner, typename DistResult>
-void check_ring_vs_tree(const char* method, const std::string& label, int np,
-                        const DistResult& ring, Runner run_tree,
-                        bool assert_cost) {
-  if (!g_check_ring || np < 2) return;
-  const DistResult tree = run_tree();
-  if (ring.result.status != tree.result.status ||
-      ring.result.rank != tree.result.rank ||
-      ring.result.iterations != tree.result.iterations ||
-      ring.result.indicator != tree.result.indicator) {
-    std::fprintf(stderr,
-                 "SMOKE FAIL: ring/tree decisions differ for %s on %s' np=%d\n",
-                 method, label.c_str(), np);
-    ++g_check_failures;
-  }
-  const double rs = max_coll_seconds(ring), ts = max_coll_seconds(tree);
-  if (assert_cost && rs > ts) {
-    std::fprintf(stderr,
-                 "SMOKE FAIL: ring modeled collective time exceeds tree for %s "
-                 "on %s' np=%d (%.6e > %.6e)\n",
-                 method, label.c_str(), np, rs, ts);
-    ++g_check_failures;
-  }
-}
+int g_profile_failures = 0;  // conservation / what-if violations
 
 // Emit the full profiler block for one traced sweep-point run and count any
 // conservation / what-if-ordering violation as a harness failure.
@@ -91,8 +40,7 @@ void profile_run(obs::ReportWriter* report, const char* method,
 
 void scaling_block(Table& t, const TestMatrix& m, Index k, double tau,
                    const std::vector<long long>& nps,
-                   obs::ReportWriter* report, bool large_payload,
-                   bool profile_point) {
+                   obs::ReportWriter* report, bool profile_point) {
   std::printf("running %s' (%ld x %ld), k = %ld, tau = %.0e ...\n",
               m.label.c_str(), m.a.rows(), m.a.cols(), k, tau);
   const Index budget = std::min(m.a.rows(), m.a.cols()) * 9 / 10;
@@ -104,7 +52,6 @@ void scaling_block(Table& t, const TestMatrix& m, Index k, double tau,
     // the report carries per-phase breakdowns and what-if projections. Traces
     // never change the modeled clocks, so speedups are unaffected.
     SimOptions sim;
-    sim.cost = g_cost;
     sim.collect_trace = profile_point && np == 2;
     RandQbOptions ro;
     ro.block_size = k;
@@ -117,10 +64,6 @@ void scaling_block(Table& t, const TestMatrix& m, Index k, double tau,
     bench::report_run(report, m.label, "randqb_ei(p=1)",
                       static_cast<int>(np), tau, dqb);
     profile_run(report, "randqb_ei", m.label, static_cast<int>(np), dqb);
-    check_ring_vs_tree(
-        "randqb_ei", m.label, static_cast<int>(np), dqb,
-        [&] { return randqb_ei_dist(m.a, ro, static_cast<int>(np)); },
-        large_payload);
 
     LuCrtpOptions lo;
     lo.block_size = k;
@@ -131,10 +74,6 @@ void scaling_block(Table& t, const TestMatrix& m, Index k, double tau,
     bench::report_run(report, m.label, "lu_crtp", static_cast<int>(np), tau,
                       lu);
     profile_run(report, "lu_crtp", m.label, static_cast<int>(np), lu);
-    check_ring_vs_tree(
-        "lu_crtp", m.label, static_cast<int>(np), lu,
-        [&] { return lu_crtp_dist(m.a, lo, static_cast<int>(np)); },
-        /*assert_cost=*/false);
 
     LuCrtpOptions io = lo;
     io.threshold = ThresholdMode::kIlut;
@@ -144,10 +83,6 @@ void scaling_block(Table& t, const TestMatrix& m, Index k, double tau,
     bench::report_run(report, m.label, "ilut_crtp", static_cast<int>(np),
                       tau, il);
     profile_run(report, "ilut_crtp", m.label, static_cast<int>(np), il);
-    check_ring_vs_tree(
-        "ilut_crtp", m.label, static_cast<int>(np), il,
-        [&] { return lu_crtp_dist(m.a, io, static_cast<int>(np)); },
-        /*assert_cost=*/false);
 
     if (np == nps.front()) {
       base_qb = t_qb;
@@ -177,15 +112,9 @@ int main(int argc, char** argv) {
   const Index k_right = cli.get_int("k_right", 32);
   const double tau_left = cli.get_double("tau_left", 1e-4);
   const double tau_right = cli.get_double("tau_right", 1e-3);
-  const std::string algo_str = cli.get("comm-algo", "tree");
-  if (!parse_comm_algo(algo_str, &g_cost.comm_algo)) {
-    std::fprintf(stderr, "error: --comm-algo=%s (expected tree|ring|auto)\n",
-                 algo_str.c_str());
-    return 2;
-  }
-  g_check_ring = g_cost.comm_algo == CommAlgo::kRing;
-
+  bench::configure_threads(cli);
   auto report = bench::open_report(cli, "bench_fig4");
+  cli.reject_unread();
 
   bench::print_header("Fig. 4: strong scaling (speedup over np = 1)",
                       "Fig. 4 of the paper (left: M2; right: M4, M5)");
@@ -194,11 +123,11 @@ int main(int argc, char** argv) {
            "speedup ILUT_CRTP", "t_qb (s)", "t_lu (s)", "t_ilut (s)"});
 
   scaling_block(t, make_preset("M2", scale), k_left, tau_left, nps,
-                report.get(), /*large_payload=*/false, /*profile_point=*/true);
+                report.get(), /*profile_point=*/true);
   scaling_block(t, make_preset("M4", scale), k_right, tau_right, nps,
-                report.get(), /*large_payload=*/true, /*profile_point=*/false);
+                report.get(), /*profile_point=*/false);
   scaling_block(t, make_preset("M5", scale), k_right, tau_right, nps,
-                report.get(), /*large_payload=*/true, /*profile_point=*/false);
+                report.get(), /*profile_point=*/false);
 
   std::printf("\n");
   t.print(std::cout);
@@ -207,15 +136,6 @@ int main(int argc, char** argv) {
   if (report)
     std::printf("wrote %s (%d records)\n", cli.get("report", "").c_str(),
                 report->records());
-  if (g_check_ring) {
-    if (g_check_failures > 0) {
-      std::fprintf(stderr, "ring-vs-tree smoke: %d failure(s)\n",
-                   g_check_failures);
-      return 1;
-    }
-    std::printf("ring-vs-tree smoke: all runs bitwise-equal, ring modeled "
-                "collective time <= tree\n");
-  }
   if (g_profile_failures > 0) {
     std::fprintf(stderr, "profile invariants: %d failure(s)\n",
                  g_profile_failures);

@@ -25,6 +25,8 @@ int main(int argc, char** argv) {
   const double tau = cli.get_double("tau", 1e-3);
   const auto ks = cli.get_int_list("k", {8, 16, 32});
   const auto nps = cli.get_int_list("np", {4, 8, 16, 32});
+  bench::configure_threads(cli);
+  cli.reject_unread();
 
   bench::print_header(
       "Fig. 5: kernel breakdown of LU_CRTP / ILUT_CRTP (M2', tau = 1e-3)",

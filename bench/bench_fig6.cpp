@@ -24,6 +24,8 @@ int main(int argc, char** argv) {
   const double tau = cli.get_double("tau", 1e-3);
   const auto ks = cli.get_int_list("k", {8, 16, 32});
   const auto nps = cli.get_int_list("np", {4, 8, 16, 32});
+  bench::configure_threads(cli);
+  cli.reject_unread();
 
   bench::print_header(
       "Fig. 6: kernel breakdown of RandQB_EI (M2', tau = 1e-3, p in {0,2})",

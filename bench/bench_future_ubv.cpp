@@ -20,6 +20,8 @@ int main(int argc, char** argv) {
   const auto nps = cli.get_int_list("np", {1, 2, 4, 8, 16});
   std::vector<std::string> labels = {"M1", "M3", "M5"};
   if (cli.has("matrices")) labels = bench::requested_labels(cli);
+  bench::configure_threads(cli);
+  cli.reject_unread();
 
   bench::print_header(
       "Future work: parallel RandUBV vs parallel RandQB_EI (p = 0)",

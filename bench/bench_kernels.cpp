@@ -201,6 +201,11 @@ int main(int argc, char** argv) {
   const int reps = static_cast<int>(cli.get_int("reps", 5));
   const bool quick = cli.has("quick");
   const std::string out_path = cli.get("out", "BENCH_kernels.json");
+  // Sparse-leg geometry (see the sparse kernels below).
+  const Index sn = cli.get_int("sparse-n", quick ? 512 : 8192);
+  const int passes = static_cast<int>(cli.get_int("passes", quick ? 2 : 6));
+  const Index bandwidth = cli.get_int("bandwidth", 0);
+  cli.reject_unread();
 
   bench::print_header("Kernel microbenchmarks: reference vs simd variants",
                       "perf companion to the Section IV complexity model");
@@ -256,9 +261,6 @@ int main(int argc, char** argv) {
   // reference matrix is deliberately dense-ish and large (~26M nonzeros;
   // override with --sparse-n / --passes / --bandwidth to probe other
   // regimes).
-  const Index sn = cli.get_int("sparse-n", quick ? 512 : 8192);
-  const int passes = static_cast<int>(cli.get_int("passes", quick ? 2 : 6));
-  const Index bandwidth = cli.get_int("bandwidth", 0);
   const Index sk = 32;
   const CscMatrix s = bench_sparse(sn, passes, bandwidth);
   const CscMatrix sa = abs_csc(s);

@@ -15,13 +15,16 @@ int main(int argc, char** argv) {
   const Cli cli(argc, argv);
   const double scale = cli.get_double("scale", 0.25);
   const Index k = cli.get_int("k", 16);
+  const std::vector<std::string> labels = bench::requested_labels(cli);
+  bench::configure_threads(cli);
+  cli.reject_unread();
 
   bench::print_header("Orthogonality loss of Q_K over RandQB_EI iterations",
                       "Section VI-B text (||Q^T Q - I||_inf growth)");
 
   Table t({"label", "tau", "its", "rank", "loss after i=1", "loss at exit",
            "growth factor"});
-  for (const auto& label : bench::requested_labels(cli)) {
+  for (const auto& label : labels) {
     const TestMatrix m = make_preset(label, scale);
     const auto taus = preset_tau_grid(label);
     const double tau = taus.back();

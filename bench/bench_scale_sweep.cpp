@@ -20,6 +20,8 @@ int main(int argc, char** argv) {
   const auto scales = cli.get_double_list("scales", {0.1, 0.2, 0.3, 0.4});
   const Index k = cli.get_int("k", 16);
   const double tau = cli.get_double("tau", 1e-3);
+  bench::configure_threads(cli);
+  cli.reject_unread();
 
   bench::print_header("Scale sweep on the fill-heavy analog (M2')",
                       "size-dependence of Table II's fill-in effects");

@@ -11,6 +11,8 @@ int main(int argc, char** argv) {
   const Cli cli(argc, argv);
   const double scale = cli.get_double("scale", 0.25);
   bench::configure_threads(cli);
+  const std::vector<std::string> labels = bench::requested_labels(cli);
+  cli.reject_unread();
 
   bench::print_header("Table I: test matrices",
                       "Table I of the paper (SuiteSparse originals)");
@@ -30,7 +32,7 @@ int main(int argc, char** argv) {
 
   Table t({"label", "analog of", "size", "nnz", "nnz/row", "description",
            "paper size", "paper nnz"});
-  for (const auto& label : bench::requested_labels(cli)) {
+  for (const auto& label : labels) {
     const TestMatrix m = make_preset(label, scale);
     const auto& p = paper.at(label);
     t.row()

@@ -42,6 +42,7 @@ int main(int argc, char** argv) {
   const std::string out = cli.get("out", "bench_threads.csv");
   std::vector<long long> threads_list =
       cli.get_int_list("threads", {1, 2, 4, 8});
+  cli.reject_unread();
 
   bench::print_header("Thread scaling: wall-clock of the pool kernels",
                       "shared-memory companion to the virtual-time figures");

@@ -506,7 +506,7 @@ void lu_body(RankCtx& ctx, const CscMatrix& a, const Perm& pre,
     w.put_vec(utj);
     w.put_vec(utv);
   }
-  const auto blobs = ctx.exchange_all(w.take(), 0.0, "gather_factors");
+  const auto blobs = ctx.exchange_all(w.take(), Cost{}, "gather_factors");
   if (r != 0) return;
 
   // Final order: the selected rows (columns) in iteration order, then the

@@ -27,15 +27,7 @@ void randqb_body(RankCtx& ctx, const CscMatrix& a, const RandQbOptions& opts,
   const Index rank_budget =
       opts.max_rank < 0 ? lmax : std::min(opts.max_rank, lmax);
   const double anorm = res.anorm_f;
-  // The spectral-norm criterion estimates norms of the whole A and A - Q B,
-  // so it needs every row on this rank (randqb_ei_dist allows it only at
-  // nranks = 1).
-  const bool spectral = opts.norm == ErrorNorm::kSpectral;
-  const double target =
-      opts.tau * (spectral ? spectral_norm_estimate(
-                                 a, 2 * opts.spectral_power_its,
-                                 opts.seed ^ 0x9e37)
-                           : anorm);
+  const double target = opts.tau * anorm;
 
   const spmd::Slice rs = slice_of(m, ctx.size(), ctx.rank());  // rows of A, Q
   const spmd::Slice cs = slice_of(n, ctx.size(), ctx.rank());  // cols of B
@@ -165,13 +157,9 @@ void randqb_body(RankCtx& ctx, const CscMatrix& a, const RandQbOptions& opts,
     rank_so_far += kk;
     iterations += 1;
 
-    // The exact Frobenius identity (4), or a power-iteration estimate of the
-    // residual spectral norm when that criterion was requested.
+    // The exact Frobenius identity (4).
     e -= ctx.wait_allreduce_sum(ind_req)[0];
-    indicator = spectral ? residual_spectral_norm(a, q_loc, b_loc,
-                                                  opts.spectral_power_its,
-                                                  opts.seed ^ 0x79b9)
-                         : std::sqrt(std::max(0.0, e));
+    indicator = std::sqrt(std::max(0.0, e));
     telemetry.push_back({.iteration = iterations,
                          .rank = rank_so_far,
                          .indicator_rel = indicator / anorm,
@@ -221,8 +209,6 @@ RandQbResult randqb_ei(const CscMatrix& a, const RandQbOptions& opts) {
 
 DistRandQbResult randqb_ei_dist(const CscMatrix& a, const RandQbOptions& opts,
                                 int nranks, const SimOptions& sim) {
-  spmd::require_one_rank(opts.norm == ErrorNorm::kSpectral, nranks,
-                         "randqb_ei_dist: ErrorNorm::kSpectral");
   DistRandQbResult out;
   if (!spmd::admit(a, out.result)) {
     no_factors(a, out.result);

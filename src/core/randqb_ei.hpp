@@ -12,20 +12,12 @@
 
 namespace lra {
 
-/// Which norm the fixed-precision criterion (1) is enforced in.
-enum class ErrorNorm {
-  kFrobenius,  // exact cheap indicator (4)
-  kSpectral,   // power-iteration estimate of ||A - Q B||_2 each iteration
-};
-
 struct RandQbOptions {
   Index block_size = 32;  // k
   double tau = 1e-3;
   int power = 1;          // p in the power scheme (0..3)
   Index max_rank = -1;    // -1: min(m, n)
   std::uint64_t seed = 0x5eed;
-  ErrorNorm norm = ErrorNorm::kFrobenius;
-  int spectral_power_its = 12;  // power iterations per check (kSpectral)
 };
 
 struct RandQbResult {

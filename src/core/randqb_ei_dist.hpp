@@ -15,8 +15,7 @@ namespace lra {
 using DistRandQbResult = SimRun<RandQbResult>;
 
 /// Run on `nranks` simulated ranks under `sim` (see SimRun for what a run
-/// returns, a detected fault included). ErrorNorm::kSpectral needs the whole
-/// matrix on one rank: at nranks > 1 it throws std::invalid_argument.
+/// returns, a detected fault included).
 DistRandQbResult randqb_ei_dist(const CscMatrix& a, const RandQbOptions& opts,
                                 int nranks, const SimOptions& sim = {});
 

@@ -111,7 +111,7 @@ void randubv_body(RankCtx& ctx, const CscMatrix& a, const RandUbvOptions& opts,
         return w;
       });
     }
-    if (opts.full_reorth) {
+    {
       PhaseScope phase(ctx, "reorth");
       Matrix proj =
           ctx.compute("reorth", [&] { return matmul_tn(v_loc, w_loc); });
@@ -139,7 +139,7 @@ void randubv_body(RankCtx& ctx, const CscMatrix& a, const RandUbvOptions& opts,
         return z;
       });
     }
-    if (opts.full_reorth) {
+    {
       PhaseScope phase(ctx, "reorth");
       Matrix proj =
           ctx.compute("reorth", [&] { return matmul_tn(u_loc, znext_loc); });

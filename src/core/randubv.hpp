@@ -20,7 +20,6 @@ struct RandUbvOptions {
   double tau = 1e-3;
   Index max_rank = -1;
   std::uint64_t seed = 0x5eed;
-  bool full_reorth = true;  // one-sided full reorthogonalization
 };
 
 struct RandUbvResult {

@@ -4,6 +4,8 @@
 #include <fstream>
 #include <stdexcept>
 
+#include "sparse/permute.hpp"
+
 namespace lra {
 namespace {
 
@@ -130,6 +132,16 @@ class Reader {
   std::uint64_t file_size_ = 0;
 };
 
+/// Factors that load but cannot be applied together are a structured error
+/// too: every consumer indexes one through the others' dimensions.
+void require_consistent(bool ok, const std::string& what) {
+  if (!ok) throw std::runtime_error("corrupt factorization file: " + what);
+}
+
+std::string dims(Index rows, Index cols) {
+  return std::to_string(rows) + " x " + std::to_string(cols);
+}
+
 }  // namespace
 
 void save_factorization(const std::string& path, const LuCrtpResult& r) {
@@ -184,6 +196,17 @@ LuCrtpResult load_lu_factorization(const std::string& path) {
   r.u = rd.csc();
   r.row_perm = rd.vec<Index>();
   r.col_perm = rd.vec<Index>();
+  require_consistent(r.l.cols() == r.u.rows(),
+                     "L is " + dims(r.l.rows(), r.l.cols()) + " but U is " +
+                         dims(r.u.rows(), r.u.cols()));
+  require_consistent(static_cast<Index>(r.row_perm.size()) == r.l.rows() &&
+                         is_permutation(r.row_perm),
+                     "row_perm is not a permutation of L's " +
+                         std::to_string(r.l.rows()) + " rows");
+  require_consistent(static_cast<Index>(r.col_perm.size()) == r.u.cols() &&
+                         is_permutation(r.col_perm),
+                     "col_perm is not a permutation of U's " +
+                         std::to_string(r.u.cols()) + " columns");
   return r;
 }
 
@@ -199,6 +222,9 @@ RandQbResult load_qb_factorization(const std::string& path) {
   r.indicator = rd.pod<double>();
   r.q = rd.matrix();
   r.b = rd.matrix();
+  require_consistent(r.q.cols() == r.b.rows(),
+                     "Q is " + dims(r.q.rows(), r.q.cols()) + " but B is " +
+                         dims(r.b.rows(), r.b.cols()));
   return r;
 }
 

@@ -24,11 +24,6 @@ struct CommCounters {
   // Collectives, keyed by operation label ("barrier", "allreduce", ...).
   std::map<std::string, std::uint64_t> collective_calls;
   std::map<std::string, std::uint64_t> collective_bytes;  // local contribution
-  // Collective completions keyed by the algorithm that ran ("tree"/"ring").
-  // Under --comm-algo=auto with non-uniform allgatherv contributions, ranks
-  // may legitimately resolve different algorithms from their local payload
-  // estimates, so no cross-rank invariant ties these together.
-  std::map<std::string, std::uint64_t> collective_algo_calls;
 
   // Nonblocking-request accounting. overlap_seconds is the modeled transfer
   // time this rank spent computing between a request's post and completion
@@ -68,7 +63,6 @@ struct CommCounters {
     v("bytes_recv_from", bytes_recv_from);
     v("collective_calls", collective_calls);
     v("collective_bytes", collective_bytes);
-    v("collective_algo_calls", collective_algo_calls);
     v("overlap_seconds", overlap_seconds);
     v("overlapped_requests", overlapped_requests);
     v("coll_seconds", coll_seconds);
@@ -87,7 +81,7 @@ struct CommCounters {
         [&](const char* name, const auto& field) { v(name, field); });
   }
   /// Number of fields for_each_field visits (kept next to the list above).
-  static constexpr int kFieldCount = 18;
+  static constexpr int kFieldCount = 17;
 
   struct ResetVisitor {
     std::size_t n;

@@ -79,30 +79,17 @@ void write_comm_stats(ReportWriter& w, const CommStats& stats) {
     colls += '}';
     o.raw("collectives", colls);
   }
-  // Nonblocking-request accounting: completions per algorithm summed over
-  // ranks, total overlapped requests/seconds, and the per-rank maximum of
-  // the deterministic modeled-communication time.
+  // Nonblocking-request accounting: total overlapped requests/seconds, and
+  // the per-rank maximum of the deterministic modeled-communication time.
   {
-    std::map<std::string, std::uint64_t> algos;
     std::uint64_t overlapped = 0;
     double overlap_s = 0.0, coll_s = 0.0;
     for (const auto& c : stats.per_rank) {
-      for (const auto& [algo, calls] : c.collective_algo_calls)
-        algos[algo] += calls;
       overlapped += c.overlapped_requests;
       overlap_s += c.overlap_seconds;
       if (c.coll_seconds > coll_s) coll_s = c.coll_seconds;
     }
-    std::string amap = "{";
-    bool first = true;
-    for (const auto& [algo, calls] : algos) {
-      if (!first) amap += ',';
-      first = false;
-      amap += '"' + json_escape(algo) + "\":" + std::to_string(calls);
-    }
-    amap += '}';
-    o.raw("collective_algos", amap)
-        .field("overlapped_requests", overlapped)
+    o.field("overlapped_requests", overlapped)
         .field("overlap_seconds", overlap_s)
         .field("coll_seconds_max", coll_s);
   }

@@ -1,28 +1,18 @@
 #include "par/cost_model.hpp"
 
 namespace lra {
+namespace {
 
-const char* to_string(CommAlgo a) {
-  switch (a) {
-    case CommAlgo::kTree: return "tree";
-    case CommAlgo::kRing: return "ring";
-    case CommAlgo::kAuto: return "auto";
-  }
-  return "tree";
+/// `stages` sequential hops of `bytes` each: seconds stages * p2p(bytes),
+/// split stages * alpha and (stages * beta) * bytes. Keep this operation
+/// order; it fixes the exact doubles the clocks charge and traces record.
+Cost staged(const CostModel& cm, double stages, std::size_t bytes) {
+  const double b = static_cast<double>(bytes);
+  return {stages * (cm.alpha + cm.beta * b), stages * cm.alpha,
+          stages * cm.beta * b};
 }
 
-bool parse_comm_algo(const std::string& s, CommAlgo* out) {
-  if (s == "tree") {
-    *out = CommAlgo::kTree;
-  } else if (s == "ring") {
-    *out = CommAlgo::kRing;
-  } else if (s == "auto") {
-    *out = CommAlgo::kAuto;
-  } else {
-    return false;
-  }
-  return true;
-}
+}  // namespace
 
 int CostModel::ceil_log2(int p) {
   int l = 0;
@@ -34,97 +24,24 @@ int CostModel::ceil_log2(int p) {
   return l;
 }
 
-double CostModel::p2p(std::size_t bytes) const {
-  return alpha + beta * static_cast<double>(bytes);
+Cost CostModel::p2p(std::size_t bytes) const {
+  const double b = beta * static_cast<double>(bytes);
+  return {alpha + b, alpha, b};
 }
 
-double CostModel::tree(int nranks, std::size_t bytes) const {
-  if (nranks <= 1) return 0.0;
-  return static_cast<double>(ceil_log2(nranks)) * p2p(bytes);
-}
-
-double CostModel::tree_allreduce(int nranks, std::size_t bytes) const {
-  if (nranks <= 1) return 0.0;
-  // Reduce to the root, then broadcast back down: the full payload is on
-  // the critical path of every one of the 2*ceil(log2 P) hops.
-  return 2.0 * static_cast<double>(ceil_log2(nranks)) * p2p(bytes);
-}
-
-double CostModel::tree_allgather(int nranks, std::size_t total_bytes) const {
-  if (nranks <= 1) return 0.0;
-  return static_cast<double>(ceil_log2(nranks)) * p2p(total_bytes);
-}
-
-double CostModel::ring_allreduce(int nranks, std::size_t bytes) const {
-  if (nranks <= 1) return 0.0;
-  const auto p = static_cast<std::size_t>(nranks);
-  const std::size_t seg = (bytes + p - 1) / p;  // ceil(bytes / P)
-  return 2.0 * static_cast<double>(nranks - 1) * p2p(seg);
-}
-
-double CostModel::ring_allgather(int nranks, std::size_t total_bytes) const {
-  if (nranks <= 1) return 0.0;
-  const auto p = static_cast<std::size_t>(nranks);
-  const std::size_t seg = (total_bytes + p - 1) / p;
-  return static_cast<double>(nranks - 1) * p2p(seg);
-}
-
-CostTerms CostModel::p2p_terms(std::size_t bytes) const {
-  return {alpha, beta * static_cast<double>(bytes)};
-}
-
-CostTerms CostModel::tree_terms(int nranks, std::size_t bytes) const {
+Cost CostModel::tree(int nranks, std::size_t bytes) const {
   if (nranks <= 1) return {};
-  const double l = static_cast<double>(ceil_log2(nranks));
-  return {l * alpha, l * beta * static_cast<double>(bytes)};
+  return staged(*this, static_cast<double>(ceil_log2(nranks)), bytes);
 }
 
-CostTerms CostModel::coll_allreduce_terms(int nranks,
-                                          std::size_t bytes) const {
+Cost CostModel::allreduce(int nranks, std::size_t bytes) const {
   if (nranks <= 1) return {};
-  if (resolve(nranks, bytes) == CommAlgo::kRing) {
-    const auto p = static_cast<std::size_t>(nranks);
-    const std::size_t seg = (bytes + p - 1) / p;
-    const double s = 2.0 * static_cast<double>(nranks - 1);
-    return {s * alpha, s * beta * static_cast<double>(seg)};
-  }
-  const double s = 2.0 * static_cast<double>(ceil_log2(nranks));
-  return {s * alpha, s * beta * static_cast<double>(bytes)};
+  return staged(*this, 2.0 * static_cast<double>(ceil_log2(nranks)), bytes);
 }
 
-CostTerms CostModel::coll_allgather_terms(int nranks,
-                                          std::size_t total_bytes) const {
+Cost CostModel::allgather(int nranks, std::size_t total_bytes) const {
   if (nranks <= 1) return {};
-  if (resolve(nranks, total_bytes) == CommAlgo::kRing) {
-    const auto p = static_cast<std::size_t>(nranks);
-    const std::size_t seg = (total_bytes + p - 1) / p;
-    const double s = static_cast<double>(nranks - 1);
-    return {s * alpha, s * beta * static_cast<double>(seg)};
-  }
-  const double s = static_cast<double>(ceil_log2(nranks));
-  return {s * alpha, s * beta * static_cast<double>(total_bytes)};
-}
-
-CommAlgo CostModel::resolve(int nranks, std::size_t bytes) const {
-  if (comm_algo != CommAlgo::kAuto) return comm_algo;
-  if (nranks <= 1) return CommAlgo::kTree;
-  return bytes >= ring_cutoff_bytes ? CommAlgo::kRing : CommAlgo::kTree;
-}
-
-double CostModel::coll_allreduce(int nranks, std::size_t bytes,
-                                 CommAlgo* chosen) const {
-  const CommAlgo a = resolve(nranks, bytes);
-  if (chosen) *chosen = a;
-  return a == CommAlgo::kRing ? ring_allreduce(nranks, bytes)
-                              : tree_allreduce(nranks, bytes);
-}
-
-double CostModel::coll_allgather(int nranks, std::size_t total_bytes,
-                                 CommAlgo* chosen) const {
-  const CommAlgo a = resolve(nranks, total_bytes);
-  if (chosen) *chosen = a;
-  return a == CommAlgo::kRing ? ring_allgather(nranks, total_bytes)
-                              : tree_allgather(nranks, total_bytes);
+  return staged(*this, static_cast<double>(ceil_log2(nranks)), total_bytes);
 }
 
 }  // namespace lra

@@ -4,35 +4,20 @@
 // match a commodity HPC interconnect (2 us latency, ~1.25 GB/s effective
 // per-link bandwidth), i.e. the class of machine (VSC4) used in the paper.
 //
-// Collectives are algorithm-aware: a binomial-tree schedule (few latency
-// stages, full payload on every hop — cheap for small messages) and a ring
-// schedule (P-1 latency stages, but only a 1/P segment per hop —
-// bandwidth-optimal for large messages). `comm_algo` selects tree, ring, or
-// an automatic crossover at `ring_cutoff_bytes`; the runtime charges the
-// chosen formula and records which algorithm ran. The data movement itself
-// is algorithm-independent (SimWorld's rendezvous exchanges every
-// contribution either way), so tree and ring runs produce bitwise-identical
-// results and differ only in modeled time.
+// This is the one network model of the runtime: every collective runs a
+// binomial-tree schedule (ceil(log2 P) latency stages, the full payload on
+// every hop), and each operation is priced by exactly one function below.
 
 #include <cstddef>
-#include <string>
 
 namespace lra {
 
-/// Collective algorithm selector, surfaced on the CLI as
-/// --comm-algo=tree|ring|auto.
-enum class CommAlgo { kTree, kRing, kAuto };
-
-const char* to_string(CommAlgo a);
-/// Parse "tree" / "ring" / "auto"; returns false (and leaves *out untouched)
-/// on anything else.
-bool parse_comm_algo(const std::string& s, CommAlgo* out);
-
-/// Latency/bandwidth decomposition of a modeled cost, used by the profiler's
-/// what-if projections (alpha = 0 / beta = 0). Informational: the *charged*
-/// cost always comes from the scalar formulas below (kept bit-identical to
-/// the pre-profiler runtime); alpha_t + beta_t equals it only up to rounding.
-struct CostTerms {
+/// One modeled operation: the seconds charged to the virtual clock, and
+/// their latency/bandwidth split for the profiler's what-if projections
+/// (alpha = 0 / beta = 0). `seconds` is the exact charged double; the split
+/// is informational, and alpha_t + beta_t equals it only up to rounding.
+struct Cost {
+  double seconds = 0.0;
   double alpha_t = 0.0;  // latency share, seconds
   double beta_t = 0.0;   // bandwidth share, seconds
 };
@@ -41,49 +26,18 @@ struct CostModel {
   double alpha = 2.0e-6;  // per-message latency, seconds
   double beta = 8.0e-10;  // per-byte transfer time, seconds
 
-  /// Algorithm for the payload-bearing collectives (allreduce_sum /
-  /// allgatherv). kAuto switches tree -> ring at ring_cutoff_bytes. The
-  /// default cutoff sits below the analytic tree/ring crossover for every
-  /// P >= 2 under the default alpha/beta, so auto's modeled cost stays
-  /// monotone in payload size for P >= 4 (at P = 2 ring never loses).
-  CommAlgo comm_algo = CommAlgo::kTree;
-  std::size_t ring_cutoff_bytes = 1024;
-
-  /// Point-to-point message of `bytes`.
-  double p2p(std::size_t bytes) const;
-  /// Tree-structured collective (bcast/reduce/barrier) over P ranks moving
-  /// `bytes` per stage: ceil(log2 P) sequential message steps.
-  double tree(int nranks, std::size_t bytes) const;
-
-  /// Binomial-tree allreduce: reduce up + broadcast down, the full payload
-  /// crossing a link on each of the 2*ceil(log2 P) stages.
-  double tree_allreduce(int nranks, std::size_t bytes) const;
-  /// Binomial-tree allgather: ceil(log2 P) stages, the full concatenated
-  /// payload on the critical path of every stage (pessimistic, like the
-  /// reference runtime this model grew from).
-  double tree_allgather(int nranks, std::size_t total_bytes) const;
-  /// Ring allreduce (reduce-scatter + allgather): 2*(P-1) stages, each
-  /// moving a ceil(bytes/P) segment — bandwidth-optimal, latency-heavy.
-  double ring_allreduce(int nranks, std::size_t bytes) const;
-  /// Ring allgather: P-1 stages of ceil(total/P) segments.
-  double ring_allgather(int nranks, std::size_t total_bytes) const;
-
-  /// The algorithm `comm_algo` selects for a collective moving `bytes`
-  /// (never returns kAuto; degenerate worlds resolve to kTree).
-  CommAlgo resolve(int nranks, std::size_t bytes) const;
-  /// Modeled allreduce cost under the resolved algorithm; reports the
-  /// choice through `chosen` when non-null.
-  double coll_allreduce(int nranks, std::size_t bytes,
-                        CommAlgo* chosen = nullptr) const;
-  /// Modeled allgather cost of `total_bytes` under the resolved algorithm.
-  double coll_allgather(int nranks, std::size_t total_bytes,
-                        CommAlgo* chosen = nullptr) const;
-
-  // Alpha/beta decompositions of the formulas above (see CostTerms).
-  CostTerms p2p_terms(std::size_t bytes) const;
-  CostTerms tree_terms(int nranks, std::size_t bytes) const;
-  CostTerms coll_allreduce_terms(int nranks, std::size_t bytes) const;
-  CostTerms coll_allgather_terms(int nranks, std::size_t total_bytes) const;
+  /// Point-to-point message of `bytes`: alpha + beta * bytes.
+  Cost p2p(std::size_t bytes) const;
+  /// Tree-structured bcast/barrier over P ranks moving `bytes` per stage:
+  /// ceil(log2 P) sequential message steps.
+  Cost tree(int nranks, std::size_t bytes) const;
+  /// Allreduce: reduce up + broadcast down, the full payload crossing a link
+  /// on each of the 2*ceil(log2 P) stages.
+  Cost allreduce(int nranks, std::size_t bytes) const;
+  /// Allgather: ceil(log2 P) stages, the full concatenated payload on the
+  /// critical path of every stage (pessimistic, like the reference runtime
+  /// this model grew from).
+  Cost allgather(int nranks, std::size_t total_bytes) const;
 
   static int ceil_log2(int p);
 };

@@ -26,14 +26,16 @@ void flip_bit(std::vector<std::byte>& data, std::uint64_t bit) {
       static_cast<std::byte>(1u << (bit % 8));
 }
 
+/// A delay fault: the charged seconds and both shares grow by `factor`.
+void inflate(Cost& c, double factor) {
+  c.seconds *= factor;
+  c.alpha_t *= factor;
+  c.beta_t *= factor;
+}
+
 }  // namespace
 
 int RankCtx::size() const { return world_ ? world_->nranks_ : 1; }
-
-const CostModel& RankCtx::cost() const {
-  static const CostModel kInProcess{};
-  return world_ ? world_->cost_ : kInProcess;
-}
 
 CollRequest RankCtx::local_request(std::vector<double> contribution) {
   CollRequest req;
@@ -64,8 +66,7 @@ SimRequest RankCtx::isend_bytes(int dst, std::vector<std::byte> data,
   const std::size_t nbytes = data.size();
   const double v0 = vclock_;
 
-  double transfer = world_->cost_.p2p(nbytes);
-  CostTerms terms = world_->cost_.p2p_terms(nbytes);
+  Cost transfer = world_->cost_.p2p(nbytes);
   const sim::FaultPlan* fp = world_->fault_plan_;
   std::uint64_t edge = 0;
   std::uint64_t seq = 0;
@@ -76,9 +77,7 @@ SimRequest RankCtx::isend_bytes(int dst, std::vector<std::byte> data,
     if (fp->delay_prob > 0.0 &&
         sim::fault_uniform(fp->seed, sim::FaultStream::kDelay, edge, seq) <
             fp->delay_prob) {
-      transfer *= fp->delay_factor;
-      terms.alpha_t *= fp->delay_factor;
-      terms.beta_t *= fp->delay_factor;
+      inflate(transfer, fp->delay_factor);
       counters_.msgs_delayed_to[dst] += 1;
       trace_fault("fault:delay", nbytes, dst);
     }
@@ -86,12 +85,10 @@ SimRequest RankCtx::isend_bytes(int dst, std::vector<std::byte> data,
           sim::fault_uniform(fp->seed, sim::FaultStream::kDup, edge, seq) <
               fp->dup_prob;
   }
-  const double arrival = vclock_ + transfer;
+  const double arrival = vclock_ + transfer.seconds;
 
   SimWorld::Message msg{tag, std::move(data), arrival};
-  msg.transfer_cost = transfer;
-  msg.transfer_alpha = terms.alpha_t;
-  msg.transfer_beta = terms.beta_t;
+  msg.transfer = transfer;
   if (fp) {
     // Checksum the payload *before* any flip, like a sender-side CRC; the
     // receiver recomputes and detects the in-flight corruption.
@@ -141,10 +138,10 @@ SimRequest RankCtx::isend_bytes(int dst, std::vector<std::byte> data,
     e.end_v = vclock_;          // injection-latency charge
     e.bytes = nbytes;
     e.peer = dst;
-    e.cost_v = world_->cost_.alpha;  // the exact charged double
-    e.avail_v = arrival;             // transfer completion on the wire
-    e.cost_alpha_v = terms.alpha_t;  // transfer decomposition (edge cost)
-    e.cost_beta_v = terms.beta_t;
+    e.cost_v = world_->cost_.alpha;     // the exact charged double
+    e.avail_v = arrival;                // transfer completion on the wire
+    e.cost_alpha_v = transfer.alpha_t;  // transfer decomposition (edge cost)
+    e.cost_beta_v = transfer.beta_t;
     e.flow = obs::p2p_flow_key(tag, match_seq);
     trace_->push(std::move(e));
   }
@@ -227,9 +224,9 @@ bool RankCtx::try_complete_recv(SimRequest& req,
         e.bytes = msg.data.size();
         e.peer = src;
         e.avail_v = msg.arrival_vtime;
-        e.cost_v = msg.transfer_cost;
-        e.cost_alpha_v = msg.transfer_alpha;
-        e.cost_beta_v = msg.transfer_beta;
+        e.cost_v = msg.transfer.seconds;
+        e.cost_alpha_v = msg.transfer.alpha_t;
+        e.cost_beta_v = msg.transfer.beta_t;
         e.overlap_v = ov;
         e.flow = obs::p2p_flow_key(req.tag_, msg.seq);
         trace_->push(std::move(e));
@@ -306,8 +303,7 @@ std::vector<std::byte> RankCtx::recv_bytes(int src, int tag) {
 // --- collectives ---
 
 CollRequest RankCtx::ipost_exchange(std::vector<std::byte> contribution,
-                                    double modeled_cost, const char* label,
-                                    CommAlgo algo, CostTerms terms) {
+                                    Cost cost, const char* label) {
   const sim::FaultPlan* fp = world_->fault_plan_;
   bool flip_here = false;
   if (fp) {
@@ -316,9 +312,7 @@ CollRequest RankCtx::ipost_exchange(std::vector<std::byte> contribution,
     if (fp->delay_prob > 0.0 &&
         sim::fault_uniform(fp->seed, sim::FaultStream::kCollDelay, me, seq) <
             fp->delay_prob) {
-      modeled_cost *= fp->delay_factor;
-      terms.alpha_t *= fp->delay_factor;
-      terms.beta_t *= fp->delay_factor;
+      inflate(cost, fp->delay_factor);
       counters_.coll_delay_faults += 1;
       trace_fault("fault:coll-delay", contribution.size());
     }
@@ -342,7 +336,6 @@ CollRequest RankCtx::ipost_exchange(std::vector<std::byte> contribution,
   req.nbytes_ = contribution.size();
   req.label_ = label;
   req.phase_ = phases_.top();
-  req.algo_ = algo;
 
   // Zero-length post marker: the dependency-DAG source of this collective's
   // cross-rank edge (the finish time is a max over these post clocks), and
@@ -371,15 +364,11 @@ CollRequest RankCtx::ipost_exchange(std::vector<std::byte> contribution,
     g.contrib[rank_] = std::move(contribution);
     if (flip_here) g.corrupt = true;
     g.vt_max = std::max(g.vt_max, vclock_);
-    if (modeled_cost > g.cost_max) {
-      g.cost_max = modeled_cost;
-      g.cost_alpha = terms.alpha_t;
-      g.cost_beta = terms.beta_t;
-    }
+    if (cost.seconds > g.cost.seconds) g.cost = cost;
     if (++g.arrived == world_->nranks_) {
       // Finish time is computed from the *post* clocks: ranks that post
       // early and compute until their wait genuinely overlap the transfer.
-      g.vt_out = g.vt_max + g.cost_max;
+      g.vt_out = g.vt_max + g.cost.seconds;
       g.done = true;
       c.cv.notify_all();
     }
@@ -404,9 +393,7 @@ std::vector<std::vector<std::byte>> RankCtx::wait_exchange(CollRequest& req) {
   // Torn down before the collective completed: unwind, don't deliver.
   if (!g.done) throw SimAbort{};
   const double vt_out = g.vt_out;
-  const double cost = g.cost_max;
-  const double cost_alpha = g.cost_alpha;
-  const double cost_beta = g.cost_beta;
+  const Cost cost = g.cost;
   const bool corrupt = g.corrupt;
   std::vector<std::vector<std::byte>> result = g.contrib;  // every rank's copy
   // The generation record lives until all ranks consumed it; a corrupted one
@@ -421,8 +408,7 @@ std::vector<std::vector<std::byte>> RankCtx::wait_exchange(CollRequest& req) {
   req.complete_vtime_ = vclock_;
   counters_.collective_calls[req.label_] += 1;
   counters_.collective_bytes[req.label_] += req.nbytes_;
-  counters_.collective_algo_calls[to_string(req.algo_)] += 1;
-  counters_.coll_seconds += cost;
+  counters_.coll_seconds += cost.seconds;
   if (trace_) {
     obs::TraceEvent e;
     e.name = req.label_;
@@ -434,9 +420,9 @@ std::vector<std::vector<std::byte>> RankCtx::wait_exchange(CollRequest& req) {
     e.end_v = vclock_;
     e.bytes = req.nbytes_;
     e.avail_v = vt_out;
-    e.cost_v = cost;
-    e.cost_alpha_v = cost_alpha;
-    e.cost_beta_v = cost_beta;
+    e.cost_v = cost.seconds;
+    e.cost_alpha_v = cost.alpha_t;
+    e.cost_beta_v = cost.beta_t;
     e.overlap_v = ov;
     e.flow = static_cast<std::uint64_t>(req.gen_) + 1;
     trace_->push(std::move(e));
@@ -453,48 +439,40 @@ std::vector<std::vector<std::byte>> RankCtx::wait_exchange(CollRequest& req) {
 }
 
 std::vector<std::vector<std::byte>> RankCtx::exchange_all(
-    std::vector<std::byte> contribution, double modeled_cost,
-    const char* label, CostTerms terms) {
+    std::vector<std::byte> contribution, Cost cost, const char* label) {
   if (!world_) {
     std::vector<std::vector<std::byte>> mine;
     mine.push_back(std::move(contribution));
     return mine;
   }
-  CollRequest req = ipost_exchange(std::move(contribution), modeled_cost,
-                                   label, CommAlgo::kTree, terms);
+  CollRequest req = ipost_exchange(std::move(contribution), cost, label);
   return wait_exchange(req);
 }
 
 void RankCtx::barrier() {
   if (!world_) return;
-  exchange_all({}, world_->cost_.tree(world_->nranks_, 8), "barrier",
-               world_->cost_.tree_terms(world_->nranks_, 8));
+  exchange_all({}, world_->cost_.tree(world_->nranks_, 8), "barrier");
 }
 
 void RankCtx::bcast_bytes(std::vector<std::byte>& buf, int root) {
   if (!world_) return;
   std::vector<std::byte> contrib = rank_ == root ? buf : std::vector<std::byte>{};
-  const double cost = world_->cost_.tree(world_->nranks_, buf.size());
   // Non-roots do not know the size yet; the cost max over ranks is what
   // counts, and the root supplies the true one.
-  auto all = exchange_all(
-      std::move(contrib), rank_ == root ? cost : 0.0, "bcast",
-      rank_ == root ? world_->cost_.tree_terms(world_->nranks_, buf.size())
-                    : CostTerms{});
+  const Cost cost =
+      rank_ == root ? world_->cost_.tree(world_->nranks_, buf.size()) : Cost{};
+  auto all = exchange_all(std::move(contrib), cost, "bcast");
   buf = std::move(all[root]);
 }
 
 CollRequest RankCtx::iallreduce_sum(std::vector<double> local) {
   if (!world_) return local_request(std::move(local));
   const std::size_t nbytes = local.size() * sizeof(double);
-  CommAlgo algo = CommAlgo::kTree;
-  const double cost =
-      world_->cost_.coll_allreduce(world_->nranks_, nbytes, &algo);
   std::vector<std::byte> b(nbytes);
   if (nbytes) std::memcpy(b.data(), local.data(), nbytes);
   CollRequest req = ipost_exchange(
-      std::move(b), cost, "allreduce", algo,
-      world_->cost_.coll_allreduce_terms(world_->nranks_, nbytes));
+      std::move(b), world_->cost_.allreduce(world_->nranks_, nbytes),
+      "allreduce");
   req.elems_ = local.size();
   return req;
 }
@@ -528,30 +506,6 @@ double RankCtx::allreduce_sum(double x) {
   return allreduce_sum(std::vector<double>{x})[0];
 }
 
-double RankCtx::allreduce_max(double x) {
-  if (!world_) return x;
-  std::vector<std::byte> b(sizeof(double));
-  std::memcpy(b.data(), &x, sizeof(double));
-  CommAlgo algo = CommAlgo::kTree;
-  const double cost =
-      world_->cost_.coll_allreduce(world_->nranks_, sizeof(double), &algo);
-  CollRequest req = ipost_exchange(
-      std::move(b), cost, "allreduce", algo,
-      world_->cost_.coll_allreduce_terms(world_->nranks_, sizeof(double)));
-  auto all = wait_exchange(req);
-  double mx = x;
-  for (const auto& blob : all) {
-    double v;
-    std::memcpy(&v, blob.data(), sizeof(double));
-    mx = std::max(mx, v);
-  }
-  return mx;
-}
-
-long long RankCtx::allreduce_max(long long x) {
-  return static_cast<long long>(allreduce_max(static_cast<double>(x)));
-}
-
 CollRequest RankCtx::iallgatherv(std::vector<double>&& local) {
   if (!world_) return local_request(std::move(local));
   return iallgatherv(static_cast<const std::vector<double>&>(local));
@@ -564,12 +518,10 @@ CollRequest RankCtx::iallgatherv(const std::vector<double>& local) {
   if (nbytes) std::memcpy(b.data(), local.data(), nbytes);
   // Total volume is only known post-exchange; approximate with P * local
   // size, which is exact for the uniform distributions used here.
-  CommAlgo algo = CommAlgo::kTree;
-  const double cost = world_->cost_.coll_allgather(
-      world_->nranks_, world_->nranks_ * nbytes, &algo);
-  return ipost_exchange(std::move(b), cost, "allgatherv", algo,
-                        world_->cost_.coll_allgather_terms(
-                            world_->nranks_, world_->nranks_ * nbytes));
+  return ipost_exchange(
+      std::move(b),
+      world_->cost_.allgather(world_->nranks_, world_->nranks_ * nbytes),
+      "allgatherv");
 }
 
 std::vector<double> RankCtx::wait_allgatherv(CollRequest& req) {
@@ -593,37 +545,13 @@ std::vector<double> RankCtx::allgatherv(std::vector<double>&& local) {
   return wait_allgatherv(req);
 }
 
-std::vector<long long> RankCtx::allgather(long long x) {
-  if (!world_) return {x};
-  std::vector<std::byte> b(sizeof(long long));
-  std::memcpy(b.data(), &x, sizeof(long long));
-  CommAlgo algo = CommAlgo::kTree;
-  const double cost = world_->cost_.coll_allgather(
-      world_->nranks_, world_->nranks_ * sizeof(long long), &algo);
-  CollRequest req = ipost_exchange(
-      std::move(b), cost, "allgather", algo,
-      world_->cost_.coll_allgather_terms(
-          world_->nranks_, world_->nranks_ * sizeof(long long)));
-  auto all = wait_exchange(req);
-  std::vector<long long> out;
-  out.reserve(all.size());
-  for (const auto& blob : all) {
-    long long v;
-    std::memcpy(&v, blob.data(), sizeof(long long));
-    out.push_back(v);
-  }
-  return out;
-}
-
-SimWorld::SimWorld(int nranks, CostModel cm)
-    : mailbox_(static_cast<std::size_t>(nranks) * nranks),
-      nranks_(nranks), cost_(cm) {}
-
 SimWorld::SimWorld(int nranks, const SimOptions& opts)
-    : SimWorld(nranks, opts.cost) {
-  tracing_ = opts.collect_trace;
-  if (opts.faults.enabled()) install_faults(opts.faults);
-}
+    : mailbox_(static_cast<std::size_t>(nranks) * nranks),
+      nranks_(nranks),
+      cost_(opts.cost),
+      tracing_(opts.collect_trace),
+      faults_(opts.faults),
+      fault_plan_(faults_.enabled() ? &faults_ : nullptr) {}
 
 void SimWorld::abort_run() {
   aborted_.store(true);

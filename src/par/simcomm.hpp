@@ -31,7 +31,7 @@
 //
 // Observability (src/obs): every rank always carries comm counters (integer
 // increments outside the timed regions — they cannot perturb the clocks),
-// and SimWorld::enable_tracing() additionally records compute/p2p/collective
+// and SimOptions::collect_trace additionally records compute/p2p/collective
 // spans stamped with virtual begin/end times for Chrome-trace export;
 // request spans run from post to completion. With tracing disabled the hooks
 // reduce to a null-pointer check and the virtual-clock arithmetic is
@@ -81,10 +81,10 @@ namespace lra {
 class SimWorld;
 class RankCtx;
 
-/// Bundled configuration of a SimWorld-backed run: the alpha-beta cost
-/// model, event tracing, and an optional deterministic fault plan
-/// (sim/fault). Every simulated entry point takes one (default: fault-free,
-/// untraced, the default cost model).
+/// The one configuration of a SimWorld and of every simulated entry point:
+/// the alpha-beta cost model, event tracing, and an optional deterministic
+/// fault plan (sim/fault). Default: fault-free, untraced, the default cost
+/// model.
 struct SimOptions {
   CostModel cost{};
   bool collect_trace = false;
@@ -164,8 +164,6 @@ class CollRequest {
   bool completed() const { return done_; }
   double post_vtime() const { return post_vtime_; }
   double complete_vtime() const { return complete_vtime_; }
-  /// Algorithm the cost model chose for this operation.
-  CommAlgo algo() const { return algo_; }
 
  private:
   friend class RankCtx;
@@ -176,7 +174,6 @@ class CollRequest {
   std::size_t elems_ = 0;   // element count for typed waits
   const char* label_ = "";
   const char* phase_ = "";  // innermost PhaseScope at post time
-  CommAlgo algo_ = CommAlgo::kTree;
   bool done_ = false;
   std::vector<double> local_;  // the contribution, on the in-process context
 };
@@ -207,8 +204,6 @@ class RankCtx {
     vclock_ += seconds;
     trace_compute(obs::kChargeSpan, v0, seconds);
   }
-
-  const CostModel& cost() const;
 
   /// Phase-annotation stack (obs::prof::PhaseScope pushes/pops here). Pure
   /// pointer bookkeeping — never touches the clock or the heap.
@@ -306,15 +301,11 @@ class RankCtx {
   /// across ranks deadlocks, exactly like MPI).
   void barrier();
   /// Every rank receives every rank's contribution (the primitive all other
-  /// collectives are built on). `modeled_cost` is added to the synchronized
-  /// clock; pass the op-appropriate CostModel term. `label` names the
-  /// operation in the comm counters and the event trace. `terms` optionally
-  /// decomposes `modeled_cost` into alpha/beta shares for the profiler's
-  /// what-if projections; a default-zero decomposition with a nonzero cost is
-  /// treated as "unknown" by the analyzer (the cost survives both what-ifs).
+  /// collectives are built on). `cost` (its seconds, max over ranks) is
+  /// added to the synchronized clock; pass the op's CostModel price. `label`
+  /// names the operation in the comm counters and the event trace.
   std::vector<std::vector<std::byte>> exchange_all(
-      std::vector<std::byte> contribution, double modeled_cost,
-      const char* label = "exchange_all", CostTerms terms = {});
+      std::vector<std::byte> contribution, Cost cost, const char* label);
 
   void bcast_bytes(std::vector<std::byte>& buf, int root);
   std::vector<double> allreduce_sum(std::vector<double> local);
@@ -322,12 +313,9 @@ class RankCtx {
   /// as allreduce_sum).
   void allreduce_sum_inplace(std::span<double> buf);
   double allreduce_sum(double x);
-  double allreduce_max(double x);
-  long long allreduce_max(long long x);
   /// Concatenation of all ranks' vectors in rank order.
   std::vector<double> allgatherv(const std::vector<double>& local);
   std::vector<double> allgatherv(std::vector<double>&& local);
-  std::vector<long long> allgather(long long x);
 
   // --- nonblocking collectives ---
   //
@@ -352,12 +340,9 @@ class RankCtx {
 
   /// Post a contribution to the next collective generation; does not block
   /// and does not advance the clock. The typed i-collectives and the
-  /// blocking exchange_all are built on this. `terms` is the informational
-  /// alpha/beta decomposition of `modeled_cost` (profiler what-ifs); the
-  /// charged cost is always `modeled_cost` itself.
-  CollRequest ipost_exchange(std::vector<std::byte> contribution,
-                             double modeled_cost, const char* label,
-                             CommAlgo algo, CostTerms terms = {});
+  /// blocking exchange_all are built on this.
+  CollRequest ipost_exchange(std::vector<std::byte> contribution, Cost cost,
+                             const char* label);
   /// Block until the request's generation completes; synchronizes the clock
   /// and returns every rank's contribution.
   std::vector<std::vector<std::byte>> wait_exchange(CollRequest& req);
@@ -455,27 +440,19 @@ class RankCtx {
 
 /// The virtual-time SPMD world (see file comment for the clock semantics).
 ///
-/// Usage: construct, optionally enable_tracing(), call run() with the SPMD
-/// body, then read elapsed_virtual() / comm_stats() / trace(). A SimWorld is
-/// reusable: each run() resets per-run state.
+/// Usage: construct, call run() with the SPMD body, then read
+/// elapsed_virtual() / comm_stats() / trace(). A SimWorld is reusable: each
+/// run() resets per-run state.
 /// Thread-safety: drive it from one controlling thread; run() itself spawns
 /// and joins the rank threads internally.
 class SimWorld {
  public:
-  /// @pre nranks >= 1. The cost model is fixed for the world's lifetime.
-  explicit SimWorld(int nranks, CostModel cm = {});
-  /// Construct from bundled options: cost model, tracing, and an optional
-  /// fault plan (install_faults is called when opts.faults.enabled()).
-  SimWorld(int nranks, const SimOptions& opts);
+  /// @pre nranks >= 1. The options are fixed for the world's lifetime. A
+  /// disabled fault plan (the default) installs no fault layer: every fault
+  /// hook reduces to a single null-pointer check and the virtual-clock
+  /// arithmetic is bit-identical to the fault-free runtime.
+  explicit SimWorld(int nranks, const SimOptions& opts = {});
 
-  /// Install a deterministic fault plan for subsequent run()s. A disabled
-  /// plan (the default) uninstalls: every fault hook reduces to a single
-  /// null-pointer check and the virtual-clock arithmetic is bit-identical
-  /// to the fault-free runtime. Must be called between runs, not during one.
-  void install_faults(const sim::FaultPlan& plan) {
-    faults_ = plan;
-    fault_plan_ = faults_.enabled() ? &faults_ : nullptr;
-  }
   /// Installed plan, or null when fault injection is off.
   const sim::FaultPlan* fault_plan() const { return fault_plan_; }
 
@@ -483,11 +460,6 @@ class SimWorld {
   /// (e.g. a detected payload corruption). Peers blocked in recv/collectives
   /// are released and unwound without being recorded as errors themselves.
   bool aborted() const { return comm_stats_.aborted; }
-
-  /// Record per-rank compute/p2p/collective spans in virtual time during the
-  /// next run(); retrieve them with trace(). Must be called before run().
-  void enable_tracing(bool on = true) { tracing_ = on; }
-  bool tracing_enabled() const { return tracing_; }
 
   /// Execute the SPMD body on all ranks; returns when every rank finished.
   /// Exceptions thrown by any rank are rethrown here (first one wins).
@@ -497,7 +469,6 @@ class SimWorld {
   void run(const std::function<void(RankCtx&)>& body);
 
   int size() const { return nranks_; }
-  const CostModel& cost_model() const { return cost_; }
 
   /// Max over ranks of the final virtual clock (the "parallel runtime").
   double elapsed_virtual() const { return elapsed_virtual_; }
@@ -505,8 +476,8 @@ class SimWorld {
   /// Per-rank communication counters of the last run (always collected).
   const obs::CommStats& comm_stats() const { return comm_stats_; }
 
-  /// Per-rank event buffers of the last traced run (empty when tracing was
-  /// off). One entry per rank, events in program order.
+  /// Per-rank event buffers of the last run under collect_trace (empty
+  /// otherwise). One entry per rank, events in program order.
   const std::vector<obs::RankTrace>& trace() const { return trace_bufs_; }
   std::vector<obs::RankTrace> take_trace() { return std::move(trace_bufs_); }
 
@@ -518,12 +489,10 @@ class SimWorld {
     std::vector<std::byte> data;
     double arrival_vtime;  // sender's clock at send + transfer cost
     std::uint64_t seq = 0; // per-(src,tag) send sequence (irecv matching)
-    // Profiler metadata (never read by the clock arithmetic): the exact
-    // transfer double charged by the sender (fault delays included) and its
-    // informational alpha/beta decomposition, stamped onto the receive event.
-    double transfer_cost = 0.0;
-    double transfer_alpha = 0.0;
-    double transfer_beta = 0.0;
+    // Profiler metadata (never read by the clock arithmetic): the transfer
+    // the sender charged (fault delays included), stamped onto the receive
+    // event.
+    Cost transfer{};
     // Fault-layer transport metadata (only meaningful when a plan is
     // installed; zero-initialized otherwise).
     std::uint64_t checksum = 0;  // FNV-1a of the payload *before* any flip
@@ -552,13 +521,9 @@ class SimWorld {
   struct CollGen {
     int arrived = 0;
     int consumed = 0;
-    double vt_max = 0.0;    // max over post-time clocks
-    double cost_max = 0.0;  // max over modeled costs (fault delays included)
-    double vt_out = 0.0;    // vt_max + cost_max, set when the last rank posts
-    // Alpha/beta decomposition of the winning (max) modeled cost, tracked
-    // alongside the max-fold; informational, profiler only.
-    double cost_alpha = 0.0;
-    double cost_beta = 0.0;
+    double vt_max = 0.0;  // max over post-time clocks
+    Cost cost;            // max over modeled costs (fault delays included)
+    double vt_out = 0.0;  // vt_max + cost.seconds, set when the last rank posts
     bool done = false;
     bool corrupt = false;  // flip injected into this generation
     std::vector<std::vector<std::byte>> contrib;
@@ -575,8 +540,8 @@ class SimWorld {
 
   int nranks_;
   CostModel cost_;
-  bool tracing_ = false;
-  sim::FaultPlan faults_{};                    // storage for the installed plan
+  bool tracing_;
+  sim::FaultPlan faults_;                      // storage for the installed plan
   const sim::FaultPlan* fault_plan_ = nullptr; // null = fault layer off
   std::atomic<bool> aborted_{false};
   double elapsed_virtual_ = 0.0;

@@ -29,6 +29,38 @@ CandidateColumns local_winners(const CscMatrix& cols,
   return out;
 }
 
+// Stage 2 of both tournaments: a binary reduction tree across ranks (pairs
+// at stride 1, 2, 4, ...). The schedule is static, so a receiver posts every
+// round's receive up front and only waits when the merge needs the data:
+// the stride-s merge overlaps the stride-2s panel's modeled transfer.
+// `fold(payload)` merges a partner's winners into this rank's; `pack()`
+// serializes them for the parent, after which the rank is out of the tree.
+// Returns `root_payload()` of rank 0, broadcast to every rank.
+template <typename Fold, typename Pack, typename RootPayload>
+std::vector<std::byte> play_tree_dist(RankCtx& ctx, Fold&& fold, Pack&& pack,
+                                      RootPayload&& root_payload) {
+  const int p = ctx.size();
+  const int r = ctx.rank();
+  std::vector<SimRequest> pending;
+  for (int stride = 1; stride < p; stride *= 2) {
+    if (r % (2 * stride) == stride) break;
+    if (r + stride < p)
+      pending.push_back(ctx.irecv_bytes(r + stride, kTagTournament));
+  }
+  std::size_t round = 0;
+  for (int stride = 1; stride < p; stride *= 2) {
+    if (r % (2 * stride) == stride) {
+      ctx.send_bytes(r - stride, pack(), kTagTournament);
+      break;  // out of the tree; waits at the final bcast
+    }
+    if (r + stride < p) fold(ctx.wait(pending[round++]));
+  }
+  std::vector<std::byte> blob =
+      r == 0 ? root_payload() : std::vector<std::byte>{};
+  ctx.bcast_bytes(blob, 0);
+  return blob;
+}
+
 }  // namespace
 
 CandidateColumns qr_tp_dist(RankCtx& ctx, const CandidateColumns& local,
@@ -44,43 +76,18 @@ CandidateColumns qr_tp_dist(RankCtx& ctx, const CscMatrix& cols,
   CandidateColumns mine = ctx.compute(
       kernel, [&] { return local_winners(cols, global_index, k); });
 
-  // Stage 2: binary reduction tree (pairs at stride 1, 2, 4, ...). The
-  // schedule is static, so a receiver posts every round's panel receive up
-  // front and only waits when the merge needs the data: the stride-s merge
-  // overlaps the stride-2s panel's modeled transfer.
-  const int p = ctx.size();
-  const int r = ctx.rank();
-  std::vector<SimRequest> pending;
-  for (int stride = 1; stride < p; stride *= 2) {
-    if (r % (2 * stride) == 0) {
-      if (r + stride < p)
-        pending.push_back(ctx.irecv_bytes(r + stride, kTagTournament));
-    } else if (r % (2 * stride) == stride) {
-      break;
-    }
-  }
-  std::size_t round = 0;
-  for (int stride = 1; stride < p; stride *= 2) {
-    if (r % (2 * stride) == 0) {
-      if (r + stride < p) {
-        const CandidateColumns theirs =
-            unpack_candidates(ctx.wait(pending[round++]));
+  // Stage 2; the root broadcasts the winners' indices and column data.
+  const auto pack = [&] { return pack_candidates(mine); };
+  return unpack_candidates(play_tree_dist(
+      ctx,
+      [&](const std::vector<std::byte>& payload) {
+        const CandidateColumns theirs = unpack_candidates(payload);
         mine = ctx.compute(kernel, [&] {
           const CandidateColumns both = merge(mine, theirs);
           return local_winners(both.cols, both.global_index, k);
         });
-      }
-    } else if (r % (2 * stride) == stride) {
-      ctx.send_bytes(r - stride, pack_candidates(mine), kTagTournament);
-      break;  // this rank is out of the tree; waits at the final bcast
-    }
-  }
-
-  // Broadcast the winners (indices + column data) from the root.
-  std::vector<std::byte> blob =
-      r == 0 ? pack_candidates(mine) : std::vector<std::byte>{};
-  ctx.bcast_bytes(blob, 0);
-  return unpack_candidates(blob);
+      },
+      pack, pack));
 }
 
 std::vector<Index> qr_tp_rows_dist(RankCtx& ctx, const Matrix& q_local,
@@ -132,27 +139,13 @@ std::vector<Index> qr_tp_rows_dist(RankCtx& ctx, const Matrix& q_local,
     }
   }
 
-  // Same static-schedule overlap as qr_tp_dist: post all panel receives
-  // before the first merge round.
-  const int p = ctx.size();
-  const int r = ctx.rank();
-  std::vector<SimRequest> pending;
-  for (int stride = 1; stride < p; stride *= 2) {
-    if (r % (2 * stride) == 0) {
-      if (r + stride < p)
-        pending.push_back(ctx.irecv_bytes(r + stride, kTagTournament));
-    } else if (r % (2 * stride) == stride) {
-      break;
-    }
-  }
-  std::size_t round = 0;
-  for (int stride = 1; stride < p; stride *= 2) {
-    if (r % (2 * stride) == 0) {
-      const int partner = r + stride;
-      if (partner < p) {
+  // Stage 2 carries (id, row values) pairs; the root broadcasts the ids.
+  const std::vector<std::byte> blob = play_tree_dist(
+      ctx,
+      [&](const std::vector<std::byte>& payload) {
         std::vector<Index> their_ids;
         Matrix their_rows;
-        unpack(ctx.wait(pending[round++]), their_ids, their_rows);
+        unpack(payload, their_ids, their_rows);
         ctx.compute(kernel, [&] {
           std::vector<Index> ids = win;
           ids.insert(ids.end(), their_ids.begin(), their_ids.end());
@@ -173,20 +166,13 @@ std::vector<Index> qr_tp_rows_dist(RankCtx& ctx, const Matrix& q_local,
           win = sel;
           mine_rows = std::move(sel_rows);
         });
-      }
-    } else if (r % (2 * stride) == stride) {
-      ctx.send_bytes(r - stride, pack(win, mine_rows), kTagTournament);
-      break;
-    }
-  }
-
-  std::vector<std::byte> blob;
-  if (r == 0) {
-    ByteWriter w;
-    w.put_vec(win);
-    blob = w.take();
-  }
-  ctx.bcast_bytes(blob, 0);
+      },
+      [&] { return pack(win, mine_rows); },
+      [&] {
+        ByteWriter w;
+        w.put_vec(win);
+        return w.take();
+      });
   ByteReader rd(blob);
   return rd.get_vec<Index>();
 }

@@ -79,7 +79,6 @@ std::string to_json(const ReproConfig& c) {
       .field("nranks", c.nranks)
       .field("alpha", c.cost.alpha)
       .field("beta", c.cost.beta)
-      .field("comm_algo", to_string(c.cost.comm_algo))
       .field("faults", c.faults);
   return o.str();
 }
@@ -111,10 +110,6 @@ ReproConfig repro_from_json(const std::string& json) {
       c.cost.alpha = to_double(key, v);
     } else if (key == "beta") {
       c.cost.beta = to_double(key, v);
-    } else if (key == "comm_algo") {
-      const std::string& algo = to_string_value(key, v);
-      if (!parse_comm_algo(algo, &c.cost.comm_algo))
-        malformed("comm_algo must be tree|ring|auto, got \"" + algo + "\"");
     } else if (key == "faults") {
       c.faults = to_string_value(key, v);
     } else {

@@ -48,14 +48,13 @@ bool g_resolved = false;  // guarded by g_mutex
 KernelConfig resolve_from_environment() {
   KernelConfig cfg = default_kernel_config();
   const char* env = std::getenv(kAutotuneEnvVar);
-  const std::string path = env != nullptr ? env : kAutotuneDefaultFile;
+  if (env == nullptr) return cfg;
+  const std::string path = env;
   std::ifstream probe(path);
   if (!probe.good()) {
-    // Only an explicitly named cache warrants a complaint when missing.
-    if (env != nullptr)
-      std::fprintf(stderr,
-                   "lra: %s=%s does not exist; using default kernel config\n",
-                   kAutotuneEnvVar, path.c_str());
+    std::fprintf(stderr,
+                 "lra: %s=%s does not exist; using default kernel config\n",
+                 kAutotuneEnvVar, path.c_str());
     return cfg;
   }
   probe.close();

@@ -9,9 +9,11 @@
 //   1. set_kernel_config() — the `lra_cli tune` sweep and the tests.
 //   2. The JSON cache file named by $LRA_AUTOTUNE_CACHE, if it parses,
 //      matches this build's SIMD ISA, and passes validation.
-//   3. `lra_autotune.json` in the working directory, same conditions,
-//      silently skipped when absent.
-//   4. Baked-in defaults for the compiled SIMD width.
+//   3. Baked-in defaults for the compiled SIMD width.
+//
+// No file is read unless the environment names it: a cache left in the
+// working directory (`lra_cli tune` writes `lra_autotune.json` there by
+// default) never changes a later run behind its back.
 //
 // A cache produced on a different ISA (or a corrupted file) is rejected with
 // a warning and the defaults are used — a stale cache can cost performance
@@ -51,6 +53,7 @@ struct KernelConfig {
 
 inline constexpr char kAutotuneSchema[] = "lra_autotune/v1";
 inline constexpr char kAutotuneEnvVar[] = "LRA_AUTOTUNE_CACHE";
+/// `lra_cli tune`'s default output path (never read implicitly).
 inline constexpr char kAutotuneDefaultFile[] = "lra_autotune.json";
 
 /// Baked-in defaults for the compiled SIMD width (also what invalid fields

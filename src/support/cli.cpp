@@ -1,5 +1,6 @@
 #include "support/cli.hpp"
 
+#include <cstdio>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -40,47 +41,61 @@ Cli::Cli(int argc, char** argv) {
   }
 }
 
-bool Cli::has(const std::string& name) const { return kv_.count(name) > 0; }
+const std::string* Cli::find(const std::string& name) const {
+  read_.insert(name);
+  auto it = kv_.find(name);
+  return it == kv_.end() ? nullptr : &it->second;
+}
+
+bool Cli::has(const std::string& name) const { return find(name) != nullptr; }
 
 std::string Cli::get(const std::string& name, const std::string& dflt) const {
-  auto it = kv_.find(name);
-  return it == kv_.end() ? dflt : it->second;
+  const std::string* v = find(name);
+  return v ? *v : dflt;
 }
 
 long long Cli::get_int(const std::string& name, long long dflt) const {
-  auto it = kv_.find(name);
-  return it == kv_.end() ? dflt : std::stoll(it->second);
+  const std::string* v = find(name);
+  return v ? std::stoll(*v) : dflt;
 }
 
 double Cli::get_double(const std::string& name, double dflt) const {
-  auto it = kv_.find(name);
-  return it == kv_.end() ? dflt : std::stod(it->second);
+  const std::string* v = find(name);
+  return v ? std::stod(*v) : dflt;
 }
 
 bool Cli::get_bool(const std::string& name, bool dflt) const {
-  auto it = kv_.find(name);
-  if (it == kv_.end()) return dflt;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string* v = find(name);
+  if (!v) return dflt;
+  return *v == "true" || *v == "1" || *v == "yes";
 }
 
 std::vector<long long> Cli::get_int_list(const std::string& name,
                                          std::vector<long long> dflt) const {
-  auto it = kv_.find(name);
-  if (it == kv_.end()) return dflt;
+  const std::string* v = find(name);
+  if (!v) return dflt;
   std::vector<long long> out;
-  for (const auto& tok : split(it->second, ','))
+  for (const auto& tok : split(*v, ','))
     if (!tok.empty()) out.push_back(std::stoll(tok));
   return out;
 }
 
 std::vector<double> Cli::get_double_list(const std::string& name,
                                          std::vector<double> dflt) const {
-  auto it = kv_.find(name);
-  if (it == kv_.end()) return dflt;
+  const std::string* v = find(name);
+  if (!v) return dflt;
   std::vector<double> out;
-  for (const auto& tok : split(it->second, ','))
+  for (const auto& tok : split(*v, ','))
     if (!tok.empty()) out.push_back(std::stod(tok));
   return out;
+}
+
+void Cli::reject_unread() const {
+  for (const auto& [name, value] : kv_) {
+    if (read_.count(name)) continue;
+    std::fprintf(stderr, "error: unknown flag --%s\n", name.c_str());
+    std::exit(2);
+  }
 }
 
 }  // namespace lra

@@ -1,8 +1,12 @@
 #pragma once
-// Tiny flag parser shared by the bench/example executables.
-// Flags take the form --name=value or --name value; unknown flags throw.
+// Tiny flag parser shared by the tools, bench and example executables.
+// Flags take the form --name=value or --name value. Every has()/get*() call
+// marks its flag as read; once a program has read all its flags it calls
+// reject_unread(), so a flag it never reads (a typo, a retired option) is an
+// error instead of a silent default.
 
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -25,8 +29,17 @@ class Cli {
   std::vector<double> get_double_list(const std::string& name,
                                       std::vector<double> dflt) const;
 
+  /// Exit with status 2 and "error: unknown flag --NAME" on stderr when the
+  /// command line holds a flag no has() or get*() call has read. Call it
+  /// after the last flag is read and before the work starts.
+  void reject_unread() const;
+
  private:
+  /// The value of `name` (null when absent), marking the flag read.
+  const std::string* find(const std::string& name) const;
+
   std::map<std::string, std::string> kv_;
+  mutable std::set<std::string> read_;
 };
 
 }  // namespace lra

@@ -1,13 +1,14 @@
-// Algorithm-aware collectives: tree vs ring cost formulas, the auto
-// crossover, and the guarantee that the algorithm choice changes only the
-// modeled cost — the rendezvous exchange moves every contribution either
-// way, so payloads are bitwise-identical under tree, ring, and auto.
+// The network model of the simulated runtime: tree collectives, each
+// operation priced once by CostModel (charged seconds plus their alpha/beta
+// split), and a runtime that charges exactly that price and delivers every
+// contribution.
 
 #include "par/cost_model.hpp"
 #include "par/simcomm.hpp"
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstddef>
 #include <stdexcept>
 #include <string>
@@ -18,108 +19,66 @@ namespace {
 
 TEST(CollectiveCost, FormulasMatchTheirDefinitions) {
   const CostModel cm;
-  // Tree: full payload on every hop; 2*ceil(log2 P) hops for allreduce,
-  // ceil(log2 P) for allgather.
-  EXPECT_EQ(cm.tree_allreduce(4, 100), 2.0 * 2.0 * cm.p2p(100));
-  EXPECT_EQ(cm.tree_allreduce(5, 100), 2.0 * 3.0 * cm.p2p(100));
-  EXPECT_EQ(cm.tree_allgather(8, 640), 3.0 * cm.p2p(640));
-  // Ring: P-1 (allgather) or 2(P-1) (allreduce) hops of ceil(B/P) segments.
-  EXPECT_EQ(cm.ring_allreduce(4, 100), 2.0 * 3.0 * cm.p2p(25));
-  EXPECT_EQ(cm.ring_allreduce(3, 100), 2.0 * 2.0 * cm.p2p(34));  // ceil
-  EXPECT_EQ(cm.ring_allgather(8, 640), 7.0 * cm.p2p(80));
-  EXPECT_EQ(cm.ring_allgather(3, 1), 2.0 * cm.p2p(1));  // ceil(1/3) = 1
+  // Full payload on every hop: ceil(log2 P) hops for bcast/barrier and
+  // allgather, 2*ceil(log2 P) for allreduce.
+  EXPECT_EQ(cm.p2p(100).seconds, cm.alpha + cm.beta * 100.0);
+  EXPECT_EQ(cm.tree(8, 100).seconds, 3.0 * cm.p2p(100).seconds);
+  EXPECT_EQ(cm.allreduce(4, 100).seconds, 2.0 * 2.0 * cm.p2p(100).seconds);
+  EXPECT_EQ(cm.allreduce(5, 100).seconds, 2.0 * 3.0 * cm.p2p(100).seconds);
+  EXPECT_EQ(cm.allgather(8, 640).seconds, 3.0 * cm.p2p(640).seconds);
+  // The split counts the same hops: alpha per hop, beta per byte per hop.
+  EXPECT_EQ(cm.p2p(100).alpha_t, cm.alpha);
+  EXPECT_EQ(cm.p2p(100).beta_t, cm.beta * 100.0);
+  EXPECT_EQ(cm.allreduce(4, 100).alpha_t, 4.0 * cm.alpha);
+  EXPECT_EQ(cm.allreduce(4, 100).beta_t, 4.0 * cm.beta * 100.0);
+  EXPECT_EQ(cm.allgather(8, 640).alpha_t, 3.0 * cm.alpha);
+  EXPECT_EQ(cm.tree(5, 8).beta_t, 3.0 * cm.beta * 8.0);
+}
+
+TEST(CollectiveCost, SplitAddsUpToTheChargedSeconds) {
+  const CostModel cm;
+  for (const int p : {2, 3, 4, 8, 64}) {
+    for (const std::size_t b : {0, 8, 1000, 1 << 20}) {
+      for (const Cost c : {cm.p2p(b), cm.tree(p, b), cm.allreduce(p, b),
+                           cm.allgather(p, b)}) {
+        EXPECT_GT(c.seconds, 0.0) << "P=" << p << " B=" << b;
+        EXPECT_NEAR(c.alpha_t + c.beta_t, c.seconds, 1e-15 * c.seconds)
+            << "P=" << p << " B=" << b;
+      }
+    }
+  }
 }
 
 TEST(CollectiveCost, DegenerateWorldsAreFree) {
   const CostModel cm;
   for (const int p : {0, 1}) {
-    EXPECT_EQ(cm.tree_allreduce(p, 4096), 0.0);
-    EXPECT_EQ(cm.tree_allgather(p, 4096), 0.0);
-    EXPECT_EQ(cm.ring_allreduce(p, 4096), 0.0);
-    EXPECT_EQ(cm.ring_allgather(p, 4096), 0.0);
-  }
-}
-
-TEST(CollectiveCost, ParseAndPrintRoundTrip) {
-  CommAlgo a = CommAlgo::kTree;
-  EXPECT_TRUE(parse_comm_algo("ring", &a));
-  EXPECT_EQ(a, CommAlgo::kRing);
-  EXPECT_TRUE(parse_comm_algo("auto", &a));
-  EXPECT_EQ(a, CommAlgo::kAuto);
-  EXPECT_TRUE(parse_comm_algo("tree", &a));
-  EXPECT_EQ(a, CommAlgo::kTree);
-  for (const char* bad : {"", "Tree", "rings", "binomial", "0"}) {
-    a = CommAlgo::kRing;
-    EXPECT_FALSE(parse_comm_algo(bad, &a)) << bad;
-    EXPECT_EQ(a, CommAlgo::kRing) << "*out must stay untouched for " << bad;
-  }
-  EXPECT_STREQ(to_string(CommAlgo::kTree), "tree");
-  EXPECT_STREQ(to_string(CommAlgo::kRing), "ring");
-  EXPECT_STREQ(to_string(CommAlgo::kAuto), "auto");
-}
-
-TEST(CollectiveCost, ResolveHonorsForcedAlgosAndAutoCutoff) {
-  CostModel cm;
-  // Forced algorithms resolve verbatim, even on degenerate worlds (the
-  // formulas are 0 there, but the counters still record the request).
-  cm.comm_algo = CommAlgo::kRing;
-  EXPECT_EQ(cm.resolve(1, 1 << 20), CommAlgo::kRing);
-  EXPECT_EQ(cm.resolve(8, 0), CommAlgo::kRing);
-  cm.comm_algo = CommAlgo::kTree;
-  EXPECT_EQ(cm.resolve(8, 1 << 20), CommAlgo::kTree);
-  // Auto: tree below the cutoff, ring at and above it, tree when P <= 1.
-  cm.comm_algo = CommAlgo::kAuto;
-  EXPECT_EQ(cm.resolve(4, cm.ring_cutoff_bytes - 1), CommAlgo::kTree);
-  EXPECT_EQ(cm.resolve(4, cm.ring_cutoff_bytes), CommAlgo::kRing);
-  EXPECT_EQ(cm.resolve(4, cm.ring_cutoff_bytes + 1), CommAlgo::kRing);
-  EXPECT_EQ(cm.resolve(1, 1 << 20), CommAlgo::kTree);
-}
-
-TEST(CollectiveCost, MonotoneInPayloadPerAlgorithmAndUnderAuto) {
-  const std::vector<std::size_t> sizes{0, 8, 64, 512, 1023, 1024,
-                                       1025, 4096, 65536};
-  for (const int p : {2, 3, 4, 8}) {
-    for (const CommAlgo algo : {CommAlgo::kTree, CommAlgo::kRing}) {
-      CostModel cm;
-      cm.comm_algo = algo;
-      double prev_r = -1.0, prev_g = -1.0;
-      for (const std::size_t b : sizes) {
-        const double r = cm.coll_allreduce(p, b);
-        const double g = cm.coll_allgather(p, b);
-        EXPECT_GE(r, prev_r) << to_string(algo) << " P=" << p << " B=" << b;
-        EXPECT_GE(g, prev_g) << to_string(algo) << " P=" << p << " B=" << b;
-        prev_r = r;
-        prev_g = g;
-      }
+    for (const Cost c :
+         {cm.tree(p, 4096), cm.allreduce(p, 4096), cm.allgather(p, 4096)}) {
+      EXPECT_EQ(c.seconds, 0.0);
+      EXPECT_EQ(c.alpha_t, 0.0);
+      EXPECT_EQ(c.beta_t, 0.0);
     }
   }
-  // The default cutoff sits below the analytic crossover for P >= 4, so
-  // auto's cost stays monotone straight through the tree -> ring switch.
-  for (const int p : {4, 8}) {
-    CostModel cm;
-    cm.comm_algo = CommAlgo::kAuto;
-    double prev = -1.0;
+}
+
+TEST(CollectiveCost, MonotoneInPayloadAndRanks) {
+  const CostModel cm;
+  const std::vector<std::size_t> sizes{0, 8, 64, 512, 1024, 4096, 65536};
+  for (const int p : {2, 3, 4, 8}) {
+    double prev_r = -1.0, prev_g = -1.0;
     for (const std::size_t b : sizes) {
-      const double c = cm.coll_allreduce(p, b);
-      EXPECT_GE(c, prev) << "auto P=" << p << " B=" << b;
-      prev = c;
+      const double r = cm.allreduce(p, b).seconds;
+      const double g = cm.allgather(p, b).seconds;
+      EXPECT_GE(r, prev_r) << "P=" << p << " B=" << b;
+      EXPECT_GE(g, prev_g) << "P=" << p << " B=" << b;
+      prev_r = r;
+      prev_g = g;
     }
-  }
-  // And the point of ring: at large payloads it never costs more than tree.
-  for (const int p : {2, 3, 4, 8}) {
-    const CostModel cm;
-    EXPECT_LE(cm.ring_allreduce(p, 65536), cm.tree_allreduce(p, 65536));
-    EXPECT_LE(cm.ring_allgather(p, 65536), cm.tree_allgather(p, 65536));
+    EXPECT_LE(cm.allreduce(p, 64).seconds, cm.allreduce(2 * p, 64).seconds);
   }
 }
 
-// --- payload equivalence in the runtime -------------------------------------
-
-struct CollOutputs {
-  std::vector<std::vector<double>> reduced;   // per rank
-  std::vector<std::vector<double>> gathered;  // per rank
-  double elapsed = 0.0;
-};
+// --- the runtime charges the model's price ----------------------------------
 
 /// Contribution of `len` doubles from `rank`, deterministic and rank-unique.
 std::vector<double> contribution(int rank, std::size_t len) {
@@ -130,91 +89,55 @@ std::vector<double> contribution(int rank, std::size_t len) {
   return v;
 }
 
-CollOutputs run_collectives(int nranks, CommAlgo algo, std::size_t len) {
-  CostModel cm;
-  cm.comm_algo = algo;
-  SimWorld w(nranks, cm);
-  CollOutputs out;
-  out.reduced.resize(static_cast<std::size_t>(nranks));
-  out.gathered.resize(static_cast<std::size_t>(nranks));
-  w.run([&](RankCtx& ctx) {
-    const auto r = static_cast<std::size_t>(ctx.rank());
-    out.reduced[r] = ctx.allreduce_sum(contribution(ctx.rank(), len));
-    out.gathered[r] = ctx.allgatherv(contribution(ctx.rank(), len));
-  });
-  EXPECT_EQ(w.comm_stats().check_invariants(), "")
-      << to_string(algo) << " P=" << nranks << " len=" << len;
-  out.elapsed = w.elapsed_virtual();
-  return out;
-}
-
-TEST(CollectiveAlgo, RingTreeAndAutoMovePayloadsIdentically) {
-  // Empty, length-1, non-divisible-by-P, and large (past the auto cutoff)
-  // payloads: every algorithm must deliver bitwise-identical results on
-  // every rank; only the modeled clocks may differ.
+TEST(CollectiveRuntime, DeliversEveryContributionAtTheModeledPrice) {
+  // Empty, length-1, non-divisible-by-P and large payloads: every rank gets
+  // the elementwise sum and the rank-order concatenation, every clock and
+  // coll_seconds advance by exactly the two modeled prices (no compute is
+  // charged), and each wait event carries that price and its split.
+  const CostModel cm;
   for (const int p : {1, 2, 3, 4, 8}) {
     for (const std::size_t len : {std::size_t{0}, std::size_t{1},
                                   std::size_t{5}, std::size_t{1000}}) {
-      const CollOutputs tree = run_collectives(p, CommAlgo::kTree, len);
-      const CollOutputs ring = run_collectives(p, CommAlgo::kRing, len);
-      const CollOutputs aut = run_collectives(p, CommAlgo::kAuto, len);
+      std::vector<std::vector<double>> reduced(static_cast<std::size_t>(p));
+      std::vector<std::vector<double>> gathered(static_cast<std::size_t>(p));
+      SimWorld w(p, {.collect_trace = true});
+      w.run([&](RankCtx& ctx) {
+        const auto r = static_cast<std::size_t>(ctx.rank());
+        reduced[r] = ctx.allreduce_sum(contribution(ctx.rank(), len));
+        gathered[r] = ctx.allgatherv(contribution(ctx.rank(), len));
+      });
+      ASSERT_EQ(w.comm_stats().check_invariants(), "");
+
+      std::vector<double> expect_sum(len, 0.0), expect_gather;
+      for (int r = 0; r < p; ++r) {
+        const std::vector<double> c = contribution(r, len);
+        for (std::size_t i = 0; i < len; ++i) expect_sum[i] += c[i];
+        expect_gather.insert(expect_gather.end(), c.begin(), c.end());
+      }
+      const std::size_t bytes = len * sizeof(double);
+      const Cost reduce = cm.allreduce(p, bytes);
+      const Cost gather = cm.allgather(p, p * bytes);
       for (int r = 0; r < p; ++r) {
         const auto rr = static_cast<std::size_t>(r);
-        EXPECT_EQ(tree.reduced[rr], ring.reduced[rr])
-            << "P=" << p << " len=" << len << " rank=" << r;
-        EXPECT_EQ(tree.reduced[rr], aut.reduced[rr])
-            << "P=" << p << " len=" << len << " rank=" << r;
-        EXPECT_EQ(tree.gathered[rr], ring.gathered[rr])
-            << "P=" << p << " len=" << len << " rank=" << r;
-        EXPECT_EQ(tree.gathered[rr], aut.gathered[rr])
-            << "P=" << p << " len=" << len << " rank=" << r;
+        EXPECT_EQ(reduced[rr], expect_sum) << "P=" << p << " len=" << len;
+        EXPECT_EQ(gathered[rr], expect_gather) << "P=" << p << " len=" << len;
+        EXPECT_EQ(w.comm_stats().per_rank[rr].coll_seconds,
+                  reduce.seconds + gather.seconds);
+        std::vector<Cost> charged;
+        for (const obs::TraceEvent& e : w.trace()[rr].events)
+          if (e.op == obs::SpanOp::kCollWait)
+            charged.push_back({e.cost_v, e.cost_alpha_v, e.cost_beta_v});
+        ASSERT_EQ(charged.size(), 2u);
+        for (int i = 0; i < 2; ++i) {
+          const Cost& want = i == 0 ? reduce : gather;
+          EXPECT_EQ(charged[i].seconds, want.seconds);
+          EXPECT_EQ(charged[i].alpha_t, want.alpha_t);
+          EXPECT_EQ(charged[i].beta_t, want.beta_t);
+        }
       }
-      // Spot-check the semantics too: allgatherv concatenates in rank order.
-      std::vector<double> expect_gather;
-      for (int r = 0; r < p; ++r)
-        for (const double v : contribution(r, len)) expect_gather.push_back(v);
-      EXPECT_EQ(tree.gathered[0], expect_gather) << "P=" << p << " len=" << len;
+      EXPECT_EQ(w.elapsed_virtual(), reduce.seconds + gather.seconds);
     }
   }
-}
-
-TEST(CollectiveAlgo, AutoCrossoverPicksRingAbovetheCutoffOnly) {
-  CostModel cm;
-  cm.comm_algo = CommAlgo::kAuto;
-  SimWorld w(4, cm);
-  w.run([&](RankCtx& ctx) {
-    // 16 doubles = 128 bytes < 1024: tree. 200 doubles = 1600 bytes: ring.
-    (void)ctx.allreduce_sum(contribution(ctx.rank(), 16));
-    (void)ctx.allreduce_sum(contribution(ctx.rank(), 200));
-    // allgatherv resolves on the total: 4 * 24 = 96 bytes -> tree,
-    // 4 * 800 = 3200 bytes -> ring.
-    (void)ctx.allgatherv(contribution(ctx.rank(), 3));
-    (void)ctx.allgatherv(contribution(ctx.rank(), 100));
-  });
-  ASSERT_EQ(w.comm_stats().check_invariants(), "");
-  for (const auto& c : w.comm_stats().per_rank) {
-    EXPECT_EQ(c.collective_algo_calls.at("tree"), 2u);
-    EXPECT_EQ(c.collective_algo_calls.at("ring"), 2u);
-  }
-}
-
-TEST(CollectiveAlgo, ForcedRingIsCheaperOnLargePayloads) {
-  // End-to-end analog of the Fig. 4 bench smoke: a large-payload collective
-  // program finishes no later under ring than under tree. All clock charges
-  // are modeled (no measured CPU), so the comparison is deterministic.
-  auto run = [](CommAlgo algo) {
-    CostModel cm;
-    cm.comm_algo = algo;
-    SimWorld w(8, cm);
-    w.run([](RankCtx& ctx) {
-      for (int i = 0; i < 4; ++i) {
-        (void)ctx.allreduce_sum(contribution(ctx.rank(), 4096));
-        (void)ctx.allgatherv(contribution(ctx.rank(), 2048));
-      }
-    });
-    return w.elapsed_virtual();
-  };
-  EXPECT_LE(run(CommAlgo::kRing), run(CommAlgo::kTree));
 }
 
 // --- nonblocking collective semantics ---------------------------------------
@@ -229,7 +152,7 @@ TEST(CollectiveNb, FinishTimeComesFromPostClocksAndOverlapIsCredited) {
   //   * rank 2 (last poster) overlaps only the transfer itself (cost) and
   //     its clock stays at 2.25.
   const CostModel cm;
-  const double cost = cm.coll_allreduce(3, sizeof(double));
+  const double cost = cm.allreduce(3, sizeof(double)).seconds;
   ASSERT_GT(cost, 0.0);
   ASSERT_LT(cost, 0.25);
   const double vt_out = 2.0 + cost;  // same fl(+) as the runtime's finish
@@ -240,8 +163,6 @@ TEST(CollectiveNb, FinishTimeComesFromPostClocksAndOverlapIsCredited) {
     ctx.charge(static_cast<double>(r));
     CollRequest req = ctx.iallreduce_sum({static_cast<double>(r)});
     if (req.completed()) throw std::runtime_error("complete before wait");
-    if (req.algo() != CommAlgo::kTree)
-      throw std::runtime_error("unexpected algorithm");
     ctx.charge(0.25);
     const std::vector<double> sum = ctx.wait_allreduce_sum(req);
     if (!req.completed()) throw std::runtime_error("incomplete after wait");

@@ -109,7 +109,6 @@ TEST(CommCounters, ReportCarriesOverlapFieldsAndFaultBreakdown) {
   ASSERT_NE(rec.find("overlap_seconds"), nullptr);
   EXPECT_GT(rec.find("overlap_seconds")->as_double(), 0.0);
   EXPECT_NE(rec.find("coll_seconds_max"), nullptr);
-  EXPECT_NE(rec.find("collective_algos"), nullptr);
 
   // Per-kind fault breakdown: both duplicates injected and both dropped,
   // nothing else fired.

@@ -18,15 +18,18 @@
 // valid tile geometry (the autotune config is a pure perf knob).
 //
 // The autotune cache tests pin the resolution contract: round-trip through
-// save/load preserves the geometry, and corrupted / wrong-schema /
-// wrong-ISA files are rejected (loader returns false, config untouched).
+// save/load preserves the geometry, corrupted / wrong-schema / wrong-ISA
+// files are rejected (loader returns false, config untouched), and only a
+// cache $LRA_AUTOTUNE_CACHE names is ever read.
 
 #include <gtest/gtest.h>
 
 #include <cfloat>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -465,6 +468,44 @@ TEST(KernelsSimdTest, AutotuneCacheRoundTrips) {
   EXPECT_EQ(back.dtc.ib, cfg.dtc.ib);
   EXPECT_EQ(back.source, path);  // loaded configs carry their origin
   std::remove(path.c_str());
+}
+
+TEST(KernelsSimdTest, AutotuneCacheInWorkingDirectoryIsNotRead) {
+  // `lra_cli tune` writes lra_autotune.json into the working directory by
+  // default; without $LRA_AUTOTUNE_CACHE naming it, a valid cache there must
+  // not change the geometry of a later run.
+  ConfigGuard config;
+  const char* env = std::getenv(kAutotuneEnvVar);
+  const std::string saved_env = env != nullptr ? env : "";
+  unsetenv(kAutotuneEnvVar);
+  const std::filesystem::path saved_cwd = std::filesystem::current_path();
+  const std::filesystem::path dir = temp_path("lra_autotune_cwd");
+  std::filesystem::create_directories(dir);
+  std::filesystem::current_path(dir);
+
+  KernelConfig cfg = default_kernel_config();
+  cfg.gemm.mc = 64;
+  cfg.gemm.kc = 128;
+  cfg.gemm.mv = 1;
+  cfg.gemm.nr = 8;
+  std::string err;
+  ASSERT_TRUE(save_kernel_config_file(kAutotuneDefaultFile, cfg, &err)) << err;
+  KernelConfig back;
+  ASSERT_TRUE(load_kernel_config_file(kAutotuneDefaultFile, &back, &err))
+      << err;  // a cache the environment could name
+  reset_kernel_config();
+  const KernelConfig active = kernel_config();
+
+  std::filesystem::current_path(saved_cwd);
+  std::filesystem::remove_all(dir);
+  if (env != nullptr) setenv(kAutotuneEnvVar, saved_env.c_str(), 1);
+
+  const KernelConfig defaults = default_kernel_config();
+  EXPECT_EQ(active.source, "defaults");
+  EXPECT_EQ(active.gemm.mc, defaults.gemm.mc);
+  EXPECT_EQ(active.gemm.kc, defaults.gemm.kc);
+  EXPECT_EQ(active.gemm.mv, defaults.gemm.mv);
+  EXPECT_EQ(active.gemm.nr, defaults.gemm.nr);
 }
 
 TEST(KernelsSimdTest, AutotuneCacheRejectsCorruptAndForeignFiles) {

@@ -107,8 +107,7 @@ TEST(TraceTest, ChromeExportHasTracksAndCats) {
 }
 
 TEST(TraceTest, SimWorldRecordsAllCategoriesPerRank) {
-  SimWorld w(2);
-  w.enable_tracing();
+  SimWorld w(2, {.collect_trace = true});
   w.run([&](RankCtx& ctx) {
     ctx.compute("work", [] {
       volatile double s = 0;
@@ -159,8 +158,7 @@ TEST(TraceTest, TracingDoesNotPerturbVirtualClocks) {
   };
   SimWorld off(2);
   off.run(body);
-  SimWorld on(2);
-  on.enable_tracing();
+  SimWorld on(2, {.collect_trace = true});
   on.run(body);
   EXPECT_EQ(off.elapsed_virtual(), on.elapsed_virtual());
   EXPECT_FALSE(on.trace().empty());

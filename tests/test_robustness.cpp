@@ -9,8 +9,6 @@
 #include "core/lu_crtp.hpp"
 #include "core/randqb_ei.hpp"
 #include "core/randubv.hpp"
-#include "dense/blas.hpp"
-#include "dense/svd.hpp"
 #include "gen/givens_spray.hpp"
 #include "gen/spectrum.hpp"
 #include "sparse/coo.hpp"
@@ -132,29 +130,6 @@ TEST(Robustness, RandUbvOnRankOne) {
   const RandUbvResult r = randubv(a, o);
   EXPECT_EQ(r.status, Status::kConverged);
   EXPECT_LT(randubv_exact_error(a, r), 1e-6 * a.frobenius_norm() * 1.01);
-}
-
-TEST(Robustness, SpectralNormTermination) {
-  // The new ErrorNorm::kSpectral mode: the spectral criterion is weaker
-  // than Frobenius (||.||_2 <= ||.||_F), so it must stop at most as late,
-  // and the exact spectral residual must satisfy the bound.
-  const auto sigma = geometric_spectrum(120, 4.0, 0.9);
-  const CscMatrix a = givens_spray(
-      sigma, {.left_passes = 2, .right_passes = 2, .bandwidth = 0, .seed = 9});
-  RandQbOptions fro;
-  fro.block_size = 8;
-  fro.tau = 1e-2;
-  RandQbOptions spec = fro;
-  spec.norm = ErrorNorm::kSpectral;
-  const RandQbResult rf = randqb_ei(a, fro);
-  const RandQbResult rs = randqb_ei(a, spec);
-  EXPECT_EQ(rs.status, Status::kConverged);
-  EXPECT_LE(rs.rank, rf.rank);
-  // Verify against the exact spectral residual (dense, small matrix).
-  Matrix res = a.to_dense();
-  gemm(res, rs.q, rs.b, -1.0, 1.0);
-  const double exact_spec = singular_values(res).front();
-  EXPECT_LT(exact_spec, 1.3 * 1e-2 * sigma[0]);  // estimator slack
 }
 
 TEST(Robustness, ZeroToleranceRunsToFullRank) {

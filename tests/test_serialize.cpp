@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
+#include <utility>
 #include <vector>
 
 #include "core/ilut_crtp.hpp"
@@ -159,6 +162,74 @@ TEST(Serialize, SingleBitFlipsNeverCrashTheLoader) {
     }
   }
   EXPECT_GT(rejected, 0);  // header flips must not pass silently
+  std::remove(path.c_str());
+}
+
+TEST(Serialize, PermutationEntryBitFlipsAreRejected) {
+  // One flipped bit in a stored permutation entry leaves a duplicate or an
+  // out-of-range index. The loader must throw, never hand back factors whose
+  // application indexes out of bounds (`lra_cli verify` crashed on one).
+  const CscMatrix a =
+      CscMatrix::from_dense(testing::random_matrix(12, 12, 17), 0.6);
+  LuCrtpOptions o;
+  o.block_size = 4;
+  o.tau = 1e-2;
+  const LuCrtpResult r = ilut_crtp(a, o);
+  const std::string path = ::testing::TempDir() + "/lra_perm_flip.fact";
+  save_factorization(path, r);
+  const std::vector<unsigned char> clean = slurp(path);
+  // col_perm is the file's last section, row_perm the one before it; each
+  // is a length prefix followed by its entries.
+  const std::size_t col_bytes = r.col_perm.size() * sizeof(Index);
+  const std::size_t row_bytes = r.row_perm.size() * sizeof(Index);
+  const std::size_t col_at = clean.size() - col_bytes;
+  const std::size_t row_at = col_at - sizeof(std::uint64_t) - row_bytes;
+  ASSERT_EQ(std::memcmp(&clean[col_at], r.col_perm.data(), col_bytes), 0);
+  ASSERT_EQ(std::memcmp(&clean[row_at], r.row_perm.data(), row_bytes), 0);
+  for (const auto& [at, bytes] : {std::pair{row_at, row_bytes},
+                                  std::pair{col_at, col_bytes}}) {
+    for (std::size_t bit = 8 * at; bit < 8 * (at + bytes); ++bit) {
+      std::vector<unsigned char> mutated = clean;
+      mutated[bit / 8] ^= static_cast<unsigned char>(1u << (bit % 8));
+      spit(path, mutated);
+      EXPECT_THROW(load_lu_factorization(path), std::runtime_error)
+          << "bit " << bit;
+    }
+  }
+  std::remove(path.c_str());
+}
+
+TEST(Serialize, InconsistentFactorShapesAreRejected) {
+  const std::string path = ::testing::TempDir() + "/lra_shapes.fact";
+  LuCrtpResult lu;
+  lu.l = CscMatrix(6, 3);
+  lu.u = CscMatrix(3, 5);
+  lu.row_perm = identity_perm(6);
+  lu.col_perm = identity_perm(5);
+  save_factorization(path, lu);
+  EXPECT_NO_THROW(load_lu_factorization(path));  // the consistent baseline
+
+  LuCrtpResult bad = lu;
+  bad.u = CscMatrix(4, 5);  // L has 3 columns
+  save_factorization(path, bad);
+  EXPECT_THROW(load_lu_factorization(path), std::runtime_error);
+  bad = lu;
+  bad.row_perm = identity_perm(5);  // L has 6 rows
+  save_factorization(path, bad);
+  EXPECT_THROW(load_lu_factorization(path), std::runtime_error);
+  bad = lu;
+  bad.col_perm = identity_perm(6);  // U has 5 columns
+  save_factorization(path, bad);
+  EXPECT_THROW(load_lu_factorization(path), std::runtime_error);
+
+  RandQbResult qb;
+  qb.q = Matrix(6, 3);
+  qb.b = Matrix(3, 5);
+  save_factorization(path, qb);
+  EXPECT_NO_THROW(load_qb_factorization(path));
+  qb.b = Matrix(4, 5);  // Q has 3 columns
+  save_factorization(path, qb);
+  EXPECT_THROW(load_qb_factorization(path), std::runtime_error);
   std::remove(path.c_str());
 }
 

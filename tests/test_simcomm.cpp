@@ -23,27 +23,6 @@ TEST_P(WorldSizes, AllreduceSumIsGlobal) {
   EXPECT_EQ(failures, 0);
 }
 
-TEST_P(WorldSizes, AllreduceMax) {
-  SimWorld w(GetParam());
-  std::atomic<int> failures{0};
-  w.run([&](RankCtx& ctx) {
-    const double m = ctx.allreduce_max(static_cast<double>(ctx.rank()));
-    if (m != ctx.size() - 1) ++failures;
-  });
-  EXPECT_EQ(failures, 0);
-}
-
-TEST_P(WorldSizes, AllgatherOrdersByRank) {
-  SimWorld w(GetParam());
-  std::atomic<int> failures{0};
-  w.run([&](RankCtx& ctx) {
-    const auto all = ctx.allgather(static_cast<long long>(ctx.rank() * 10));
-    for (int r = 0; r < ctx.size(); ++r)
-      if (all[r] != 10LL * r) ++failures;
-  });
-  EXPECT_EQ(failures, 0);
-}
-
 TEST_P(WorldSizes, AllgathervConcatenatesVariableSizes) {
   SimWorld w(GetParam());
   std::atomic<int> failures{0};
@@ -143,8 +122,8 @@ TEST(SimComm, NegativeTagRoundTripsAndCountsLikePositive) {
 
 TEST(CommCountersTest, SingleRankCollectivesCountLikeMultiRank) {
   // Regression: a 1-rank world's collectives cost zero modeled seconds but
-  // must still increment the same call/byte/algorithm counters as at P > 1
-  // (they run through the same post + wait machinery).
+  // must still increment the same call/byte counters as at P > 1 (they run
+  // through the same post + wait machinery).
   SimWorld w(1);
   w.run([](RankCtx& ctx) {
     const auto g = ctx.allgatherv({1.0, 2.0});
@@ -158,26 +137,9 @@ TEST(CommCountersTest, SingleRankCollectivesCountLikeMultiRank) {
   EXPECT_EQ(c.collective_bytes.at("allgatherv"), 2 * sizeof(double));
   EXPECT_EQ(c.collective_calls.at("allreduce"), 1u);
   EXPECT_EQ(c.collective_calls.at("barrier"), 1u);
-  EXPECT_EQ(c.collective_algo_calls.at("tree"), 3u);
   EXPECT_EQ(c.coll_seconds, 0.0);
   EXPECT_EQ(w.elapsed_virtual(), 0.0);
   EXPECT_EQ(w.comm_stats().check_invariants(), "");
-}
-
-TEST(CommCountersTest, SingleRankRingCollectivesCountTheAlgorithm) {
-  // Forced ring at P = 1 records "ring" completions with zero modeled cost —
-  // the counter reflects the configured algorithm, not a special case.
-  CostModel cm;
-  cm.comm_algo = CommAlgo::kRing;
-  SimWorld w(1, cm);
-  w.run([](RankCtx& ctx) {
-    (void)ctx.allgatherv({1.0});
-    (void)ctx.allreduce_sum(2.0);
-  });
-  const obs::CommCounters& c = w.comm_stats().per_rank[0];
-  EXPECT_EQ(c.collective_algo_calls.at("ring"), 2u);
-  EXPECT_EQ(c.coll_seconds, 0.0);
-  EXPECT_EQ(w.elapsed_virtual(), 0.0);
 }
 
 TEST(SimComm, InProcessContextHandsBackOwnContribution) {
@@ -200,8 +162,6 @@ TEST(SimComm, InProcessContextHandsBackOwnContribution) {
   CollRequest req = ctx.iallgatherv(v);
   EXPECT_EQ(ctx.wait_allgatherv(req), v);
   EXPECT_THROW(ctx.wait_allgatherv(req), std::logic_error);
-  EXPECT_EQ(ctx.allreduce_max(3.0), 3.0);
-  EXPECT_EQ(ctx.allgather(7LL), std::vector<long long>{7});
   std::vector<std::byte> blob = {std::byte{1}, std::byte{2}};
   ctx.bcast_bytes(blob, 0);
   EXPECT_EQ(blob.size(), 2u);
@@ -248,8 +208,7 @@ TEST(SimComm, ReceiverWaitsForSenderVirtualTime) {
 }
 
 TEST(SimComm, ComputeChargesKernelTimers) {
-  SimWorld w(2);
-  w.enable_tracing();
+  SimWorld w(2, {.collect_trace = true});
   w.run([&](RankCtx& ctx) {
     ctx.compute("work", [&] {
       volatile double s = 0.0;
@@ -622,9 +581,9 @@ TEST(FaultInjection, StragglerInflatesComputeTime) {
 
 TEST(CostModelTest, MonotoneInSizeAndRanks) {
   CostModel cm;
-  EXPECT_GT(cm.p2p(1000), cm.p2p(10));
-  EXPECT_GT(cm.tree(8, 100), cm.tree(2, 100));
-  EXPECT_EQ(cm.tree(1, 100), 0.0);
+  EXPECT_GT(cm.p2p(1000).seconds, cm.p2p(10).seconds);
+  EXPECT_GT(cm.tree(8, 100).seconds, cm.tree(2, 100).seconds);
+  EXPECT_EQ(cm.tree(1, 100).seconds, 0.0);
   EXPECT_EQ(CostModel::ceil_log2(1), 0);
   EXPECT_EQ(CostModel::ceil_log2(2), 1);
   EXPECT_EQ(CostModel::ceil_log2(5), 3);

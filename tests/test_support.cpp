@@ -87,6 +87,19 @@ TEST(CliParser, BoolSpellings) {
   EXPECT_FALSE(cli.get_bool("d", true));
 }
 
+TEST(CliParser, FlagsNeverReadAreUnknown) {
+  const char* argv[] = {"prog", "--tau=1e-3", "--tua=1e-9", "--k=8"};
+  const Cli cli(4, const_cast<char**>(argv));
+  (void)cli.get_int("k", 32);
+  (void)cli.get_double("tau", 1e-2);
+  (void)cli.has("absent");  // asking for an absent flag is fine
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";  // pool threads
+  EXPECT_EXIT(cli.reject_unread(), ::testing::ExitedWithCode(2),
+              "error: unknown flag --tua");
+  (void)cli.get("tua", "");
+  cli.reject_unread();  // returns: every flag was read
+}
+
 TEST(StopwatchTest, MeasuresElapsedWallTime) {
   Stopwatch w;
   volatile double s = 0.0;

@@ -74,6 +74,10 @@ std::map<std::string, double> index_results(const JsonValue& doc,
 int run_gate(const lra::Cli& cli) {
   const std::string ref_path = cli.get("ref", "");
   const std::string new_path = cli.get("new", "");
+  const double warn = cli.get_double("warn", 0.10);
+  const double fail = cli.get_double("fail", 0.25);
+  const bool update_ref = cli.has("update-ref");
+  cli.reject_unread();
   if (ref_path.empty() || new_path.empty()) {
     std::fprintf(stderr,
                  "usage: bench_diff --ref=REF.json --new=NEW.json "
@@ -81,8 +85,6 @@ int run_gate(const lra::Cli& cli) {
                  "       bench_diff --lint-phases [--src=DIR]\n");
     return 2;
   }
-  const double warn = cli.get_double("warn", 0.10);
-  const double fail = cli.get_double("fail", 0.25);
 
   const JsonValue ref_doc = lra::obs::parse_json_file(ref_path);
   const JsonValue new_doc = lra::obs::parse_json_file(new_path);
@@ -95,7 +97,7 @@ int run_gate(const lra::Cli& cli) {
                  "WARN isa mismatch: reference is %s, this run is %s — "
                  "skipping the perf gate (throughput not comparable)\n",
                  ref_isa.c_str(), new_isa.c_str());
-    if (cli.has("update-ref")) {
+    if (update_ref) {
       std::fprintf(stderr,
                    "WARN --update-ref ignored on isa mismatch (would replace "
                    "the %s reference with %s numbers)\n",
@@ -131,7 +133,7 @@ int run_gate(const lra::Cli& cli) {
   std::printf("bench_diff: %zu legs, %d warning(s), %d failure(s) "
               "(warn > %.0f%%, fail > %.0f%%)\n",
               ref.size(), warned, failed, 100.0 * warn, 100.0 * fail);
-  if (cli.has("update-ref")) {
+  if (update_ref) {
     std::error_code ec;
     std::filesystem::copy_file(new_path, ref_path,
                                std::filesystem::copy_options::overwrite_existing,
@@ -177,6 +179,7 @@ int run_lint(const lra::Cli& cli) {
   namespace fs = std::filesystem;
   const std::string root =
       cli.get("src", std::string(LRA_SOURCE_ROOT) + "/src");
+  cli.reject_unread();
   if (!fs::is_directory(root)) {
     std::fprintf(stderr, "bench_diff: --src=%s is not a directory\n",
                  root.c_str());

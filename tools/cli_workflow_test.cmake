@@ -184,6 +184,45 @@ foreach(bad fast naive)
   endif()
 endforeach()
 
+# A flag the subcommand never reads is an error naming it, not a silent
+# default: a typo of --tau, and --comm-algo, which no longer exists (the
+# simulated network has one collective schedule).
+foreach(flag tua=1e-9 comm-algo=ring)
+  execute_process(
+    COMMAND ${LRA_CLI} approx --mtx=${mtx} --np=2 --${flag}
+    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  string(REGEX REPLACE "=.*" "" name "${flag}")
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "--${flag} exited ${rc}, expected 2:\n${out}\n${err}")
+  endif()
+  string(FIND "${err}" "unknown flag --${name}" found)
+  if(found EQUAL -1)
+    message(FATAL_ERROR "--${flag} was not named as unknown:\n${err}")
+  endif()
+endforeach()
+
+# verify checks the factors against the matrix: LU and QB factors of the
+# 120 x 120 M1' do not verify against the 160 x 160 M2' (exit 1, no crash,
+# no error figure).
+set(other ${WORK_DIR}/cli_test_other.mtx)
+set(qb_fact ${WORK_DIR}/cli_test_qb.fact)
+run(${LRA_CLI} generate --preset=M2 --scale=0.08 --out=${other})
+run(${LRA_CLI} approx --mtx=${mtx} --method=randqb --tau=1e-2 --out=${qb_fact})
+foreach(f ${fact} ${qb_fact})
+  execute_process(
+    COMMAND ${LRA_CLI} verify --mtx=${other} --fact=${f}
+    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  if(NOT rc EQUAL 1)
+    message(FATAL_ERROR "verify of ${f} against ${other} exited ${rc}, "
+                        "expected 1:\n${out}\n${err}")
+  endif()
+  string(FIND "${err}" "factors approximate a" found)
+  if(found EQUAL -1)
+    message(FATAL_ERROR "verify did not report the shape mismatch:\n${err}")
+  endif()
+endforeach()
+file(REMOVE ${other} ${qb_fact})
+
 # --threads=0 must not be UB: the CLI warns on stderr and runs on 1 worker.
 execute_process(
   COMMAND ${LRA_CLI} approx --mtx=${mtx} --tau=1e-2 --threads=0 --out=${fact}

@@ -7,7 +7,7 @@
 //   lra_cli approx --mtx=a.mtx [--method=auto|randqb|lu|ilut|ubv]
 //             [--tau=1e-3] [--k=32] [--out=fact.bin]
 //             [--np=N] [--trace=trace.json] [--report=report.jsonl]
-//             [--faults=SPEC] [--comm-algo=tree|ring|auto]
+//             [--faults=SPEC] [--profile]
 //       Fixed-precision approximation; optionally store the factors.
 //       --np runs the simulated-distributed engine on N virtual ranks;
 //       --trace writes a Chrome trace (chrome://tracing / Perfetto) of the
@@ -17,8 +17,6 @@
 //       (grammar: seed=N;delay=P:F;dup=P;flip=P;straggle=R1,..:F — see
 //       EXPERIMENTS.md, HARNESS) and implies --np (default 4). Detected
 //       payload corruption reports status comm-fault, never a crash.
-//       --comm-algo picks the modeled collective algorithm (default tree;
-//       auto switches to ring above the cost model's payload cutoff).
 //       --profile prints a post-run causal profile (per-phase attribution,
 //       critical path, what-if projections) and implies --np; with --report
 //       the profile/profile_rank/profile_phase records are appended too.
@@ -43,15 +41,17 @@
 //   `simd` fuses multiply-adds where the ISA has FMA, `simd-strict` keeps
 //   the two-rounding chain and stays bitwise identical to the reference
 //   loops the kernel tests compare against.
+//   An unknown flag (one the subcommand never reads) is an error: exit 2.
 //   lra_cli verify --mtx=a.mtx --fact=fact.bin
-//       Reload stored factors and report the exact achieved error.
+//       Reload stored factors and report the exact achieved error; factors
+//       whose shape does not match the matrix are an error (exit 1).
 //   lra_cli tune [--quick] [--reps=5] [--out=lra_autotune.json]
 //       Sweep the simd GEMM macro/micro tile shapes and the
 //       dense_times_csc row-panel height on this machine, print per-candidate
 //       GFLOP/s, and write the winner as an autotune cache (schema
-//       lra_autotune/v1). Kernels consult the cache at startup via
-//       $LRA_AUTOTUNE_CACHE or ./lra_autotune.json; the geometry changes
-//       only speed, never bits. --quick shrinks the timing problems for CI.
+//       lra_autotune/v1). Kernels consult a cache at startup only when
+//       $LRA_AUTOTUNE_CACHE names it; the geometry changes only speed,
+//       never bits. --quick shrinks the timing problems for CI.
 
 #include <algorithm>
 #include <cstdio>
@@ -59,6 +59,7 @@
 #include <iostream>
 #include <memory>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -104,6 +105,7 @@ int cmd_generate(const Cli& cli) {
   const std::string preset = cli.get("preset", "M1");
   const double scale = cli.get_double("scale", 0.25);
   const std::string out = cli.get("out", preset + ".mtx");
+  cli.reject_unread();
   const TestMatrix t = make_preset(preset, scale);
   write_matrix_market(t.a, out);
   std::printf("%s' (%s, %s): %ld x %ld, %ld nnz -> %s\n", t.label.c_str(),
@@ -113,7 +115,9 @@ int cmd_generate(const Cli& cli) {
 }
 
 int cmd_info(const Cli& cli) {
-  const CscMatrix a = read_matrix_market(cli.get("mtx", ""));
+  const std::string mtx = cli.get("mtx", "");
+  cli.reject_unread();
+  const CscMatrix a = read_matrix_market(mtx);
   std::printf("size      : %ld x %ld\n", a.rows(), a.cols());
   std::printf("nnz       : %ld (density %.5f, %.1f per row)\n", a.nnz(),
               a.density(),
@@ -134,7 +138,6 @@ int cmd_info(const Cli& cli) {
 
 int cmd_approx(const Cli& cli) {
   const std::string mtx = cli.get("mtx", "");
-  const CscMatrix a = read_matrix_market(mtx);
   ApproxOptions o;
   o.method = method_from_string(cli.get("method", "auto"));
   o.tau = cli.get_double("tau", 1e-3);
@@ -151,15 +154,13 @@ int cmd_approx(const Cli& cli) {
                         want_profile;
   int np = static_cast<int>(cli.get_int("np", needs_np ? 4 : 0));
   if (np < 0) np = 0;
+  const std::string out = cli.get("out", "");
+  cli.reject_unread();
+
+  const CscMatrix a = read_matrix_market(mtx);
   SimOptions sim;
   sim.faults = fault_spec.empty() ? sim::FaultPlan{}
                                   : sim::parse_fault_spec(fault_spec);
-  const std::string algo_str = cli.get("comm-algo", "tree");
-  if (!parse_comm_algo(algo_str, &sim.cost.comm_algo)) {
-    std::fprintf(stderr, "error: --comm-algo=%s (expected tree|ring|auto)\n",
-                 algo_str.c_str());
-    return 2;
-  }
   sim.collect_trace = !trace_path.empty() || want_profile;
 
   std::unique_ptr<obs::ReportWriter> report;
@@ -192,8 +193,7 @@ int cmd_approx(const Cli& cli) {
         .field("method", method)
         .field("tau", o.tau)
         .field("block_size", static_cast<long long>(o.block_size))
-        .field("np", np)
-        .field("comm_algo", to_string(sim.cost.comm_algo));
+        .field("np", np);
     report->write(meta);
     obs::write_telemetry(*report, method, approx.telemetry());
   }
@@ -266,7 +266,6 @@ int cmd_approx(const Cli& cli) {
     return 1;
   }
 
-  const std::string out = cli.get("out", "");
   if (!out.empty()) {
     if (const auto* lu = approx.as_lu()) {
       save_factorization(out, *lu);
@@ -284,6 +283,9 @@ int cmd_approx(const Cli& cli) {
 
 int cmd_profile(const Cli& cli) {
   const std::string trace_path = cli.get("trace", "");
+  const std::string report_path = cli.get("report", "");
+  const std::string run = cli.get("run", trace_path);
+  cli.reject_unread();
   if (trace_path.empty()) {
     std::fprintf(stderr, "profile: missing --trace=trace.json\n");
     return 2;
@@ -292,11 +294,10 @@ int cmd_profile(const Cli& cli) {
       obs::prof::read_chrome_trace_file(trace_path);
   const obs::prof::Profile p = obs::prof::build_profile(ranks);
   obs::prof::print_profile(std::cout, p);
-  const std::string report_path = cli.get("report", "");
   if (!report_path.empty()) {
     obs::ReportWriter report(report_path);
     std::ostringstream ss;
-    obs::prof::write_profile_jsonl(ss, p, cli.get("run", trace_path));
+    obs::prof::write_profile_jsonl(ss, p, run);
     report.write_lines(ss.str());
     std::printf("report    -> %s (%d records)\n", report_path.c_str(),
                 report.records());
@@ -331,25 +332,41 @@ int run_repro_file(const std::string& path, const std::string& shrink_out) {
 
 int cmd_repro(const Cli& cli) {
   const std::string path = cli.get("file", "");
+  const std::string out = cli.get("out", "");
+  cli.reject_unread();
   if (path.empty()) {
     std::fprintf(stderr, "repro: missing --file=case.json\n");
     return 2;
   }
-  return run_repro_file(path, cli.get("out", ""));
+  return run_repro_file(path, out);
+}
+
+/// Stored factors approximate an m x n matrix; verify only one that shape.
+void require_shape(const CscMatrix& a, Index m, Index n,
+                   const std::string& path) {
+  if (a.rows() != m || a.cols() != n)
+    throw std::runtime_error(
+        path + ": factors approximate a " + std::to_string(m) + " x " +
+        std::to_string(n) + " matrix, but --mtx is " +
+        std::to_string(a.rows()) + " x " + std::to_string(a.cols()));
 }
 
 int cmd_verify(const Cli& cli) {
-  const CscMatrix a = read_matrix_market(cli.get("mtx", ""));
+  const std::string mtx = cli.get("mtx", "");
   const std::string path = cli.get("fact", "");
+  cli.reject_unread();
+  const CscMatrix a = read_matrix_market(mtx);
   const std::string kind = stored_factorization_kind(path);
   double err = 0.0;
   Index rank = 0;
   if (kind == "lu") {
     const LuCrtpResult r = load_lu_factorization(path);
+    require_shape(a, r.l.rows(), r.u.cols(), path);
     err = lu_crtp_exact_error(a, r);
     rank = r.rank;
   } else {
     const RandQbResult r = load_qb_factorization(path);
+    require_shape(a, r.q.rows(), r.b.cols(), path);
     err = randqb_exact_error(a, r);
     rank = r.rank;
   }
@@ -381,6 +398,9 @@ int cmd_tune(const Cli& cli) {
   const int reps = static_cast<int>(cli.get_int("reps", quick ? 3 : 5));
   const std::string out_path =
       cli.get("out", std::string(kAutotuneDefaultFile));
+  const Index gn = cli.get_int("gemm-n", quick ? 192 : 384);
+  const Index dm = cli.get_int("dtc-m", 32);
+  cli.reject_unread();
   const int width = simd::simd_width();
 
   std::printf("tune      : isa=%s width=%d fma=%d\n", simd::simd_isa_name(),
@@ -391,7 +411,6 @@ int cmd_tune(const Cli& cli) {
   // GEMM sweep: micro-tile shapes cross macro panel sizes, scored on an nn
   // product (the dominant solver shape). Every candidate computes identical
   // bits — the geometry is a pure perf knob — so the sweep only times them.
-  const Index gn = cli.get_int("gemm-n", quick ? 192 : 384);
   const Matrix ga = Matrix::gaussian(gn, gn, 11);
   const Matrix gb = Matrix::gaussian(gn, gn, 12);
   Matrix gc(gn, gn);
@@ -430,7 +449,6 @@ int cmd_tune(const Cli& cli) {
   // dense_times_csc sweep: row-panel heights on a synthetic sparse probe
   // shaped like the solver's B * A products (short dense operand).
   const CscMatrix sa = make_preset("M2", quick ? 0.125 : 0.25).a;
-  const Index dm = cli.get_int("dtc-m", 32);
   const Matrix db = Matrix::gaussian(dm, sa.rows(), 13);
   Matrix dc;
   const double dflop = 2.0 * static_cast<double>(sa.nnz()) * dm;
@@ -485,9 +503,11 @@ int main(int argc, char** argv) {
     }
     // `lra_cli --repro=case.json` is the one-invocation replay the harness
     // prints on failure; it is sugar for `lra_cli repro --file=case.json`.
-    if (cmd.rfind("--repro=", 0) == 0)
-      return run_repro_file(cmd.substr(std::strlen("--repro=")),
-                            cli.get("out", ""));
+    if (cmd.rfind("--repro=", 0) == 0) {
+      const std::string out = cli.get("out", "");
+      cli.reject_unread();
+      return run_repro_file(cmd.substr(std::strlen("--repro=")), out);
+    }
     if (cmd == "generate") return cmd_generate(cli);
     if (cmd == "info") return cmd_info(cli);
     if (cmd == "approx") return cmd_approx(cli);
