@@ -16,6 +16,13 @@
 //     envelope for a length-k_eff multiply-add chain, for both operand
 //     orders, with 2x margin each).
 //
+// The Householder kernel (dense/qr's swept reflector, one kernel for both
+// variants) gets two legs per shape, the one-column-at-a-time reference
+// (`naive`) and the library (`simd`), at LU_CRTP's tournament node shape
+// (QRCP of 1000 x 64 for 32 steps) and the randomized solvers' panel shape
+// (HouseholderQR + thin_q of 1400 x 32); its gate is bitwise identity of R,
+// Q and the pivots with the reference (memcmp).
+//
 // It writes one JSON document (default BENCH_kernels.json; schema
 // bench_kernels/v2, see EXPERIMENTS.md) with a record per (kernel, shape,
 // variant) and a header recording threads, the host ISA + cpu model, and the
@@ -49,6 +56,8 @@
 
 #include "bench_util.hpp"
 #include "dense/blas.hpp"
+#include "dense/qr.hpp"
+#include "dense/qrcp.hpp"
 #include "gen/givens_spray.hpp"
 #include "gen/spectrum.hpp"
 #include "obs/json.hpp"
@@ -192,6 +201,48 @@ std::string shape3(Index m, Index k, Index n) {
   return std::to_string(m) + "x" + std::to_string(k) + "x" + std::to_string(n);
 }
 
+// One Householder leg pair: the reference, then the library (each run must
+// leave its factors in the captured outputs), gated on bitwise identity.
+// Flops and bytes count the reflector applications: one of length len to
+// `cols` columns is 4 * len * cols flops and streams the columns three times
+// (dot read, update read + write) plus v once.
+template <typename Fn, typename FnRef, typename Same>
+bool bench_householder(std::vector<Row>& rows, const std::string& kernel,
+                       const std::string& shape, double flops, double bytes,
+                       int reps, Fn&& run, FnRef&& run_ref, Same&& same) {
+  const double t_ref = time_median(reps, run_ref);
+  const double t_lib = time_median(reps, run);
+  const bool bits_ok = same();
+  const char* names[2] = {"naive", "simd"};
+  const double secs[2] = {t_ref, t_lib};
+  for (int v = 0; v < 2; ++v) {
+    Row r{kernel, shape, names[v]};
+    r.seconds = secs[v];
+    r.gflops = flops / secs[v] * 1e-9;
+    r.bytes_moved = bytes;
+    r.speedup_vs_naive = t_ref / secs[v];
+    rows.push_back(r);
+  }
+  std::printf("%-16s %-18s ref %7.2f  lib  %7.2f GF/s  (%.3f -> %.3f ms)  %s\n",
+              kernel.c_str(), shape.c_str(), flops / t_ref * 1e-9,
+              flops / t_lib * 1e-9, t_ref * 1e3, t_lib * 1e3,
+              bits_ok ? "bits ok" : "BIT MISMATCH");
+  return bits_ok;
+}
+
+// Flops and bytes of applying reflectors k = 0 .. steps-1 (length m - k) to
+// the columns [first(k), n).
+template <typename First>
+void reflector_work(Index m, Index n, Index steps, First&& first,
+                    double& flops, double& bytes) {
+  for (Index k = 0; k < steps; ++k) {
+    const double len = static_cast<double>(m - k);
+    const double cols = static_cast<double>(n - first(k));
+    flops += 4.0 * len * cols;
+    bytes += 8.0 * len * (3.0 * cols + 1.0);
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -310,6 +361,45 @@ int main(int argc, char** argv) {
         [&] { dense_times_csc_into(c, b, s); },
         [&] { ref::dense_times_csc_into(c, b, s); },
         [&] { ref::dense_times_csc_into(c, ab, sa); });
+  }
+
+  // Householder: QRCP at a tournament node (two 32-column candidate sets
+  // over the active rows), and HouseholderQR + thin_q at a randomized
+  // solver's panel.
+  {
+    const Index m = 1000, n = 64, steps = 32;
+    const Matrix a = Matrix::gaussian(m, n, 8);
+    double flops = 0.0, bytes = 0.0;
+    reflector_work(m, n, steps, [](Index k) { return k + 1; }, flops, bytes);
+    Matrix r_ref, r_lib;
+    std::vector<Index> p_ref, p_lib;
+    all_ok &= bench_householder(
+        rows, "qrcp", shape3(m, n, steps), flops, bytes, reps,
+        [&] {
+          const QRCP f(a, steps);
+          r_lib = f.r();
+          p_lib = f.perm();
+        },
+        [&] { ref::qrcp(a, steps, &r_ref, &p_ref); },
+        [&] { return bitwise_equal(r_ref, r_lib) && p_ref == p_lib; });
+  }
+  {
+    const Index m = 1400, n = 32;
+    const Matrix a = Matrix::gaussian(m, n, 9);
+    double flops = 0.0, bytes = 0.0;
+    reflector_work(m, n, n, [](Index k) { return k + 1; }, flops, bytes);
+    reflector_work(m, n, n, [](Index k) { return k; }, flops, bytes);
+    Matrix r_ref, q_ref, r_lib, q_lib;
+    all_ok &= bench_householder(
+        rows, "householder_qr", std::to_string(m) + "x" + std::to_string(n),
+        flops, bytes, reps,
+        [&] {
+          const HouseholderQR f(a);
+          r_lib = f.r();
+          q_lib = f.thin_q();
+        },
+        [&] { ref::householder_qr(a, &r_ref, &q_ref); },
+        [&] { return bitwise_equal(r_ref, r_lib) && bitwise_equal(q_ref, q_lib); });
   }
 
   // Emit BENCH_kernels.json.

@@ -25,6 +25,7 @@ int main(int argc, char** argv) {
   const Cli cli(argc, argv);
   const Index n = cli.get_int("n", 1200);
   const Index k = cli.get_int("k", 24);
+  cli.reject_unread();
 
   const CscMatrix a = circuit_like(n, 5, 3, 2026);
   std::printf("circuit operator: %ld x %ld, %ld nnz\n\n", a.rows(), a.cols(),

@@ -26,6 +26,7 @@ int main(int argc, char** argv) {
   const double tau = cli.get_double("tau", 1e-2);
   const Index k = cli.get_int("k", 16);
   const bool local = cli.get("structure", "global") == "local";
+  cli.reject_unread();
 
   auto sigma = algebraic_spectrum(n, 10.0, 1.1);
   const CscMatrix a = givens_spray(

@@ -33,6 +33,7 @@ int main(int argc, char** argv) {
   const Index n = cli.get_int("n", 1500);
   const int steps = static_cast<int>(cli.get_int("steps", 200));
   const Index k = cli.get_int("k", 24);
+  cli.reject_unread();
 
   // Smoothing-kernel operator: symmetric positive semi-definite with fast
   // geometric eigenvalue decay (a discretized covariance/integral kernel).

@@ -25,6 +25,7 @@ int main(int argc, char** argv) {
   const Index k = cli.get_int("k", 16);
   const double tau = cli.get_double("tau", 1e-2);
   const auto nps = cli.get_int_list("np", {1, 2, 4, 8, 16});
+  cli.reject_unread();
 
   const CscMatrix a = givens_spray(
       algebraic_spectrum(n, 10.0, 0.9),

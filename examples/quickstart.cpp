@@ -21,11 +21,13 @@ int main(int argc, char** argv) {
   const double tau = cli.get_double("tau", 1e-2);
   const Index k = cli.get_int("k", 16);
   const Index n = cli.get_int("n", 600);
+  const bool from_file = cli.has("mtx");
+  cli.reject_unread();
 
   // Either read a MatrixMarket file or generate a sparse matrix with a known
   // spectrum (singular values sigma_i = 8 * 0.97^i).
   CscMatrix a;
-  if (cli.has("mtx")) {
+  if (from_file) {
     a = read_matrix_market(cli.get("mtx", ""));
   } else {
     a = givens_spray(geometric_spectrum(n, 8.0, 0.97),

@@ -24,6 +24,7 @@ int main(int argc, char** argv) {
   const Cli cli(argc, argv);
   const Index n = cli.get_int("n", 500);
   const Index k = cli.get_int("k", 16);
+  cli.reject_unread();
 
   auto sigma = algebraic_spectrum(n, 20.0, 1.1);
   jitter_spectrum(sigma, 0.05, 9);

@@ -30,6 +30,36 @@ struct Triplet {
   double v;
 };
 
+// CSC assembly of columns whose rows arrive in ascending order, one column
+// at a time: the rows kept by the row split, renumbered in order. Exact zeros
+// are left out, as CooBuilder leaves them out.
+class RestRows {
+ public:
+  RestRows(Index rows, Index nnz_bound) : rows_(rows) {
+    rowind_.reserve(static_cast<std::size_t>(nnz_bound));
+    values_.reserve(static_cast<std::size_t>(nnz_bound));
+  }
+
+  void add(Index i, double v) {
+    if (v == 0.0) return;
+    rowind_.push_back(i);
+    values_.push_back(v);
+  }
+  void end_column() { colptr_.push_back(static_cast<Index>(rowind_.size())); }
+
+  CscMatrix build() {
+    const Index cols = static_cast<Index>(colptr_.size()) - 1;
+    return CscMatrix(rows_, cols, std::move(colptr_), std::move(rowind_),
+                     std::move(values_));
+  }
+
+ private:
+  Index rows_;
+  std::vector<Index> colptr_{0};
+  std::vector<Index> rowind_;
+  std::vector<double> values_;
+};
+
 // Row-equilibration of the pivot block: A11 = D * S with D = diag(row max
 // magnitudes). Conditioning is judged on S (scale-invariant), and the solve
 // X A11 = A21 becomes Y S = A21 with X(:, j) = Y(:, j) / D(j, j).
@@ -305,9 +335,11 @@ void lu_body(RankCtx& ctx, const CscMatrix& a, const Perm& pre,
         }
 
       // The winner columns (replicated by the tournament) split into A11
-      // (dense) and A21.
+      // (dense) and A21, my other columns into U12 and A22. The rest rows
+      // keep their relative order, so A21 and A22 are written straight into
+      // CSC with every column sorted; exact zeros are left out.
       ctx.compute("row_perm", [&] {
-        CooBuilder b21(m_a - kk, kk);
+        RestRows b21(m_a - kk, winners.cols.nnz());
         for (Index c = 0; c < kk; ++c) {
           const auto rows = winners.cols.col_rows(c);
           const auto vals = winners.cols.col_values(c);
@@ -315,13 +347,13 @@ void lu_body(RankCtx& ctx, const CscMatrix& a, const Perm& pre,
             if (selpos[rows[t]] >= 0)
               a11(selpos[rows[t]], c) = vals[t];
             else
-              b21.add(restpos[rows[t]], c, vals[t]);
+              b21.add(restpos[rows[t]], vals[t]);
           }
+          b21.end_column();
         }
         a21 = b21.build();
       });
 
-      // My other columns split into U12 (selected rows) and A22.
       ctx.compute("row_perm", [&] {
         std::vector<char> won(static_cast<std::size_t>(a.cols()), 0);
         for (Index g : winners.global_index) won[g] = 1;
@@ -333,7 +365,7 @@ void lu_body(RankCtx& ctx, const CscMatrix& a, const Perm& pre,
           }
         const Index nkeep = static_cast<Index>(keep.size());
         CooBuilder b12(kk, nkeep);
-        CooBuilder b22(m_a - kk, nkeep);
+        RestRows b22(m_a - kk, s_loc.nnz());
         for (Index j = 0; j < nkeep; ++j) {
           const auto rows = s_loc.col_rows(keep[static_cast<std::size_t>(j)]);
           const auto vals = s_loc.col_values(keep[static_cast<std::size_t>(j)]);
@@ -341,8 +373,9 @@ void lu_body(RankCtx& ctx, const CscMatrix& a, const Perm& pre,
             if (selpos[rows[t]] >= 0)
               b12.add(selpos[rows[t]], j, vals[t]);
             else
-              b22.add(restpos[rows[t]], j, vals[t]);
+              b22.add(restpos[rows[t]], vals[t]);
           }
+          b22.end_column();
         }
         u12_loc = b12.build();
         a22_loc = b22.build();
@@ -373,11 +406,8 @@ void lu_body(RankCtx& ctx, const CscMatrix& a, const Perm& pre,
     CscMatrix schur_loc;
     {
       PhaseScope schur_phase(ctx, "schur");
-      schur_loc = ctx.compute("schur", [&] {
-        CscMatrix sc = schur_update(a22_loc, x, u12_loc);
-        sc.prune(0.0);
-        return sc;
-      });
+      schur_loc =
+          ctx.compute("schur", [&] { return schur_update(a22_loc, x, u12_loc); });
     }
 
     // Post the error-indicator reduction now and record this round's factor
@@ -434,8 +464,8 @@ void lu_body(RankCtx& ctx, const CscMatrix& a, const Perm& pre,
       phi = opts.phi > 0.0 ? opts.phi : opts.tau * r11_first;
     }
     if (threshold_enabled && indicator >= target) {
+      // Measure the drop, then prune only if the control accepts it.
       PhaseScope threshold_phase(ctx, "threshold");
-      CscMatrix backup = schur_loc;
       const DropResult dr = ctx.compute("threshold", [&] {
         return opts.threshold == ThresholdMode::kIlut
                    ? drop_below(schur_loc, mu)
@@ -445,11 +475,12 @@ void lu_body(RankCtx& ctx, const CscMatrix& a, const Perm& pre,
       const double dropped =
           ctx.allreduce_sum(static_cast<double>(dr.dropped));
       if (std::sqrt(t_acc_sq + drop_sq) >= phi) {
-        // Threshold control (line 10): undo and stop thresholding.
-        schur_loc = std::move(backup);
+        // Threshold control (line 10): keep everything, stop thresholding.
         threshold_enabled = false;
         control_hit = true;
       } else {
+        if (dr.dropped > 0)
+          ctx.compute("threshold", [&] { schur_loc.prune(dr.cutoff); });
         t_acc_sq += drop_sq;
         dropped_total += static_cast<Index>(dropped);
       }

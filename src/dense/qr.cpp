@@ -4,6 +4,7 @@
 
 #include "dense/blas.hpp"
 #include "dense/tsqr.hpp"
+#include "support/simd.hpp"
 
 namespace lra {
 
@@ -25,12 +26,100 @@ double make_reflector(Index n, double* x, double& tau) {
   return beta;
 }
 
+namespace {
+
+// c[0] -= s and c[i] -= s * v[i] for i in [1, len): element-wise, so the
+// vector lanes along rows give the bits of the scalar loop.
+void rank1_update(const double* v, Index len, double s, double* c) {
+  using simd::VecD;
+  c[0] -= s;
+  const VecD sv = VecD::broadcast(s);
+  Index i = 1;
+  for (; i + simd::kWidth <= len; i += simd::kWidth)
+    (VecD::load(c + i) - sv * VecD::load(v + i)).store(c + i);
+  for (; i < len; ++i) c[i] -= s * v[i];
+}
+
+#if defined(LRA_SIMD_ISA_AVX2)
+// (p[0], p[1], q[0], q[1]).
+inline __m256d load_pair(const double* p, const double* q) {
+  return _mm256_insertf128_pd(_mm256_castpd128_pd256(_mm_loadu_pd(p)),
+                              _mm_loadu_pd(q), 1);
+}
+
+// The dots s_j = c_j[0] + v[1] c_j[1] + ... + v[len-1] c_j[len-1] of 4 * G
+// columns at once, the lanes of accumulator g holding columns 4g .. 4g+3.
+// Each block of four rows forms its products column-wise, transposes them
+// 4 x 4 in registers and adds them row by row in ascending order, so every
+// lane runs its column's scalar chain: same products, same adds, same order
+// (multiply and add stay separate roundings). The tail rows finish in scalar
+// code, in order.
+template <int G>
+void column_dots(const double* v, Index len, double* const* c, double* s) {
+  __m256d acc[G];
+  LRA_UNROLL
+  for (int g = 0; g < G; ++g)
+    acc[g] = _mm256_setr_pd(c[4 * g][0], c[4 * g + 1][0], c[4 * g + 2][0],
+                            c[4 * g + 3][0]);
+  Index i = 1;
+  for (; i + 4 <= len; i += 4) {
+    const __m256d v01 = load_pair(v + i, v + i);
+    const __m256d v23 = load_pair(v + i + 2, v + i + 2);
+    LRA_UNROLL
+    for (int g = 0; g < G; ++g) {
+      double* const* cg = c + 4 * g;
+      // Rows i, i+1 (then i+2, i+3) of columns 0, 2 and of columns 1, 3.
+      const __m256d p02 = _mm256_mul_pd(load_pair(cg[0] + i, cg[2] + i), v01);
+      const __m256d p13 = _mm256_mul_pd(load_pair(cg[1] + i, cg[3] + i), v01);
+      const __m256d q02 =
+          _mm256_mul_pd(load_pair(cg[0] + i + 2, cg[2] + i + 2), v23);
+      const __m256d q13 =
+          _mm256_mul_pd(load_pair(cg[1] + i + 2, cg[3] + i + 2), v23);
+      acc[g] = _mm256_add_pd(acc[g], _mm256_unpacklo_pd(p02, p13));  // row i
+      acc[g] = _mm256_add_pd(acc[g], _mm256_unpackhi_pd(p02, p13));
+      acc[g] = _mm256_add_pd(acc[g], _mm256_unpacklo_pd(q02, q13));
+      acc[g] = _mm256_add_pd(acc[g], _mm256_unpackhi_pd(q02, q13));
+    }
+  }
+  LRA_UNROLL
+  for (int g = 0; g < G; ++g) _mm256_storeu_pd(s + 4 * g, acc[g]);
+  for (int t = 0; t < 4 * G; ++t)
+    for (Index r = i; r < len; ++r) s[t] += v[r] * c[t][r];
+}
+
+// Applies the reflector to the 4 * G columns starting at j.
+template <int G>
+void reflect_columns(const double* v, Index len, double tau, Matrix& a,
+                     Index r0, Index j) {
+  double* c[4 * G];
+  double s[4 * G];
+  for (int t = 0; t < 4 * G; ++t) c[t] = a.col(j + t) + r0;
+  column_dots<G>(v, len, c, s);
+  for (int t = 0; t < 4 * G; ++t) rank1_update(v, len, s[t] * tau, c[t]);
+}
+#endif
+
+}  // namespace
+
 void apply_reflector(const double* v, Index len, double tau, Matrix& a,
                      Index r0, Index j0, Index j1) {
-  // Four columns per sweep over v: the four independent dot chains hide the
-  // add latency that a single chain is bound by, and each keeps its own
-  // in-order chain, so the bits match a column-at-a-time update.
   Index j = j0;
+#if defined(LRA_SIMD_ISA_AVX2)
+  // Sixteen, then eight, then four columns per sweep with the lanes across
+  // columns: up to four independent vector chains hide the add latency that
+  // bounds a single chain.
+  for (; j + 16 <= j1; j += 16) reflect_columns<4>(v, len, tau, a, r0, j);
+  if (j + 8 <= j1) {
+    reflect_columns<2>(v, len, tau, a, r0, j);
+    j += 8;
+  }
+  if (j + 4 <= j1) {
+    reflect_columns<1>(v, len, tau, a, r0, j);
+    j += 4;
+  }
+#else
+  // Four columns per sweep over v: the four independent dot chains hide the
+  // add latency that a single chain is bound by.
   for (; j + 4 <= j1; j += 4) {
     double* c0 = a.col(j) + r0;
     double* c1 = a.col(j + 1) + r0;
@@ -44,29 +133,17 @@ void apply_reflector(const double* v, Index len, double tau, Matrix& a,
       s2 += vi * c2[i];
       s3 += vi * c3[i];
     }
-    s0 *= tau;
-    s1 *= tau;
-    s2 *= tau;
-    s3 *= tau;
-    c0[0] -= s0;
-    c1[0] -= s1;
-    c2[0] -= s2;
-    c3[0] -= s3;
-    for (Index i = 1; i < len; ++i) {
-      const double vi = v[i];
-      c0[i] -= s0 * vi;
-      c1[i] -= s1 * vi;
-      c2[i] -= s2 * vi;
-      c3[i] -= s3 * vi;
-    }
+    rank1_update(v, len, s0 * tau, c0);
+    rank1_update(v, len, s1 * tau, c1);
+    rank1_update(v, len, s2 * tau, c2);
+    rank1_update(v, len, s3 * tau, c3);
   }
+#endif
   for (; j < j1; ++j) {
     double* cj = a.col(j) + r0;
     double s = cj[0];
     for (Index i = 1; i < len; ++i) s += v[i] * cj[i];
-    s *= tau;
-    cj[0] -= s;
-    for (Index i = 1; i < len; ++i) cj[i] -= s * v[i];
+    rank1_update(v, len, s * tau, cj);
   }
 }
 

@@ -16,8 +16,10 @@ double make_reflector(Index n, double* x, double& tau);
 
 /// Applies (I - tau v v^T) to A(r0 : r0+len, j0 : j1), where v has `len`
 /// entries (v(0) = 1 implicit; v(1:) read from v + 1). Every column keeps its
-/// own in-order dot chain, so the bits equal a column-at-a-time update
-/// whatever the sweep width. The one sweep HouseholderQR and QRCP share.
+/// own in-order dot chain — in a vector lane on AVX2, where the columns are
+/// the lanes — so the bits equal a column-at-a-time update on every ISA and
+/// whatever the sweep width. The one sweep HouseholderQR, QRCP and the left
+/// reflectors of bidiagonalize share.
 void apply_reflector(const double* v, Index len, double tau, Matrix& a,
                      Index r0, Index j0, Index j1);
 

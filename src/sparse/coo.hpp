@@ -1,6 +1,7 @@
 #pragma once
 // Triplet (COO) accumulator for assembling sparse matrices. Duplicate
-// entries are summed on build, matching Matrix Market semantics.
+// entries are summed on build, matching Matrix Market semantics, in the
+// order they were added.
 
 #include <vector>
 
@@ -19,7 +20,10 @@ class CooBuilder {
   Index rows() const { return rows_; }
   Index cols() const { return cols_; }
 
-  /// Sort, sum duplicates, drop exact zeros, and emit CSC.
+  /// Emit CSC: bucket the entries by column, order each column by row
+  /// (stably, so the sort is linear when rows arrive in order), sum
+  /// repeated (i, j) entries in insertion order — ((0 + v1) + v2) + v3 —
+  /// and drop exact zeros. Allocates O(cols + entries), nothing per row.
   CscMatrix build() const;
 
  private:

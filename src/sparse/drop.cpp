@@ -5,7 +5,7 @@
 
 namespace lra {
 
-DropResult drop_below(CscMatrix& a, double mu) {
+DropResult drop_below(const CscMatrix& a, double mu) {
   DropResult res;
   if (mu <= 0.0) return res;
   for (double v : a.values()) {
@@ -13,18 +13,17 @@ DropResult drop_below(CscMatrix& a, double mu) {
     if (av < mu && av > 0.0) {
       ++res.dropped;
       res.fro_sq += v * v;
-      res.max_abs = std::max(res.max_abs, av);
+      res.cutoff = std::max(res.cutoff, av);
     }
   }
-  if (res.dropped == 0) return res;
-  // prune() removes |v| <= tol; use the largest dropped magnitude so exactly
-  // the counted entries disappear (strict < mu above, <= max_abs here, and
-  // max_abs < mu).
-  a.prune(res.max_abs);
+  // prune() removes |v| <= tol, so the largest dropped magnitude removes
+  // exactly the counted entries (strict < mu above, <= cutoff there, and
+  // cutoff < mu).
   return res;
 }
 
-DropResult drop_budgeted(CscMatrix& a, double phi, double budget_used_sq) {
+DropResult drop_budgeted(const CscMatrix& a, double phi,
+                         double budget_used_sq) {
   DropResult res;
   const double budget_sq = phi * phi;
   if (budget_used_sq >= budget_sq) return res;
@@ -37,28 +36,21 @@ DropResult drop_budgeted(CscMatrix& a, double phi, double budget_used_sq) {
   std::sort(cand.begin(), cand.end());
 
   double acc = budget_used_sq;
-  double cutoff = 0.0;
   for (double av : cand) {
     if (acc + av * av >= budget_sq) break;
     acc += av * av;
-    cutoff = av;
-    ++res.dropped;
-    res.fro_sq += av * av;
-    res.max_abs = av;
+    res.cutoff = av;
   }
-  if (res.dropped == 0) return res;
-  // Duplicated magnitudes at the cutoff could drop more entries than counted;
-  // recount exactly by pruning at the cutoff value.
-  res.dropped = 0;
-  res.fro_sq = 0.0;
+  if (res.cutoff == 0.0) return res;
+  // Count exactly what prune(cutoff) removes: duplicated magnitudes at the
+  // cutoff can be more entries than the loop above accepted.
   for (double v : a.values()) {
     const double av = std::fabs(v);
-    if (av > 0.0 && av <= cutoff) {
+    if (av > 0.0 && av <= res.cutoff) {
       ++res.dropped;
       res.fro_sq += v * v;
     }
   }
-  a.prune(cutoff);
   return res;
 }
 

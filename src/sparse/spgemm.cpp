@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <vector>
 
 #include "par/pool.hpp"
@@ -27,13 +28,17 @@ class Spa {
   }
 
   /// Flush the accumulated column into (rowind, values), sorted by row, then
-  /// reset. Entries that cancelled to exactly zero are kept (they are real
-  /// fill-in positions); callers prune separately if desired.
-  void gather(std::vector<Index>& rowind, std::vector<double>& values) {
+  /// reset. With `keep_cancelled`, entries that cancelled to exactly zero are
+  /// kept (they are real fill-in positions); without it, only entries with
+  /// |value| > 0 are stored, so zeros and NaN are dropped.
+  void gather(std::vector<Index>& rowind, std::vector<double>& values,
+              bool keep_cancelled) {
     std::sort(nz_.begin(), nz_.end());
     for (Index i : nz_) {
-      rowind.push_back(i);
-      values.push_back(val_[i]);
+      if (keep_cancelled || std::fabs(val_[i]) > 0.0) {
+        rowind.push_back(i);
+        values.push_back(val_[i]);
+      }
       val_[i] = 0.0;
       mark_[i] = 0;
     }
@@ -90,7 +95,7 @@ CscMatrix spgemm(const CscMatrix& a, const CscMatrix& b) {
             for (std::size_t q = 0; q < arows.size(); ++q)
               spa.scatter(arows[q], avals[q] * w);
           }
-          spa.gather(col_rows_out[j], col_vals_out[j]);
+          spa.gather(col_rows_out[j], col_vals_out[j], /*keep_cancelled=*/true);
         }
       });
   return stitch_columns(m, n, col_rows_out, col_vals_out);
@@ -156,7 +161,8 @@ CscMatrix schur_update(const CscMatrix& a, const CscMatrix& l,
             for (std::size_t q = 0; q < lr.size(); ++q)
               spa.scatter(lr[q], lv[q] * w);
           }
-          spa.gather(col_rows_out[j], col_vals_out[j]);
+          spa.gather(col_rows_out[j], col_vals_out[j],
+                     /*keep_cancelled=*/false);
         }
       });
   return stitch_columns(m, n, col_rows_out, col_vals_out);

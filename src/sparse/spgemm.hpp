@@ -6,7 +6,8 @@
 
 namespace lra {
 
-/// C = A * B (both sparse).
+/// C = A * B (both sparse). Entries that cancel to exactly zero are stored
+/// (they are structural fill-in positions).
 CscMatrix spgemm(const CscMatrix& a, const CscMatrix& b);
 
 /// C = alpha * A + beta * B (shapes must match).
@@ -14,8 +15,11 @@ CscMatrix spadd(const CscMatrix& a, const CscMatrix& b, double alpha = 1.0,
                 double beta = 1.0);
 
 /// C = A - L * U where L (m x k) and U (k x n) are sparse — the fused
-/// Schur-complement kernel. Equivalent to spadd(a, spgemm(l, u), 1, -1) but
-/// with a single accumulation pass per column.
+/// Schur-complement kernel. One accumulation pass per column: A(:, j) is
+/// scattered first, then -L(:, k) U(k, j) for U's nonzeros in row order.
+/// Unlike spgemm, it stores no exact cancellation: only entries with
+/// |value| > 0 are kept, so exact zeros and NaN are dropped, as a
+/// prune(0.0) of the accumulated result would drop them.
 CscMatrix schur_update(const CscMatrix& a, const CscMatrix& l,
                        const CscMatrix& u);
 

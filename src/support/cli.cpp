@@ -22,6 +22,45 @@ std::vector<std::string> split(const std::string& s, char sep) {
   return out;
 }
 
+// A numeric value that does not parse completely is a usage error, like an
+// unknown flag: name the flag and the value, exit 2.
+[[noreturn]] void bad_value(const std::string& name, const std::string& value,
+                            const char* what) {
+  std::fprintf(stderr, "error: invalid value for --%s: '%s' (%s)\n",
+               name.c_str(), value.c_str(), what);
+  std::exit(2);
+}
+
+// `convert` (std::stoll or std::stod) over the whole of `value`: trailing
+// characters, an empty value and an out-of-range value are all rejected.
+template <typename Convert>
+auto parse_whole(const std::string& name, const std::string& value,
+                 const char* expected, Convert convert) {
+  try {
+    std::size_t used = 0;
+    const auto v = convert(value, &used);
+    if (used == value.size()) return v;
+  } catch (const std::out_of_range&) {
+    bad_value(name, value, "out of range");
+  } catch (const std::invalid_argument&) {
+  }
+  bad_value(name, value, expected);
+}
+
+long long parse_int(const std::string& name, const std::string& value) {
+  return parse_whole(name, value, "expected an integer",
+                     [](const std::string& s, std::size_t* used) {
+                       return std::stoll(s, used);
+                     });
+}
+
+double parse_double(const std::string& name, const std::string& value) {
+  return parse_whole(name, value, "expected a number",
+                     [](const std::string& s, std::size_t* used) {
+                       return std::stod(s, used);
+                     });
+}
+
 }  // namespace
 
 Cli::Cli(int argc, char** argv) {
@@ -56,12 +95,12 @@ std::string Cli::get(const std::string& name, const std::string& dflt) const {
 
 long long Cli::get_int(const std::string& name, long long dflt) const {
   const std::string* v = find(name);
-  return v ? std::stoll(*v) : dflt;
+  return v ? parse_int(name, *v) : dflt;
 }
 
 double Cli::get_double(const std::string& name, double dflt) const {
   const std::string* v = find(name);
-  return v ? std::stod(*v) : dflt;
+  return v ? parse_double(name, *v) : dflt;
 }
 
 bool Cli::get_bool(const std::string& name, bool dflt) const {
@@ -75,8 +114,7 @@ std::vector<long long> Cli::get_int_list(const std::string& name,
   const std::string* v = find(name);
   if (!v) return dflt;
   std::vector<long long> out;
-  for (const auto& tok : split(*v, ','))
-    if (!tok.empty()) out.push_back(std::stoll(tok));
+  for (const auto& tok : split(*v, ',')) out.push_back(parse_int(name, tok));
   return out;
 }
 
@@ -85,8 +123,7 @@ std::vector<double> Cli::get_double_list(const std::string& name,
   const std::string* v = find(name);
   if (!v) return dflt;
   std::vector<double> out;
-  for (const auto& tok : split(*v, ','))
-    if (!tok.empty()) out.push_back(std::stod(tok));
+  for (const auto& tok : split(*v, ',')) out.push_back(parse_double(name, tok));
   return out;
 }
 

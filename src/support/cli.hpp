@@ -3,7 +3,10 @@
 // Flags take the form --name=value or --name value. Every has()/get*() call
 // marks its flag as read; once a program has read all its flags it calls
 // reject_unread(), so a flag it never reads (a typo, a retired option) is an
-// error instead of a silent default.
+// error instead of a silent default. A numeric value (and every element of a
+// numeric list) must parse completely: trailing characters, an empty value
+// or an out-of-range one exit with status 2 and an error naming the flag and
+// the value, as an unknown flag does.
 
 #include <map>
 #include <set>

@@ -81,6 +81,9 @@ struct VecD {
   friend VecD operator+(VecD a, VecD b) noexcept {
     return {_mm256_add_pd(a.v, b.v)};
   }
+  friend VecD operator-(VecD a, VecD b) noexcept {
+    return {_mm256_sub_pd(a.v, b.v)};
+  }
   friend VecD operator*(VecD a, VecD b) noexcept {
     return {_mm256_mul_pd(a.v, b.v)};
   }
@@ -126,6 +129,9 @@ struct VecD {
   friend VecD operator+(VecD a, VecD b) noexcept {
     return {_mm_add_pd(a.v, b.v)};
   }
+  friend VecD operator-(VecD a, VecD b) noexcept {
+    return {_mm_sub_pd(a.v, b.v)};
+  }
   friend VecD operator*(VecD a, VecD b) noexcept {
     return {_mm_mul_pd(a.v, b.v)};
   }
@@ -164,6 +170,7 @@ struct VecD {
   void store(double* p) const noexcept { *p = v; }
 
   friend VecD operator+(VecD a, VecD b) noexcept { return {a.v + b.v}; }
+  friend VecD operator-(VecD a, VecD b) noexcept { return {a.v - b.v}; }
   friend VecD operator*(VecD a, VecD b) noexcept { return {a.v * b.v}; }
 };
 

@@ -1,7 +1,9 @@
 #pragma once
 // Reference kernels: the seed GEMM / SpMM / SpMM^T / dense x CSC loops that
-// the library's two kernel families are checked against. Header-only and
-// outside the library on purpose — only the kernel tests and
+// the library's two kernel families are checked against, and the
+// one-column-at-a-time Householder loops (QR, QRCP, bidiagonalization) that
+// the library's swept reflector kernels must reproduce bit for bit.
+// Header-only and outside the library on purpose — only the kernel tests and
 // bench/bench_kernels.cpp include it, so no solver can run it.
 //
 // The contracts they anchor (support/kernel_variant.hpp):
@@ -20,8 +22,11 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <cstddef>
+#include <vector>
 
+#include "dense/bidiag.hpp"
 #include "dense/blas.hpp"
 #include "dense/matrix.hpp"
 #include "par/pool.hpp"
@@ -226,6 +231,149 @@ inline Matrix dense_times_csc(const Matrix& b, const CscMatrix& a) {
   Matrix c;
   dense_times_csc_into(c, b, a);
   return c;
+}
+
+// --- Householder: one reflector application per column ----------------------
+
+namespace detail {
+
+// Householder reflector for x (length n), as lra::make_reflector: v(1:)
+// overwrites x(1:), returns beta.
+inline double reflector(Index n, double* x, double& tau) {
+  tau = 0.0;
+  if (n <= 0) return 0.0;
+  double beta = x[0];
+  const double xnorm = n > 1 ? nrm2(n - 1, x + 1) : 0.0;
+  if (xnorm != 0.0) {
+    beta = -std::copysign(std::hypot(x[0], xnorm), x[0]);
+    tau = (beta - x[0]) / beta;
+    const double inv = 1.0 / (x[0] - beta);
+    for (Index i = 1; i < n; ++i) x[i] *= inv;
+  }
+  return beta;
+}
+
+// c -= tau v (v^T c) for one column c of length len (v(0) = 1 implicit).
+inline void reflect_column(const double* v, Index len, double tau, double* c) {
+  double s = c[0];
+  for (Index i = 1; i < len; ++i) s += v[i] * c[i];
+  s *= tau;
+  c[0] -= s;
+  for (Index i = 1; i < len; ++i) c[i] -= s * v[i];
+}
+
+}  // namespace detail
+
+/// Householder QR (as lra::HouseholderQR), the textbook loop order: R
+/// (min(m, n) x n) and the thin Q (m x min(m, n)), reflectors accumulated
+/// back to front.
+inline void householder_qr(Matrix qr, Matrix* r_out, Matrix* q_out) {
+  const Index m = qr.rows(), n = qr.cols(), kmax = std::min(m, n);
+  std::vector<double> tau(static_cast<std::size_t>(kmax), 0.0);
+  for (Index k = 0; k < kmax; ++k) {
+    double* ck = qr.col(k) + k;
+    const double beta = detail::reflector(m - k, ck, tau[k]);
+    if (tau[k] != 0.0)
+      for (Index j = k + 1; j < n; ++j)
+        detail::reflect_column(ck, m - k, tau[k], qr.col(j) + k);
+    qr(k, k) = beta;
+  }
+  *r_out = Matrix(kmax, n);
+  for (Index j = 0; j < n; ++j)
+    for (Index i = 0; i <= std::min(j, kmax - 1); ++i)
+      (*r_out)(i, j) = qr(i, j);
+  Matrix q(m, kmax);
+  for (Index j = 0; j < kmax; ++j) q(j, j) = 1.0;
+  for (Index p = kmax - 1; p >= 0; --p) {
+    if (tau[p] == 0.0) continue;
+    for (Index j = p; j < kmax; ++j)
+      detail::reflect_column(qr.col(p) + p, m - p, tau[p], q.col(j) + p);
+  }
+  *q_out = std::move(q);
+}
+
+/// QRCP (as lra::QRCP) for kmax steps: largest trailing norm pivoting with
+/// the downdate + recompute safeguard; R (kmax x n) and the column order.
+inline void qrcp(Matrix qr, Index kmax, Matrix* r_out,
+                 std::vector<Index>* perm) {
+  const Index m = qr.rows(), n = qr.cols();
+  perm->resize(static_cast<std::size_t>(n));
+  for (Index j = 0; j < n; ++j) (*perm)[j] = j;
+  std::vector<double> cnorm(static_cast<std::size_t>(n));
+  std::vector<double> cnorm_ref(static_cast<std::size_t>(n));
+  for (Index j = 0; j < n; ++j) cnorm_ref[j] = cnorm[j] = nrm2(m, qr.col(j));
+  const double tol3z = std::sqrt(2.220446049250313e-16);
+  for (Index k = 0; k < kmax; ++k) {
+    Index piv = k;
+    for (Index j = k + 1; j < n; ++j)
+      if (cnorm[j] > cnorm[piv]) piv = j;
+    if (piv != k) {
+      for (Index i = 0; i < m; ++i) std::swap(qr(i, k), qr(i, piv));
+      std::swap(cnorm[k], cnorm[piv]);
+      std::swap(cnorm_ref[k], cnorm_ref[piv]);
+      std::swap((*perm)[k], (*perm)[piv]);
+    }
+    double* ck = qr.col(k) + k;
+    double tau = 0.0;
+    const double beta = detail::reflector(m - k, ck, tau);
+    if (tau != 0.0)
+      for (Index j = k + 1; j < n; ++j)
+        detail::reflect_column(ck, m - k, tau, qr.col(j) + k);
+    qr(k, k) = beta;
+    for (Index j = k + 1; j < n; ++j) {
+      if (cnorm[j] == 0.0) continue;
+      double t = std::fabs(qr(k, j)) / cnorm[j];
+      t = std::max(0.0, (1.0 + t) * (1.0 - t));
+      const double ratio = cnorm[j] / cnorm_ref[j];
+      if (t * ratio * ratio <= tol3z) {
+        cnorm[j] = nrm2(m - k - 1, qr.col(j) + k + 1);
+        cnorm_ref[j] = cnorm[j];
+      } else {
+        cnorm[j] *= std::sqrt(t);
+      }
+    }
+  }
+  *r_out = Matrix(kmax, n);
+  for (Index j = 0; j < n; ++j)
+    for (Index i = 0; i <= std::min(j, kmax - 1); ++i)
+      (*r_out)(i, j) = qr(i, j);
+}
+
+/// Golub-Kahan bidiagonalization (as lra::bidiagonalize): left reflectors
+/// one column at a time, right reflectors one row at a time.
+inline Bidiagonal bidiagonalize(const Matrix& a_in) {
+  Matrix a = a_in.rows() >= a_in.cols() ? a_in : a_in.transposed();
+  const Index m = a.rows(), n = a.cols();
+  Bidiagonal bd;
+  bd.d.assign(static_cast<std::size_t>(n), 0.0);
+  if (n > 1) bd.e.assign(static_cast<std::size_t>(n - 1), 0.0);
+  std::vector<double> rowbuf(static_cast<std::size_t>(n));
+  for (Index k = 0; k < n; ++k) {
+    double tau = 0.0;
+    double* ck = a.col(k) + k;
+    bd.d[k] = detail::reflector(m - k, ck, tau);
+    if (tau != 0.0)
+      for (Index j = k + 1; j < n; ++j)
+        detail::reflect_column(ck, m - k, tau, a.col(j) + k);
+    if (k >= n - 1) continue;
+    const Index len = n - k - 1;
+    for (Index j = 0; j < len; ++j) rowbuf[j] = a(k, k + 1 + j);
+    double tau_r = 0.0;
+    const double beta_r = detail::reflector(len, rowbuf.data(), tau_r);
+    if (tau_r != 0.0) {
+      for (Index i = k + 1; i < m; ++i) {
+        double s = a(i, k + 1);
+        for (Index j = 1; j < len; ++j) s += rowbuf[j] * a(i, k + 1 + j);
+        s *= tau_r;
+        a(i, k + 1) -= s;
+        for (Index j = 1; j < len; ++j) a(i, k + 1 + j) -= s * rowbuf[j];
+      }
+    }
+    bd.e[k] = beta_r;
+    a(k, k + 1) = beta_r;
+    for (Index j = 1; j < len; ++j) a(k, k + 1 + j) = 0.0;
+  }
+  return bd;
 }
 
 }  // namespace lra::ref

@@ -28,6 +28,22 @@ TEST(Coo, CancellingDuplicatesVanish) {
   EXPECT_EQ(a.nnz(), 0);
 }
 
+TEST(Coo, RepeatedEntriesSumInInsertionOrder) {
+  // (1e16 - 1e16) + 1 is 1, but 1e16 + 1 rounds back to 1e16, so every other
+  // order of the three values sums to 0: only insertion order gives 1. Each
+  // of 2,400 positions gets the three values in three passes over the matrix
+  // in reverse order, so a comparison sort would be free to reorder them.
+  const Index m = 60, n = 40;
+  CooBuilder b(m, n);
+  for (double v : {1e16, -1e16, 1.0})
+    for (Index j = n - 1; j >= 0; --j)
+      for (Index i = m - 1; i >= 0; --i) b.add(i, j, v);
+  const CscMatrix a = b.build();
+  EXPECT_TRUE(a.structurally_valid());
+  ASSERT_EQ(a.nnz(), m * n);
+  for (double v : a.values()) ASSERT_EQ(v, 1.0);
+}
+
 TEST(Coo, UnsortedInputSortedOutput) {
   CooBuilder b(4, 4);
   b.add(3, 3, 1.0);

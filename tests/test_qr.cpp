@@ -2,11 +2,11 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstring>
 #include <vector>
 
 #include "dense/blas.hpp"
+#include "reference_kernels.hpp"
 #include "test_util.hpp"
 
 namespace lra {
@@ -43,62 +43,21 @@ INSTANTIATE_TEST_SUITE_P(Shapes, QrShapes,
                                            std::pair{200, 17},
                                            std::pair{33, 32}));
 
-// Column-at-a-time Householder QR: one reflector application per column,
-// the textbook loop order. HouseholderQR's factor and thin_q apply each
-// reflector to four columns per sweep and must reproduce this reference bit
-// for bit (every randomized solver's Q and B depend on them).
-void reference_qr(Matrix qr, Matrix* r_out, Matrix* q_out) {
-  const Index m = qr.rows(), n = qr.cols(), kmax = std::min(m, n);
-  std::vector<double> tau(static_cast<std::size_t>(kmax), 0.0);
-  for (Index k = 0; k < kmax; ++k) {
-    double* ck = qr.col(k) + k;
-    double beta = ck[0];
-    const double xnorm = m - k > 1 ? nrm2(m - k - 1, ck + 1) : 0.0;
-    if (xnorm != 0.0) {
-      beta = -std::copysign(std::hypot(ck[0], xnorm), ck[0]);
-      tau[k] = (beta - ck[0]) / beta;
-      const double inv = 1.0 / (ck[0] - beta);
-      for (Index i = 1; i < m - k; ++i) ck[i] *= inv;
-    }
-    if (tau[k] != 0.0) {
-      for (Index j = k + 1; j < n; ++j) {
-        double* cj = qr.col(j) + k;
-        double s = cj[0];
-        for (Index i = 1; i < m - k; ++i) s += ck[i] * cj[i];
-        s *= tau[k];
-        cj[0] -= s;
-        for (Index i = 1; i < m - k; ++i) cj[i] -= s * ck[i];
-      }
-    }
-    qr(k, k) = beta;
-  }
-  *r_out = Matrix(kmax, n);
-  for (Index j = 0; j < n; ++j)
-    for (Index i = 0; i <= std::min(j, kmax - 1); ++i)
-      (*r_out)(i, j) = qr(i, j);
-  Matrix q(m, kmax);
-  for (Index j = 0; j < kmax; ++j) q(j, j) = 1.0;
-  for (Index p = kmax - 1; p >= 0; --p) {
-    if (tau[p] == 0.0) continue;
-    const double* v = qr.col(p) + p;
-    for (Index j = p; j < kmax; ++j) {
-      double* cj = q.col(j) + p;
-      double s = cj[0];
-      for (Index i = 1; i < m - p; ++i) s += v[i] * cj[i];
-      s *= tau[p];
-      cj[0] -= s;
-      for (Index i = 1; i < m - p; ++i) cj[i] -= s * v[i];
-    }
-  }
-  *q_out = std::move(q);
-}
-
 TEST(HouseholderQR, BitwiseMatchesColumnAtATimeReference) {
+  // HouseholderQR's factor and thin_q apply each reflector to several
+  // columns per sweep (16, 8, 4 with the lanes across columns, then one at a
+  // time) and must reproduce the one-column-at-a-time reference bit for bit
+  // (every randomized solver's Q and B depend on them).
   std::vector<Matrix> inputs;
-  // Column counts around the 4-column sweep width, including remainders,
-  // one column, and a wide shape.
+  // Column counts around every sweep width, including remainders, one
+  // column, and a wide shape.
   for (Index n : {1, 2, 3, 4, 5, 7, 8, 9, 13, 32, 33})
     inputs.push_back(testing::random_matrix(41, n, 60 + n));
+  // The tournament shapes: 16 .. 65 columns, and row counts of every residue
+  // mod 4, so the four-row blocks of the dots end in every tail length.
+  for (Index n : {16, 17, 31, 63, 64, 65})
+    for (Index m : {n + 36, n + 37, n + 38, n + 39})
+      inputs.push_back(testing::random_matrix(m, n, 100 + m + n));
   inputs.push_back(testing::random_matrix(6, 19, 80));
   // A zero column below the diagonal takes the tau = 0 path mid-factor.
   Matrix zero_col = testing::random_matrix(23, 9, 81);
@@ -107,7 +66,7 @@ TEST(HouseholderQR, BitwiseMatchesColumnAtATimeReference) {
   for (const Matrix& a : inputs) {
     HouseholderQR f(a);
     Matrix r_ref, q_ref;
-    reference_qr(a, &r_ref, &q_ref);
+    ref::householder_qr(a, &r_ref, &q_ref);
     // operator== on Matrix compares element values; memcmp also tells -0.0
     // from +0.0.
     const Matrix r = f.r(), q = f.thin_q();

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <set>
 
 #include "dense/blas.hpp"
+#include "reference_kernels.hpp"
 #include "sparse/permute.hpp"
 #include "test_util.hpp"
 
@@ -96,77 +98,34 @@ TEST(Qrcp, WideMatrix) {
   testing::expect_near_matrix(matmul(f.thin_q(), f.r()), ap, 1e-10);
 }
 
-// Column-at-a-time QRCP: one reflector application per trailing column, the
-// textbook loop order. QRCP applies each reflector to four columns per sweep
-// and must reproduce this reference bit for bit (the tournament winners, and
-// with them every LU_CRTP factor, depend on its pivots and R).
-void reference_qrcp(Matrix qr, Index kmax, Matrix* r_out, std::vector<Index>* perm) {
-  const Index m = qr.rows(), n = qr.cols();
-  perm->resize(static_cast<std::size_t>(n));
-  for (Index j = 0; j < n; ++j) (*perm)[j] = j;
-  std::vector<double> cnorm(static_cast<std::size_t>(n));
-  std::vector<double> cnorm_ref(static_cast<std::size_t>(n));
-  for (Index j = 0; j < n; ++j) cnorm_ref[j] = cnorm[j] = nrm2(m, qr.col(j));
-  const double tol3z = std::sqrt(2.220446049250313e-16);
-  for (Index k = 0; k < kmax; ++k) {
-    Index piv = k;
-    for (Index j = k + 1; j < n; ++j)
-      if (cnorm[j] > cnorm[piv]) piv = j;
-    if (piv != k) {
-      for (Index i = 0; i < m; ++i) std::swap(qr(i, k), qr(i, piv));
-      std::swap(cnorm[k], cnorm[piv]);
-      std::swap(cnorm_ref[k], cnorm_ref[piv]);
-      std::swap((*perm)[k], (*perm)[piv]);
-    }
-    double* ck = qr.col(k) + k;
-    double tau = 0.0, beta = ck[0];
-    const double xnorm = m - k > 1 ? nrm2(m - k - 1, ck + 1) : 0.0;
-    if (xnorm != 0.0) {
-      beta = -std::copysign(std::hypot(ck[0], xnorm), ck[0]);
-      tau = (beta - ck[0]) / beta;
-      const double inv = 1.0 / (ck[0] - beta);
-      for (Index i = 1; i < m - k; ++i) ck[i] *= inv;
-    }
-    if (tau != 0.0) {
-      for (Index j = k + 1; j < n; ++j) {
-        double* cj = qr.col(j) + k;
-        double s = cj[0];
-        for (Index i = 1; i < m - k; ++i) s += ck[i] * cj[i];
-        s *= tau;
-        cj[0] -= s;
-        for (Index i = 1; i < m - k; ++i) cj[i] -= s * ck[i];
-      }
-    }
-    qr(k, k) = beta;
-    for (Index j = k + 1; j < n; ++j) {
-      if (cnorm[j] == 0.0) continue;
-      double t = std::fabs(qr(k, j)) / cnorm[j];
-      t = std::max(0.0, (1.0 + t) * (1.0 - t));
-      const double ratio = cnorm[j] / cnorm_ref[j];
-      if (t * ratio * ratio <= tol3z) {
-        cnorm[j] = nrm2(m - k - 1, qr.col(j) + k + 1);
-        cnorm_ref[j] = cnorm[j];
-      } else {
-        cnorm[j] *= std::sqrt(t);
-      }
-    }
-  }
-  *r_out = Matrix(kmax, n);
-  for (Index j = 0; j < n; ++j)
-    for (Index i = 0; i <= std::min(j, kmax - 1); ++i) (*r_out)(i, j) = qr(i, j);
-}
-
 TEST(Qrcp, BitwiseMatchesColumnAtATimeReference) {
-  // Column counts around the 4-column sweep width, including remainders.
-  for (Index n : {1, 3, 4, 5, 7, 8, 13, 64}) {
-    const Matrix a = testing::random_matrix(37, n, 40 + n);
-    for (Index kmax : {std::min<Index>(n, 37), std::min<Index>(n, 2)}) {
+  // QRCP applies each reflector to several columns per sweep (16, 8, 4 with
+  // the lanes across columns, then one at a time) and must reproduce the
+  // one-column-at-a-time reference bit for bit (the tournament winners, and
+  // with them every LU_CRTP factor, depend on its pivots and R).
+  std::vector<Matrix> inputs;
+  // Column counts around the sweep widths, including remainders.
+  for (Index n : {1, 3, 4, 5, 7, 8, 13, 64})
+    inputs.push_back(testing::random_matrix(37, n, 40 + n));
+  // The tournament shapes (a node stacks two 32-column candidate sets, or
+  // fewer at the leaves), with row counts of every residue mod 4.
+  for (Index n : {16, 17, 31, 63, 64, 65})
+    for (Index m : {n + 40, n + 41, n + 42, n + 43})
+      inputs.push_back(testing::random_matrix(m, n, 200 + m + n));
+  for (const Matrix& a : inputs) {
+    const Index n = a.cols(), full = std::min(a.rows(), n);
+    for (Index kmax : {full, std::min<Index>(n, 2), std::min<Index>(n, 32)}) {
       QRCP f(a, kmax);
       Matrix r_ref;
       std::vector<Index> perm_ref;
-      reference_qrcp(a, kmax, &r_ref, &perm_ref);
-      EXPECT_EQ(f.perm(), perm_ref) << "n=" << n << " kmax=" << kmax;
-      EXPECT_EQ(f.r(), r_ref) << "n=" << n << " kmax=" << kmax;  // bitwise
+      ref::qrcp(a, kmax, &r_ref, &perm_ref);
+      EXPECT_EQ(f.perm(), perm_ref) << a.rows() << "x" << n << " kmax=" << kmax;
+      const Matrix r = f.r();
+      ASSERT_EQ(r.size(), r_ref.size());
+      EXPECT_EQ(std::memcmp(r.data(), r_ref.data(),
+                            static_cast<std::size_t>(r.size()) * sizeof(double)),
+                0)
+          << "R of " << a.rows() << "x" << n << " kmax=" << kmax;
     }
   }
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "dense/blas.hpp"
 #include "test_util.hpp"
 
@@ -60,6 +62,41 @@ TEST(SchurUpdate, MatchesComposedOps) {
   const CscMatrix s1 = schur_update(a, l, u);
   const CscMatrix s2 = spadd(a, spgemm(l, u), 1.0, -1.0);
   testing::expect_near_matrix(s1.to_dense(), s2.to_dense(), 1e-12);
+}
+
+TEST(SchurUpdate, StoresNoExactCancellation) {
+  // L U = [6 2; 3 1] cancels A's first column exactly; spgemm-style
+  // accumulation would store two explicit zeros there.
+  Matrix da(2, 2), dl(2, 1), du(1, 2);
+  da(0, 0) = 6.0;
+  da(1, 0) = 3.0;
+  da(0, 1) = 5.0;
+  da(1, 1) = 4.0;
+  dl(0, 0) = 2.0;
+  dl(1, 0) = 1.0;
+  du(0, 0) = 3.0;
+  du(0, 1) = 1.0;
+  const CscMatrix l = CscMatrix::from_dense(dl);
+  const CscMatrix u = CscMatrix::from_dense(du);
+  const CscMatrix s = schur_update(CscMatrix::from_dense(da), l, u);
+  EXPECT_TRUE(s.structurally_valid());
+  EXPECT_EQ(s.col_nnz(0), 0);
+  EXPECT_EQ(s.col_nnz(1), 2);
+  EXPECT_EQ(s.coeff(0, 1), 3.0);
+  EXPECT_EQ(s.coeff(1, 1), 3.0);
+  // spgemm keeps its cancellations: they are structural fill-in positions.
+  EXPECT_EQ(spgemm(l, u).nnz(), 4);
+  EXPECT_EQ(spadd(CscMatrix::from_dense(da), spgemm(l, u), 1.0, -1.0).nnz(), 4);
+
+  // inf - inf is NaN, which is dropped as prune(0.0) would drop it.
+  Matrix inf(1, 1);
+  inf(0, 0) = std::numeric_limits<double>::infinity();
+  Matrix one(1, 1);
+  one(0, 0) = 1.0;
+  const CscMatrix nan = schur_update(CscMatrix::from_dense(inf),
+                                     CscMatrix::from_dense(one),
+                                     CscMatrix::from_dense(inf));
+  EXPECT_EQ(nan.nnz(), 0);
 }
 
 TEST(SchurUpdate, EmptyFactorsReturnA) {

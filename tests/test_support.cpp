@@ -100,6 +100,35 @@ TEST(CliParser, FlagsNeverReadAreUnknown) {
   cli.reject_unread();  // returns: every flag was read
 }
 
+TEST(CliParser, NumericValuesMustParseCompletely) {
+  // Each bad value exits 2 naming the flag and the value, as an unknown
+  // flag does, instead of running on a prefix (0.05x as 0.05) or dying in
+  // std::stoll without context.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";  // pool threads
+  const char* argv[] = {"prog",         "--scale=0.05x", "--k=abc",
+                        "--n=",         "--big=99999999999999999999",
+                        "--tiny=1e999", "--np=1,x,4",    "--tau=1e-1,",
+                        "--ok=-12",     "--eps=2.5e-3",  "--list=1,2,4"};
+  const Cli cli(11, const_cast<char**>(argv));
+  EXPECT_EXIT((void)cli.get_double("scale", 1.0),
+              ::testing::ExitedWithCode(2), "--scale: '0.05x'");
+  EXPECT_EXIT((void)cli.get_int("k", 8), ::testing::ExitedWithCode(2),
+              "--k: 'abc'");
+  EXPECT_EXIT((void)cli.get_int("n", 8), ::testing::ExitedWithCode(2),
+              "--n: ''");
+  EXPECT_EXIT((void)cli.get_int("big", 8), ::testing::ExitedWithCode(2),
+              "--big: '99999999999999999999' \\(out of range\\)");
+  EXPECT_EXIT((void)cli.get_double("tiny", 1.0), ::testing::ExitedWithCode(2),
+              "--tiny: '1e999' \\(out of range\\)");
+  EXPECT_EXIT((void)cli.get_int_list("np", {}), ::testing::ExitedWithCode(2),
+              "--np: 'x'");
+  EXPECT_EXIT((void)cli.get_double_list("tau", {}),
+              ::testing::ExitedWithCode(2), "--tau: ''");
+  EXPECT_EQ(cli.get_int("ok", 0), -12);
+  EXPECT_EQ(cli.get_double("eps", 0.0), 2.5e-3);
+  EXPECT_EQ(cli.get_int_list("list", {}), (std::vector<long long>{1, 2, 4}));
+}
+
 TEST(StopwatchTest, MeasuresElapsedWallTime) {
   Stopwatch w;
   volatile double s = 0.0;

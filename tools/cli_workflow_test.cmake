@@ -201,6 +201,26 @@ foreach(flag tua=1e-9 comm-algo=ring)
   endif()
 endforeach()
 
+# A numeric value must parse completely: 0.05x is not run as 0.05, and abc
+# is not a bare "stoll" error. Both exit 2 naming the flag and the value.
+foreach(cmd "generate;--preset=M1;--scale=0.05x;--out=${WORK_DIR}/cli_test_bad.mtx"
+            "approx;--mtx=${mtx};--k=abc")
+  execute_process(COMMAND ${LRA_CLI} ${cmd}
+                  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+  list(GET cmd 2 bad)
+  string(REGEX REPLACE "^--([^=]*)=(.*)$" "--\\1: '\\2'" named "${bad}")
+  if(NOT rc EQUAL 2)
+    message(FATAL_ERROR "${bad} exited ${rc}, expected 2:\n${out}\n${err}")
+  endif()
+  string(FIND "${err}" "invalid value for ${named}" found)
+  if(found EQUAL -1)
+    message(FATAL_ERROR "${bad} did not name the flag and value:\n${err}")
+  endif()
+endforeach()
+if(EXISTS ${WORK_DIR}/cli_test_bad.mtx)
+  message(FATAL_ERROR "generate --scale=0.05x wrote a matrix")
+endif()
+
 # verify checks the factors against the matrix: LU and QB factors of the
 # 120 x 120 M1' do not verify against the 160 x 160 M2' (exit 1, no crash,
 # no error figure).
