@@ -27,12 +27,14 @@ namespace {
 using namespace lra;
 
 // Gram-matrix column selection: QRCP on the Cholesky factor of P^T P.
-std::vector<Index> select_k_gram(const CandidateColumns& cand, Index k) {
-  const Index nc = cand.cols.cols();
-  if (nc <= k) return cand.global_index;
+std::vector<Index> select_k_gram(const CscMatrix& a,
+                                 const std::vector<Index>& ids, Index k) {
+  const Index nc = static_cast<Index>(ids.size());
+  if (nc <= k) return ids;
   // G = P^T P via sparse dot products.
   Matrix g(nc, nc);
-  const Matrix dense = cand.cols.to_dense();  // panels are skinny; acceptable
+  const Matrix dense =
+      a.select_columns(ids).to_dense();  // panels are skinny; acceptable
   gemm(g, dense, dense, 1.0, 0.0, Trans::kYes, Trans::kNo);
   // Selection by QRCP on G's "square root" behaviour: pivoted Cholesky is
   // equivalent to QRCP on the panel in exact arithmetic; QRCP(G) pivots give
@@ -40,7 +42,7 @@ std::vector<Index> select_k_gram(const CandidateColumns& cand, Index k) {
   QRCP f(g, k);
   std::vector<Index> win;
   win.reserve(static_cast<std::size_t>(k));
-  for (Index j = 0; j < k; ++j) win.push_back(cand.global_index[f.perm()[j]]);
+  for (Index j = 0; j < k; ++j) win.push_back(ids[f.perm()[j]]);
   return win;
 }
 
@@ -71,13 +73,11 @@ int main(int argc, char** argv) {
   for (const Index width : {2 * k, 4 * k, 8 * k}) {
     std::vector<Index> ids(static_cast<std::size_t>(width));
     std::iota(ids.begin(), ids.end(), Index{0});
-    const CandidateColumns cand = make_candidates(a, ids);
-
     Stopwatch w;
-    const auto win_rc = select_k(cand, k);
+    const auto win_rc = select_k(a, ids, k);
     const double t_rc = w.seconds();
     w.reset();
-    const auto win_gr = select_k_gram(cand, k);
+    const auto win_gr = select_k_gram(a, ids, k);
     const double t_gr = w.seconds();
 
     const double s_rc = sigma_min_of(a, win_rc);

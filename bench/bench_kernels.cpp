@@ -21,7 +21,13 @@
 // (`naive`) and the library (`simd`), at LU_CRTP's tournament node shape
 // (QRCP of 1000 x 64 for 32 steps) and the randomized solvers' panel shape
 // (HouseholderQR + thin_q of 1400 x 32); its gate is bitwise identity of R,
-// Q and the pivots with the reference (memcmp).
+// Q and the pivots with the reference (memcmp). The Schur update
+// (sparse/spgemm, also one kernel for both variants) gets the same two legs,
+// the sorting reference and the library, at two LU_CRTP iterations of
+// deterministic_seq (scale 0.5, 0.25 under --quick): a late M1' iteration
+// and an ILUT_CRTP iteration on M2', where about two thirds of the columns
+// take the dense accumulation; its gate is memcmp identity of the column
+// pointers, rows and values.
 //
 // It writes one JSON document (default BENCH_kernels.json; schema
 // bench_kernels/v2, see EXPERIMENTS.md) with a record per (kernel, shape,
@@ -44,6 +50,9 @@
 // a column of B per A nonzero (8*m*nnz), while the simd row-panel kernels
 // pack B once (8*m*k) and re-read A per panel (apass * ceil(m/ib)); the
 // per-nonzero panel reads are cache-resident by design and not charged.
+// The Schur update S = A22 - X U12 counts 16 bytes (row + value) per entry
+// of A22, U12 and S and per X entry it scatters (one per term of the sum,
+// each also 2 flops), for both legs.
 
 #include <cfloat>
 #include <cmath>
@@ -55,14 +64,19 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "core/lu_crtp.hpp"
 #include "dense/blas.hpp"
 #include "dense/qr.hpp"
 #include "dense/qrcp.hpp"
 #include "gen/givens_spray.hpp"
+#include "gen/presets.hpp"
 #include "gen/spectrum.hpp"
 #include "obs/json.hpp"
 #include "reference_kernels.hpp"
+#include "sparse/drop.hpp"
 #include "sparse/ops.hpp"
+#include "sparse/permute.hpp"
+#include "sparse/spgemm.hpp"
 #include "support/autotune.hpp"
 #include "support/kernel_variant.hpp"
 #include "support/simd.hpp"
@@ -109,6 +123,61 @@ Index max_col_nnz(const CscMatrix& s) {
   return mx;
 }
 
+// s(r0:r1, c0:c1) as a CSC matrix.
+CscMatrix csc_block(const CscMatrix& s, Index r0, Index r1, Index c0,
+                    Index c1) {
+  std::vector<Index> colptr{0}, rowind;
+  std::vector<double> values;
+  for (Index j = c0; j < c1; ++j) {
+    const auto rows = s.col_rows(j);
+    const auto vals = s.col_values(j);
+    for (std::size_t p = 0; p < rows.size(); ++p)
+      if (rows[p] >= r0 && rows[p] < r1) {
+        rowind.push_back(rows[p] - r0);
+        values.push_back(vals[p]);
+      }
+    colptr.push_back(static_cast<Index>(rowind.size()));
+  }
+  return CscMatrix(r1 - r0, c1 - c0, std::move(colptr), std::move(rowind),
+                   std::move(values));
+}
+
+struct SchurInputs {
+  CscMatrix a22, x, u12;
+};
+
+// The Schur update of LU_CRTP iteration `it` (0-based), rebuilt from a run
+// stopped at rank R = (it + 1) k: with B = P_r A P_c, whose trailing rows
+// and columns keep the solver's working order, X = L(R:, R-k:R),
+// U12 = U(R-k:R, R:) and A22 = B(R:, R:) - L(R:, :R-k) U(:R-k, R:), the
+// working matrix of that iteration (under ILUT pruned at the run's mu, as
+// the solver prunes it).
+SchurInputs schur_inputs(const CscMatrix& a, LuCrtpOptions o, Index it) {
+  const Index k = o.block_size, big_r = (it + 1) * k;
+  // The full run's mu: its estimate of the iteration count is min(m, n)/k.
+  o.estimated_iterations = std::min(a.rows(), a.cols()) / k;
+  o.max_rank = big_r;
+  const LuCrtpResult r = lu_crtp(a, o);
+  if (r.rank != big_r) {
+    std::fprintf(stderr, "bench_kernels: the run stopped at rank %ld < %ld\n",
+                 static_cast<long>(r.rank), static_cast<long>(big_r));
+    std::exit(1);
+  }
+  const CscMatrix b = permute(a, r.row_perm, r.col_perm);
+  const Index m = a.rows(), n = a.cols(), r0 = big_r - k;
+  SchurInputs in;
+  in.x = csc_block(r.l, big_r, m, r0, big_r);
+  in.u12 = csc_block(r.u, r0, big_r, big_r, n);
+  in.a22 = schur_update(csc_block(b, big_r, m, big_r, n),
+                        csc_block(r.l, big_r, m, 0, r0),
+                        csc_block(r.u, 0, r0, big_r, n));
+  if (o.threshold != ThresholdMode::kNone) {
+    const DropResult dr = drop_below(in.a22, r.mu);
+    if (dr.dropped > 0) in.a22.prune(dr.cutoff);
+  }
+  return in;
+}
+
 struct Row {
   std::string kernel;
   std::string shape;
@@ -141,6 +210,20 @@ bool bitwise_equal(const Matrix& x, const Matrix& y) {
          (x.size() == 0 ||
           std::memcmp(x.data(), y.data(),
                       static_cast<std::size_t>(x.size()) * sizeof(double)) == 0);
+}
+
+template <typename T>
+bool bitwise_equal(const std::vector<T>& x, const std::vector<T>& y) {
+  return x.size() == y.size() &&
+         (x.empty() ||
+          std::memcmp(x.data(), y.data(), x.size() * sizeof(T)) == 0);
+}
+
+bool bitwise_equal(const CscMatrix& x, const CscMatrix& y) {
+  return x.rows() == y.rows() && x.cols() == y.cols() &&
+         bitwise_equal(x.colptr(), y.colptr()) &&
+         bitwise_equal(x.rowind(), y.rowind()) &&
+         bitwise_equal(x.values(), y.values());
 }
 
 // The documented FMA-path error envelope (see file header / ARCHITECTURE.md).
@@ -201,15 +284,14 @@ std::string shape3(Index m, Index k, Index n) {
   return std::to_string(m) + "x" + std::to_string(k) + "x" + std::to_string(n);
 }
 
-// One Householder leg pair: the reference, then the library (each run must
-// leave its factors in the captured outputs), gated on bitwise identity.
-// Flops and bytes count the reflector applications: one of length len to
-// `cols` columns is 4 * len * cols flops and streams the columns three times
-// (dot read, update read + write) plus v once.
+// One leg pair of a kernel that is one kernel for both variants (the
+// Householder sweep, the Schur update): the reference, then the library
+// (each run must leave its result in the captured outputs), gated on
+// bitwise identity.
 template <typename Fn, typename FnRef, typename Same>
-bool bench_householder(std::vector<Row>& rows, const std::string& kernel,
-                       const std::string& shape, double flops, double bytes,
-                       int reps, Fn&& run, FnRef&& run_ref, Same&& same) {
+bool bench_pair(std::vector<Row>& rows, const std::string& kernel,
+                const std::string& shape, double flops, double bytes, int reps,
+                Fn&& run, FnRef&& run_ref, Same&& same) {
   const double t_ref = time_median(reps, run_ref);
   const double t_lib = time_median(reps, run);
   const bool bits_ok = same();
@@ -223,15 +305,20 @@ bool bench_householder(std::vector<Row>& rows, const std::string& kernel,
     r.speedup_vs_naive = t_ref / secs[v];
     rows.push_back(r);
   }
-  std::printf("%-16s %-18s ref %7.2f  lib  %7.2f GF/s  (%.3f -> %.3f ms)  %s\n",
-              kernel.c_str(), shape.c_str(), flops / t_ref * 1e-9,
-              flops / t_lib * 1e-9, t_ref * 1e3, t_lib * 1e3,
-              bits_ok ? "bits ok" : "BIT MISMATCH");
+  std::printf(
+      "%-16s %-18s ref %7.2f  lib  %7.2f GF/s  (%.3f -> %.3f ms, %.2f -> "
+      "%.2f GB/s)  %s\n",
+      kernel.c_str(), shape.c_str(), flops / t_ref * 1e-9, flops / t_lib * 1e-9,
+      t_ref * 1e3, t_lib * 1e3, bytes / t_ref * 1e-9, bytes / t_lib * 1e-9,
+      bits_ok ? "bits ok" : "BIT MISMATCH");
   return bits_ok;
 }
 
-// Flops and bytes of applying reflectors k = 0 .. steps-1 (length m - k) to
-// the columns [first(k), n).
+// Flops and bytes of the Householder legs count the reflector applications:
+// one of length len to `cols` columns is 4 * len * cols flops and streams
+// the columns three times (dot read, update read + write) plus v once.
+// reflector_work sums them for reflectors k = 0 .. steps-1 (length m - k)
+// applied to the columns [first(k), n).
 template <typename First>
 void reflector_work(Index m, Index n, Index steps, First&& first,
                     double& flops, double& bytes) {
@@ -373,7 +460,7 @@ int main(int argc, char** argv) {
     reflector_work(m, n, steps, [](Index k) { return k + 1; }, flops, bytes);
     Matrix r_ref, r_lib;
     std::vector<Index> p_ref, p_lib;
-    all_ok &= bench_householder(
+    all_ok &= bench_pair(
         rows, "qrcp", shape3(m, n, steps), flops, bytes, reps,
         [&] {
           const QRCP f(a, steps);
@@ -390,7 +477,7 @@ int main(int argc, char** argv) {
     reflector_work(m, n, n, [](Index k) { return k + 1; }, flops, bytes);
     reflector_work(m, n, n, [](Index k) { return k; }, flops, bytes);
     Matrix r_ref, q_ref, r_lib, q_lib;
-    all_ok &= bench_householder(
+    all_ok &= bench_pair(
         rows, "householder_qr", std::to_string(m) + "x" + std::to_string(n),
         flops, bytes, reps,
         [&] {
@@ -400,6 +487,53 @@ int main(int argc, char** argv) {
         },
         [&] { ref::householder_qr(a, &r_ref, &q_ref); },
         [&] { return bitwise_equal(r_ref, r_lib) && bitwise_equal(q_ref, q_lib); });
+  }
+
+  // The Schur update at two deterministic_seq iterations (preset seed 1,
+  // block size 32): LU_CRTP iteration 8 of 12 on M1' (tau 1e-3; 305 of its
+  // 462 columns take the dense accumulation) and ILUT_CRTP iteration 3 of
+  // 10 on M2' (tau 1e-2; 601 of 872).
+  {
+    const double scale = quick ? 0.25 : 0.5;
+    struct SchurLeg {
+      const char* label;
+      ThresholdMode threshold;
+      double tau;
+      Index it;
+    };
+    const SchurLeg legs[] = {
+        {"M1", ThresholdMode::kNone, 1e-3, quick ? 4 : 8},
+        {"M2", ThresholdMode::kIlut, 1e-2, 3}};
+    for (const SchurLeg& leg : legs) {
+      LuCrtpOptions o;
+      o.block_size = 32;
+      o.tau = leg.tau;
+      o.threshold = leg.threshold;
+      const SchurInputs in =
+          schur_inputs(make_preset(leg.label, scale, 1).a, o, leg.it);
+      CscMatrix s_ref, s_lib;
+      s_ref = ref::schur_update(in.a22, in.x, in.u12);
+      double terms = 0.0;
+      for (Index j = 0; j < in.u12.cols(); ++j)
+        for (const Index c : in.u12.col_rows(j))
+          terms += static_cast<double>(in.x.col_nnz(c));
+      const double bytes =
+          16.0 * (static_cast<double>(in.a22.nnz() + in.u12.nnz() +
+                                      s_ref.nnz()) +
+                  terms);
+      std::printf(
+          "schur %s' iteration %ld: A22 %ld nnz, X %ld nnz, U12 %ld nnz, "
+          "S %ld nnz\n",
+          leg.label, static_cast<long>(leg.it), static_cast<long>(in.a22.nnz()),
+          static_cast<long>(in.x.nnz()), static_cast<long>(in.u12.nnz()),
+          static_cast<long>(s_ref.nnz()));
+      all_ok &= bench_pair(
+          rows, "schur_update",
+          shape3(in.a22.rows(), in.x.cols(), in.a22.cols()), 2.0 * terms, bytes,
+          reps, [&] { s_lib = schur_update(in.a22, in.x, in.u12); },
+          [&] { s_ref = ref::schur_update(in.a22, in.x, in.u12); },
+          [&] { return bitwise_equal(s_ref, s_lib); });
+    }
   }
 
   // Emit BENCH_kernels.json.

@@ -594,7 +594,14 @@ void gemv(double* y, const Matrix& a, const double* x, double alpha,
 }
 
 void axpy(Index n, double alpha, const double* x, double* y) noexcept {
-  for (Index i = 0; i < n; ++i) y[i] += alpha * x[i];
+  // VecD lanes with multiply and add as two roundings: each entry is the
+  // scalar loop's y[i] + alpha * x[i].
+  using simd::VecD;
+  const VecD av = VecD::broadcast(alpha);
+  Index i = 0;
+  for (; i + simd::kWidth <= n; i += simd::kWidth)
+    simd::madd(VecD::load(x + i), av, VecD::load(y + i)).store(y + i);
+  for (; i < n; ++i) y[i] += alpha * x[i];
 }
 
 double nrm2(Index n, const double* x) noexcept {

@@ -47,7 +47,8 @@ void matmul_nt_into(Matrix& c, const Matrix& a, const Matrix& b);  // C = A*B^T
 void gemv(double* y, const Matrix& a, const double* x, double alpha = 1.0,
           double beta = 0.0, Trans ta = Trans::kNo);
 
-/// axpy on raw ranges: y += alpha * x.
+/// axpy on raw ranges: y += alpha * x, each entry y[i] + alpha * x[i] with
+/// the multiply and the add rounded separately (the scalar loop's bits).
 void axpy(Index n, double alpha, const double* x, double* y) noexcept;
 
 /// Euclidean norm / dot product of raw ranges.

@@ -1,26 +1,60 @@
 #include "qrtp/panel.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 #include "dense/qrcp.hpp"
-#include "sparse/ops.hpp"
 
 namespace lra {
 
-std::vector<Index> select_k(const CandidateColumns& cand, Index k) {
-  const Index ncand = cand.cols.cols();
-  if (ncand <= k) return cand.global_index;
+namespace {
 
-  const std::vector<Index> live_rows = cand.cols.nonempty_rows();
-  if (live_rows.empty()) {
+// Panel row of each row of the matrix a node reads, -1 outside a node: one
+// map per thread (tournament nodes run on the pool), grown to the largest
+// row count seen and reset after every node, so a node costs O(its nonzeros)
+// on top of its panel, never O(m).
+thread_local std::vector<Index> tl_panel_row;
+
+}  // namespace
+
+std::vector<Index> select_k(const CscMatrix& a, std::span<const Index> ids,
+                            Index k) {
+  const Index ncand = static_cast<Index>(ids.size());
+  if (ncand <= k) return {ids.begin(), ids.end()};
+
+  // The candidates' nonempty rows (rows holding any stored entry), in
+  // ascending order, numbered as the panel's rows.
+  std::vector<Index>& row = tl_panel_row;
+  if (static_cast<Index>(row.size()) < a.rows())
+    row.resize(static_cast<std::size_t>(a.rows()), -1);
+  std::vector<Index> live;
+  for (const Index c : ids)
+    for (const Index r : a.col_rows(c))
+      if (row[r] < 0) {
+        row[r] = 0;
+        live.push_back(r);
+      }
+  if (live.empty()) {
     // All-zero candidates: any k will do; keep the leftmost for determinism.
-    return {cand.global_index.begin(), cand.global_index.begin() + k};
+    return {ids.begin(), ids.begin() + k};
   }
-  const Matrix panel = dense_row_subset(cand.cols, live_rows);
-  QRCP f(panel, k);
+  std::sort(live.begin(), live.end());
+  for (std::size_t p = 0; p < live.size(); ++p)
+    row[live[p]] = static_cast<Index>(p);
+
+  Matrix panel(static_cast<Index>(live.size()), ncand);
+  for (Index t = 0; t < ncand; ++t) {
+    const auto rows = a.col_rows(ids[t]);
+    const auto vals = a.col_values(ids[t]);
+    double* pt = panel.col(t);
+    for (std::size_t p = 0; p < rows.size(); ++p) pt[row[rows[p]]] = vals[p];
+  }
+  for (const Index r : live) row[r] = -1;
+
+  const QRCP f(std::move(panel), k);
   std::vector<Index> winners;
   winners.reserve(static_cast<std::size_t>(k));
-  for (Index j = 0; j < k; ++j) winners.push_back(cand.global_index[f.perm()[j]]);
+  for (Index j = 0; j < k; ++j) winners.push_back(ids[f.perm()[j]]);
   return winners;
 }
 
@@ -66,15 +100,6 @@ CandidateColumns merge(const CandidateColumns& a, const CandidateColumns& b) {
                           b.global_index.end());
   out.cols = a.cols.hcat(b.cols);
   return out;
-}
-
-CandidateColumns make_candidates(const CscMatrix& a,
-                                 std::span<const Index> global_ids) {
-  // Here `a` is indexed directly by global column id.
-  CandidateColumns cand;
-  cand.global_index.assign(global_ids.begin(), global_ids.end());
-  cand.cols = a.select_columns(global_ids);
-  return cand;
 }
 
 }  // namespace lra

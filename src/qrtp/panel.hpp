@@ -20,11 +20,14 @@ struct CandidateColumns {
   CscMatrix cols;                   // full row dimension, sparse
 };
 
-/// Select up to k winners among the candidates. Empty rows are discarded
-/// before the dense QRCP, so the cost is O(nnz-rows x (2k)^2) rather than
-/// O(m (2k)^2) — this is what makes tournament pivoting viable on sparse
-/// panels (cf. SuiteSparseQR in the paper's implementation).
-std::vector<Index> select_k(const CandidateColumns& cand, Index k);
+/// One tournament node: select up to k winners among the columns `ids` of
+/// `a`. The dense panel for the QRCP is filled straight from those columns
+/// over their nonempty rows only, so the cost is O(nnz-rows x (2k)^2) rather
+/// than O(m (2k)^2) — this is what makes tournament pivoting viable on
+/// sparse panels (cf. SuiteSparseQR in the paper's implementation). Returns
+/// the winning ids.
+std::vector<Index> select_k(const CscMatrix& a, std::span<const Index> ids,
+                            Index k);
 
 /// Dense variant used by the row tournament on Q_k^T (a is w x ncand; the
 /// candidates are the columns of a). Returns positions into `global_index`.
@@ -38,10 +41,5 @@ CandidateColumns unpack_candidates(const std::vector<std::byte>& bytes);
 
 /// Merge two candidate sets (column-wise concatenation).
 CandidateColumns merge(const CandidateColumns& a, const CandidateColumns& b);
-
-/// Extract candidates (by global column id) from a matrix whose columns are
-/// indexed by `local_to_global`.
-CandidateColumns make_candidates(const CscMatrix& a,
-                                 std::span<const Index> global_ids);
 
 }  // namespace lra

@@ -63,7 +63,7 @@ std::vector<Index> play_tree(std::span<const Index> cand, Index k,
 std::vector<Index> qr_tp_select(const CscMatrix& a,
                                 std::span<const Index> active_cols, Index k) {
   return play_tree(active_cols, k, [&](std::span<const Index> ids) {
-    return select_k(make_candidates(a, ids), k);
+    return select_k(a, ids, k);
   });
 }
 

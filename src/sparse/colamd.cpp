@@ -7,16 +7,17 @@
 namespace lra {
 namespace {
 
-// Binary min-heap over column ids keyed on (score[c], c), with each column's
-// heap slot tracked so a changed score can be sifted in place. The col
-// tie-break makes the minimum unique, hence the elimination order a pure
+// Binary min-heap of columns keyed on (score, column id), with each column's
+// heap slot tracked so a changed score can be sifted in place. Every slot
+// carries its key inline, so a comparison touches only the heap array. The
+// id tie-break makes the minimum unique, hence the elimination order a pure
 // function of the scores.
 class ColumnHeap {
  public:
   explicit ColumnHeap(const std::vector<Index>& score)
-      : score_(score), heap_(score.size()), slot_(score.size()) {
+      : heap_(score.size()), slot_(score.size()) {
     for (std::size_t i = 0; i < heap_.size(); ++i) {
-      heap_[i] = static_cast<Index>(i);
+      heap_[i] = {score[i], static_cast<Index>(i)};
       slot_[i] = i;
     }
     for (std::size_t i = heap_.size() / 2; i-- > 0;) sift_down(i);
@@ -25,55 +26,63 @@ class ColumnHeap {
   bool empty() const { return heap_.empty(); }
 
   Index pop() {
-    const Index top = heap_.front();
+    const Index top = heap_.front().col;
     place(0, heap_.back());
     heap_.pop_back();
     if (!heap_.empty()) sift_down(0);
     return top;
   }
 
-  /// Restore the heap after score[c] changed (c must still be in the heap).
-  void update(Index c) {
+  /// Give column c (still in the heap) the score `score` and restore order:
+  /// a smaller key can only rise, a larger one only sink.
+  void update(Index c, Index score) {
     const std::size_t i = slot_[c];
-    sift_up(i);
-    sift_down(slot_[c]);
+    const bool rises = score < heap_[i].score;
+    heap_[i].score = score;
+    if (rises)
+      sift_up(i);
+    else
+      sift_down(i);
   }
 
  private:
-  bool less(Index a, Index b) const {
-    if (score_[a] != score_[b]) return score_[a] < score_[b];
-    return a < b;
-  }
-  void place(std::size_t i, Index c) {
-    heap_[i] = c;
-    slot_[c] = i;
+  struct Key {
+    Index score;
+    Index col;
+    bool operator<(const Key& o) const {
+      return score != o.score ? score < o.score : col < o.col;
+    }
+  };
+
+  void place(std::size_t i, Key k) {
+    heap_[i] = k;
+    slot_[k.col] = i;
   }
   void sift_up(std::size_t i) {
-    const Index c = heap_[i];
+    const Key k = heap_[i];
     while (i > 0) {
       const std::size_t parent = (i - 1) / 2;
-      if (!less(c, heap_[parent])) break;
+      if (!(k < heap_[parent])) break;
       place(i, heap_[parent]);
       i = parent;
     }
-    place(i, c);
+    place(i, k);
   }
   void sift_down(std::size_t i) {
-    const Index c = heap_[i];
+    const Key k = heap_[i];
     const std::size_t n = heap_.size();
     for (;;) {
       std::size_t child = 2 * i + 1;
       if (child >= n) break;
-      if (child + 1 < n && less(heap_[child + 1], heap_[child])) ++child;
-      if (!less(heap_[child], c)) break;
+      if (child + 1 < n && heap_[child + 1] < heap_[child]) ++child;
+      if (!(heap_[child] < k)) break;
       place(i, heap_[child]);
       i = child;
     }
-    place(i, c);
+    place(i, k);
   }
 
-  const std::vector<Index>& score_;
-  std::vector<Index> heap_;
+  std::vector<Key> heap_;
   std::vector<std::size_t> slot_;
 };
 
@@ -158,7 +167,7 @@ Perm colamd_order(const CscMatrix& a) {
       ++live_rows[c];
       score[c] += delta[c] + plen;
       delta[c] = 0;
-      heap.update(c);
+      heap.update(c, score[c]);
     }
   }
   return order;

@@ -1,8 +1,12 @@
 #pragma once
 // Reference kernels: the seed GEMM / SpMM / SpMM^T / dense x CSC loops that
-// the library's two kernel families are checked against, and the
+// the library's two kernel families are checked against, the
 // one-column-at-a-time Householder loops (QR, QRCP, bidiagonalization) that
-// the library's swept reflector kernels must reproduce bit for bit.
+// the library's swept reflector kernels must reproduce bit for bit, and the
+// sorting SpGEMM / Schur-update loops (a marked sparse accumulator per pool
+// slice, a comparison sort of every column's rows, per-column buffers
+// stitched at the end) that the library's slice-assembled kernels must
+// reproduce bit for bit.
 // Header-only and outside the library on purpose — only the kernel tests and
 // bench/bench_kernels.cpp include it, so no solver can run it.
 //
@@ -374,6 +378,130 @@ inline Bidiagonal bidiagonalize(const Matrix& a_in) {
     for (Index j = 1; j < len; ++j) a(k, k + 1 + j) = 0.0;
   }
   return bd;
+}
+
+// --- SpGEMM and the Schur update: sort every column, stitch at the end ------
+
+namespace detail {
+
+// Sparse accumulator (SPA) over m rows: dense value array + occupancy list.
+class Spa {
+ public:
+  explicit Spa(Index m)
+      : val_(static_cast<std::size_t>(m), 0.0),
+        mark_(static_cast<std::size_t>(m), 0) {}
+
+  void scatter(Index i, double v) {
+    if (!mark_[i]) {
+      mark_[i] = 1;
+      nz_.push_back(i);
+      val_[i] = v;
+    } else {
+      val_[i] += v;
+    }
+  }
+
+  /// Flush the accumulated column into (rowind, values), sorted by row, then
+  /// reset. With `keep_cancelled`, entries that cancelled to exactly zero are
+  /// kept (they are real fill-in positions); without it, only entries with
+  /// |value| > 0 are stored, so zeros and NaN are dropped.
+  void gather(std::vector<Index>& rowind, std::vector<double>& values,
+              bool keep_cancelled) {
+    std::sort(nz_.begin(), nz_.end());
+    for (Index i : nz_) {
+      if (keep_cancelled || std::fabs(val_[i]) > 0.0) {
+        rowind.push_back(i);
+        values.push_back(val_[i]);
+      }
+      val_[i] = 0.0;
+      mark_[i] = 0;
+    }
+    nz_.clear();
+  }
+
+ private:
+  std::vector<double> val_;
+  std::vector<char> mark_;
+  std::vector<Index> nz_;
+};
+
+// Stitch per-column (rows, values) buffers into one CSC matrix.
+inline CscMatrix stitch_columns(Index m, Index n,
+                                std::vector<std::vector<Index>>& col_rows,
+                                std::vector<std::vector<double>>& col_vals) {
+  std::vector<Index> colptr(static_cast<std::size_t>(n) + 1, 0);
+  for (Index j = 0; j < n; ++j)
+    colptr[j + 1] = colptr[j] + static_cast<Index>(col_rows[j].size());
+  std::vector<Index> rowind(static_cast<std::size_t>(colptr[n]));
+  std::vector<double> values(static_cast<std::size_t>(colptr[n]));
+  for (Index j = 0; j < n; ++j) {
+    std::copy(col_rows[j].begin(), col_rows[j].end(),
+              rowind.begin() + colptr[j]);
+    std::copy(col_vals[j].begin(), col_vals[j].end(),
+              values.begin() + colptr[j]);
+  }
+  return CscMatrix(m, n, std::move(colptr), std::move(rowind),
+                   std::move(values));
+}
+
+}  // namespace detail
+
+/// C = A * B (as lra::spgemm), cancellations stored.
+inline CscMatrix spgemm(const CscMatrix& a, const CscMatrix& b) {
+  assert(a.cols() == b.rows());
+  const Index m = a.rows(), n = b.cols();
+  std::vector<std::vector<Index>> col_rows_out(static_cast<std::size_t>(n));
+  std::vector<std::vector<double>> col_vals_out(static_cast<std::size_t>(n));
+  ThreadPool::global().parallel_ranges(
+      Index{0}, n, "spgemm", /*grain=*/16, [&](Index j0, Index j1, int) {
+        detail::Spa spa(m);
+        for (Index j = j0; j < j1; ++j) {
+          const auto brows = b.col_rows(j);
+          const auto bvals = b.col_values(j);
+          for (std::size_t p = 0; p < brows.size(); ++p) {
+            const Index k = brows[p];
+            const double w = bvals[p];
+            const auto arows = a.col_rows(k);
+            const auto avals = a.col_values(k);
+            for (std::size_t q = 0; q < arows.size(); ++q)
+              spa.scatter(arows[q], avals[q] * w);
+          }
+          spa.gather(col_rows_out[j], col_vals_out[j], /*keep_cancelled=*/true);
+        }
+      });
+  return detail::stitch_columns(m, n, col_rows_out, col_vals_out);
+}
+
+/// S = A - L U (as lra::schur_update): A's entries first, then
+/// -L(:, k) U(k, j) for U's nonzeros in row order; only |value| > 0 stored.
+inline CscMatrix schur_update(const CscMatrix& a, const CscMatrix& l,
+                              const CscMatrix& u) {
+  assert(a.rows() == l.rows() && a.cols() == u.cols() && l.cols() == u.rows());
+  const Index m = a.rows(), n = a.cols();
+  std::vector<std::vector<Index>> col_rows_out(static_cast<std::size_t>(n));
+  std::vector<std::vector<double>> col_vals_out(static_cast<std::size_t>(n));
+  ThreadPool::global().parallel_ranges(
+      Index{0}, n, "schur", /*grain=*/16, [&](Index j0, Index j1, int) {
+        detail::Spa spa(m);
+        for (Index j = j0; j < j1; ++j) {
+          const auto ar = a.col_rows(j);
+          const auto av = a.col_values(j);
+          for (std::size_t p = 0; p < ar.size(); ++p) spa.scatter(ar[p], av[p]);
+          const auto ur = u.col_rows(j);
+          const auto uv = u.col_values(j);
+          for (std::size_t p = 0; p < ur.size(); ++p) {
+            const Index k = ur[p];
+            const double w = -uv[p];
+            const auto lr = l.col_rows(k);
+            const auto lv = l.col_values(k);
+            for (std::size_t q = 0; q < lr.size(); ++q)
+              spa.scatter(lr[q], lv[q] * w);
+          }
+          spa.gather(col_rows_out[j], col_vals_out[j],
+                     /*keep_cancelled=*/false);
+        }
+      });
+  return detail::stitch_columns(m, n, col_rows_out, col_vals_out);
 }
 
 }  // namespace lra::ref

@@ -123,7 +123,9 @@ TEST(Etree, ParentsAreLarger) {
   const CscMatrix a = circuit_like(40, 3, 1, 7);
   const auto parent = column_etree(a);
   for (std::size_t j = 0; j < parent.size(); ++j)
-    if (parent[j] != -1) EXPECT_GT(parent[j], static_cast<Index>(j));
+    if (parent[j] != -1) {
+      EXPECT_GT(parent[j], static_cast<Index>(j));
+    }
 }
 
 TEST(Postorder, IsValidPermutationWithChildrenFirst) {
@@ -135,7 +137,9 @@ TEST(Postorder, IsValidPermutationWithChildrenFirst) {
   // direct-child relation.
   Perm pos = invert(post);
   for (std::size_t v = 0; v < parent.size(); ++v)
-    if (parent[v] != -1) EXPECT_LT(pos[v], pos[parent[v]]);
+    if (parent[v] != -1) {
+      EXPECT_LT(pos[v], pos[parent[v]]);
+    }
 }
 
 TEST(Colamd, ProducesValidPermutation) {
@@ -182,6 +186,12 @@ TEST(Colamd, MatchesReferenceOnPresets) {
       EXPECT_EQ(colamd_order(a), reference_colamd_order(a))
           << label << " seed " << seed;
     }
+  }
+  // The LU_CRTP inputs solvebench's deterministic_seq times (scale 0.5).
+  for (const char* label : {"M1", "M6", "M2"}) {
+    const CscMatrix a = make_preset(label, 0.5, 1).a;
+    EXPECT_EQ(colamd_order(a), reference_colamd_order(a))
+        << label << " at scale 0.5";
   }
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <set>
 
@@ -112,6 +113,25 @@ TEST(Qrcp, BitwiseMatchesColumnAtATimeReference) {
   for (Index n : {16, 17, 31, 63, 64, 65})
     for (Index m : {n + 40, n + 41, n + 42, n + 43})
       inputs.push_back(testing::random_matrix(m, n, 200 + m + n));
+  // Columns that tie up to rounding, so that the pivots depend on the last
+  // bits of each column's norm: every column holds the same values (spread
+  // over twelve decades) rotated to its own rows, and columns 3 = 4 and
+  // 6 = 9 tie exactly; six draws per width.
+  for (Index n : {10, 13}) {
+    for (std::uint64_t s = 0; s < 6; ++s) {
+      const Index m = 53;
+      const Matrix base = testing::random_matrix(m, 1, 300 + n + 16 * s);
+      Matrix t(m, n);
+      for (Index j = 0; j < n; ++j)
+        for (Index i = 0; i < m; ++i)
+          t((i + 7 * j) % m, j) = base(i, 0) * std::pow(10.0, (i % 13) - 6);
+      for (Index i = 0; i < m; ++i) {
+        t(i, 4) = t(i, 3);
+        t(i, 9) = t(i, 6);
+      }
+      inputs.push_back(t);
+    }
+  }
   for (const Matrix& a : inputs) {
     const Index n = a.cols(), full = std::min(a.rows(), n);
     for (Index kmax : {full, std::min<Index>(n, 2), std::min<Index>(n, 32)}) {

@@ -36,8 +36,7 @@ TEST(Panel, SelectKReturnsDistinctGlobalIds) {
   const CscMatrix a = graded_random(30, 20, 151);
   std::vector<Index> ids(20);
   std::iota(ids.begin(), ids.end(), Index{0});
-  const CandidateColumns cand = make_candidates(a, ids);
-  const auto win = select_k(cand, 6);
+  const auto win = select_k(a, ids, 6);
   ASSERT_EQ(win.size(), 6u);
   EXPECT_EQ(std::set<Index>(win.begin(), win.end()).size(), 6u);
 }
@@ -45,19 +44,56 @@ TEST(Panel, SelectKReturnsDistinctGlobalIds) {
 TEST(Panel, FewerCandidatesThanKReturnsAll) {
   const CscMatrix a = graded_random(10, 3, 152);
   std::vector<Index> ids = {0, 1, 2};
-  EXPECT_EQ(select_k(make_candidates(a, ids), 8).size(), 3u);
+  EXPECT_EQ(select_k(a, ids, 8).size(), 3u);
 }
 
 TEST(Panel, AllZeroCandidatesStillReturnsK) {
   CscMatrix a(12, 6);
   std::vector<Index> ids = {0, 1, 2, 3, 4, 5};
-  EXPECT_EQ(select_k(make_candidates(a, ids), 4).size(), 4u);
+  EXPECT_EQ(select_k(a, ids, 4).size(), 4u);
+}
+
+TEST(Panel, NodeMatchesQrcpOfTheCopiedPanel) {
+  // A node fills its panel straight from the working matrix; the winners
+  // must be those of QRCP on the copied candidate columns over their
+  // nonempty rows (stored zeros included), on matrices of different row
+  // counts one after another (the row map is reused across nodes).
+  // The last matrix's columns tie up to rounding (the same values on
+  // rotated rows, so each column's norm and dots differ only by summation
+  // order), so its winners also pin the panel's row order.
+  std::vector<CscMatrix> inputs;
+  for (const Index m : {40, 300, 25}) {
+    CscMatrix a = graded_random(m, 48, 160 + m);
+    for (std::size_t p = 0; p < a.values().size(); p += 7) a.values()[p] = 0.0;
+    inputs.push_back(a);
+  }
+  {
+    const Index m = 61;
+    const Matrix base = testing::random_matrix(m, 1, 170);
+    Matrix t(m, 48);
+    for (Index j = 0; j < 48; ++j)
+      for (Index i = 0; i < m / 2; ++i)
+        t((i + 11 * j) % m, j) = 1.0 + 0.25 * base(i, 0);
+    inputs.push_back(CscMatrix::from_dense(t));
+  }
+  for (const CscMatrix& a : inputs) {
+    std::vector<Index> ids;
+    for (Index j = 47; j >= 0; j -= 3) ids.push_back(j);
+    for (const Index k : {2, 5, 8}) {
+      const CscMatrix sel = a.select_columns(ids);
+      const QRCP f(dense_row_subset(sel, sel.nonempty_rows()), k);
+      std::vector<Index> want;
+      for (Index j = 0; j < k; ++j) want.push_back(ids[f.perm()[j]]);
+      EXPECT_EQ(select_k(a, ids, k), want)
+          << "m = " << a.rows() << ", k = " << k;
+    }
+  }
 }
 
 TEST(Panel, PackUnpackRoundtrip) {
   const CscMatrix a = graded_random(15, 8, 153);
   std::vector<Index> ids = {1, 3, 5};
-  const CandidateColumns cand = make_candidates(a, ids);
+  const CandidateColumns cand{ids, a.select_columns(ids)};
   const CandidateColumns back = unpack_candidates(pack_candidates(cand));
   EXPECT_EQ(back.global_index, cand.global_index);
   EXPECT_EQ(back.cols.rows(), cand.cols.rows());
@@ -66,8 +102,8 @@ TEST(Panel, PackUnpackRoundtrip) {
 
 TEST(Panel, MergeConcatenates) {
   const CscMatrix a = graded_random(10, 6, 154);
-  const CandidateColumns c1 = make_candidates(a, std::vector<Index>{0, 1});
-  const CandidateColumns c2 = make_candidates(a, std::vector<Index>{4, 5});
+  const CandidateColumns c1{{0, 1}, a.select_columns(std::vector<Index>{0, 1})};
+  const CandidateColumns c2{{4, 5}, a.select_columns(std::vector<Index>{4, 5})};
   const CandidateColumns m = merge(c1, c2);
   EXPECT_EQ(m.global_index, (std::vector<Index>{0, 1, 4, 5}));
   EXPECT_EQ(m.cols.cols(), 4);

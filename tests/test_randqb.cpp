@@ -124,8 +124,9 @@ TEST(RandQb, IndicatorFloorFlagged) {
   o.tau = 1e-9;
   o.power = 2;
   const RandQbResult r = randqb_ei(a, o);
-  if (r.indicator < o.tau * r.anorm_f)
+  if (r.indicator < o.tau * r.anorm_f) {
     EXPECT_EQ(r.status, Status::kIndicatorFloor);
+  }
 }
 
 TEST(RandQb, TraceIsMonotone) {

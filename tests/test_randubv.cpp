@@ -52,8 +52,9 @@ TEST(RandUbv, BIsBlockUpperBidiagonal) {
   for (Index j = 0; j < r.b.cols(); ++j) {
     for (Index i = 0; i < r.b.rows(); ++i) {
       const Index bi = i / b, bj = j / b;
-      if (bj != bi && bj != bi + 1)
+      if (bj != bi && bj != bi + 1) {
         EXPECT_EQ(r.b(i, j), 0.0) << "B(" << i << "," << j << ")";
+      }
     }
   }
 }

@@ -30,7 +30,9 @@ TEST(Robustness, ExactlyRankDeficientBelowMachinePrecision) {
   const LuCrtpResult r = lu_crtp(a, o);
   testing::ExpectHonestBound(a, r, o.tau);
   // Must at least capture the true rank before stopping.
-  if (r.status != Status::kConverged) EXPECT_GE(r.rank, 15);
+  if (r.status != Status::kConverged) {
+    EXPECT_GE(r.rank, 15);
+  }
 }
 
 TEST(Robustness, DuplicateColumns) {

@@ -212,7 +212,8 @@ TEST(SimComm, ComputeChargesKernelTimers) {
   w.run([&](RankCtx& ctx) {
     ctx.compute("work", [&] {
       volatile double s = 0.0;
-      for (int i = 0; i < 2000000; ++i) s += std::sqrt(static_cast<double>(i));
+      for (int i = 0; i < 2000000; ++i)
+        s = s + std::sqrt(static_cast<double>(i));
     });
   });
   const auto kt = obs::kernel_seconds(w.trace());
@@ -563,7 +564,8 @@ TEST(FaultInjection, StragglerInflatesComputeTime) {
   auto spin = [](RankCtx& ctx) {
     ctx.compute("spin", [] {
       volatile double s = 0.0;
-      for (int i = 0; i < 2000000; ++i) s += std::sqrt(static_cast<double>(i));
+      for (int i = 0; i < 2000000; ++i)
+        s = s + std::sqrt(static_cast<double>(i));
     });
   };
   SimWorld clean(1);

@@ -132,7 +132,7 @@ TEST(CliParser, NumericValuesMustParseCompletely) {
 TEST(StopwatchTest, MeasuresElapsedWallTime) {
   Stopwatch w;
   volatile double s = 0.0;
-  for (int i = 0; i < 2000000; ++i) s += i * 0.5;
+  for (int i = 0; i < 2000000; ++i) s = s + i * 0.5;
   EXPECT_GT(w.seconds(), 0.0);
   const double t1 = w.seconds();
   w.reset();
@@ -142,7 +142,7 @@ TEST(StopwatchTest, MeasuresElapsedWallTime) {
 TEST(StopwatchTest, ThreadCpuTimeAdvancesUnderLoad) {
   const double t0 = thread_cpu_seconds();
   volatile double s = 0.0;
-  for (int i = 0; i < 5000000; ++i) s += static_cast<double>(i);
+  for (int i = 0; i < 5000000; ++i) s = s + static_cast<double>(i);
   EXPECT_GT(thread_cpu_seconds(), t0);
 }
 
