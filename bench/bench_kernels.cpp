@@ -2,8 +2,8 @@
 // (support/kernel_variant.hpp) against the reference kernels
 // (tests/reference_kernels.hpp), with correctness gates.
 //
-// For each kernel (gemm_nn, gemm_tn, gemm_nt, spmm, spmm_t, dense_times_csc)
-// and each reference shape (square GEMMs, plus the randomized solvers'
+// For each kernel (gemm_nn, gemm_tn, gemm_nt, spmm, spmm_t) and each
+// reference shape (square GEMMs, plus the randomized solvers'
 // narrow m x K times K x 32 products) the harness runs three legs — the
 // reference (recorded as variant `naive`), simd and simd-strict — takes the
 // median of --reps timed repetitions each, and gates:
@@ -32,8 +32,8 @@
 // It writes one JSON document (default BENCH_kernels.json; schema
 // bench_kernels/v2, see EXPERIMENTS.md) with a record per (kernel, shape,
 // variant) and a header recording threads, the host ISA + cpu model, and the
-// active autotune config — tools/bench_diff warn-and-skips when the
-// reference ISA differs from the host's.
+// compiled GEMM tile — tools/bench_diff warn-and-skips when the reference
+// ISA differs from the host's.
 //
 //   ./bench_kernels [--threads=N] [--reps=5] [--quick]
 //                   [--out=BENCH_kernels.json]
@@ -46,10 +46,6 @@
 // a read+write of C. spmm/spmm_t count one pass over A's value+index arrays
 // per group of output columns (reference: one column per pass; simd:
 // kSpmmNb columns) plus one read of B and a read+write of C.
-// dense_times_csc charges the dense operand honestly: the reference streams
-// a column of B per A nonzero (8*m*nnz), while the simd row-panel kernels
-// pack B once (8*m*k) and re-read A per panel (apass * ceil(m/ib)); the
-// per-nonzero panel reads are cache-resident by design and not charged.
 // The Schur update S = A22 - X U12 counts 16 bytes (row + value) per entry
 // of A22, U12 and S and per X entry it scatters (one per term of the sum,
 // each also 2 flops), for both legs.
@@ -347,7 +343,7 @@ int main(int argc, char** argv) {
 
   bench::print_header("Kernel microbenchmarks: reference vs simd variants",
                       "perf companion to the Section IV complexity model");
-  std::printf("threads = %d, reps = %d%s, isa = %s, autotune: %s\n\n", threads,
+  std::printf("threads = %d, reps = %d%s, isa = %s, gemm tile: %s\n\n", threads,
               reps, quick ? " (--quick shapes)" : "", simd::simd_isa_name(),
               kernel_config_summary(kernel_config()).c_str());
 
@@ -427,27 +423,6 @@ int main(int argc, char** argv) {
         static_cast<double>(max_col_nnz(s)), reps, c,
         [&] { spmm_t_into(c, s, b); }, [&] { ref::spmm_t_into(c, s, b); },
         [&] { ref::spmm_t_into(c, sa, ab); });
-  }
-  {
-    const Matrix b = Matrix::gaussian(sk, sn, 7);
-    const Matrix ab = abs_matrix(b);
-    Matrix c;
-    // The reference streams a B column per nonzero; the simd row-panel packs
-    // B once and re-reads A per panel (C rmw is charged once in both — it
-    // stays cache-resident within a column).
-    const Index ib = std::min<Index>(kernel_config().dtc.ib,
-                                     Index{8} * simd::simd_width());
-    const double npanels = std::ceil(static_cast<double>(sk) / ib);
-    const double bstream = apass + 8.0 * sk * nnz + 2.0 * 8.0 * sk * sn;
-    const double bpanel =
-        apass * npanels + 8.0 * sk * sn + 2.0 * 8.0 * sk * sn;
-    const double bytes[3] = {bstream, bpanel, bpanel};
-    all_ok &= bench_case(
-        rows, "dense_times_csc", shape3(sk, sn, sn), sflops, bytes,
-        static_cast<double>(max_col_nnz(s)), reps, c,
-        [&] { dense_times_csc_into(c, b, s); },
-        [&] { ref::dense_times_csc_into(c, b, s); },
-        [&] { ref::dense_times_csc_into(c, ab, sa); });
   }
 
   // Householder: QRCP at a tournament node (two 32-column candidate sets

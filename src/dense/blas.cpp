@@ -159,9 +159,9 @@ void gemm_tn_strict(Matrix& c, const Matrix& a, const Matrix& b,
 }
 
 // ---------------------------------------------------------------------------
-// SIMD (vectorized) kernels on support/simd.hpp, autotuned geometry from
-// support/autotune.hpp. Two flavours share every code path via the kFma
-// template flag:
+// SIMD (vectorized) kernels on support/simd.hpp, with the compiled tile
+// geometry of support/autotune.hpp. Two flavours share every code path via
+// the kFma template flag:
 //
 //   simd         kFma = simd::kHasFma. Each multiply-add is a single-rounding
 //                fused op (vector fmadd in full tiles, scalar std::fma in
@@ -181,9 +181,25 @@ void gemm_tn_strict(Matrix& c, const Matrix& a, const Matrix& b,
 // accumulates one KC slab in ascending-p order with one multiply-add per
 // term, and stores back — load/store round-trips are exact and k is never
 // split, so each element's chain is the same for every valid (mc, kc, mv,
-// nr), every thread count, and every full-tile/edge-tile assignment. The
-// autotuner can therefore never change results, only speed.
+// nr), every thread count, and every full-tile/edge-tile assignment. A
+// different tile could therefore change speed, never results.
 // ---------------------------------------------------------------------------
+
+// The compiled tile in this TU's SIMD width: kMc x kKc packed A panels of
+// kMr-row strips, and a kMr x kNr register micro-tile.
+constexpr KernelConfig kTile = kernel_config();
+constexpr Index kMc = kTile.mc;
+constexpr Index kKc = kTile.kc;
+constexpr Index kMr = Index{kTile.mv} * simd::kWidth;
+constexpr Index kNr = kTile.nr;
+static_assert(kTile.mv >= 1 && kTile.nr >= 1 && kKc >= 1,
+              "empty GEMM micro-tile");
+static_assert(kMc % kMr == 0,
+              "mc must be a multiple of the micro-tile strip mv * width");
+// The micro-kernel holds mv * nr vector accumulators; 16 is the x86-64
+// register file, beyond which every extra accumulator spills.
+static_assert(kTile.mv * kTile.nr <= 16,
+              "the micro-tile's mv * nr accumulators exceed 16 registers");
 
 // One multiply-add term, scalar: single-rounding when kFma, else the seed
 // two-rounding chain. Mirrors simd::fmadd / simd::madd per lane.
@@ -191,10 +207,6 @@ template <bool kFma>
 inline double scalar_madd(double a, double b, double c) {
   return kFma ? std::fma(a, b, c) : a * b + c;
 }
-
-using MicroFn = void (*)(Index kc, const double* LRA_RESTRICT ap,
-                         const double* const* bcols, double alpha,
-                         double* const* ccols);
 
 // Full (MV*width x NR) register tile over one packed A strip.
 template <int MV, int NR, bool kFma>
@@ -229,23 +241,18 @@ void micro_simd(Index kc, const double* LRA_RESTRICT ap,
     for (int v = 0; v < MV; ++v) acc[j][v].store(ccols[j] + v * kW);
 }
 
-// Widest strip any config can ask for (mv <= 4 vectors of width <= 4) and
-// the widest column tile (nr <= 8).
-constexpr Index kSimdMaxMr = 16;
-constexpr Index kSimdMaxNr = 8;
-
-// Edge tile (mr x nr with mr < stride or nr < the full tile): scalar loop
-// with the same per-term expression as the vector tile, so edge and interior
-// elements carry identical bits in both flavours.
+// Edge tile (mr x nr with mr < kMr or nr < kNr): scalar loop with the same
+// per-term expression as the vector tile, so edge and interior elements
+// carry identical bits in both flavours.
 template <bool kFma>
-void micro_edge_simd(Index kc, Index mr, Index nr, Index stride,
+void micro_edge_simd(Index kc, Index mr, Index nr,
                      const double* LRA_RESTRICT ap, const double* const* bcols,
                      double alpha, double* const* ccols) {
-  double acc[kSimdMaxNr][kSimdMaxMr];
+  double acc[kNr][kMr];
   for (Index jj = 0; jj < nr; ++jj)
     for (Index r = 0; r < mr; ++r) acc[jj][r] = ccols[jj][r];
   for (Index p = 0; p < kc; ++p) {
-    const double* LRA_RESTRICT as = ap + p * stride;
+    const double* LRA_RESTRICT as = ap + p * kMr;
     for (Index jj = 0; jj < nr; ++jj) {
       const double w = alpha * bcols[jj][p];
       for (Index r = 0; r < mr; ++r)
@@ -254,47 +261,6 @@ void micro_edge_simd(Index kc, Index mr, Index nr, Index stride,
   }
   for (Index jj = 0; jj < nr; ++jj)
     for (Index r = 0; r < mr; ++r) ccols[jj][r] = acc[jj][r];
-}
-
-// The micro-tile shapes the autotuner may pick. A config whose (mv, nr) has
-// no instantiation falls back to the default shape (geometry is a pure perf
-// knob, so remapping is observable only in speed).
-struct MicroEntry {
-  int mv, nr;
-  MicroFn fma, strict;
-};
-constexpr MicroEntry kMicroTable[] = {
-    {1, 4, micro_simd<1, 4, true>, micro_simd<1, 4, false>},
-    {2, 4, micro_simd<2, 4, true>, micro_simd<2, 4, false>},
-    {3, 4, micro_simd<3, 4, true>, micro_simd<3, 4, false>},
-    {4, 4, micro_simd<4, 4, true>, micro_simd<4, 4, false>},
-    {1, 8, micro_simd<1, 8, true>, micro_simd<1, 8, false>},
-    {2, 6, micro_simd<2, 6, true>, micro_simd<2, 6, false>},
-    {2, 8, micro_simd<2, 8, true>, micro_simd<2, 8, false>},
-};
-
-struct SimdGeom {
-  Index mc, kc, mr, nr;
-  MicroFn fn;
-};
-
-template <bool kFma>
-SimdGeom simd_geom() {
-  const KernelConfig& cfg = kernel_config();
-  int mv = cfg.gemm.mv, nr = cfg.gemm.nr;
-  const MicroEntry* hit = nullptr;
-  for (const MicroEntry& e : kMicroTable)
-    if (e.mv == mv && e.nr == nr) hit = &e;
-  if (hit == nullptr) {
-    mv = 2;
-    nr = 4;
-    hit = &kMicroTable[1];
-  }
-  const Index mr = static_cast<Index>(mv) * simd::kWidth;
-  Index mc = cfg.gemm.mc;
-  if (mc % mr != 0) mc += mr - mc % mr;  // keep strips tiling the row block
-  return {mc, cfg.gemm.kc, mr, static_cast<Index>(nr),
-          kFma ? hit->fma : hit->strict};
 }
 
 // Pack `nr` rows (j0..j0+nr-1) of B's k0:k1 slab into contiguous per-row
@@ -318,28 +284,27 @@ void pack_b_rows(double* LRA_RESTRICT dst, const Matrix& b, Index j0,
 // is repacked only once per k-slab instead of once per (i0, j) tile.
 constexpr Index kGemmJb = 256;
 
-// Pack A(i0:i1, k0:k1) strip-major with a runtime strip height: strips of
-// `stride` rows, rows past i1 padded with zeros so the micro-kernels can
-// always read full strips.
+// Pack A(i0:i1, k0:k1) strip-major: strips of kMr rows, rows past i1 padded
+// with zeros so the micro-kernels can always read full strips.
 void pack_a_panel(double* LRA_RESTRICT dst, const Matrix& a, Index i0,
-                     Index i1, Index k0, Index k1, Index stride) {
-  for (Index is = i0; is < i1; is += stride) {
-    const Index mr = std::min(stride, i1 - is);
+                  Index i1, Index k0, Index k1) {
+  for (Index is = i0; is < i1; is += kMr) {
+    const Index mr = std::min(kMr, i1 - is);
     for (Index p = k0; p < k1; ++p) {
       const double* ap = a.col(p) + is;
       for (Index r = 0; r < mr; ++r) dst[r] = ap[r];
-      for (Index r = mr; r < stride; ++r) dst[r] = 0.0;
-      dst += stride;
+      for (Index r = mr; r < kMr; ++r) dst[r] = 0.0;
+      dst += kMr;
     }
   }
 }
 
-// Shared simd nn / nt driver, tiled over output rows/columns with autotuned
-// geometry. The only difference between the transposes is how a column
-// tile's B values are fetched: nn reads B's columns directly, nt (kBT) packs
-// a kGemmJb-row panel of B into contiguous scratch first. Packing does not
-// touch the accumulation chain, so the determinism argument above covers
-// both.
+// Shared simd nn / nt driver, tiled over output rows/columns with the
+// compiled geometry. The only difference between the transposes is how a
+// column tile's B values are fetched: nn reads B's columns directly, nt
+// (kBT) packs a kGemmJb-row panel of B into contiguous scratch first.
+// Packing does not touch the accumulation chain, so the determinism argument
+// above covers both.
 //
 // The work is split over threads by output columns, except for narrow
 // products (n <= kGemmJb, one B panel: the randomized solvers' m x K times
@@ -352,41 +317,40 @@ void gemm_nn_nt_simd(Matrix& c, const Matrix& a, const Matrix& b,
                      double alpha) {
   const Index m = a.rows(), k = a.cols();
   const Index n = kBT ? b.rows() : b.cols();
-  const SimdGeom g = simd_geom<kFma>();
-  // C(ilo:ihi, jlo:jhi); ilo is a multiple of g.mr.
+  // C(ilo:ihi, jlo:jhi); ilo is a multiple of kMr.
   const auto block = [&](Index ilo, Index ihi, Index jlo, Index jhi) {
     Workspace::Scope scope;
-    double* pack = scope.doubles(static_cast<std::size_t>(g.mc) * g.kc);
+    double* pack = scope.doubles(static_cast<std::size_t>(kMc) * kKc);
     double* bpack =
-        kBT ? scope.doubles(static_cast<std::size_t>(kGemmJb) * g.kc)
+        kBT ? scope.doubles(static_cast<std::size_t>(kGemmJb) * kKc)
             : nullptr;
-    for (Index k0 = 0; k0 < k; k0 += g.kc) {
-      const Index k1 = std::min(k0 + g.kc, k);
+    for (Index k0 = 0; k0 < k; k0 += kKc) {
+      const Index k1 = std::min(k0 + kKc, k);
       const Index kc = k1 - k0;
       for (Index jb0 = jlo; jb0 < jhi; jb0 += kGemmJb) {
         const Index jb1 = std::min(jb0 + kGemmJb, jhi);
         if (kBT) pack_b_rows(bpack, b, jb0, jb1 - jb0, k0, k1);
-        for (Index i0 = ilo; i0 < ihi; i0 += g.mc) {
-          const Index i1 = std::min(i0 + g.mc, ihi);
-          pack_a_panel(pack, a, i0, i1, k0, k1, g.mr);
-          for (Index j = jb0; j < jb1; j += g.nr) {
-            const Index nr = std::min(g.nr, jb1 - j);
-            const double* bcols[kSimdMaxNr];
-            double* ccols[kSimdMaxNr];
+        for (Index i0 = ilo; i0 < ihi; i0 += kMc) {
+          const Index i1 = std::min(i0 + kMc, ihi);
+          pack_a_panel(pack, a, i0, i1, k0, k1);
+          for (Index j = jb0; j < jb1; j += kNr) {
+            const Index nr = std::min(kNr, jb1 - j);
+            const double* bcols[kNr];
+            double* ccols[kNr];
             for (Index jj = 0; jj < nr; ++jj)
               bcols[jj] = kBT ? bpack + (j - jb0 + jj) * kc
                               : b.col(j + jj) + k0;
             Index s = 0;
-            for (Index is = i0; is < i1; is += g.mr, ++s) {
-              const Index mr = std::min(g.mr, i1 - is);
-              const double* ap = pack + s * kc * g.mr;
+            for (Index is = i0; is < i1; is += kMr, ++s) {
+              const Index mr = std::min(kMr, i1 - is);
+              const double* ap = pack + s * kc * kMr;
               for (Index jj = 0; jj < nr; ++jj)
                 ccols[jj] = c.col(j + jj) + is;
-              if (mr == g.mr && nr == g.nr) {
-                g.fn(kc, ap, bcols, alpha, ccols);
+              if (mr == kMr && nr == kNr) {
+                micro_simd<kTile.mv, kTile.nr, kFma>(kc, ap, bcols, alpha,
+                                                     ccols);
               } else {
-                micro_edge_simd<kFma>(kc, mr, nr, g.mr, ap, bcols, alpha,
-                                      ccols);
+                micro_edge_simd<kFma>(kc, mr, nr, ap, bcols, alpha, ccols);
               }
             }
           }
@@ -394,7 +358,7 @@ void gemm_nn_nt_simd(Matrix& c, const Matrix& a, const Matrix& b,
       }
     }
   };
-  split_c(m, k, n, g.mr, n <= kGemmJb, block);
+  split_c(m, k, n, kMr, n <= kGemmJb, block);
 }
 
 // Canonical vectorized dot: one width-wide accumulator over ascending p, the
@@ -566,11 +530,6 @@ void matmul_into(Matrix& c, const Matrix& a, const Matrix& b) {
 void matmul_tn_into(Matrix& c, const Matrix& a, const Matrix& b) {
   c.reshape(a.cols(), b.cols());
   gemm(c, a, b, 1.0, 0.0, Trans::kYes, Trans::kNo);
-}
-
-void matmul_nt_into(Matrix& c, const Matrix& a, const Matrix& b) {
-  c.reshape(a.rows(), b.rows());
-  gemm(c, a, b, 1.0, 0.0, Trans::kNo, Trans::kYes);
 }
 
 void gemv(double* y, const Matrix& a, const double* x, double alpha,

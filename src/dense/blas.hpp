@@ -15,7 +15,7 @@
 //
 // Both families tile only over output rows/columns and never split a k
 // reduction, so each output element accumulates its k terms in the same
-// ascending order at any thread count and under any autotuned tile geometry
+// ascending order at any thread count and under any valid tile geometry
 // (see ARCHITECTURE.md, "The kernel layer").
 
 #include "dense/matrix.hpp"
@@ -40,7 +40,6 @@ Matrix matmul_nt(const Matrix& a, const Matrix& b);   // A * B^T
 /// steady-state iterations do not touch the heap.
 void matmul_into(Matrix& c, const Matrix& a, const Matrix& b);     // C = A*B
 void matmul_tn_into(Matrix& c, const Matrix& a, const Matrix& b);  // C = A^T*B
-void matmul_nt_into(Matrix& c, const Matrix& a, const Matrix& b);  // C = A*B^T
 
 /// y = alpha * op(A) * x + beta * y (x, y are n x 1 / m x 1 matrices stored
 /// as raw vectors).

@@ -57,7 +57,7 @@ class Parser {
       case '{':
       case '[': {
         // Every document read here is shallow; the limit keeps hostile
-        // input (a repro file, an autotune cache) from exhausting the stack.
+        // input (a repro file, a trace) from exhausting the stack.
         if (depth_ == kMaxDepth) fail("nesting deeper than 64 levels");
         ++depth_;
         JsonValue v = peek() == '{' ? parse_object() : parse_array();

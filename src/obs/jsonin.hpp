@@ -1,10 +1,10 @@
 #pragma once
 // Minimal recursive-descent JSON reader for every JSON input of the repo:
-// its own outputs (Chrome traces, BENCH_*.json, JSONL reports), repro files
-// (sim/repro) and the autotune cache (support/autotune). Full-document DOM,
-// no dependencies (it is compiled into lra_support, the bottom library);
-// numbers parse via strtod, so %.17g doubles written by JsonObj round-trip
-// bitwise, and integer literals also keep their exact value. Not a
+// its own outputs (Chrome traces, BENCH_*.json, JSONL reports) and repro
+// files (sim/repro). Full-document DOM, no dependencies (it is compiled
+// into lra_obs, next to the writer in obs/json); numbers parse via strtod,
+// so %.17g doubles written by JsonObj round-trip bitwise, and integer
+// literals also keep their exact value. Not a
 // general-purpose validator: it accepts the JSON this repo writes and
 // rejects the rest, duplicate object keys included, with a position-tagged
 // error.

@@ -30,6 +30,7 @@ JsonObj meta_record(const std::string& tool) {
       .field("kernel_variant", to_string(kernel_variant()))
       .field("isa", simd::simd_isa_name())
       .field("autotune", kernel_config_summary(kernel_config()))
+      .field("build_type", LRA_BUILD_TYPE)
       .field("pool_threads", ThreadPool::global().num_threads());
   return o;
 }

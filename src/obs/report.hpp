@@ -49,7 +49,8 @@ class ReportWriter {
 
 /// The "meta" record every report opens with: `tool`, and the kernel
 /// provenance the solve benchmark stamps on its own outputs —
-/// kernel_variant, isa, autotune (kernel_config_summary()) and pool_threads.
+/// kernel_variant, isa, autotune (the compiled tile,
+/// kernel_config_summary()), build_type (CMAKE_BUILD_TYPE) and pool_threads.
 /// Callers append their run parameters before writing it.
 JsonObj meta_record(const std::string& tool);
 

@@ -7,7 +7,6 @@
 
 #include "dense/blas.hpp"
 #include "par/pool.hpp"
-#include "support/autotune.hpp"
 #include "support/kernel_variant.hpp"
 #include "support/simd.hpp"
 #include "support/workspace.hpp"
@@ -76,11 +75,6 @@ void spmm_t_col_naive(const CscMatrix& a, const double* bc, double* cc) {
 // input — including the reference spmm zero-skip, which the strict quad
 // preserves by falling back per lane when a quad holds an exact zero.
 // ---------------------------------------------------------------------------
-
-template <bool kFma>
-inline double scalar_madd(double a, double b, double c) {
-  return kFma ? std::fma(a, b, c) : a * b + c;
-}
 
 // spmm quad on an interleaved scratch column block: cpack[kSpmmNb*r + q]
 // holds output column c0+q's row r, so the kSpmmNb accumulators of one A
@@ -169,83 +163,6 @@ void spmm_t_quad_simd(const CscMatrix& a, const Matrix& b, Matrix& c, Index c0,
     double t[kSpmmNb];
     for (int v = 0; v < kNV; ++v) acc[v].store(t + v * kW);
     for (Index q = 0; q < kSpmmNb; ++q) c.col(c0 + q)[j] = t[q];
-  }
-}
-
-// dense_times_csc on a packed row panel: bpack[kk*ibc + r] = B(i0+r, kk), so
-// the panel's slice of every B column is one short contiguous run. One
-// output column keeps its ibc-row slice entirely in registers (nv vector
-// accumulators + a scalar tail), reads ibc contiguous doubles per nonzero,
-// and stores the slice exactly once — versus the reference's
-// read-modify-write of the output slice per nonzero. Per element the chain is
-// still ascending-p with one multiply-add per term from 0.0, so strict ==
-// reference bitwise.
-template <int NV, bool kFma>
-void dtc_panel_col(Index ibc, Index tail0, Index tailn,
-                   const double* LRA_RESTRICT bpack, const CscMatrix& a,
-                   Index j, double* LRA_RESTRICT cj) {
-  using simd::VecD;
-  constexpr int kW = simd::kWidth;
-  VecD acc[NV > 0 ? NV : 1];
-  LRA_UNROLL
-  for (int v = 0; v < NV; ++v) acc[v] = VecD::zero();
-  double tacc[kW > 1 ? kW - 1 : 1] = {};
-  const auto rows = a.col_rows(j);
-  const auto vals = a.col_values(j);
-  for (std::size_t p = 0; p < rows.size(); ++p) {
-    const double w = vals[p];
-    const double* LRA_RESTRICT bp = bpack + rows[p] * ibc;
-    const VecD av = VecD::broadcast(w);
-    LRA_UNROLL
-    for (int v = 0; v < NV; ++v)
-      acc[v] = kFma ? simd::fmadd(av, VecD::load(bp + v * kW), acc[v])
-                    : simd::madd(av, VecD::load(bp + v * kW), acc[v]);
-    for (Index t = 0; t < tailn; ++t)
-      tacc[t] = scalar_madd<kFma>(w, bp[tail0 + t], tacc[t]);
-  }
-  LRA_UNROLL
-  for (int v = 0; v < NV; ++v) acc[v].store(cj + v * kW);
-  for (Index t = 0; t < tailn; ++t) cj[tail0 + t] = tacc[t];
-}
-
-template <bool kFma>
-void dtc_simd(Matrix& c, const Matrix& b, const CscMatrix& a) {
-  using simd::VecD;
-  constexpr int kW = simd::kWidth;
-  const Index m = b.rows(), k = b.cols();
-  const Index ib =
-      std::min<Index>(kernel_config().dtc.ib, Index{8} * kW);
-  const Index grain = a.nnz() * m < kForkWork ? a.cols() + 1 : 1;
-  Workspace::Scope scope;
-  double* bpack = scope.doubles(static_cast<std::size_t>(ib) * k);
-  for (Index i0 = 0; i0 < m; i0 += ib) {
-    const Index ibc = std::min(ib, m - i0);
-    for (Index kk = 0; kk < k; ++kk) {
-      const double* bk = b.col(kk) + i0;
-      double* LRA_RESTRICT d = bpack + kk * ibc;
-      for (Index r = 0; r < ibc; ++r) d[r] = bk[r];
-    }
-    const Index nv = ibc / kW;
-    const Index tail0 = nv * kW;
-    const Index tailn = ibc - tail0;
-    // bpack is read-only inside the fork-join; the caller scope stays alive.
-    ThreadPool::global().parallel_for(
-        Index{0}, a.cols(), "spmm",
-        [&](Index j) {
-          double* cj = c.col(j) + i0;
-          switch (nv) {
-            case 0: dtc_panel_col<0, kFma>(ibc, tail0, tailn, bpack, a, j, cj); break;
-            case 1: dtc_panel_col<1, kFma>(ibc, tail0, tailn, bpack, a, j, cj); break;
-            case 2: dtc_panel_col<2, kFma>(ibc, tail0, tailn, bpack, a, j, cj); break;
-            case 3: dtc_panel_col<3, kFma>(ibc, tail0, tailn, bpack, a, j, cj); break;
-            case 4: dtc_panel_col<4, kFma>(ibc, tail0, tailn, bpack, a, j, cj); break;
-            case 5: dtc_panel_col<5, kFma>(ibc, tail0, tailn, bpack, a, j, cj); break;
-            case 6: dtc_panel_col<6, kFma>(ibc, tail0, tailn, bpack, a, j, cj); break;
-            case 7: dtc_panel_col<7, kFma>(ibc, tail0, tailn, bpack, a, j, cj); break;
-            default: dtc_panel_col<8, kFma>(ibc, tail0, tailn, bpack, a, j, cj); break;
-          }
-        },
-        grain);
   }
 }
 
@@ -388,26 +305,6 @@ Matrix spmm_t(const CscMatrix& a, const Matrix& b) {
   return c;
 }
 
-void dense_times_csc_into(Matrix& c, const Matrix& b, const CscMatrix& a) {
-  assert(b.cols() == a.rows());
-  c.reshape(b.rows(), a.cols());
-  zero_fill(c);
-  // One output column per column of A; independent across columns. Both
-  // flavours sweep packed row panels (outer) over the parallel column loop
-  // (inner).
-  if (kernel_variant() == KernelVariant::kSimdStrict) {
-    dtc_simd<false>(c, b, a);
-  } else {
-    dtc_simd<simd::kHasFma>(c, b, a);
-  }
-}
-
-Matrix dense_times_csc(const Matrix& b, const CscMatrix& a) {
-  Matrix c;
-  dense_times_csc_into(c, b, a);
-  return c;
-}
-
 double residual_fro(const CscMatrix& a, const Matrix& h, const Matrix& w) {
   assert(a.rows() == h.rows() && a.cols() == w.cols() &&
          h.cols() == w.rows());
@@ -436,18 +333,6 @@ double residual_fro(const CscMatrix& a, const Matrix& h, const Matrix& w) {
         return s;
       });
   return std::sqrt(sum);
-}
-
-Matrix dense_columns(const CscMatrix& a, Index j0, Index j1) {
-  assert(0 <= j0 && j0 <= j1 && j1 <= a.cols());
-  Matrix c(a.rows(), j1 - j0);
-  for (Index j = j0; j < j1; ++j) {
-    const auto rows = a.col_rows(j);
-    const auto vals = a.col_values(j);
-    double* cj = c.col(j - j0);
-    for (std::size_t p = 0; p < rows.size(); ++p) cj[rows[p]] = vals[p];
-  }
-  return c;
 }
 
 Matrix dense_row_subset(const CscMatrix& a, std::span<const Index> rows) {

@@ -11,12 +11,11 @@
 //
 // Variants: the SpMM family has two implementations, selected at runtime by
 // support/kernel_variant.hpp. Both process kSpmmNb = 4 output columns per
-// pass over A's index/value arrays (SpMM/SpMM^T) or sweep packed row panels
-// of the dense operand (dense x CSC), vectorized on support/simd.hpp: `simd`
-// fuses each multiply-add where the ISA has FMA, `simd-strict` keeps the two-rounding chain and the
-// zero-skip of the reference kernels in tests/reference_kernels.hpp, and is
-// bitwise identical to them on every input — the kernel tests assert exactly
-// that.
+// pass over A's index/value arrays, vectorized on support/simd.hpp: `simd`
+// fuses each multiply-add where the ISA has FMA, `simd-strict` keeps the
+// two-rounding chain and the zero-skip of the reference kernels in
+// tests/reference_kernels.hpp, and is bitwise identical to them on every
+// input — the kernel tests assert exactly that.
 //
 // Allocation: the `_into` entry points reshape a caller-owned output buffer
 // in place (no heap traffic once the buffer has grown to the working-set
@@ -80,19 +79,6 @@ Matrix spmm_t(const CscMatrix& a, const Matrix& b);
 /// @pre  `c` aliases neither `a` nor `b`.
 void spmm_t_into(Matrix& c, const CscMatrix& a, const Matrix& b);
 
-/// C = B * A with dense B on the left.
-///
-/// @param b  m x p dense matrix.
-/// @param a  p x n sparse matrix.
-/// @return Freshly allocated m x n dense result.
-/// @pre  b.cols() == a.rows().
-/// @note Parallel over columns of A (and hence of C); deterministic.
-Matrix dense_times_csc(const Matrix& b, const CscMatrix& a);
-
-/// C = B * A into a caller-owned buffer (reshaped to m x n).
-/// @pre  `c` aliases neither `a` nor `b`.
-void dense_times_csc_into(Matrix& c, const Matrix& b, const CscMatrix& a);
-
 /// Residual ||A - H W||_F without materializing H W: processed in column
 /// blocks so peak extra memory is O(m * block).
 ///
@@ -105,12 +91,6 @@ void dense_times_csc_into(Matrix& c, const Matrix& b, const CscMatrix& a);
 ///       sum by normal floating-point reassociation). Per-chunk scratch
 ///       comes from the worker's arena, not the heap.
 double residual_fro(const CscMatrix& a, const Matrix& h, const Matrix& w);
-
-/// Columns [j0, j1) of A, densified.
-///
-/// @return Freshly allocated a.rows() x (j1 - j0) matrix.
-/// @pre  0 <= j0 <= j1 <= a.cols().
-Matrix dense_columns(const CscMatrix& a, Index j0, Index j1);
 
 /// A restricted to the given row subset, densified.
 ///

@@ -1,8 +1,8 @@
 #pragma once
-// Reference kernels: the seed GEMM / SpMM / SpMM^T / dense x CSC loops that
-// the library's two kernel families are checked against, the
-// one-column-at-a-time Householder loops (QR, QRCP, bidiagonalization) that
-// the library's swept reflector kernels must reproduce bit for bit, and the
+// Reference kernels: the seed GEMM / SpMM / SpMM^T loops that the library's
+// two kernel families are checked against, the one-column-at-a-time
+// Householder loops (QR, QRCP, bidiagonalization) that the library's swept
+// reflector kernels must reproduce bit for bit, and the
 // sorting SpGEMM / Schur-update loops (a marked sparse accumulator per pool
 // slice, a comparison sort of every column's rows, per-column buffers
 // stitched at the end) that the library's slice-assembled kernels must
@@ -139,17 +139,6 @@ inline void spmm_t_col(const CscMatrix& a, const double* bc, double* cc) {
   }
 }
 
-// Column j of B * A: one axpy of a B column per nonzero of A's column j.
-inline void dtc_col(const Matrix& b, const CscMatrix& a, Index j, double* cj) {
-  const auto rows = a.col_rows(j);
-  const auto vals = a.col_values(j);
-  for (std::size_t p = 0; p < rows.size(); ++p) {
-    const double w = vals[p];
-    const double* bk = b.col(rows[p]);
-    for (Index i = 0; i < b.rows(); ++i) cj[i] += w * bk[i];
-  }
-}
-
 }  // namespace detail
 
 /// C = alpha * op(A) * op(B) + beta * C, as lra::gemm, for the three
@@ -204,20 +193,6 @@ inline void spmm_t_into(Matrix& c, const CscMatrix& a, const Matrix& b) {
       grain);
 }
 
-/// C = B * A into a caller-owned buffer (reshaped to m x n), as
-/// lra::dense_times_csc_into.
-inline void dense_times_csc_into(Matrix& c, const Matrix& b,
-                                 const CscMatrix& a) {
-  assert(b.cols() == a.rows());
-  c.reshape(b.rows(), a.cols());
-  detail::zero_fill(c);
-  const Index grain =
-      a.nnz() * b.rows() < detail::kSparseForkWork ? a.cols() + 1 : 1;
-  ThreadPool::global().parallel_for(
-      Index{0}, a.cols(), "spmm",
-      [&](Index j) { detail::dtc_col(b, a, j, c.col(j)); }, grain);
-}
-
 /// Value-returning wrappers.
 inline Matrix spmm(const CscMatrix& a, const Matrix& b) {
   Matrix c;
@@ -228,12 +203,6 @@ inline Matrix spmm(const CscMatrix& a, const Matrix& b) {
 inline Matrix spmm_t(const CscMatrix& a, const Matrix& b) {
   Matrix c;
   spmm_t_into(c, a, b);
-  return c;
-}
-
-inline Matrix dense_times_csc(const Matrix& b, const CscMatrix& a) {
-  Matrix c;
-  dense_times_csc_into(c, b, a);
   return c;
 }
 

@@ -1,6 +1,5 @@
-// The two kernel contracts against the reference loops, and the autotune
-// cache. The variant-free spmv and workspace-arena tests are in
-// test_kernels_blocked.cpp.
+// The two kernel contracts against the reference loops. The variant-free
+// spmv and workspace-arena tests are in test_kernels_blocked.cpp.
 //
 // `simd-strict` builds every accumulation from madd() — the reference
 // kernels' two-rounding chain, lane-sequential in k — so its output must be
@@ -14,23 +13,13 @@
 // bound
 //   |simd - ref| <= 4 * k_eff * eps * (ref on |inputs|)
 // where k_eff is the reduction length actually feeding an element, and must
-// itself be deterministic — same bits at every pool width and under every
-// valid tile geometry (the autotune config is a pure perf knob).
-//
-// The autotune cache tests pin the resolution contract: round-trip through
-// save/load preserves the geometry, corrupted / wrong-schema / wrong-ISA
-// files are rejected (loader returns false, config untouched), and only a
-// cache $LRA_AUTOTUNE_CACHE names is ever read.
+// itself be deterministic — same bits at every pool width.
 
 #include <gtest/gtest.h>
 
 #include <cfloat>
 #include <cmath>
-#include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
@@ -63,13 +52,6 @@ class VariantGuard {
 
  private:
   KernelVariant saved_;
-};
-
-// Restores the default autotune resolution on exit so config experiments
-// cannot leak into other tests.
-class ConfigGuard {
- public:
-  ~ConfigGuard() { reset_kernel_config(); }
 };
 
 const int kWidths[] = {1, 2, 8};
@@ -181,7 +163,7 @@ TEST(KernelsSimdTest, StrictGemmBitwiseIdenticalOnRemainderShapes) {
   PoolGuard pool;
   VariantGuard variant;
   // Below one vector, straddling the vector width, straddling the micro-tile
-  // strip (mr = mv * width, up to 16), and straddling the mc/kc panel edges.
+  // strip (mr = mv * width, 8 on AVX2), and straddling the mc/kc panel edges.
   const Index small[] = {1, 3, 7, 8, 9};
   for (Index m : small)
     for (Index n : small)
@@ -206,7 +188,7 @@ struct NarrowShape {
 
 NarrowShape narrow_shape() {
   const KernelConfig& cfg = kernel_config();
-  return {.m = 4 * cfg.gemm.mc + 13, .k = cfg.gemm.kc + 9};
+  return {.m = 4 * cfg.mc + 13, .k = cfg.kc + 9};
 }
 
 TEST(KernelsSimdTest, StrictGemmBitwiseIdenticalOnTallNarrowShapes) {
@@ -223,11 +205,9 @@ TEST(KernelsSimdTest, StrictSparseKernelsBitwiseIdenticalAcrossWidths) {
   for (Index cols : {3, 4, 5, 8, 9}) {
     const Matrix b = Matrix::gaussian(a.cols(), cols, 21);
     const Matrix bt = Matrix::gaussian(a.rows(), cols, 22);
-    const Matrix left = Matrix::gaussian(cols, a.rows(), 23);
 
     const Matrix ref_mm = ref::spmm(a, b);
     const Matrix ref_tm = ref::spmm_t(a, bt);
-    const Matrix ref_dc = ref::dense_times_csc(left, a);
 
     set_kernel_variant(KernelVariant::kSimdStrict);
     for (int w : kWidths) {
@@ -236,8 +216,6 @@ TEST(KernelsSimdTest, StrictSparseKernelsBitwiseIdenticalAcrossWidths) {
           << "strict spmm cols=" << cols << " width=" << w;
       EXPECT_TRUE(bits_equal(ref_tm, spmm_t(a, bt)))
           << "strict spmm_t cols=" << cols << " width=" << w;
-      EXPECT_TRUE(bits_equal(ref_dc, dense_times_csc(left, a)))
-          << "strict dense_times_csc cols=" << cols << " width=" << w;
     }
   }
 }
@@ -296,23 +274,18 @@ TEST(KernelsSimdTest, SimdSparseKernelsWithinUlpBoundOfReference) {
   const CscMatrix aa = abs_csc(a);
   const Matrix b = Matrix::gaussian(a.cols(), 8, 21);
   const Matrix bt = Matrix::gaussian(a.rows(), 8, 22);
-  const Matrix left = Matrix::gaussian(8, a.rows(), 23);
 
   const Matrix ref_mm = ref::spmm(a, b);
   const Matrix ref_tm = ref::spmm_t(a, bt);
-  const Matrix ref_dc = ref::dense_times_csc(left, a);
   const Matrix abs_mm = ref::spmm(aa, abs_matrix(b));
   const Matrix abs_tm = ref::spmm_t(aa, abs_matrix(bt));
-  const Matrix abs_dc = ref::dense_times_csc(abs_matrix(left), aa);
 
   set_kernel_variant(KernelVariant::kSimd);
   ThreadPool::global().set_num_threads(2);
   // Reduction lengths per element: spmm sums over a row's nonzeros, spmm_t
-  // and dense_times_csc over a column's.
+  // over a column's.
   expect_ulp_close(ref_mm, abs_mm, spmm(a, b), max_row_nnz(a), "spmm");
   expect_ulp_close(ref_tm, abs_tm, spmm_t(a, bt), max_col_nnz(a), "spmm_t");
-  expect_ulp_close(ref_dc, abs_dc, dense_times_csc(left, a), max_col_nnz(a),
-                   "dense_times_csc");
 }
 
 TEST(KernelsSimdTest, SimdGemmPropagatesNanAndInf) {
@@ -336,21 +309,17 @@ TEST(KernelsSimdTest, SimdGemmPropagatesNanAndInf) {
   }
 }
 
-TEST(KernelsSimdTest, SimdBitsInvariantAcrossWidthsAndTileConfigs) {
+TEST(KernelsSimdTest, SimdBitsInvariantAcrossWidths) {
   PoolGuard pool;
   VariantGuard variant;
-  ConfigGuard config;
   set_kernel_variant(KernelVariant::kSimd);
   const Index m = 67, n = 33, k = 129;
   const Matrix a = Matrix::gaussian(m, k, 41);
   const Matrix b = Matrix::gaussian(k, n, 42);
-  const CscMatrix sa = sparse_matrix(300, 43);
-  const Matrix left = Matrix::gaussian(16, sa.rows(), 44);
 
   ThreadPool::global().set_num_threads(1);
   Matrix c_ref(m, n);
   gemm(c_ref, a, b);
-  const Matrix d_ref = dense_times_csc(left, sa);
 
   // Pool width must not change bits (edge tiles use the same scalar fma
   // chain as interior vectors, so work slicing is invisible).
@@ -359,36 +328,6 @@ TEST(KernelsSimdTest, SimdBitsInvariantAcrossWidthsAndTileConfigs) {
     Matrix c(m, n);
     gemm(c, a, b);
     EXPECT_TRUE(bits_equal(c_ref, c)) << "gemm width=" << w;
-    EXPECT_TRUE(bits_equal(d_ref, dense_times_csc(left, sa)))
-        << "dtc width=" << w;
-  }
-
-  // Nor must the tile geometry: every valid config sums the same terms in
-  // the same per-element order.
-  const int width = simd::simd_width();
-  struct Cand {
-    int mc, kc, mv, nr, ib;
-  };
-  const Cand cands[] = {{64, 128, 1, 4, 2 * width},
-                        {128, 64, 2, 6, 4 * width},
-                        {256, 384, 4, 4, 8 * width},
-                        {32, 8, 1, 8, 1}};
-  for (const Cand& cd : cands) {
-    KernelConfig cfg = default_kernel_config();
-    cfg.gemm.mc = cd.mc;
-    cfg.gemm.kc = cd.kc;
-    cfg.gemm.mv = cd.mv;
-    cfg.gemm.nr = cd.nr;
-    cfg.dtc.ib = cd.ib;
-    std::string err;
-    ASSERT_TRUE(set_kernel_config(cfg, &err)) << err;
-    Matrix c(m, n);
-    gemm(c, a, b);
-    EXPECT_TRUE(bits_equal(c_ref, c))
-        << "gemm mc=" << cd.mc << " kc=" << cd.kc << " mv=" << cd.mv
-        << " nr=" << cd.nr;
-    EXPECT_TRUE(bits_equal(d_ref, dense_times_csc(left, sa)))
-        << "dtc ib=" << cd.ib;
   }
 }
 
@@ -419,179 +358,6 @@ TEST(KernelsSimdTest, SimdBitsInvariantAcrossWidthsOnTallNarrowShapes) {
       expect_ulp_close(ref, absref, want, s.k, t.name);
     }
   }
-}
-
-TEST(KernelsSimdTest, DtcPanelRemainders) {
-  // Dense-operand row counts around every panel boundary the packed kernel
-  // can hit: below one vector, straddling vectors, straddling the default
-  // panel height (8 * width, up to 32) and beyond it.
-  PoolGuard pool;
-  VariantGuard variant;
-  const CscMatrix a = sparse_matrix(300, 51);
-  const CscMatrix aa = abs_csc(a);
-  const Index keff = max_col_nnz(a);
-  for (Index m : {1, 5, 8, 31, 32, 33, 67}) {
-    const Matrix left = Matrix::gaussian(m, a.rows(), 52);
-    const Matrix want = ref::dense_times_csc(left, a);
-    const Matrix absref = ref::dense_times_csc(abs_matrix(left), aa);
-    set_kernel_variant(KernelVariant::kSimdStrict);
-    EXPECT_TRUE(bits_equal(want, dense_times_csc(left, a)))
-        << "strict dtc m=" << m;
-    set_kernel_variant(KernelVariant::kSimd);
-    expect_ulp_close(want, absref, dense_times_csc(left, a), keff, "dtc");
-  }
-}
-
-// --- autotune cache --------------------------------------------------------
-
-std::string temp_path(const char* name) {
-  return testing::TempDir() + name;
-}
-
-TEST(KernelsSimdTest, AutotuneCacheRoundTrips) {
-  ConfigGuard config;
-  const std::string path = temp_path("lra_autotune_rt.json");
-  KernelConfig cfg = default_kernel_config();
-  cfg.gemm.mc = 64;
-  cfg.gemm.kc = 128;
-  cfg.gemm.mv = 1;
-  cfg.gemm.nr = 8;
-  cfg.dtc.ib = 2 * simd::simd_width();
-  std::string err;
-  ASSERT_TRUE(save_kernel_config_file(path, cfg, &err)) << err;
-  KernelConfig back;
-  ASSERT_TRUE(load_kernel_config_file(path, &back, &err)) << err;
-  EXPECT_EQ(back.gemm.mc, cfg.gemm.mc);
-  EXPECT_EQ(back.gemm.kc, cfg.gemm.kc);
-  EXPECT_EQ(back.gemm.mv, cfg.gemm.mv);
-  EXPECT_EQ(back.gemm.nr, cfg.gemm.nr);
-  EXPECT_EQ(back.dtc.ib, cfg.dtc.ib);
-  EXPECT_EQ(back.source, path);  // loaded configs carry their origin
-  std::remove(path.c_str());
-}
-
-TEST(KernelsSimdTest, AutotuneCacheInWorkingDirectoryIsNotRead) {
-  // `lra_cli tune` writes lra_autotune.json into the working directory by
-  // default; without $LRA_AUTOTUNE_CACHE naming it, a valid cache there must
-  // not change the geometry of a later run.
-  ConfigGuard config;
-  const char* env = std::getenv(kAutotuneEnvVar);
-  const std::string saved_env = env != nullptr ? env : "";
-  unsetenv(kAutotuneEnvVar);
-  const std::filesystem::path saved_cwd = std::filesystem::current_path();
-  const std::filesystem::path dir = temp_path("lra_autotune_cwd");
-  std::filesystem::create_directories(dir);
-  std::filesystem::current_path(dir);
-
-  KernelConfig cfg = default_kernel_config();
-  cfg.gemm.mc = 64;
-  cfg.gemm.kc = 128;
-  cfg.gemm.mv = 1;
-  cfg.gemm.nr = 8;
-  std::string err;
-  ASSERT_TRUE(save_kernel_config_file(kAutotuneDefaultFile, cfg, &err)) << err;
-  KernelConfig back;
-  ASSERT_TRUE(load_kernel_config_file(kAutotuneDefaultFile, &back, &err))
-      << err;  // a cache the environment could name
-  reset_kernel_config();
-  const KernelConfig active = kernel_config();
-
-  std::filesystem::current_path(saved_cwd);
-  std::filesystem::remove_all(dir);
-  if (env != nullptr) setenv(kAutotuneEnvVar, saved_env.c_str(), 1);
-
-  const KernelConfig defaults = default_kernel_config();
-  EXPECT_EQ(active.source, "defaults");
-  EXPECT_EQ(active.gemm.mc, defaults.gemm.mc);
-  EXPECT_EQ(active.gemm.kc, defaults.gemm.kc);
-  EXPECT_EQ(active.gemm.mv, defaults.gemm.mv);
-  EXPECT_EQ(active.gemm.nr, defaults.gemm.nr);
-}
-
-TEST(KernelsSimdTest, AutotuneCacheRejectsCorruptAndForeignFiles) {
-  ConfigGuard config;
-  std::string err;
-  KernelConfig out;
-
-  const std::string garbled = temp_path("lra_autotune_bad.json");
-  std::ofstream(garbled) << "{\"schema\": \"lra_autotune/v1\", \"gemm\": {";
-  EXPECT_FALSE(load_kernel_config_file(garbled, &out, &err));
-  EXPECT_FALSE(err.empty());
-
-  const std::string wrong_schema = temp_path("lra_autotune_schema.json");
-  std::ofstream(wrong_schema)
-      << "{\"schema\": \"lra_autotune/v999\", \"isa\": \""
-      << simd::simd_isa_name()
-      << "\", \"gemm\": {\"mc\": 128, \"kc\": 256, \"mv\": 2, \"nr\": 4}, "
-         "\"dtc\": {\"ib\": 8}}";
-  EXPECT_FALSE(load_kernel_config_file(wrong_schema, &out, &err));
-
-  // A cache tuned on another ISA must be rejected, not silently applied.
-  const std::string wrong_isa = temp_path("lra_autotune_isa.json");
-  std::ofstream(wrong_isa)
-      << "{\"schema\": \"lra_autotune/v1\", \"isa\": \"not-this-isa\", "
-         "\"gemm\": {\"mc\": 128, \"kc\": 256, \"mv\": 2, \"nr\": 4}, "
-         "\"dtc\": {\"ib\": 8}}";
-  EXPECT_FALSE(load_kernel_config_file(wrong_isa, &out, &err));
-
-  // Geometry outside the validated ranges fails validation on load.
-  const std::string bad_geom = temp_path("lra_autotune_geom.json");
-  std::ofstream(bad_geom)
-      << "{\"schema\": \"lra_autotune/v1\", \"isa\": \""
-      << simd::simd_isa_name()
-      << "\", \"gemm\": {\"mc\": 128, \"kc\": 256, \"mv\": 9, \"nr\": 4}, "
-         "\"dtc\": {\"ib\": 8}}";
-  EXPECT_FALSE(load_kernel_config_file(bad_geom, &out, &err));
-
-  const std::string missing = temp_path("lra_autotune_missing.json");
-  EXPECT_FALSE(load_kernel_config_file(missing, &out, &err));
-
-  for (const std::string& p : {garbled, wrong_schema, wrong_isa, bad_geom})
-    std::remove(p.c_str());
-}
-
-TEST(KernelsSimdTest, AutotuneCacheRejectsDuplicateKeysAndFieldsBeyondInt) {
-  ConfigGuard config;
-  std::string err;
-  KernelConfig out;
-  const std::string path = temp_path("lra_autotune_strict.json");
-  const auto write = [&](const std::string& gemm) {
-    std::ofstream(path) << "{\"schema\": \"lra_autotune/v1\", \"isa\": \""
-                        << simd::simd_isa_name() << "\", \"gemm\": {" << gemm
-                        << "}, \"dtc\": {\"ib\": 8}}";
-  };
-  write("\"mc\": 128, \"kc\": 256, \"mv\": 2, \"nr\": 4");
-  EXPECT_TRUE(load_kernel_config_file(path, &out, &err)) << err;
-  // 2^32 + 128 would wrap to a valid 128 through a cast to int.
-  write("\"mc\": 4294967424, \"kc\": 256, \"mv\": 2, \"nr\": 4");
-  EXPECT_FALSE(load_kernel_config_file(path, &out, &err));
-  EXPECT_NE(err.find("gemm.mc"), std::string::npos) << err;
-  write("\"mc\": 128, \"kc\": 256, \"kc\": 128, \"mv\": 2, \"nr\": 4");
-  EXPECT_FALSE(load_kernel_config_file(path, &out, &err));
-  EXPECT_NE(err.find("duplicate"), std::string::npos) << err;
-  write("\"mc\": 128.5, \"kc\": 256, \"mv\": 2, \"nr\": 4");
-  EXPECT_FALSE(load_kernel_config_file(path, &out, &err));
-  std::remove(path.c_str());
-}
-
-TEST(KernelsSimdTest, SetKernelConfigRejectsInvalidGeometry) {
-  ConfigGuard config;
-  const KernelConfig before = kernel_config();
-  KernelConfig bad = default_kernel_config();
-  bad.gemm.mv = 0;
-  std::string err;
-  EXPECT_FALSE(set_kernel_config(bad, &err));
-  EXPECT_FALSE(err.empty());
-  bad = default_kernel_config();
-  bad.gemm.mc = 0;
-  EXPECT_FALSE(set_kernel_config(bad, &err));
-  bad = default_kernel_config();
-  bad.gemm.mv = 4;
-  bad.gemm.nr = 8;  // mv * nr over the register-pressure cap
-  EXPECT_FALSE(set_kernel_config(bad, &err));
-  // Rejection leaves the active config untouched.
-  EXPECT_EQ(kernel_config().gemm.mc, before.gemm.mc);
-  EXPECT_EQ(kernel_config().gemm.nr, before.gemm.nr);
 }
 
 TEST(KernelsSimdTest, RuntimeIsaQueriesAreConsistent) {

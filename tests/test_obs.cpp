@@ -20,6 +20,7 @@
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
 #include "par/simcomm.hpp"
+#include "support/autotune.hpp"
 
 namespace lra {
 namespace {
@@ -320,6 +321,14 @@ TEST(ReportTest, CommRecordFlagsInconsistency) {
   EXPECT_NE(line.find("\"consistent\":false"), std::string::npos);
   EXPECT_NE(line.find("\"violation\""), std::string::npos);
   std::remove(path.c_str());
+}
+
+TEST(ReportTest, MetaRecordCarriesBuildProvenance) {
+  const obs::JsonValue meta = obs::parse_json(obs::meta_record("test").str());
+  EXPECT_EQ(meta.string_or("type", ""), "meta");
+  EXPECT_NE(meta.string_or("build_type", ""), "");
+  EXPECT_EQ(meta.string_or("autotune", ""),
+            kernel_config_summary(kernel_config()));
 }
 
 // --- kernel breakdown "other" row never goes negative (regression) ---

@@ -44,14 +44,6 @@ TEST_P(SparseDensity, SpmmTMatchesDense) {
   testing::expect_near_matrix(spmm_t(a, b), matmul_tn(a.to_dense(), b), 1e-11);
 }
 
-TEST_P(SparseDensity, DenseTimesCscMatchesDense) {
-  const Matrix d = testing::random_matrix(7, 10, 99);
-  const CscMatrix a = CscMatrix::from_dense(d, GetParam());
-  const Matrix b = testing::random_matrix(5, 7, 100);
-  testing::expect_near_matrix(dense_times_csc(b, a), matmul(b, a.to_dense()),
-                              1e-11);
-}
-
 INSTANTIATE_TEST_SUITE_P(Densities, SparseDensity,
                          ::testing::Values(0.0, 0.4, 1.2, 3.0));
 
@@ -70,13 +62,6 @@ TEST(ResidualFro, ZeroForExactFactorization) {
   const Matrix w = testing::random_matrix(3, 9, 105);
   const CscMatrix a = CscMatrix::from_dense(matmul(h, w));
   EXPECT_NEAR(residual_fro(a, h, w), 0.0, 1e-10);
-}
-
-TEST(DenseColumns, ExtractsRange) {
-  const Matrix d = testing::random_matrix(6, 8, 106);
-  const CscMatrix a = CscMatrix::from_dense(d, 0.5);
-  testing::expect_near_matrix(dense_columns(a, 2, 6),
-                              a.to_dense().block(0, 2, 6, 4), 0.0);
 }
 
 TEST(DenseRowSubset, CompressesRows) {

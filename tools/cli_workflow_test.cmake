@@ -139,33 +139,18 @@ foreach(method randqb lu)
 endforeach()
 file(REMOVE ${mtx_threads})
 
-# Autotune leg: `tune` writes a schema-valid cache that the next invocation
-# picks up from $LRA_AUTOTUNE_CACHE (any valid geometry must leave the
-# factors byte-identical — the config is a pure perf knob).
-set(tune_cache ${WORK_DIR}/cli_test_autotune.json)
-run(${LRA_CLI} tune --quick --reps=1 --gemm-n=96 --out=${tune_cache})
-file(READ ${tune_cache} tune_contents)
-string(FIND "${tune_contents}" "lra_autotune/v1" found)
-if(found EQUAL -1)
-  message(FATAL_ERROR "tune cache is missing the schema tag:\n${tune_contents}")
-endif()
-set(fact_default ${WORK_DIR}/cli_test_tuned_default.fact)
-set(fact_tuned ${WORK_DIR}/cli_test_tuned_cache.fact)
-run(${LRA_CLI} approx --mtx=${mtx} --method=randqb --tau=1e-2
-    --kernel-variant=simd --out=${fact_default})
-set(ENV{LRA_AUTOTUNE_CACHE} ${tune_cache})
-run(${LRA_CLI} approx --mtx=${mtx} --method=randqb --tau=1e-2
-    --kernel-variant=simd --out=${fact_tuned})
-unset(ENV{LRA_AUTOTUNE_CACHE})
+# An unknown subcommand is a usage error (exit 2), not a run. `tune` names
+# the retired autotune sweep: the GEMM tile is fixed at compile time.
 execute_process(
-  COMMAND ${CMAKE_COMMAND} -E compare_files ${fact_default} ${fact_tuned}
-  RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR
-          "autotune cache changed the simd factor bits "
-          "(${fact_default} vs ${fact_tuned})")
+  COMMAND ${LRA_CLI} tune
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR "lra_cli tune exited ${rc}, expected 2:\n${out}\n${err}")
 endif()
-file(REMOVE ${fact_default} ${fact_tuned} ${tune_cache})
+string(FIND "${err}" "usage: lra_cli <" found)
+if(found EQUAL -1)
+  message(FATAL_ERROR "lra_cli tune did not print the usage line:\n${err}")
+endif()
 
 # A bad variant must be rejected with the usage exit code, not run. `naive`
 # names the reference kernels, which are test-only and not a runtime variant.

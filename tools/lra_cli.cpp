@@ -31,6 +31,9 @@
 //       (also spelled `lra_cli --repro=case.json`). Exit 0 when the oracle
 //       passes, 1 when the recorded failure reproduces; --out re-shrinks
 //       the config and writes the minimal failing variant.
+//   lra_cli verify --mtx=a.mtx --fact=fact.bin
+//       Reload stored factors and report the exact achieved error; factors
+//       whose shape does not match the matrix are an error (exit 1).
 //
 //   Every subcommand accepts --threads=N to size the shared-memory kernel
 //   pool (default: LRA_NUM_THREADS or the hardware concurrency; 0 or
@@ -42,16 +45,6 @@
 //   the two-rounding chain and stays bitwise identical to the reference
 //   loops the kernel tests compare against.
 //   An unknown flag (one the subcommand never reads) is an error: exit 2.
-//   lra_cli verify --mtx=a.mtx --fact=fact.bin
-//       Reload stored factors and report the exact achieved error; factors
-//       whose shape does not match the matrix are an error (exit 1).
-//   lra_cli tune [--quick] [--reps=5] [--out=lra_autotune.json]
-//       Sweep the simd GEMM macro/micro tile shapes and the
-//       dense_times_csc row-panel height on this machine, print per-candidate
-//       GFLOP/s, and write the winner as an autotune cache (schema
-//       lra_autotune/v1). Kernels consult a cache at startup only when
-//       $LRA_AUTOTUNE_CACHE names it; the geometry changes only speed,
-//       never bits. --quick shrinks the timing problems for CI.
 
 #include <algorithm>
 #include <cstdio>
@@ -68,7 +61,6 @@
 #include "core/metrics.hpp"
 #include "core/run_record.hpp"
 #include "core/serialize.hpp"
-#include "dense/blas.hpp"
 #include "dense/svd.hpp"
 #include "gen/presets.hpp"
 #include "obs/prof/profile.hpp"
@@ -82,10 +74,8 @@
 #include "sim/shrink.hpp"
 #include "sparse/io_mm.hpp"
 #include "sparse/ops.hpp"
-#include "support/autotune.hpp"
 #include "support/cli.hpp"
 #include "support/kernel_variant.hpp"
-#include "support/simd.hpp"
 #include "support/stopwatch.hpp"
 #include "support/workspace.hpp"
 
@@ -95,8 +85,8 @@ using namespace lra;
 
 int usage() {
   std::fprintf(stderr,
-               "usage: lra_cli <generate|info|approx|profile|repro|tune"
-               "|verify> [--flags]\n"
+               "usage: lra_cli <generate|info|approx|profile|repro|verify>"
+               " [--flags]\n"
                "see the header of tools/lra_cli.cpp for details\n");
   return 2;
 }
@@ -376,109 +366,6 @@ int cmd_verify(const Cli& cli) {
   return 0;
 }
 
-// Median wall time of fn() over `reps` timed runs after one warm-up call —
-// the shared machines these sweeps run on are noisy, and the median is far
-// more stable than min or mean there.
-template <typename Fn>
-double tune_time(int reps, Fn&& fn) {
-  fn();
-  std::vector<double> samples;
-  samples.reserve(static_cast<size_t>(reps));
-  for (int r = 0; r < reps; ++r) {
-    Stopwatch clock;
-    fn();
-    samples.push_back(clock.seconds());
-  }
-  std::sort(samples.begin(), samples.end());
-  return samples[samples.size() / 2];
-}
-
-int cmd_tune(const Cli& cli) {
-  const bool quick = cli.has("quick");
-  const int reps = static_cast<int>(cli.get_int("reps", quick ? 3 : 5));
-  const std::string out_path =
-      cli.get("out", std::string(kAutotuneDefaultFile));
-  const Index gn = cli.get_int("gemm-n", quick ? 192 : 384);
-  const Index dm = cli.get_int("dtc-m", 32);
-  cli.reject_unread();
-  const int width = simd::simd_width();
-
-  std::printf("tune      : isa=%s width=%d fma=%d\n", simd::simd_isa_name(),
-              width, simd::simd_has_fma() ? 1 : 0);
-  std::printf("cpu       : %s\n", simd::cpu_model_name());
-  set_kernel_variant(KernelVariant::kSimd);
-
-  // GEMM sweep: micro-tile shapes cross macro panel sizes, scored on an nn
-  // product (the dominant solver shape). Every candidate computes identical
-  // bits — the geometry is a pure perf knob — so the sweep only times them.
-  const Matrix ga = Matrix::gaussian(gn, gn, 11);
-  const Matrix gb = Matrix::gaussian(gn, gn, 12);
-  Matrix gc(gn, gn);
-  const double gflop = 2.0 * static_cast<double>(gn) * gn * gn;
-  struct MicroShape {
-    int mv, nr;
-  };
-  // Must stay in sync with the instantiated micro-kernel table in
-  // dense/blas.cpp; shapes outside it silently fall back to 2x4 there.
-  const MicroShape shapes[] = {{1, 4}, {2, 4}, {3, 4}, {4, 4},
-                               {1, 8}, {2, 6}, {2, 8}};
-  KernelConfig best = default_kernel_config();
-  double best_gf = 0.0;
-  for (const MicroShape& sh : shapes) {
-    for (const int mc : {64, 128, 256}) {
-      for (const int kc : {128, 256, 384}) {
-        KernelConfig cand = default_kernel_config();
-        const int mr = sh.mv * width;
-        cand.gemm.mv = sh.mv;
-        cand.gemm.nr = sh.nr;
-        cand.gemm.kc = kc;
-        cand.gemm.mc = std::max(mr, mc - mc % mr);
-        if (!set_kernel_config(cand)) continue;
-        const double gf =
-            gflop / tune_time(reps, [&] { gemm(gc, ga, gb); }) * 1e-9;
-        std::printf("  gemm mv=%d nr=%d mc=%-4d kc=%-4d %7.2f GF/s\n", sh.mv,
-                    sh.nr, cand.gemm.mc, kc, gf);
-        if (gf > best_gf) {
-          best_gf = gf;
-          best.gemm = cand.gemm;
-        }
-      }
-    }
-  }
-
-  // dense_times_csc sweep: row-panel heights on a synthetic sparse probe
-  // shaped like the solver's B * A products (short dense operand).
-  const CscMatrix sa = make_preset("M2", quick ? 0.125 : 0.25).a;
-  const Matrix db = Matrix::gaussian(dm, sa.rows(), 13);
-  Matrix dc;
-  const double dflop = 2.0 * static_cast<double>(sa.nnz()) * dm;
-  double best_dgf = 0.0;
-  for (const int ibw : {2, 4, 8}) {
-    KernelConfig cand = best;
-    cand.dtc.ib = ibw * width;
-    if (!set_kernel_config(cand)) continue;
-    const double gf =
-        dflop / tune_time(reps, [&] { dense_times_csc_into(dc, db, sa); }) *
-        1e-9;
-    std::printf("  dtc ib=%-3d %7.2f GF/s\n", cand.dtc.ib, gf);
-    if (gf > best_dgf) {
-      best_dgf = gf;
-      best.dtc = cand.dtc;
-    }
-  }
-
-  best.source = "tune";
-  std::string err;
-  if (!save_kernel_config_file(out_path, best, &err)) {
-    std::fprintf(stderr, "tune: %s\n", err.c_str());
-    return 1;
-  }
-  std::printf("winner    : %s (gemm %.2f GF/s, dtc %.2f GF/s)\n",
-              kernel_config_summary(best).c_str(), best_gf, best_dgf);
-  std::printf("cache     -> %s\n", out_path.c_str());
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -513,7 +400,6 @@ int main(int argc, char** argv) {
     if (cmd == "approx") return cmd_approx(cli);
     if (cmd == "profile") return cmd_profile(cli);
     if (cmd == "repro") return cmd_repro(cli);
-    if (cmd == "tune") return cmd_tune(cli);
     if (cmd == "verify") return cmd_verify(cli);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
