@@ -164,12 +164,10 @@ void gemm_tn_strict(Matrix& c, const Matrix& a, const Matrix& b,
 // the kFma template flag:
 //
 //   simd         kFma = simd::kHasFma. Each multiply-add is a single-rounding
-//                fused op (vector fmadd in full tiles, scalar std::fma in
-//                edge tiles — the SAME rounding, so an element's bits do not
-//                depend on which path computed it). NOT bitwise comparable
-//                to the reference kernels (tests/reference_kernels.hpp);
-//                gated by the ULP bound in bench_kernels and
-//                test_kernels_simd.
+//                fused op. NOT bitwise comparable to the reference kernels
+//                (tests/reference_kernels.hpp); gated by the ULP bound in
+//                bench_kernels and test_kernels_simd, and pinned exactly by
+//                the scalar chain emulation there (ref::simd_chain_gemm).
 //   simd-strict  kFma = false. Every multiply-add is the two-rounding
 //                round(round(a*b) + c) chain of the reference kernels, so for
 //                the nn/nt drivers each element reproduces their bits exactly
@@ -208,11 +206,16 @@ inline double scalar_madd(double a, double b, double c) {
   return kFma ? std::fma(a, b, c) : a * b + c;
 }
 
-// Full (MV*width x NR) register tile over one packed A strip.
+Index round_up(Index x, Index to) { return (x + to - 1) / to * to; }
+
+// (MV*width x NR) register tile over one packed A strip and one packed B
+// micro-panel, on the C block at c (column stride ldc). The B values arrive
+// already multiplied by alpha, so each term is one broadcast from memory and
+// one multiply-add, fmadd(a, alpha * b, c): the B term of every chain is the
+// rounded alpha * b wherever it is formed.
 template <int MV, int NR, bool kFma>
 void micro_simd(Index kc, const double* LRA_RESTRICT ap,
-                const double* const* bcols, double alpha,
-                double* const* ccols) {
+                const double* LRA_RESTRICT bp, double* c, Index ldc) {
   using simd::VecD;
   constexpr int kW = simd::kWidth;
   constexpr Index kStride = MV * kW;
@@ -220,15 +223,16 @@ void micro_simd(Index kc, const double* LRA_RESTRICT ap,
   LRA_UNROLL
   for (int j = 0; j < NR; ++j)
     LRA_UNROLL
-    for (int v = 0; v < MV; ++v) acc[j][v] = VecD::load(ccols[j] + v * kW);
+    for (int v = 0; v < MV; ++v) acc[j][v] = VecD::load(c + j * ldc + v * kW);
   for (Index p = 0; p < kc; ++p) {
     const double* LRA_RESTRICT as = ap + p * kStride;
+    const double* LRA_RESTRICT bs = bp + p * NR;
     VecD av[MV];
     LRA_UNROLL
     for (int v = 0; v < MV; ++v) av[v] = VecD::load(as + v * kW);
     LRA_UNROLL
     for (int j = 0; j < NR; ++j) {
-      const VecD w = VecD::broadcast(alpha * bcols[j][p]);
+      const VecD w = VecD::broadcast(bs[j]);
       LRA_UNROLL
       for (int v = 0; v < MV; ++v)
         acc[j][v] = kFma ? simd::fmadd(av[v], w, acc[j][v])
@@ -238,50 +242,26 @@ void micro_simd(Index kc, const double* LRA_RESTRICT ap,
   LRA_UNROLL
   for (int j = 0; j < NR; ++j)
     LRA_UNROLL
-    for (int v = 0; v < MV; ++v) acc[j][v].store(ccols[j] + v * kW);
+    for (int v = 0; v < MV; ++v) acc[j][v].store(c + j * ldc + v * kW);
 }
 
-// Edge tile (mr x nr with mr < kMr or nr < kNr): scalar loop with the same
-// per-term expression as the vector tile, so edge and interior elements
-// carry identical bits in both flavours.
+// Edge tile (mr < kMr rows or nr < kNr columns): the same vector
+// micro-kernel on a zero-padded copy of the C tile. The packed A strip and B
+// micro-panel are zero-padded too, so every element inside mr x nr runs the
+// full tile's chain; the padding lanes are computed and dropped.
 template <bool kFma>
-void micro_edge_simd(Index kc, Index mr, Index nr,
-                     const double* LRA_RESTRICT ap, const double* const* bcols,
-                     double alpha, double* const* ccols) {
-  double acc[kNr][kMr];
-  for (Index jj = 0; jj < nr; ++jj)
-    for (Index r = 0; r < mr; ++r) acc[jj][r] = ccols[jj][r];
-  for (Index p = 0; p < kc; ++p) {
-    const double* LRA_RESTRICT as = ap + p * kMr;
-    for (Index jj = 0; jj < nr; ++jj) {
-      const double w = alpha * bcols[jj][p];
-      for (Index r = 0; r < mr; ++r)
-        acc[jj][r] = scalar_madd<kFma>(as[r], w, acc[jj][r]);
-    }
-  }
-  for (Index jj = 0; jj < nr; ++jj)
-    for (Index r = 0; r < mr; ++r) ccols[jj][r] = acc[jj][r];
+void micro_edge(Index kc, Index mr, Index nr, const double* LRA_RESTRICT ap,
+                const double* LRA_RESTRICT bp, double* c, Index ldc) {
+  alignas(64) double tile[kNr * kMr] = {};
+  for (Index j = 0; j < nr; ++j)
+    for (Index r = 0; r < mr; ++r) tile[j * kMr + r] = c[j * ldc + r];
+  micro_simd<kTile.mv, kTile.nr, kFma>(kc, ap, bp, tile, kMr);
+  for (Index j = 0; j < nr; ++j)
+    for (Index r = 0; r < mr; ++r) c[j * ldc + r] = tile[j * kMr + r];
 }
 
-// Pack `nr` rows (j0..j0+nr-1) of B's k0:k1 slab into contiguous per-row
-// arrays so the micro-kernels can walk them with unit stride. B(j..j+nr-1, p)
-// is a contiguous run of B's column p, so each depth reads one short run.
-void pack_b_rows(double* LRA_RESTRICT dst, const Matrix& b, Index j0,
-                 Index nr, Index k0, Index k1) {
-  const Index kc = k1 - k0;
-  const Index ldb = b.rows();
-  // Row-outer order: each destination row is a contiguous write stream, and
-  // the strided source lines stay cached across consecutive rows.
-  for (Index jj = 0; jj < nr; ++jj) {
-    const double* q = b.data() + j0 + jj;
-    double* LRA_RESTRICT d = dst + jj * kc;
-    for (Index p = 0; p < kc; ++p) d[p] = q[(k0 + p) * ldb];
-  }
-}
-
-// B-row panel width for the nt path: rows jb0..jb0+kGemmJb of the current
-// k-slab are packed once and reused across every A-panel, so each B element
-// is repacked only once per k-slab instead of once per (i0, j) tile.
+// B-column panel width: columns jb0..jb0+kGemmJb of op(B)'s current k-slab
+// are packed once and reused across every A panel.
 constexpr Index kGemmJb = 256;
 
 // Pack A(i0:i1, k0:k1) strip-major: strips of kMr rows, rows past i1 padded
@@ -299,12 +279,29 @@ void pack_a_panel(double* LRA_RESTRICT dst, const Matrix& a, Index i0,
   }
 }
 
+// Pack alpha * op(B)(k0:k1, j0:j1) into kNr-column micro-panels, p-major
+// within each: panel q holds columns j0 + q*kNr onward, entry (p, jj) at
+// dst[q*kc*kNr + p*kNr + jj], columns past j1 zero. op(B)(p, j) is B(p, j)
+// for nn, a run of column j; for nt (kBT) it is B(j, p), so each depth reads
+// nr contiguous values of B's column p.
+template <bool kBT>
+void pack_b_panel(double* LRA_RESTRICT dst, const Matrix& b, Index j0,
+                  Index j1, Index k0, Index k1, double alpha) {
+  for (Index j = j0; j < j1; j += kNr) {
+    const Index nr = std::min(kNr, j1 - j);
+    for (Index p = k0; p < k1; ++p) {
+      for (Index jj = 0; jj < nr; ++jj)
+        dst[jj] = alpha * (kBT ? b(j + jj, p) : b(p, j + jj));
+      for (Index jj = nr; jj < kNr; ++jj) dst[jj] = 0.0;
+      dst += kNr;
+    }
+  }
+}
+
 // Shared simd nn / nt driver, tiled over output rows/columns with the
-// compiled geometry. The only difference between the transposes is how a
-// column tile's B values are fetched: nn reads B's columns directly, nt
-// (kBT) packs a kGemmJb-row panel of B into contiguous scratch first.
-// Packing does not touch the accumulation chain, so the determinism argument
-// above covers both.
+// compiled geometry; the transposes differ only in how B is packed. Packing
+// does not touch the accumulation chain, so the determinism argument above
+// covers both.
 //
 // The work is split over threads by output columns, except for narrow
 // products (n <= kGemmJb, one B panel: the randomized solvers' m x K times
@@ -317,40 +314,36 @@ void gemm_nn_nt_simd(Matrix& c, const Matrix& a, const Matrix& b,
                      double alpha) {
   const Index m = a.rows(), k = a.cols();
   const Index n = kBT ? b.rows() : b.cols();
+  const Index ldc = c.rows();
   // C(ilo:ihi, jlo:jhi); ilo is a multiple of kMr.
   const auto block = [&](Index ilo, Index ihi, Index jlo, Index jhi) {
+    // Pack buffers sized to this block's product, capped at one tile.
+    const Index kcap = std::min(kKc, k);
     Workspace::Scope scope;
-    double* pack = scope.doubles(static_cast<std::size_t>(kMc) * kKc);
-    double* bpack =
-        kBT ? scope.doubles(static_cast<std::size_t>(kGemmJb) * kKc)
-            : nullptr;
+    double* apack = scope.doubles(static_cast<std::size_t>(
+        round_up(std::min(kMc, ihi - ilo), kMr) * kcap));
+    double* bpack = scope.doubles(static_cast<std::size_t>(
+        round_up(std::min(kGemmJb, jhi - jlo), kNr) * kcap));
     for (Index k0 = 0; k0 < k; k0 += kKc) {
       const Index k1 = std::min(k0 + kKc, k);
       const Index kc = k1 - k0;
       for (Index jb0 = jlo; jb0 < jhi; jb0 += kGemmJb) {
         const Index jb1 = std::min(jb0 + kGemmJb, jhi);
-        if (kBT) pack_b_rows(bpack, b, jb0, jb1 - jb0, k0, k1);
+        pack_b_panel<kBT>(bpack, b, jb0, jb1, k0, k1, alpha);
         for (Index i0 = ilo; i0 < ihi; i0 += kMc) {
           const Index i1 = std::min(i0 + kMc, ihi);
-          pack_a_panel(pack, a, i0, i1, k0, k1);
+          pack_a_panel(apack, a, i0, i1, k0, k1);
           for (Index j = jb0; j < jb1; j += kNr) {
             const Index nr = std::min(kNr, jb1 - j);
-            const double* bcols[kNr];
-            double* ccols[kNr];
-            for (Index jj = 0; jj < nr; ++jj)
-              bcols[jj] = kBT ? bpack + (j - jb0 + jj) * kc
-                              : b.col(j + jj) + k0;
-            Index s = 0;
-            for (Index is = i0; is < i1; is += kMr, ++s) {
+            const double* bp = bpack + (j - jb0) * kc;
+            const double* ap = apack;
+            for (Index is = i0; is < i1; is += kMr, ap += kc * kMr) {
               const Index mr = std::min(kMr, i1 - is);
-              const double* ap = pack + s * kc * kMr;
-              for (Index jj = 0; jj < nr; ++jj)
-                ccols[jj] = c.col(j + jj) + is;
+              double* cp = c.col(j) + is;
               if (mr == kMr && nr == kNr) {
-                micro_simd<kTile.mv, kTile.nr, kFma>(kc, ap, bcols, alpha,
-                                                     ccols);
+                micro_simd<kTile.mv, kTile.nr, kFma>(kc, ap, bp, cp, ldc);
               } else {
-                micro_edge_simd<kFma>(kc, mr, nr, ap, bcols, alpha, ccols);
+                micro_edge<kFma>(kc, mr, nr, ap, bp, cp, ldc);
               }
             }
           }
@@ -361,99 +354,121 @@ void gemm_nn_nt_simd(Matrix& c, const Matrix& a, const Matrix& b,
   split_c(m, k, n, kMr, n <= kGemmJb, block);
 }
 
-// Canonical vectorized dot: one width-wide accumulator over ascending p, the
-// fixed-order horizontal sum, then the scalar tail. Every simd tn element —
-// interior tile or edge — reduces k through exactly this chain, so the bits
-// are invariant under tiling and thread slicing. (Lane accumulators
-// re-associate the reduction, which is why simd-strict routes tn through the
-// scalar gemm_tn_strict instead.)
-template <bool kFma>
-double simd_dot(Index k, const double* LRA_RESTRICT x,
-                const double* LRA_RESTRICT y) {
-  using simd::VecD;
-  constexpr int kW = simd::kWidth;
-  VecD acc = VecD::zero();
-  Index p = 0;
-  for (; p + kW <= k; p += kW)
-    acc = kFma ? simd::fmadd(VecD::load(x + p), VecD::load(y + p), acc)
-               : simd::madd(VecD::load(x + p), VecD::load(y + p), acc);
-  double s = simd::hsum_ordered(acc);
-  for (; p < k; ++p) s = scalar_madd<kFma>(x[p], y[p], s);
-  return s;
-}
+// The simd tn chain of one element C(i, j) += alpha * dot(A(:, i), B(:, j)):
+// width lane accumulators from zero over p < kv (lane l takes p = l mod
+// width, one multiply-add per term, ascending), the fixed-order horizontal
+// sum, then the scalar tail p >= kv, then one scaled accumulate. (Lane
+// accumulators re-associate the reduction, which is why simd-strict routes
+// tn through the scalar gemm_tn_strict instead.)
+//
+// The register tile is kTnMr columns of A by up to 3 of B over k-slabs of
+// kTnKc: a slab of a kTnMr-column strip of A (8 KB) stays in L1 while the
+// tile walks every column of B, and the lane accumulators wait in a
+// per-strip buffer between slabs. Slab edges are multiples of the width, so
+// every lane still sees its terms in ascending order, and the load/store
+// round-trip between slabs is exact: the chain is the one above, whatever
+// the tile, the slab or the thread count.
+constexpr Index kTnMr = 4;
+constexpr Index kTnNr = 3;
+constexpr Index kTnKc = 256;
+static_assert(kTnKc % simd::kWidth == 0,
+              "tn slab edges must fall on lane boundaries");
 
-// 4x2 tn register tile: eight independent simd_dot chains sharing the a/b
-// vector loads. Element (i, j) computes bit-identical to simd_dot(k, a_i,
-// b_j) by construction.
-template <bool kFma>
-void micro_tn_simd(Index k, const double* LRA_RESTRICT a0,
-                   const double* LRA_RESTRICT a1, const double* LRA_RESTRICT a2,
-                   const double* LRA_RESTRICT a3, const double* LRA_RESTRICT b0,
-                   const double* LRA_RESTRICT b1, double alpha,
-                   double* LRA_RESTRICT c0, double* LRA_RESTRICT c1) {
+// MR x NC tile over the slab [p0, p1) of the vector part. Column i of the
+// tile is A's column a + i*lda, column j is B's column b + j*ldb; the lane
+// accumulator of element (i, j) sits at acc + (j*kTnMr + i) * width.
+template <int MR, int NC, bool kFma>
+void micro_tn_slab(Index p0, Index p1, const double* LRA_RESTRICT a, Index lda,
+                   const double* LRA_RESTRICT b, Index ldb,
+                   double* LRA_RESTRICT acc) {
   using simd::VecD;
   constexpr int kW = simd::kWidth;
-  const double* acols[4] = {a0, a1, a2, a3};
-  VecD acc[4][2];
+  VecD s[MR][NC];
   LRA_UNROLL
-  for (int i = 0; i < 4; ++i)
+  for (int i = 0; i < MR; ++i)
     LRA_UNROLL
-    for (int j = 0; j < 2; ++j) acc[i][j] = VecD::zero();
-  Index p = 0;
-  for (; p + kW <= k; p += kW) {
-    const VecD bv0 = VecD::load(b0 + p);
-    const VecD bv1 = VecD::load(b1 + p);
+    for (int j = 0; j < NC; ++j)
+      s[i][j] = VecD::load(acc + (j * kTnMr + i) * kW);
+  for (Index p = p0; p < p1; p += kW) {
+    VecD bv[NC];
     LRA_UNROLL
-    for (int i = 0; i < 4; ++i) {
-      const VecD av = VecD::load(acols[i] + p);
-      acc[i][0] = kFma ? simd::fmadd(av, bv0, acc[i][0])
-                       : simd::madd(av, bv0, acc[i][0]);
-      acc[i][1] = kFma ? simd::fmadd(av, bv1, acc[i][1])
-                       : simd::madd(av, bv1, acc[i][1]);
+    for (int j = 0; j < NC; ++j) bv[j] = VecD::load(b + j * ldb + p);
+    LRA_UNROLL
+    for (int i = 0; i < MR; ++i) {
+      const VecD av = VecD::load(a + i * lda + p);
+      LRA_UNROLL
+      for (int j = 0; j < NC; ++j)
+        s[i][j] = kFma ? simd::fmadd(av, bv[j], s[i][j])
+                       : simd::madd(av, bv[j], s[i][j]);
     }
   }
-  double s[4][2];
-  for (int i = 0; i < 4; ++i)
-    for (int j = 0; j < 2; ++j) s[i][j] = simd::hsum_ordered(acc[i][j]);
-  for (; p < k; ++p) {
-    const double bv0 = b0[p], bv1 = b1[p];
-    for (int i = 0; i < 4; ++i) {
-      const double av = acols[i][p];
-      s[i][0] = scalar_madd<kFma>(av, bv0, s[i][0]);
-      s[i][1] = scalar_madd<kFma>(av, bv1, s[i][1]);
-    }
-  }
-  for (int i = 0; i < 4; ++i) {
-    c0[i] += alpha * s[i][0];
-    c1[i] += alpha * s[i][1];
+  LRA_UNROLL
+  for (int i = 0; i < MR; ++i)
+    LRA_UNROLL
+    for (int j = 0; j < NC; ++j) s[i][j].store(acc + (j * kTnMr + i) * kW);
+}
+
+// One slab of MR rows of C against columns jlo..jhi, in kTnNr-column tiles
+// and one narrower tile for the last 1 or 2 columns.
+static_assert(kTnNr == 3, "tn_slab_row's edge tiles cover 1 or 2 columns");
+template <int MR, bool kFma>
+void tn_slab_row(Index p0, Index p1, const double* a, Index lda,
+                 const Matrix& b, Index jlo, Index jhi, double* acc) {
+  constexpr Index kStep = kTnMr * simd::kWidth;
+  const Index ldb = b.rows();
+  Index j = jlo;
+  for (; j + kTnNr <= jhi; j += kTnNr)
+    micro_tn_slab<MR, kTnNr, kFma>(p0, p1, a, lda, b.col(j), ldb,
+                                   acc + (j - jlo) * kStep);
+  if (jhi - j == 2) {
+    micro_tn_slab<MR, 2, kFma>(p0, p1, a, lda, b.col(j), ldb,
+                               acc + (j - jlo) * kStep);
+  } else if (jhi - j == 1) {
+    micro_tn_slab<MR, 1, kFma>(p0, p1, a, lda, b.col(j), ldb,
+                               acc + (j - jlo) * kStep);
   }
 }
 
-// A's columns are the outer loop, so each 4-column strip of A is read from
-// memory once and reused against every column pair of B while it is cache
-// resident; A is streamed once per call, not once per column pair. The pool
-// splits C by runs of those strips (rows of C) when each thread gets one.
+// A's columns are the outer loop in kTnMr-column strips, so A is streamed
+// once per call; the pool splits C by runs of those strips (rows of C) when
+// each thread gets one, else by columns.
 template <bool kFma>
 void gemm_tn_simd(Matrix& c, const Matrix& a, const Matrix& b, double alpha) {
+  constexpr int kW = simd::kWidth;
   const Index m = a.cols(), k = a.rows(), n = b.cols();
+  const Index lda = a.rows();
+  const Index kv = k - k % kW;  // the lanes' share of every chain
   // C(ilo:ihi, jlo:jhi).
   const auto block = [&](Index ilo, Index ihi, Index jlo, Index jhi) {
-    Index i0 = ilo;
-    for (; i0 + 4 <= ihi; i0 += 4) {
-      Index j0 = jlo;
-      for (; j0 + 2 <= jhi; j0 += 2)
-        micro_tn_simd<kFma>(k, a.col(i0), a.col(i0 + 1), a.col(i0 + 2),
-                            a.col(i0 + 3), b.col(j0), b.col(j0 + 1), alpha,
-                            c.col(j0) + i0, c.col(j0 + 1) + i0);
-      for (; j0 < jhi; ++j0)
-        for (Index i = i0; i < i0 + 4; ++i)
-          c(i, j0) += alpha * simd_dot<kFma>(k, a.col(i), b.col(j0));
+    const Index nb = jhi - jlo;
+    Workspace::Scope scope;
+    double* acc = scope.doubles(static_cast<std::size_t>(nb * kTnMr * kW));
+    for (Index i0 = ilo; i0 < ihi; i0 += kTnMr) {
+      const Index mr = std::min(kTnMr, ihi - i0);
+      std::fill(acc, acc + nb * kTnMr * kW, 0.0);
+      for (Index p0 = 0; p0 < kv; p0 += kTnKc) {
+        const Index p1 = std::min(p0 + kTnKc, kv);
+        if (mr == kTnMr) {
+          tn_slab_row<kTnMr, kFma>(p0, p1, a.col(i0), lda, b, jlo, jhi, acc);
+        } else {
+          for (Index r = 0; r < mr; ++r)
+            tn_slab_row<1, kFma>(p0, p1, a.col(i0 + r), lda, b, jlo, jhi,
+                                 acc + r * kW);
+        }
+      }
+      for (Index j = jlo; j < jhi; ++j) {
+        const double* bj = b.col(j);
+        for (Index r = 0; r < mr; ++r) {
+          const double* ai = a.col(i0 + r);
+          double s = simd::hsum_ordered(
+              simd::VecD::load(acc + ((j - jlo) * kTnMr + r) * kW));
+          for (Index p = kv; p < k; ++p) s = scalar_madd<kFma>(ai[p], bj[p], s);
+          c(i0 + r, j) += alpha * s;
+        }
+      }
     }
-    for (Index j = jlo; j < jhi; ++j)
-      for (Index i = i0; i < ihi; ++i)
-        c(i, j) += alpha * simd_dot<kFma>(k, a.col(i), b.col(j));
   };
-  split_c(m, k, n, 4, true, block);
+  split_c(m, k, n, kTnMr, true, block);
 }
 
 }  // namespace

@@ -1,9 +1,12 @@
 #include "dense/matrix.hpp"
 
+#include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <cmath>
 #include <cstring>
 
+#include "par/pool.hpp"
 #include "support/rng.hpp"
 
 namespace lra {
@@ -28,9 +31,30 @@ Matrix Matrix::identity(Index n) {
 
 Matrix Matrix::gaussian(Index rows, Index cols, std::uint64_t seed,
                         std::uint64_t stream) {
+  // Entries 2t and 2t + 1 are Box-Muller pair t, which draws counters
+  // 2t + 1 and 2t + 2 unless an earlier pair rejected a u1 = 0 (probability
+  // 2^-53 per pair) and shifted the stream. Each slice seeks to its first
+  // pair and flags a rejection of its own; after any, the serial stream
+  // differs from the chunks from there on, so the matrix is redrawn
+  // serially. Either way the bits are the serial loop's.
   Matrix a(rows, cols);
-  CounterRng rng(seed, stream);
-  for (double& v : a.data_) v = rng.gaussian();
+  double* v = a.data_.data();
+  const Index n = a.size();
+  std::atomic<bool> shifted{false};
+  ThreadPool::global().parallel_ranges(
+      Index{0}, (n + 1) / 2, "gaussian", kGaussianForkElems / 2,
+      [&](Index t0, Index t1, int /*slice*/) {
+        CounterRng rng(seed, stream);
+        rng.seek(static_cast<std::uint64_t>(2 * t0));
+        for (Index i = 2 * t0; i < std::min(2 * t1, n); ++i)
+          v[i] = rng.gaussian();
+        if (rng.counter() != static_cast<std::uint64_t>(2 * t1))
+          shifted.store(true, std::memory_order_relaxed);
+      });
+  if (shifted.load()) {
+    CounterRng rng(seed, stream);
+    for (Index i = 0; i < n; ++i) v[i] = rng.gaussian();
+  }
   return a;
 }
 

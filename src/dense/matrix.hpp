@@ -21,10 +21,14 @@ class Matrix {
 
   static Matrix zeros(Index rows, Index cols) { return Matrix(rows, cols); }
   static Matrix identity(Index n);
-  /// iid standard-normal entries drawn from stream (seed, stream); the result
-  /// is independent of process/rank count (see support/rng.hpp).
+  /// iid standard-normal entries drawn from stream (seed, stream): entry i
+  /// in column-major order is the i-th CounterRng::gaussian() of that
+  /// stream, at any process/rank count (see support/rng.hpp) and any pool
+  /// width. From kGaussianForkElems entries on, pool slices fill
+  /// Box-Muller-pair-aligned chunks of the stream.
   static Matrix gaussian(Index rows, Index cols, std::uint64_t seed,
                          std::uint64_t stream = 0);
+  static constexpr Index kGaussianForkElems = Index{1} << 13;
 
   Index rows() const noexcept { return rows_; }
   Index cols() const noexcept { return cols_; }

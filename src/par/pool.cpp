@@ -1,6 +1,8 @@
 #include "par/pool.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstdio>
 #include <cstdlib>
@@ -24,6 +26,39 @@ thread_local bool tl_inside_slice = false;
 
 constexpr int kMaxThreads = 512;
 
+// How long an idle helper waits for the next job, and the caller for the
+// join, by spinning before parking on a condition variable. A solver opens
+// its regions back to back (thousands per solve), and a condition-variable
+// handoff costs ~10 us per region; spinning makes it ~1 us while the bound
+// keeps an idle pool off the CPU.
+constexpr auto kSpinWindow = std::chrono::microseconds(50);
+
+// A published job is (epoch << kSliceBits) | slices in one atomic word, so a
+// helper learns whether it takes part from the same load that tells it a
+// job is there.
+constexpr int kSliceBits = 16;
+constexpr std::uint64_t kSliceMask = (std::uint64_t{1} << kSliceBits) - 1;
+static_assert(kMaxThreads <= static_cast<int>(kSliceMask),
+              "slice count must fit the job word");
+
+inline void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_ia32_pause();
+#endif
+}
+
+// Spins until done() holds or kSpinWindow has passed; returns done().
+template <typename Done>
+bool spin_until(const Done& done) {
+  const auto deadline = std::chrono::steady_clock::now() + kSpinWindow;
+  for (unsigned i = 1;; ++i) {
+    if (done()) return true;
+    cpu_relax();
+    if (i % 64 == 0 && std::chrono::steady_clock::now() >= deadline)
+      return done();
+  }
+}
+
 }  // namespace
 
 struct ThreadPool::Impl {
@@ -31,14 +66,23 @@ struct ThreadPool::Impl {
   std::condition_variable cv_work;
   std::condition_variable cv_done;
 
-  // Current job, valid while epoch is the live one.
+  // Current job. The caller writes job/job_begin/job_end and then publishes
+  // them with a release store of `ticket` (epoch and slice count); helper w
+  // takes part when w < slices. The caller rewrites the fields only after
+  // every participant has checked out of `pending`, and a helper that sits
+  // a job out never reads them.
   const std::function<void(Index, Index, int)>* job = nullptr;
   Index job_begin = 0;
   Index job_end = 0;
-  int job_slices = 0;
-  std::uint64_t epoch = 0;
-  int pending = 0;  // helper slices still running
-  bool stopping = false;
+  std::atomic<std::uint64_t> ticket{0};
+  std::atomic<int> pending{0};  // helper slices still running
+  std::atomic<bool> stopping{false};
+
+  // Who sleeps on the condition variables, so that a handoff notifies only
+  // when someone is parked. Each side stores its flag/count and then checks
+  // the other side's word (all seq_cst), so a wakeup is never lost.
+  std::atomic<int> parked_helpers{0};
+  std::atomic<bool> caller_parked{false};
 
   std::vector<std::thread> helpers;  // workers 1 .. nthreads-1
 
@@ -54,33 +98,31 @@ struct ThreadPool::Impl {
     *hi = *lo + base + (s < rem ? 1 : 0);
   }
 
-  // `seen` starts at the epoch current when the helper was (re)started —
+  // `seen` starts at the ticket current when the helper was (re)started —
   // starting from 0 after a set_num_threads() restart would make the helper
-  // see the stale epoch of an already-finished job and chase its dangling
+  // see the stale ticket of an already-finished job and chase its dangling
   // job pointer.
   void helper_loop(int worker, std::uint64_t seen) {
+    const auto fresh = [&] { return stopping.load() || ticket.load() != seen; };
     for (;;) {
-      const std::function<void(Index, Index, int)>* fn = nullptr;
-      Index b = 0, e = 0;
-      int slices = 0;
-      {
+      if (!spin_until(fresh)) {
         std::unique_lock<std::mutex> lock(mu);
-        cv_work.wait(lock, [&] { return stopping || epoch != seen; });
-        if (stopping) return;
-        seen = epoch;
-        fn = job;
-        b = job_begin;
-        e = job_end;
-        slices = job_slices;
+        parked_helpers.fetch_add(1);
+        cv_work.wait(lock, fresh);
+        parked_helpers.fetch_sub(1);
       }
-      if (worker < slices) {
-        Index lo, hi;
-        slice_bounds(b, e, slices, worker, &lo, &hi);
-        tl_inside_slice = true;
-        (*fn)(lo, hi, worker);
-        tl_inside_slice = false;
+      if (stopping.load()) return;
+      seen = ticket.load(std::memory_order_acquire);
+      const int slices = static_cast<int>(seen & kSliceMask);
+      if (worker >= slices) continue;
+      Index lo, hi;
+      slice_bounds(job_begin, job_end, slices, worker, &lo, &hi);
+      tl_inside_slice = true;
+      (*job)(lo, hi, worker);
+      tl_inside_slice = false;
+      if (pending.fetch_sub(1) == 1 && caller_parked.load()) {
         std::lock_guard<std::mutex> lock(mu);
-        if (--pending == 0) cv_done.notify_all();
+        cv_done.notify_one();
       }
     }
   }
@@ -104,24 +146,22 @@ ThreadPool& ThreadPool::global() {
 
 void ThreadPool::start_workers(int n) {
   nthreads_ = n;
-  impl_->stopping = false;
-  const std::uint64_t epoch_now = impl_->epoch;
+  impl_->stopping.store(false);
+  const std::uint64_t ticket_now = impl_->ticket.load();
   impl_->helpers.reserve(static_cast<std::size_t>(n - 1));
   for (int w = 1; w < n; ++w)
-    impl_->helpers.emplace_back([this, w, epoch_now] {
+    impl_->helpers.emplace_back([this, w, ticket_now] {
       // Label the worker's thread_local scratch arena so per-arena workspace
       // stats are attributable; a set_num_threads() teardown folds the old
       // workers' counters into the retired tally (workspace.cpp).
       Workspace::name_current_thread("worker-" + std::to_string(w));
-      impl_->helper_loop(w, epoch_now);
+      impl_->helper_loop(w, ticket_now);
     });
 }
 
 void ThreadPool::stop_workers() {
-  {
-    std::lock_guard<std::mutex> lock(impl_->mu);
-    impl_->stopping = true;
-  }
+  impl_->stopping.store(true);
+  { std::lock_guard<std::mutex> lock(impl_->mu); }
   impl_->cv_work.notify_all();
   for (auto& t : impl_->helpers) t.join();
   impl_->helpers.clear();
@@ -161,16 +201,17 @@ void ThreadPool::run_ranges(Index begin, Index end, const char* label,
     return;
   }
 
-  {
-    std::lock_guard<std::mutex> lock(impl_->mu);
-    impl_->job = &fn;
-    impl_->job_begin = begin;
-    impl_->job_end = end;
-    impl_->job_slices = slices;
-    impl_->pending = slices - 1;
-    ++impl_->epoch;
+  impl_->job = &fn;
+  impl_->job_begin = begin;
+  impl_->job_end = end;
+  impl_->pending.store(slices - 1, std::memory_order_relaxed);
+  const std::uint64_t epoch = (impl_->ticket.load() >> kSliceBits) + 1;
+  impl_->ticket.store((epoch << kSliceBits) |
+                      static_cast<std::uint64_t>(slices));
+  if (impl_->parked_helpers.load() > 0) {
+    { std::lock_guard<std::mutex> lock(impl_->mu); }
+    impl_->cv_work.notify_all();
   }
-  impl_->cv_work.notify_all();
 
   // The caller is worker 0.
   Index lo, hi;
@@ -179,11 +220,14 @@ void ThreadPool::run_ranges(Index begin, Index end, const char* label,
   fn(lo, hi, 0);
   tl_inside_slice = false;
 
-  {
+  const auto joined = [&] { return impl_->pending.load() == 0; };
+  if (!spin_until(joined)) {
     std::unique_lock<std::mutex> lock(impl_->mu);
-    impl_->cv_done.wait(lock, [&] { return impl_->pending == 0; });
-    impl_->job = nullptr;
+    impl_->caller_parked.store(true);
+    impl_->cv_done.wait(lock, joined);
+    impl_->caller_parked.store(false);
   }
+  impl_->job = nullptr;
   record(label, clock.seconds(), slices);
 }
 

@@ -27,6 +27,15 @@
 //      on runtime timing; static slicing keeps the performance profile
 //      predictable and the partition a pure function of (range, nthreads).
 //
+//   4. *Cheap forks.* A solve opens its regions back to back, over a
+//      thousand of them, many only microseconds long. A condition-variable
+//      handoff costs ~10 us per region (wake, then join), so helpers spin on
+//      an atomic job word, and the caller on the pending count at the join,
+//      for a bounded window (50 us, a compile-time constant in pool.cpp)
+//      before parking on the condition variables; the caller notifies only
+//      parked helpers. A back-to-back empty 4-slice region then costs ~1 us,
+//      and an idle pool still sleeps.
+//
 // The worker count comes from, in priority order: set_num_threads() (the
 // --threads=N flag), the LRA_NUM_THREADS environment variable, and
 // std::thread::hardware_concurrency(). A requested count of 0 or less falls

@@ -29,6 +29,9 @@ class CounterRng {
 
   /// Skip the stream to an absolute counter position.
   void seek(std::uint64_t counter) noexcept;
+  /// The counter position: raw outputs drawn since position 0 (or since the
+  /// position given to seek()).
+  std::uint64_t counter() const noexcept { return counter_; }
 
  private:
   std::uint64_t base_;

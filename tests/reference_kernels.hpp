@@ -1,6 +1,7 @@
 #pragma once
 // Reference kernels: the seed GEMM / SpMM / SpMM^T loops that the library's
-// two kernel families are checked against, the one-column-at-a-time
+// two kernel families are checked against, a scalar emulation of the `simd`
+// GEMM chains that pins that variant exactly, the one-column-at-a-time
 // Householder loops (QR, QRCP, bidiagonalization) that the library's swept
 // reflector kernels must reproduce bit for bit, and the
 // sorting SpGEMM / Schur-update loops (a marked sparse accumulator per pool
@@ -35,6 +36,7 @@
 #include "dense/matrix.hpp"
 #include "par/pool.hpp"
 #include "sparse/csc.hpp"
+#include "support/simd.hpp"
 
 namespace lra::ref {
 
@@ -164,6 +166,56 @@ inline void gemm(Matrix& c, const Matrix& a, const Matrix& b,
     detail::gemm_nt(c, a, b, alpha);
   } else {
     detail::gemm_nn(c, a, b, alpha);
+  }
+}
+
+/// The `simd` variant's GEMM chains, one element at a time in scalar code:
+/// the width is simd::simd_width(), and each multiply-add is std::fma
+/// exactly when simd::simd_has_fma() (else the two-rounding chain). C is
+/// scaled by beta as lra::gemm scales it; then
+///   * nn / nt: one multiply-add per term in ascending k, starting from C,
+///     with the B term pre-multiplied by alpha: c = fma(a_ip, alpha * b_pj, c);
+///   * tn: W lane chains from 0.0, lane l taking p = l mod W over the first
+///     k - k mod W terms, the ordered lane sum ((l0 + l1) + l2) + l3, a
+///     multiply-add scalar tail over the rest, then one c += alpha * s.
+/// The library kernels must reproduce this bit for bit at every tile, slab
+/// and thread count.
+inline void simd_chain_gemm(Matrix& c, const Matrix& a, const Matrix& b,
+                            double alpha, double beta, Trans ta, Trans tb) {
+  assert(!(ta == Trans::kYes && tb == Trans::kYes));
+  const Index w = simd::simd_width();
+  const bool fused = simd::simd_has_fma();
+  const auto madd = [fused](double x, double y, double z) {
+    return fused ? std::fma(x, y, z) : x * y + z;
+  };
+  if (beta == 0.0) {
+    detail::zero_fill(c);
+  } else if (beta != 1.0) {
+    c.scale(beta);
+  }
+  const Index k = (ta == Trans::kNo) ? a.cols() : a.rows();
+  if (alpha == 0.0 || k == 0) return;
+  const Index kv = k - k % w;
+  std::vector<double> lane(static_cast<std::size_t>(w));
+  for (Index j = 0; j < c.cols(); ++j) {
+    for (Index i = 0; i < c.rows(); ++i) {
+      if (ta == Trans::kYes) {
+        std::fill(lane.begin(), lane.end(), 0.0);
+        for (Index p = 0; p < kv; ++p) {
+          double& l = lane[static_cast<std::size_t>(p % w)];
+          l = madd(a(p, i), b(p, j), l);
+        }
+        double s = lane[0];
+        for (Index l = 1; l < w; ++l) s += lane[static_cast<std::size_t>(l)];
+        for (Index p = kv; p < k; ++p) s = madd(a(p, i), b(p, j), s);
+        c(i, j) += alpha * s;
+      } else {
+        double s = c(i, j);
+        for (Index p = 0; p < k; ++p)
+          s = madd(a(i, p), alpha * (tb == Trans::kNo ? b(p, j) : b(j, p)), s);
+        c(i, j) = s;
+      }
+    }
   }
 }
 

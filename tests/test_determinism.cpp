@@ -1,8 +1,9 @@
 // Bitwise determinism of the solvers across pool thread counts: RandQB_EI and
 // LU_CRTP must produce *identical* factors (not just close) with 1, 2, and 8
-// pool workers, and the distributed engines must produce identical telemetry
-// structure (per-iteration indicator/rank series) because simulated ranks
-// never fork onto the pool.
+// pool workers under simd-strict, RandQB_EI and RandUBV under the default
+// simd variant too, and the distributed engines must produce identical
+// telemetry structure (per-iteration indicator/rank series) because
+// simulated ranks never fork onto the pool.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +12,7 @@
 #include "core/lu_crtp.hpp"
 #include "core/randqb_ei.hpp"
 #include "core/randqb_ei_dist.hpp"
+#include "core/randubv.hpp"
 #include "gen/givens_spray.hpp"
 #include "gen/spectrum.hpp"
 #include "par/pool.hpp"
@@ -105,6 +107,74 @@ TEST(DeterminismTest, LuCrtpFactorsIdenticalAcrossThreadCounts) {
     EXPECT_EQ(runs[i].col_perm, runs[0].col_perm);
     expect_same_csc(runs[i].l, runs[0].l, "L");
     expect_same_csc(runs[i].u, runs[0].u, "U");
+  }
+}
+
+// The default `simd` variant: its fused chains are not the reference's, but
+// they must not depend on the worker count either. The input has more than
+// 2,048 rows, so the orthonormalizations take the pool TSQR and each
+// Gaussian sketch is drawn in several pool chunks.
+class SimdVariantScope {
+ public:
+  SimdVariantScope() : saved_(kernel_variant()) {
+    set_kernel_variant(KernelVariant::kSimd);
+  }
+  ~SimdVariantScope() { set_kernel_variant(saved_); }
+
+ private:
+  KernelVariant saved_;
+};
+
+TEST(DeterminismTest, SimdRandQbEiFactorsIdenticalAcrossThreadCounts) {
+  PoolGuard guard;
+  SimdVariantScope simd;
+  const CscMatrix a = test_matrix(2100, 13);
+  RandQbOptions opts;
+  opts.block_size = 16;
+  opts.tau = 1e-4;
+  opts.max_rank = 96;
+
+  std::vector<RandQbResult> runs;
+  for (int nt : kThreadCounts) {
+    ThreadPool::global().set_num_threads(nt);
+    ThreadPool::global().reset_stats();
+    runs.push_back(randqb_ei(a, opts));
+  }
+  // The 8-worker run forked the pool TSQR and the sketch.
+  const auto stats = ThreadPool::global().kernel_stats();
+  ASSERT_TRUE(stats.count("tsqr"));
+  ASSERT_TRUE(stats.count("gaussian"));
+  EXPECT_GT(stats.at("gaussian").threads, 1);
+  for (std::size_t i = 1; i < runs.size(); ++i) {
+    EXPECT_EQ(runs[i].rank, runs[0].rank);
+    EXPECT_EQ(runs[i].iterations, runs[0].iterations);
+    EXPECT_EQ(runs[i].indicator, runs[0].indicator);  // bitwise
+    EXPECT_EQ(runs[i].q, runs[0].q) << "Q differs at nt=" << kThreadCounts[i];
+    EXPECT_EQ(runs[i].b, runs[0].b) << "B differs at nt=" << kThreadCounts[i];
+  }
+}
+
+TEST(DeterminismTest, SimdRandUbvFactorsIdenticalAcrossThreadCounts) {
+  PoolGuard guard;
+  SimdVariantScope simd;
+  const CscMatrix a = test_matrix(2100, 17);
+  RandUbvOptions opts;
+  opts.block_size = 16;
+  opts.tau = 1e-4;
+  opts.max_rank = 96;
+
+  std::vector<RandUbvResult> runs;
+  for (int nt : kThreadCounts) {
+    ThreadPool::global().set_num_threads(nt);
+    runs.push_back(randubv(a, opts));
+  }
+  for (std::size_t i = 1; i < runs.size(); ++i) {
+    EXPECT_EQ(runs[i].rank, runs[0].rank);
+    EXPECT_EQ(runs[i].iterations, runs[0].iterations);
+    EXPECT_EQ(runs[i].indicator, runs[0].indicator);  // bitwise
+    EXPECT_EQ(runs[i].u, runs[0].u) << "U differs at nt=" << kThreadCounts[i];
+    EXPECT_EQ(runs[i].b, runs[0].b) << "B differs at nt=" << kThreadCounts[i];
+    EXPECT_EQ(runs[i].v, runs[0].v) << "V differs at nt=" << kThreadCounts[i];
   }
 }
 

@@ -12,8 +12,10 @@
 // rounding per term. It is gated against the reference by the documented ULP
 // bound
 //   |simd - ref| <= 4 * k_eff * eps * (ref on |inputs|)
-// where k_eff is the reduction length actually feeding an element, and must
-// itself be deterministic — same bits at every pool width.
+// where k_eff is the reduction length actually feeding an element, must
+// itself be deterministic — same bits at every pool width — and its GEMM
+// must match the scalar emulation of its chains (ref::simd_chain_gemm)
+// bit for bit.
 
 #include <gtest/gtest.h>
 
@@ -163,9 +165,10 @@ TEST(KernelsSimdTest, StrictGemmBitwiseIdenticalOnRemainderShapes) {
   PoolGuard pool;
   VariantGuard variant;
   // Below one vector, straddling the vector width, straddling the micro-tile
-  // strip (mr = mv * width, 8 on AVX2), and straddling the mc/kc panel edges.
+  // strip (mr = mv * width, 12 on AVX2; m only), and straddling the mc/kc
+  // panel edges.
   const Index small[] = {1, 3, 7, 8, 9};
-  for (Index m : small)
+  for (Index m : {1, 3, 7, 8, 9, 11, 12, 13})
     for (Index n : small)
       for (Index k : small) check_strict_gemm_shape(m, n, k);
   check_strict_gemm_shape(261, 261, 261);
@@ -267,6 +270,64 @@ TEST(KernelsSimdTest, SimdGemmWithinUlpBoundOfReference) {
   }
 }
 
+// The exact chains: `simd` gemm against the scalar emulation of its chains
+// (ref::simd_chain_gemm), memcmp. The shapes straddle every tile edge: m mod
+// 12 (the AVX2 strip of mv = 3 vectors) from 1 to 11 across the mc = 120
+// panel edge, n with n mod 4 and n mod 3 both nonzero (the nn/nt micro-tile
+// and the tn tile widths), k on both sides of the tn slab (256) and the kc
+// slab (384), a one-strip m (column split) and an n past one B panel.
+TEST(KernelsSimdTest, SimdGemmMatchesChainEmulationBitwise) {
+  PoolGuard pool;
+  VariantGuard variant;
+  set_kernel_variant(KernelVariant::kSimd);
+  const Index ks[] = {3, 255, 256, 257, 383, 384, 385, 769};
+  const double alphas[] = {0.75, -1.0};
+  const double betas[] = {0.0, 1.0, 0.5};
+  struct Shape {
+    Index m, n, k;
+  };
+  std::vector<Shape> shapes;
+  for (Index r = 1; r <= 11; ++r)
+    for (Index k : ks) shapes.push_back({120 + r, r % 2 ? 7 : 14, k});
+  for (Index k : {Index{3}, Index{385}}) {
+    shapes.push_back({5, 7, k});
+    shapes.push_back({13, 263, k});
+  }
+  for (const Shape& s : shapes) {
+    for (const TransCase& t : kTransCases) {
+      const Matrix a = t.ta == Trans::kNo ? Matrix::gaussian(s.m, s.k, 11)
+                                          : Matrix::gaussian(s.k, s.m, 11);
+      const Matrix b = t.tb == Trans::kNo ? Matrix::gaussian(s.k, s.n, 12)
+                                          : Matrix::gaussian(s.n, s.k, 12);
+      const Matrix c0 = Matrix::gaussian(s.m, s.n, 13);
+      std::vector<Matrix> wants;
+      for (double alpha : alphas) {
+        for (double beta : betas) {
+          wants.push_back(c0);
+          ref::simd_chain_gemm(wants.back(), a, b, alpha, beta, t.ta, t.tb);
+        }
+      }
+      // Widths outside the (alpha, beta) loop: each resize starts threads,
+      // and after some 30,000 thread starts in one process LeakSanitizer
+      // reports the live workers' thread-local destructor records as leaks.
+      for (int w : kWidths) {
+        ThreadPool::global().set_num_threads(w);
+        const Matrix* want = wants.data();
+        for (double alpha : alphas) {
+          for (double beta : betas) {
+            Matrix got = c0;
+            gemm(got, a, b, alpha, beta, t.ta, t.tb);
+            EXPECT_TRUE(bits_equal(*want++, got))
+                << "simd " << t.name << " m=" << s.m << " n=" << s.n
+                << " k=" << s.k << " alpha=" << alpha << " beta=" << beta
+                << " width=" << w;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST(KernelsSimdTest, SimdSparseKernelsWithinUlpBoundOfReference) {
   PoolGuard pool;
   VariantGuard variant;
@@ -321,8 +382,8 @@ TEST(KernelsSimdTest, SimdBitsInvariantAcrossWidths) {
   Matrix c_ref(m, n);
   gemm(c_ref, a, b);
 
-  // Pool width must not change bits (edge tiles use the same scalar fma
-  // chain as interior vectors, so work slicing is invisible).
+  // Pool width must not change bits (edge tiles run the interior tiles'
+  // vector chain on a padded copy, so work slicing is invisible).
   for (int w : kWidths) {
     ThreadPool::global().set_num_threads(w);
     Matrix c(m, n);

@@ -6,6 +6,8 @@
 #include <iterator>
 #include <vector>
 
+#include "par/pool.hpp"
+#include "support/rng.hpp"
 #include "test_util.hpp"
 
 namespace lra {
@@ -36,6 +38,39 @@ TEST(Matrix, GaussianReproducible) {
   EXPECT_EQ(max_abs_diff(a, b), 0.0);
   const Matrix c = Matrix::gaussian(10, 10, 5, 2);
   EXPECT_GT(max_abs_diff(a, c), 0.0);
+}
+
+// The pool fills pair-aligned chunks of the counter stream; the result must
+// be the one-thread CounterRng loop bit for bit, at every pool width and
+// inside a ScopedSerial scope, for element counts around the fork threshold,
+// odd counts (a half-used last pair) and single columns.
+TEST(Matrix, GaussianMatchesSerialStream) {
+  const int saved = ThreadPool::global().num_threads();
+  const Index t = Matrix::kGaussianForkElems;
+  const Index shapes[][2] = {{1, 1},          {7, 3},        {t - 1, 1},
+                             {t / 4, 4},      {t + 1, 1},    {2 * t + 3, 1},
+                             {257, 33},       {t / 2 + 1, 9}, {9 * t + 7, 1},
+                             {2450, 32}};
+  for (const auto& s : shapes) {
+    const Index rows = s[0], cols = s[1];
+    std::vector<double> want(static_cast<std::size_t>(rows * cols));
+    CounterRng rng(17, 5);
+    for (double& v : want) v = rng.gaussian();
+    const auto same = [&](const Matrix& a) {
+      return a.rows() == rows && a.cols() == cols &&
+             std::memcmp(a.data(), want.data(),
+                         want.size() * sizeof(double)) == 0;
+    };
+    for (int w : {1, 2, 8}) {
+      ThreadPool::global().set_num_threads(w);
+      EXPECT_TRUE(same(Matrix::gaussian(rows, cols, 17, 5)))
+          << rows << " x " << cols << " width " << w;
+      ThreadPool::ScopedSerial serial;
+      EXPECT_TRUE(same(Matrix::gaussian(rows, cols, 17, 5)))
+          << rows << " x " << cols << " width " << w << " serial scope";
+    }
+  }
+  ThreadPool::global().set_num_threads(saved);
 }
 
 TEST(Matrix, BlockExtractAndSet) {

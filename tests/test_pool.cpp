@@ -1,12 +1,15 @@
 // Thread pool: static partitioning correctness, bitwise determinism across
-// worker counts, inline fallbacks (nesting, ScopedSerial), kernel stats, and
-// the thread-count resolution / fallback rules.
+// worker counts, inline fallbacks (nesting, ScopedSerial), kernel stats, the
+// fork-join handoff under stress (back to back, after parking, across
+// resizes), and the thread-count resolution / fallback rules.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
+#include <thread>
 #include <vector>
 
 #include "par/pool.hpp"
@@ -159,6 +162,86 @@ TEST(PoolTest, KernelStatsCountForkedRegions) {
   ThreadPool::global().parallel_for(
       0, 4, "tiny_kernel", [](Index) {}, /*grain=*/1000000);
   EXPECT_EQ(ThreadPool::global().kernel_stats().count("tiny_kernel"), 0u);
+}
+
+// The fork-join handoff under load: back-to-back regions, regions after
+// the pool has parked, and resizes between bursts. Each region writes one
+// sum per slice; the sums must be the serial loop's, which also checks that
+// every slice's writes are visible to the caller after the join.
+constexpr Index kSliceLen = 64;
+
+double slice_term(Index region, Index i) {
+  return std::sqrt(static_cast<double>(region * 131 + i));
+}
+
+// Runs `regions` regions of 4 slices; region r's sums land in out[4r..4r+3].
+void run_regions(Index first, Index regions, std::vector<double>& out) {
+  for (Index r = first; r < first + regions; ++r) {
+    ThreadPool::global().parallel_ranges(
+        0, 4 * kSliceLen, "stress", kSliceLen,
+        [&](Index lo, Index hi, int /*slice*/) {
+          for (Index i = lo; i < hi; ++i)
+            out[static_cast<std::size_t>(4 * r + i / kSliceLen)] +=
+                slice_term(r, i);
+        });
+  }
+}
+
+std::vector<double> serial_sums(Index regions) {
+  std::vector<double> want(static_cast<std::size_t>(4 * regions), 0.0);
+  for (Index r = 0; r < regions; ++r)
+    for (Index i = 0; i < 4 * kSliceLen; ++i)
+      want[static_cast<std::size_t>(4 * r + i / kSliceLen)] +=
+          slice_term(r, i);
+  return want;
+}
+
+TEST(PoolTest, BackToBackRegionsMatchSerial) {
+  PoolGuard guard;
+  ThreadPool::global().set_num_threads(4);
+  const Index regions = 20000;
+  std::vector<double> out(static_cast<std::size_t>(4 * regions), 0.0);
+  run_regions(0, regions, out);
+  EXPECT_EQ(out, serial_sums(regions));
+}
+
+TEST(PoolTest, RegionsAfterIdleWakeParkedWorkers) {
+  PoolGuard guard;
+  ThreadPool::global().set_num_threads(4);
+  const Index regions = 4;
+  std::vector<double> out(static_cast<std::size_t>(4 * regions), 0.0);
+  for (Index r = 0; r < regions; ++r) {
+    // Far past the spin window: every helper has parked.
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    run_regions(r, 1, out);
+  }
+  EXPECT_EQ(out, serial_sums(regions));
+
+  // A helper slice that outlasts the spin window parks the caller at the
+  // join; the last helper must wake it.
+  std::atomic<int> done{0};
+  ThreadPool::global().parallel_ranges(
+      0, 4, "stress", 1, [&](Index lo, Index, int slice) {
+        if (slice == 3)
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        done.fetch_add(static_cast<int>(lo) + 1);
+      });
+  EXPECT_EQ(done.load(), 1 + 2 + 3 + 4);
+}
+
+TEST(PoolTest, ResizeBetweenBurstsKeepsResults) {
+  PoolGuard guard;
+  const int widths[] = {1, 4, 2, 4};
+  const Index burst = 1000;
+  std::vector<double> out(static_cast<std::size_t>(4 * burst * 4), 0.0);
+  Index first = 0;
+  for (int w : widths) {
+    ThreadPool::global().set_num_threads(w);
+    ASSERT_EQ(ThreadPool::global().num_threads(), w);
+    run_regions(first, burst, out);
+    first += burst;
+  }
+  EXPECT_EQ(out, serial_sums(first));
 }
 
 TEST(PoolTest, ResolveThreadCountFallsBackToOne) {
