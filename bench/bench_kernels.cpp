@@ -1,33 +1,30 @@
-// bench_kernels — self-timed microbenchmarks of the two kernel variants
-// (support/kernel_variant.hpp) against the reference kernels
-// (tests/reference_kernels.hpp), with correctness gates.
+// bench_kernels — self-timed microbenchmarks of the library's `simd` kernels
+// against the reference kernels (tests/reference_kernels.hpp), with
+// correctness gates.
 //
-// For each kernel (gemm_nn, gemm_tn, gemm_nt, spmm, spmm_t) and each
-// reference shape (square GEMMs, plus the randomized solvers'
-// narrow m x K times K x 32 products) the harness runs three legs — the
-// reference (recorded as variant `naive`), simd and simd-strict — takes the
-// median of --reps timed repetitions each, and gates:
+// Every kernel gets two legs per shape, the reference (recorded as variant
+// `naive`) and the library (`simd`), each the median of --reps timed
+// repetitions. For each GEMM (gemm_nn, gemm_tn, gemm_nt) and sparse kernel
+// (spmm, spmm_t) at its reference shapes (square GEMMs, plus the randomized
+// solvers' narrow m x K times K x 32 products), simd is gated twice:
 //
-//   * simd-strict must be bitwise identical to the reference (memcmp) — the
-//     inputs are Gaussian, so the reference zero-skip never fires;
-//   * simd must satisfy the documented ULP bound: per element,
+//   * bitwise identity (memcmp) with the scalar emulation of its chains
+//     (ref::simd_chain_gemm, simd_chain_spmm, simd_chain_spmm_t);
+//   * the documented ULP bound: per element,
 //     |simd - ref| <= 4 * k_eff * eps * absref, where absref is the
 //     reference kernel run on |inputs| (the standard gamma_k forward-error
 //     envelope for a length-k_eff multiply-add chain, for both operand
 //     orders, with 2x margin each).
 //
-// The Householder kernel (dense/qr's swept reflector, one kernel for both
-// variants) gets two legs per shape, the one-column-at-a-time reference
-// (`naive`) and the library (`simd`), at LU_CRTP's tournament node shape
-// (QRCP of 1000 x 64 for 32 steps) and the randomized solvers' panel shape
-// (HouseholderQR + thin_q of 1400 x 32); its gate is bitwise identity of R,
-// Q and the pivots with the reference (memcmp). The Schur update
-// (sparse/spgemm, also one kernel for both variants) gets the same two legs,
-// the sorting reference and the library, at two LU_CRTP iterations of
-// deterministic_seq (scale 0.5, 0.25 under --quick): a late M1' iteration
-// and an ILUT_CRTP iteration on M2', where about two thirds of the columns
-// take the dense accumulation; its gate is memcmp identity of the column
-// pointers, rows and values.
+// The Householder kernel (dense/qr's swept reflector) is timed at LU_CRTP's
+// tournament node shape (QRCP of 1000 x 64 for 32 steps) and the randomized
+// solvers' panel shape (HouseholderQR + thin_q of 1400 x 32); its gate is
+// bitwise identity of R, Q and the pivots with the one-column-at-a-time
+// reference (memcmp). The Schur update (sparse/spgemm) is timed against the
+// sorting reference at two LU_CRTP iterations of deterministic_seq (scale
+// 0.5, 0.25 under --quick): a late M1' iteration and an ILUT_CRTP iteration
+// on M2', where about two thirds of the columns take the dense accumulation;
+// its gate is memcmp identity of the column pointers, rows and values.
 //
 // It writes one JSON document (default BENCH_kernels.json; schema
 // bench_kernels/v2, see EXPERIMENTS.md) with a record per (kernel, shape,
@@ -50,6 +47,7 @@
 // of A22, U12 and S and per X entry it scatters (one per term of the sum,
 // each also 2 flops), for both legs.
 
+#include <array>
 #include <cfloat>
 #include <cmath>
 #include <cstdio>
@@ -74,7 +72,6 @@
 #include "sparse/permute.hpp"
 #include "sparse/spgemm.hpp"
 #include "support/autotune.hpp"
-#include "support/kernel_variant.hpp"
 #include "support/simd.hpp"
 #include "support/stopwatch.hpp"
 
@@ -233,81 +230,53 @@ bool ulp_within_bound(const Matrix& ref, const Matrix& absref,
   return true;
 }
 
-// One kernel, three legs: the reference, then simd, then simd-strict. `run`
-// must overwrite `out` completely with the active library variant; `run_ref`
-// and `run_abs` run the reference kernel on the inputs and on |inputs| (the
-// ULP gate's reference magnitude). bytes[] indexes {reference, simd,
-// simd-strict}.
-template <typename Fn, typename FnRef, typename FnAbs>
-bool bench_case(std::vector<Row>& rows, const std::string& kernel,
-                const std::string& shape, double flops, const double bytes[3],
-                double keff, int reps, Matrix& out, Fn&& run, FnRef&& run_ref,
-                FnAbs&& run_abs) {
-  run_abs();
-  const Matrix absref = out;
-
-  double secs[3];
-  secs[0] = time_median(reps, run_ref);
-  const Matrix ref = out;
-  set_kernel_variant(KernelVariant::kSimd);
-  secs[1] = time_median(reps, run);
-  const bool ulp_ok = ulp_within_bound(ref, absref, out, keff);
-  set_kernel_variant(KernelVariant::kSimdStrict);
-  secs[2] = time_median(reps, run);
-  const bool bits_ok = bitwise_equal(ref, out);
-  set_kernel_variant(KernelVariant::kSimd);
-
-  // The reference leg keeps the name `naive`, so speedup_vs_naive and the
-  // committed BENCH_kernels.json trajectory keep their meaning.
-  const char* names[3] = {"naive", "simd", "simd-strict"};
-  for (int v = 0; v < 3; ++v) {
-    Row r{kernel, shape, names[v]};
-    r.seconds = secs[v];
-    r.gflops = flops / secs[v] * 1e-9;
-    r.bytes_moved = bytes[v];
-    r.speedup_vs_naive = secs[0] / secs[v];
-    rows.push_back(r);
-  }
-  std::printf(
-      "%-16s %-18s ref %7.2f  simd %7.2f  strict %7.2f GF/s  %s %s\n",
-      kernel.c_str(), shape.c_str(), flops / secs[0] * 1e-9,
-      flops / secs[1] * 1e-9, flops / secs[2] * 1e-9,
-      bits_ok ? "bits ok" : "BIT MISMATCH", ulp_ok ? "ulp ok" : "ULP FAIL");
-  return bits_ok && ulp_ok;
-}
-
 std::string shape3(Index m, Index k, Index n) {
   return std::to_string(m) + "x" + std::to_string(k) + "x" + std::to_string(n);
 }
 
-// One leg pair of a kernel that is one kernel for both variants (the
-// Householder sweep, the Schur update): the reference, then the library
-// (each run must leave its result in the captured outputs), gated on
-// bitwise identity.
-template <typename Fn, typename FnRef, typename Same>
+// The two legs of one kernel at one shape: the reference (`naive`), then the
+// library (`simd`), each run leaving its result where `gate` reads it;
+// `gate` checks the library's result once both are timed. bytes indexes
+// {naive, simd}.
+template <typename Fn, typename FnRef, typename Gate>
 bool bench_pair(std::vector<Row>& rows, const std::string& kernel,
-                const std::string& shape, double flops, double bytes, int reps,
-                Fn&& run, FnRef&& run_ref, Same&& same) {
+                const std::string& shape, double flops,
+                std::array<double, 2> bytes, int reps, Fn&& run,
+                FnRef&& run_ref, Gate&& gate) {
   const double t_ref = time_median(reps, run_ref);
   const double t_lib = time_median(reps, run);
-  const bool bits_ok = same();
+  const bool ok = gate();
+  // The reference leg keeps the name `naive`, so speedup_vs_naive and the
+  // committed BENCH_kernels.json trajectory keep their meaning.
   const char* names[2] = {"naive", "simd"};
   const double secs[2] = {t_ref, t_lib};
   for (int v = 0; v < 2; ++v) {
     Row r{kernel, shape, names[v]};
     r.seconds = secs[v];
     r.gflops = flops / secs[v] * 1e-9;
-    r.bytes_moved = bytes;
+    r.bytes_moved = bytes[v];
     r.speedup_vs_naive = t_ref / secs[v];
     rows.push_back(r);
   }
   std::printf(
-      "%-16s %-18s ref %7.2f  lib  %7.2f GF/s  (%.3f -> %.3f ms, %.2f -> "
+      "%-16s %-18s ref %7.2f  simd %7.2f GF/s  (%.3f -> %.3f ms, %.2f -> "
       "%.2f GB/s)  %s\n",
       kernel.c_str(), shape.c_str(), flops / t_ref * 1e-9, flops / t_lib * 1e-9,
-      t_ref * 1e3, t_lib * 1e3, bytes / t_ref * 1e-9, bytes / t_lib * 1e-9,
-      bits_ok ? "bits ok" : "BIT MISMATCH");
-  return bits_ok;
+      t_ref * 1e3, t_lib * 1e3, bytes[0] / t_ref * 1e-9,
+      bytes[1] / t_lib * 1e-9,
+      ok ? "gates ok" : "GATE FAILED");
+  return ok;
+}
+
+// The simd gates of a GEMM or SpMM leg: `got` is bitwise equal to the chain
+// emulation and within the ULP bound of the reference.
+bool simd_gates(const Matrix& got, const Matrix& chain, const Matrix& ref,
+                const Matrix& absref, double keff) {
+  const bool bits = bitwise_equal(chain, got);
+  const bool ulp = ulp_within_bound(ref, absref, got, keff);
+  if (!bits) std::printf("  simd differs from the chain emulation\n");
+  if (!ulp) std::printf("  simd exceeds the ULP bound\n");
+  return bits && ulp;
 }
 
 // Flops and bytes of the Householder legs count the reflector applications:
@@ -341,7 +310,7 @@ int main(int argc, char** argv) {
   const Index bandwidth = cli.get_int("bandwidth", 0);
   cli.reject_unread();
 
-  bench::print_header("Kernel microbenchmarks: reference vs simd variants",
+  bench::print_header("Kernel microbenchmarks: reference vs simd kernels",
                       "perf companion to the Section IV complexity model");
   std::printf("threads = %d, reps = %d%s, isa = %s, gemm tile: %s\n\n", threads,
               reps, quick ? " (--quick shapes)" : "", simd::simd_isa_name(),
@@ -350,27 +319,26 @@ int main(int argc, char** argv) {
   std::vector<Row> rows;
   bool all_ok = true;
 
-  // Dense GEMM: one m x k x n product per leg, C = op(A) * op(B). Gaussian
-  // inputs have no exact zeros, so the reference kernels' zero-skip never
-  // fires and simd-strict must match bitwise.
+  // Dense GEMM: one m x k x n product per leg, C = op(A) * op(B).
   const auto gemm_leg = [&](const char* kernel, Index m, Index k, Index n,
                             Trans ta, Trans tb) {
     const Matrix a = ta == Trans::kNo ? Matrix::gaussian(m, k, 1)
                                       : Matrix::gaussian(k, m, 1);
     const Matrix b = tb == Trans::kNo ? Matrix::gaussian(k, n, 2)
                                       : Matrix::gaussian(n, k, 2);
-    const Matrix aa = abs_matrix(a);
-    const Matrix ab = abs_matrix(b);
-    Matrix c(m, n);
+    Matrix absref(m, n), chain(m, n), c_ref(m, n), c(m, n);
+    ref::gemm(absref, abs_matrix(a), abs_matrix(b), 1.0, 0.0, ta, tb);
+    ref::simd_chain_gemm(chain, a, b, 1.0, 0.0, ta, tb);
     const double flops = 2.0 * m * k * n;
     // A + B read once, C in/out.
-    const double bytes1 = 8.0 * (m * k + k * n + 2.0 * m * n);
-    const double bytes[3] = {bytes1, bytes1, bytes1};
-    all_ok &= bench_case(
-        rows, kernel, shape3(m, k, n), flops, bytes, static_cast<double>(k),
-        reps, c, [&] { gemm(c, a, b, 1.0, 0.0, ta, tb); },
-        [&] { ref::gemm(c, a, b, 1.0, 0.0, ta, tb); },
-        [&] { ref::gemm(c, aa, ab, 1.0, 0.0, ta, tb); });
+    const double bytes = 8.0 * (m * k + k * n + 2.0 * m * n);
+    all_ok &= bench_pair(
+        rows, kernel, shape3(m, k, n), flops, {bytes, bytes}, reps,
+        [&] { gemm(c, a, b, 1.0, 0.0, ta, tb); },
+        [&] { ref::gemm(c_ref, a, b, 1.0, 0.0, ta, tb); },
+        [&] {
+          return simd_gates(c, chain, c_ref, absref, static_cast<double>(k));
+        });
   };
   const std::vector<Index> gemm_sizes =
       quick ? std::vector<Index>{128} : std::vector<Index>{256, 512};
@@ -389,7 +357,7 @@ int main(int argc, char** argv) {
   gemm_leg("gemm_tn", sbig, sm, sblk, Trans::kYes, Trans::kNo);
 
   // Sparse kernels: an n x n givens spray, k dense columns. The simd
-  // variants amortize the pass over A's value/index arrays across
+  // kernels amortize the pass over A's value/index arrays across
   // kSpmmNb output columns — reflected in the bytes-moved model below. The
   // win appears once that stream outgrows the last-level cache, so the
   // reference matrix is deliberately dense-ish and large (~26M nonzeros;
@@ -409,20 +377,27 @@ int main(int argc, char** argv) {
   {
     const Matrix b = Matrix::gaussian(sn, sk, 6);
     const Matrix ab = abs_matrix(b);
-    Matrix c;
-    const double bn = apass * groups_naive + dense_io;
-    const double bq = apass * groups_quad + dense_io;
-    const double bytes[3] = {bn, bq, bq};
-    all_ok &= bench_case(
-        rows, "spmm", shape3(sn, sn, sk), sflops, bytes,
-        static_cast<double>(max_row_nnz(s)), reps, c,
-        [&] { spmm_into(c, s, b); }, [&] { ref::spmm_into(c, s, b); },
-        [&] { ref::spmm_into(c, sa, ab); });
-    all_ok &= bench_case(
-        rows, "spmm_t", shape3(sn, sn, sk), sflops, bytes,
-        static_cast<double>(max_col_nnz(s)), reps, c,
-        [&] { spmm_t_into(c, s, b); }, [&] { ref::spmm_t_into(c, s, b); },
-        [&] { ref::spmm_t_into(c, sa, ab); });
+    const std::array<double, 2> bytes = {apass * groups_naive + dense_io,
+                                         apass * groups_quad + dense_io};
+    Matrix c_ref, c;
+    const Matrix chain_mm = ref::simd_chain_spmm(s, b);
+    const Matrix abs_mm = ref::spmm(sa, ab);
+    all_ok &= bench_pair(
+        rows, "spmm", shape3(sn, sn, sk), sflops, bytes, reps,
+        [&] { spmm_into(c, s, b); }, [&] { ref::spmm_into(c_ref, s, b); },
+        [&] {
+          return simd_gates(c, chain_mm, c_ref, abs_mm,
+                            static_cast<double>(max_row_nnz(s)));
+        });
+    const Matrix chain_tm = ref::simd_chain_spmm_t(s, b);
+    const Matrix abs_tm = ref::spmm_t(sa, ab);
+    all_ok &= bench_pair(
+        rows, "spmm_t", shape3(sn, sn, sk), sflops, bytes, reps,
+        [&] { spmm_t_into(c, s, b); }, [&] { ref::spmm_t_into(c_ref, s, b); },
+        [&] {
+          return simd_gates(c, chain_tm, c_ref, abs_tm,
+                            static_cast<double>(max_col_nnz(s)));
+        });
   }
 
   // Householder: QRCP at a tournament node (two 32-column candidate sets
@@ -436,7 +411,7 @@ int main(int argc, char** argv) {
     Matrix r_ref, r_lib;
     std::vector<Index> p_ref, p_lib;
     all_ok &= bench_pair(
-        rows, "qrcp", shape3(m, n, steps), flops, bytes, reps,
+        rows, "qrcp", shape3(m, n, steps), flops, {bytes, bytes}, reps,
         [&] {
           const QRCP f(a, steps);
           r_lib = f.r();
@@ -454,7 +429,7 @@ int main(int argc, char** argv) {
     Matrix r_ref, q_ref, r_lib, q_lib;
     all_ok &= bench_pair(
         rows, "householder_qr", std::to_string(m) + "x" + std::to_string(n),
-        flops, bytes, reps,
+        flops, {bytes, bytes}, reps,
         [&] {
           const HouseholderQR f(a);
           r_lib = f.r();
@@ -504,8 +479,9 @@ int main(int argc, char** argv) {
           static_cast<long>(s_ref.nnz()));
       all_ok &= bench_pair(
           rows, "schur_update",
-          shape3(in.a22.rows(), in.x.cols(), in.a22.cols()), 2.0 * terms, bytes,
-          reps, [&] { s_lib = schur_update(in.a22, in.x, in.u12); },
+          shape3(in.a22.rows(), in.x.cols(), in.a22.cols()), 2.0 * terms,
+          {bytes, bytes}, reps,
+          [&] { s_lib = schur_update(in.a22, in.x, in.u12); },
           [&] { s_ref = ref::schur_update(in.a22, in.x, in.u12); },
           [&] { return bitwise_equal(s_ref, s_lib); });
     }

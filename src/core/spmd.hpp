@@ -75,9 +75,10 @@ Matrix wait_replicate(RankCtx& ctx, CollRequest& req, Index total_rows,
                       Index cols);
 Matrix replicate(RankCtx& ctx, Matrix loc, Index total_rows);
 
-/// The same gathers in the caller's phase (the final factor assembly):
-/// a row-distributed block, and a column-distributed one (slice_of over
-/// `total_cols`, rank order).
+/// The final factor gathers, in the caller's phase ("assemble"): a
+/// row-distributed block, and a column-distributed one (slice_of over
+/// `total_cols`, rank order), exchanged at no modeled cost. The paper's
+/// runtimes exclude them, and LU_CRTP's gather is uncharged the same way.
 Matrix gather_rows(RankCtx& ctx, Matrix loc, Index total_rows);
 Matrix gather_cols(RankCtx& ctx, Matrix loc, Index total_cols);
 

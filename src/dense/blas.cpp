@@ -6,7 +6,6 @@
 
 #include "par/pool.hpp"
 #include "support/autotune.hpp"
-#include "support/kernel_variant.hpp"
 #include "support/simd.hpp"
 #include "support/workspace.hpp"
 
@@ -24,7 +23,7 @@ constexpr Index kForkWork = Index{1} << 16;
 
 // Grain for a pool split of `range` indices of an m x k x n product: run the
 // whole range inline below kForkWork. Elements of C are disjoint outputs and
-// each accumulates its k terms in ascending order in both variants below, so
+// each accumulates its k terms in a fixed order in every kernel below, so
 // splitting C's rows or columns across threads is bitwise identical to the
 // serial execution at any thread count.
 Index gemm_grain(Index m, Index k, Index n, Index range) {
@@ -55,8 +54,7 @@ void split_c(Index m, Index k, Index n, Index strip, bool rows,
   }
 }
 
-// C(mxn) += A^T(k x m) * B^T(n x k). Not on any hot path: both variants share
-// this plain loop.
+// C(mxn) += A^T(k x m) * B^T(n x k). Not on any hot path: a plain loop.
 void gemm_tt_naive(Matrix& c, const Matrix& a, const Matrix& b, double alpha) {
   const Index m = a.cols(), n = b.rows(), k = a.rows();
   ThreadPool::global().parallel_for(
@@ -72,108 +70,14 @@ void gemm_tt_naive(Matrix& c, const Matrix& a, const Matrix& b, double alpha) {
       gemm_grain(m, k, n, n));
 }
 
-// Strict A^T*B (the simd-strict tn path): the reference kernel computes each
-// C(i,j) as a full-k dot (accumulated from 0.0 in a register) and then
-// performs a single `c += alpha * dot`. To reproduce those bits this kernel
-// keeps whole-k scalar dot accumulators too — vector-lane accumulators would
-// re-associate the reduction — and register-tiles 4x4 over (i,j) with no KC
-// slabbing, quartering the traffic over A's and B's columns. There is no
-// zero-skip in the reference tn kernel, so this path is bitwise identical to
-// it for every input.
-constexpr Index kGemmTnTile = 4;
-
-void micro_tn_4x4(Index k, const double* LRA_RESTRICT a0,
-                  const double* LRA_RESTRICT a1, const double* LRA_RESTRICT a2,
-                  const double* LRA_RESTRICT a3, const double* LRA_RESTRICT b0,
-                  const double* LRA_RESTRICT b1, const double* LRA_RESTRICT b2,
-                  const double* LRA_RESTRICT b3, double alpha,
-                  double* LRA_RESTRICT c0, double* LRA_RESTRICT c1,
-                  double* LRA_RESTRICT c2, double* LRA_RESTRICT c3) {
-  double s[kGemmTnTile][kGemmTnTile] = {};
-  for (Index p = 0; p < k; ++p) {
-    const double av0 = a0[p], av1 = a1[p], av2 = a2[p], av3 = a3[p];
-    const double bv0 = b0[p], bv1 = b1[p], bv2 = b2[p], bv3 = b3[p];
-    s[0][0] += av0 * bv0;
-    s[1][0] += av1 * bv0;
-    s[2][0] += av2 * bv0;
-    s[3][0] += av3 * bv0;
-    s[0][1] += av0 * bv1;
-    s[1][1] += av1 * bv1;
-    s[2][1] += av2 * bv1;
-    s[3][1] += av3 * bv1;
-    s[0][2] += av0 * bv2;
-    s[1][2] += av1 * bv2;
-    s[2][2] += av2 * bv2;
-    s[3][2] += av3 * bv2;
-    s[0][3] += av0 * bv3;
-    s[1][3] += av1 * bv3;
-    s[2][3] += av2 * bv3;
-    s[3][3] += av3 * bv3;
-  }
-  c0[0] += alpha * s[0][0];
-  c0[1] += alpha * s[1][0];
-  c0[2] += alpha * s[2][0];
-  c0[3] += alpha * s[3][0];
-  c1[0] += alpha * s[0][1];
-  c1[1] += alpha * s[1][1];
-  c1[2] += alpha * s[2][1];
-  c1[3] += alpha * s[3][1];
-  c2[0] += alpha * s[0][2];
-  c2[1] += alpha * s[1][2];
-  c2[2] += alpha * s[2][2];
-  c2[3] += alpha * s[3][2];
-  c3[0] += alpha * s[0][3];
-  c3[1] += alpha * s[1][3];
-  c3[2] += alpha * s[2][3];
-  c3[3] += alpha * s[3][3];
-}
-
-void gemm_tn_strict(Matrix& c, const Matrix& a, const Matrix& b,
-                    double alpha) {
-  const Index m = a.cols(), k = a.rows(), n = b.cols();
-  ThreadPool::global().parallel_ranges(
-      Index{0}, n, "gemm", gemm_grain(m, k, n, n),
-      [&](Index jlo, Index jhi, int /*slice*/) {
-        for (Index j0 = jlo; j0 < jhi; j0 += kGemmTnTile) {
-          const Index nr = std::min(kGemmTnTile, jhi - j0);
-          Index i0 = 0;
-          if (nr == kGemmTnTile) {
-            for (; i0 + kGemmTnTile <= m; i0 += kGemmTnTile) {
-              micro_tn_4x4(k, a.col(i0), a.col(i0 + 1), a.col(i0 + 2),
-                           a.col(i0 + 3), b.col(j0), b.col(j0 + 1),
-                           b.col(j0 + 2), b.col(j0 + 3), alpha,
-                           c.col(j0) + i0, c.col(j0 + 1) + i0,
-                           c.col(j0 + 2) + i0, c.col(j0 + 3) + i0);
-            }
-          }
-          // Remainder rows/columns: identical expression to the reference
-          // kernel — a full-k dot, then one scaled accumulate.
-          for (Index jj = 0; jj < nr; ++jj) {
-            const double* bj = b.col(j0 + jj);
-            double* cj = c.col(j0 + jj);
-            for (Index i = i0; i < m; ++i)
-              cj[i] += alpha * dot(k, a.col(i), bj);
-          }
-        }
-      });
-}
-
 // ---------------------------------------------------------------------------
 // SIMD (vectorized) kernels on support/simd.hpp, with the compiled tile
-// geometry of support/autotune.hpp. Two flavours share every code path via
-// the kFma template flag:
-//
-//   simd         kFma = simd::kHasFma. Each multiply-add is a single-rounding
-//                fused op. NOT bitwise comparable to the reference kernels
-//                (tests/reference_kernels.hpp); gated by the ULP bound in
-//                bench_kernels and test_kernels_simd, and pinned exactly by
-//                the scalar chain emulation there (ref::simd_chain_gemm).
-//   simd-strict  kFma = false. Every multiply-add is the two-rounding
-//                round(round(a*b) + c) chain of the reference kernels, so for
-//                the nn/nt drivers each element reproduces their bits exactly
-//                (zero-skip caveat aside: the reference skips terms whose
-//                dense multiplier is exactly 0.0, these drivers multiply
-//                through). The tn path is gemm_tn_strict above.
+// geometry of support/autotune.hpp. Each multiply-add is simd::fmadd: a
+// single-rounding fused op where the ISA has FMA, the two-rounding chain
+// elsewhere. NOT bitwise comparable to the reference kernels
+// (tests/reference_kernels.hpp): gated by the ULP bound in bench_kernels and
+// test_kernels_simd, and pinned exactly by the scalar chain emulation there
+// (ref::simd_chain_gemm).
 //
 // Determinism across geometry and threads: the micro-tile loads its C block,
 // accumulates one KC slab in ascending-p order with one multiply-add per
@@ -199,13 +103,6 @@ static_assert(kMc % kMr == 0,
 static_assert(kTile.mv * kTile.nr <= 16,
               "the micro-tile's mv * nr accumulators exceed 16 registers");
 
-// One multiply-add term, scalar: single-rounding when kFma, else the seed
-// two-rounding chain. Mirrors simd::fmadd / simd::madd per lane.
-template <bool kFma>
-inline double scalar_madd(double a, double b, double c) {
-  return kFma ? std::fma(a, b, c) : a * b + c;
-}
-
 Index round_up(Index x, Index to) { return (x + to - 1) / to * to; }
 
 // (MV*width x NR) register tile over one packed A strip and one packed B
@@ -213,7 +110,7 @@ Index round_up(Index x, Index to) { return (x + to - 1) / to * to; }
 // already multiplied by alpha, so each term is one broadcast from memory and
 // one multiply-add, fmadd(a, alpha * b, c): the B term of every chain is the
 // rounded alpha * b wherever it is formed.
-template <int MV, int NR, bool kFma>
+template <int MV, int NR>
 void micro_simd(Index kc, const double* LRA_RESTRICT ap,
                 const double* LRA_RESTRICT bp, double* c, Index ldc) {
   using simd::VecD;
@@ -235,8 +132,7 @@ void micro_simd(Index kc, const double* LRA_RESTRICT ap,
       const VecD w = VecD::broadcast(bs[j]);
       LRA_UNROLL
       for (int v = 0; v < MV; ++v)
-        acc[j][v] = kFma ? simd::fmadd(av[v], w, acc[j][v])
-                         : simd::madd(av[v], w, acc[j][v]);
+        acc[j][v] = simd::fmadd(av[v], w, acc[j][v]);
     }
   }
   LRA_UNROLL
@@ -249,13 +145,12 @@ void micro_simd(Index kc, const double* LRA_RESTRICT ap,
 // micro-kernel on a zero-padded copy of the C tile. The packed A strip and B
 // micro-panel are zero-padded too, so every element inside mr x nr runs the
 // full tile's chain; the padding lanes are computed and dropped.
-template <bool kFma>
 void micro_edge(Index kc, Index mr, Index nr, const double* LRA_RESTRICT ap,
                 const double* LRA_RESTRICT bp, double* c, Index ldc) {
   alignas(64) double tile[kNr * kMr] = {};
   for (Index j = 0; j < nr; ++j)
     for (Index r = 0; r < mr; ++r) tile[j * kMr + r] = c[j * ldc + r];
-  micro_simd<kTile.mv, kTile.nr, kFma>(kc, ap, bp, tile, kMr);
+  micro_simd<kTile.mv, kTile.nr>(kc, ap, bp, tile, kMr);
   for (Index j = 0; j < nr; ++j)
     for (Index r = 0; r < mr; ++r) c[j * ldc + r] = tile[j * kMr + r];
 }
@@ -309,7 +204,7 @@ void pack_b_panel(double* LRA_RESTRICT dst, const Matrix& b, Index j0,
 // over contiguous runs of mr-strips instead, so each thread packs only its
 // own rows of A rather than all of it. Neither split reorders any element's
 // k chain.
-template <bool kBT, bool kFma>
+template <bool kBT>
 void gemm_nn_nt_simd(Matrix& c, const Matrix& a, const Matrix& b,
                      double alpha) {
   const Index m = a.rows(), k = a.cols();
@@ -341,9 +236,9 @@ void gemm_nn_nt_simd(Matrix& c, const Matrix& a, const Matrix& b,
               const Index mr = std::min(kMr, i1 - is);
               double* cp = c.col(j) + is;
               if (mr == kMr && nr == kNr) {
-                micro_simd<kTile.mv, kTile.nr, kFma>(kc, ap, bp, cp, ldc);
+                micro_simd<kTile.mv, kTile.nr>(kc, ap, bp, cp, ldc);
               } else {
-                micro_edge<kFma>(kc, mr, nr, ap, bp, cp, ldc);
+                micro_edge(kc, mr, nr, ap, bp, cp, ldc);
               }
             }
           }
@@ -357,9 +252,7 @@ void gemm_nn_nt_simd(Matrix& c, const Matrix& a, const Matrix& b,
 // The simd tn chain of one element C(i, j) += alpha * dot(A(:, i), B(:, j)):
 // width lane accumulators from zero over p < kv (lane l takes p = l mod
 // width, one multiply-add per term, ascending), the fixed-order horizontal
-// sum, then the scalar tail p >= kv, then one scaled accumulate. (Lane
-// accumulators re-associate the reduction, which is why simd-strict routes
-// tn through the scalar gemm_tn_strict instead.)
+// sum, then the scalar tail p >= kv, then one scaled accumulate.
 //
 // The register tile is kTnMr columns of A by up to 3 of B over k-slabs of
 // kTnKc: a slab of a kTnMr-column strip of A (8 KB) stays in L1 while the
@@ -377,7 +270,7 @@ static_assert(kTnKc % simd::kWidth == 0,
 // MR x NC tile over the slab [p0, p1) of the vector part. Column i of the
 // tile is A's column a + i*lda, column j is B's column b + j*ldb; the lane
 // accumulator of element (i, j) sits at acc + (j*kTnMr + i) * width.
-template <int MR, int NC, bool kFma>
+template <int MR, int NC>
 void micro_tn_slab(Index p0, Index p1, const double* LRA_RESTRICT a, Index lda,
                    const double* LRA_RESTRICT b, Index ldb,
                    double* LRA_RESTRICT acc) {
@@ -398,8 +291,7 @@ void micro_tn_slab(Index p0, Index p1, const double* LRA_RESTRICT a, Index lda,
       const VecD av = VecD::load(a + i * lda + p);
       LRA_UNROLL
       for (int j = 0; j < NC; ++j)
-        s[i][j] = kFma ? simd::fmadd(av, bv[j], s[i][j])
-                       : simd::madd(av, bv[j], s[i][j]);
+        s[i][j] = simd::fmadd(av, bv[j], s[i][j]);
     }
   }
   LRA_UNROLL
@@ -411,28 +303,27 @@ void micro_tn_slab(Index p0, Index p1, const double* LRA_RESTRICT a, Index lda,
 // One slab of MR rows of C against columns jlo..jhi, in kTnNr-column tiles
 // and one narrower tile for the last 1 or 2 columns.
 static_assert(kTnNr == 3, "tn_slab_row's edge tiles cover 1 or 2 columns");
-template <int MR, bool kFma>
+template <int MR>
 void tn_slab_row(Index p0, Index p1, const double* a, Index lda,
                  const Matrix& b, Index jlo, Index jhi, double* acc) {
   constexpr Index kStep = kTnMr * simd::kWidth;
   const Index ldb = b.rows();
   Index j = jlo;
   for (; j + kTnNr <= jhi; j += kTnNr)
-    micro_tn_slab<MR, kTnNr, kFma>(p0, p1, a, lda, b.col(j), ldb,
-                                   acc + (j - jlo) * kStep);
+    micro_tn_slab<MR, kTnNr>(p0, p1, a, lda, b.col(j), ldb,
+                             acc + (j - jlo) * kStep);
   if (jhi - j == 2) {
-    micro_tn_slab<MR, 2, kFma>(p0, p1, a, lda, b.col(j), ldb,
-                               acc + (j - jlo) * kStep);
+    micro_tn_slab<MR, 2>(p0, p1, a, lda, b.col(j), ldb,
+                         acc + (j - jlo) * kStep);
   } else if (jhi - j == 1) {
-    micro_tn_slab<MR, 1, kFma>(p0, p1, a, lda, b.col(j), ldb,
-                               acc + (j - jlo) * kStep);
+    micro_tn_slab<MR, 1>(p0, p1, a, lda, b.col(j), ldb,
+                         acc + (j - jlo) * kStep);
   }
 }
 
 // A's columns are the outer loop in kTnMr-column strips, so A is streamed
 // once per call; the pool splits C by runs of those strips (rows of C) when
 // each thread gets one, else by columns.
-template <bool kFma>
 void gemm_tn_simd(Matrix& c, const Matrix& a, const Matrix& b, double alpha) {
   constexpr int kW = simd::kWidth;
   const Index m = a.cols(), k = a.rows(), n = b.cols();
@@ -449,11 +340,11 @@ void gemm_tn_simd(Matrix& c, const Matrix& a, const Matrix& b, double alpha) {
       for (Index p0 = 0; p0 < kv; p0 += kTnKc) {
         const Index p1 = std::min(p0 + kTnKc, kv);
         if (mr == kTnMr) {
-          tn_slab_row<kTnMr, kFma>(p0, p1, a.col(i0), lda, b, jlo, jhi, acc);
+          tn_slab_row<kTnMr>(p0, p1, a.col(i0), lda, b, jlo, jhi, acc);
         } else {
           for (Index r = 0; r < mr; ++r)
-            tn_slab_row<1, kFma>(p0, p1, a.col(i0 + r), lda, b, jlo, jhi,
-                                 acc + r * kW);
+            tn_slab_row<1>(p0, p1, a.col(i0 + r), lda, b, jlo, jhi,
+                           acc + r * kW);
         }
       }
       for (Index j = jlo; j < jhi; ++j) {
@@ -462,7 +353,9 @@ void gemm_tn_simd(Matrix& c, const Matrix& a, const Matrix& b, double alpha) {
           const double* ai = a.col(i0 + r);
           double s = simd::hsum_ordered(
               simd::VecD::load(acc + ((j - jlo) * kTnMr + r) * kW));
-          for (Index p = kv; p < k; ++p) s = scalar_madd<kFma>(ai[p], bj[p], s);
+          // The scalar tail: simd::fmadd's rounding, one term at a time.
+          for (Index p = kv; p < k; ++p)
+            s = simd::kHasFma ? std::fma(ai[p], bj[p], s) : ai[p] * bj[p] + s;
           c(i0 + r, j) += alpha * s;
         }
       }
@@ -495,25 +388,12 @@ void gemm(Matrix& c, const Matrix& a, const Matrix& b, double alpha,
   }
   if (alpha == 0.0 || ka == 0) return;
 
-  const bool strict = kernel_variant() == KernelVariant::kSimdStrict;
   if (ta == Trans::kNo && tb == Trans::kNo) {
-    if (strict) {
-      gemm_nn_nt_simd<false, false>(c, a, b, alpha);
-    } else {
-      gemm_nn_nt_simd<false, simd::kHasFma>(c, a, b, alpha);
-    }
+    gemm_nn_nt_simd<false>(c, a, b, alpha);
   } else if (ta == Trans::kYes && tb == Trans::kNo) {
-    if (strict) {
-      gemm_tn_strict(c, a, b, alpha);
-    } else {
-      gemm_tn_simd<simd::kHasFma>(c, a, b, alpha);
-    }
+    gemm_tn_simd(c, a, b, alpha);
   } else if (ta == Trans::kNo && tb == Trans::kYes) {
-    if (strict) {
-      gemm_nn_nt_simd<true, false>(c, a, b, alpha);
-    } else {
-      gemm_nn_nt_simd<true, simd::kHasFma>(c, a, b, alpha);
-    }
+    gemm_nn_nt_simd<true>(c, a, b, alpha);
   } else {
     gemm_tt_naive(c, a, b, alpha);
   }

@@ -1,22 +1,16 @@
 #pragma once
 // BLAS-like dense kernels on column-major Matrix, hand-written (no external
-// BLAS dependency). GEMM runs one of two vectorized kernel families
-// on support/simd.hpp, selected at runtime by support/kernel_variant.hpp:
+// BLAS dependency). GEMM runs one vectorized kernel family on
+// support/simd.hpp: packed, register-tiled micro-kernels whose multiply-adds
+// are fused where the build's ISA has FMA. Its results are deterministic,
+// within a documented ULP bound of the reference kernels in
+// tests/reference_kernels.hpp, and bitwise equal to the scalar emulation of
+// its chains there (ref::simd_chain_gemm).
 //
-//   * simd        — packed, register-tiled micro-kernels with hardware FMA
-//                   where the build's ISA has it; deterministic, and within
-//                   a documented ULP bound of the reference kernels.
-//   * simd-strict — the same tiling with two-rounding multiply-adds (and
-//                   whole-k scalar dots for A^T*B); bitwise identical to the
-//                   reference kernels in tests/reference_kernels.hpp (for
-//                   A*B and A*B^T on inputs without exact zeros or
-//                   non-finite values: the reference skips terms whose dense
-//                   multiplier is 0.0, the strict kernels multiply through).
-//
-// Both families tile only over output rows/columns and never split a k
-// reduction, so each output element accumulates its k terms in the same
-// ascending order at any thread count and under any valid tile geometry
-// (see ARCHITECTURE.md, "The kernel layer").
+// The kernels tile only over output rows/columns and never split an
+// element's k chain, so each output element accumulates its k terms in the
+// same order at any thread count and under any valid tile geometry (see
+// ARCHITECTURE.md, "The kernel layer").
 
 #include "dense/matrix.hpp"
 

@@ -3,7 +3,6 @@
 #include <stdexcept>
 
 #include "support/autotune.hpp"
-#include "support/kernel_variant.hpp"
 #include "support/simd.hpp"
 
 namespace lra::obs {
@@ -27,7 +26,7 @@ JsonObj meta_record(const std::string& tool) {
   JsonObj o;
   o.field("type", "meta")
       .field("tool", tool)
-      .field("kernel_variant", to_string(kernel_variant()))
+      .field("kernel_variant", "simd")
       .field("isa", simd::simd_isa_name())
       .field("autotune", kernel_config_summary(kernel_config()))
       .field("build_type", LRA_BUILD_TYPE)
@@ -154,7 +153,7 @@ void write_workspace_stats(ReportWriter& w, const WorkspaceStats& stats) {
       .field("grows", static_cast<long long>(stats.grows))
       // Which kernel implementations produced the run the arenas served —
       // perf numbers in a report are not interpretable without these.
-      .field("kernel_variant", to_string(kernel_variant()))
+      .field("kernel_variant", "simd")
       .field("simd_isa", simd::simd_isa_name())
       .field("autotune", kernel_config_summary(kernel_config()));
   w.write(o);

@@ -7,7 +7,6 @@
 
 #include "dense/blas.hpp"
 #include "par/pool.hpp"
-#include "support/kernel_variant.hpp"
 #include "support/simd.hpp"
 #include "support/workspace.hpp"
 
@@ -42,7 +41,7 @@ void zero_fill(Matrix& c) {
 // ---- spmm: C = A * B ------------------------------------------------------
 
 // One output column, seed loop: scan A once, scatter-accumulate into cc. Runs
-// the quad grid's edge columns (n not a multiple of kSpmmNb) in both variants.
+// the quad grid's edge columns (n not a multiple of kSpmmNb).
 void spmm_col_naive(const CscMatrix& a, const double* bc, double* cc) {
   for (Index j = 0; j < a.cols(); ++j) {
     const double w = bc[j];
@@ -56,7 +55,7 @@ void spmm_col_naive(const CscMatrix& a, const double* bc, double* cc) {
 // ---- spmm_t: C = A^T * B --------------------------------------------------
 
 // One output column of A^T * B: one dot per A column, ascending p from 0.0.
-// Runs the quad grid's edge columns in both variants.
+// Runs the quad grid's edge columns.
 void spmm_t_col_naive(const CscMatrix& a, const double* bc, double* cc) {
   for (Index j = 0; j < a.cols(); ++j) {
     const auto rows = a.col_rows(j);
@@ -68,21 +67,20 @@ void spmm_t_col_naive(const CscMatrix& a, const double* bc, double* cc) {
 }
 
 // ---------------------------------------------------------------------------
-// SIMD sparse kernels (support/simd.hpp). Flavours as in dense/blas.cpp:
-// kFma single-rounding multiply-adds for the `simd` variant, two-rounding
-// madd for `simd-strict`. The strict flavours reproduce the reference
-// kernels' (tests/reference_kernels.hpp) per-element chains bitwise on EVERY
-// input — including the reference spmm zero-skip, which the strict quad
-// preserves by falling back per lane when a quad holds an exact zero.
+// SIMD sparse kernels (support/simd.hpp). As in dense/blas.cpp, every
+// multiply-add is simd::fmadd, single-rounding where the ISA has FMA. The
+// quads keep the reference kernels' (tests/reference_kernels.hpp) term order
+// per element but not the spmm zero-skip: a quad multiplies through an exact
+// zero of B. ref::simd_chain_spmm / simd_chain_spmm_t pin these chains
+// exactly.
 // ---------------------------------------------------------------------------
 
 // spmm quad on an interleaved scratch column block: cpack[kSpmmNb*r + q]
 // holds output column c0+q's row r, so the kSpmmNb accumulators of one A
 // nonzero live in kSpmmNb/width consecutive vectors — one contiguous
-// load/madd/store replaces kSpmmNb scattered cache-line touches. Lanes are
+// load/fmadd/store replaces kSpmmNb scattered cache-line touches. Lanes are
 // distinct output elements; each still accumulates its terms in ascending
 // (j, p) order.
-template <bool kFma, bool kStrict>
 void spmm_quad_simd(const CscMatrix& a, const Matrix& b, Matrix& c, Index c0,
                     double* LRA_RESTRICT cpack) {
   using simd::VecD;
@@ -97,30 +95,17 @@ void spmm_quad_simd(const CscMatrix& a, const Matrix& b, Matrix& c, Index c0,
     for (Index q = 0; q < kSpmmNb; ++q) wbuf[q] = bq[q][j];
     const auto rows = a.col_rows(j);
     const auto vals = a.col_values(j);
-    const bool all_nonzero = wbuf[0] != 0.0 && wbuf[1] != 0.0 &&
-                             wbuf[2] != 0.0 && wbuf[3] != 0.0;
-    if (!kStrict || all_nonzero) {
-      VecD wv[kNV];
+    VecD wv[kNV];
+    LRA_UNROLL
+    for (int v = 0; v < kNV; ++v) wv[v] = VecD::load(wbuf + v * kW);
+    for (std::size_t p = 0; p < rows.size(); ++p) {
+      const VecD av = VecD::broadcast(vals[p]);
+      double* LRA_RESTRICT cr = cpack + kSpmmNb * rows[p];
       LRA_UNROLL
-      for (int v = 0; v < kNV; ++v) wv[v] = VecD::load(wbuf + v * kW);
-      for (std::size_t p = 0; p < rows.size(); ++p) {
-        const VecD av = VecD::broadcast(vals[p]);
-        double* LRA_RESTRICT cr = cpack + kSpmmNb * rows[p];
-        LRA_UNROLL
-        for (int v = 0; v < kNV; ++v) {
-          VecD acc = VecD::load(cr + v * kW);
-          acc = kFma ? simd::fmadd(av, wv[v], acc) : simd::madd(av, wv[v], acc);
-          acc.store(cr + v * kW);
-        }
-      }
-    } else {
-      // A zero in dense B: per-lane scalar fallback preserving the
-      // reference kernel's skip exactly.
-      for (Index q = 0; q < kSpmmNb; ++q) {
-        const double w = wbuf[q];
-        if (w == 0.0) continue;
-        for (std::size_t p = 0; p < rows.size(); ++p)
-          cpack[kSpmmNb * rows[p] + q] += vals[p] * w;
+      for (int v = 0; v < kNV; ++v) {
+        VecD acc = VecD::load(cr + v * kW);
+        acc = simd::fmadd(av, wv[v], acc);
+        acc.store(cr + v * kW);
       }
     }
   }
@@ -133,9 +118,7 @@ void spmm_quad_simd(const CscMatrix& a, const Matrix& b, Matrix& c, Index c0,
 // spmm_t quad on an interleaved B block: bpack[kSpmmNb*r + q] = B(r, c0+q),
 // packed once per quad (cost kSpmmNb*m, amortized over nnz). Per A column
 // the kSpmmNb dots run in kNV vector accumulators; lane q's chain is the
-// reference dot — ascending p from 0.0 — so the strict flavour is bitwise
-// identical to the reference on every input.
-template <bool kFma>
+// reference dot's term order — ascending p from 0.0.
 void spmm_t_quad_simd(const CscMatrix& a, const Matrix& b, Matrix& c, Index c0,
                       double* LRA_RESTRICT bpack) {
   using simd::VecD;
@@ -157,8 +140,7 @@ void spmm_t_quad_simd(const CscMatrix& a, const Matrix& b, Matrix& c, Index c0,
       const double* br = bpack + kSpmmNb * rows[p];
       LRA_UNROLL
       for (int v = 0; v < kNV; ++v)
-        acc[v] = kFma ? simd::fmadd(av, VecD::load(br + v * kW), acc[v])
-                      : simd::madd(av, VecD::load(br + v * kW), acc[v]);
+        acc[v] = simd::fmadd(av, VecD::load(br + v * kW), acc[v]);
     }
     double t[kSpmmNb];
     for (int v = 0; v < kNV; ++v) acc[v].store(t + v * kW);
@@ -235,8 +217,7 @@ void spmm_into(Matrix& c, const CscMatrix& a, const Matrix& b) {
   // independent of the worker count). Within a column the accumulation runs
   // over A's columns in ascending order, so any thread count yields the same
   // bits. Edge blocks (n not a multiple of kSpmmNb — grid-determined, never
-  // thread-determined) run the per-column loop in both variants.
-  const bool strict = kernel_variant() == KernelVariant::kSimdStrict;
+  // thread-determined) run the per-column loop.
   const Index nblocks = (n + kSpmmNb - 1) / kSpmmNb;
   const Index grain = a.nnz() * n < kForkWork ? nblocks + 1 : 1;
   ThreadPool::global().parallel_for(
@@ -248,11 +229,7 @@ void spmm_into(Matrix& c, const CscMatrix& a, const Matrix& b) {
           Workspace::Scope scope;
           double* cpack =
               scope.doubles(static_cast<std::size_t>(kSpmmNb) * a.rows());
-          if (strict) {
-            spmm_quad_simd<false, true>(a, b, c, c0, cpack);
-          } else {
-            spmm_quad_simd<simd::kHasFma, false>(a, b, c, c0, cpack);
-          }
+          spmm_quad_simd(a, b, c, c0, cpack);
         } else {
           for (Index col = c0; col < c1; ++col)
             spmm_col_naive(a, b.col(col), c.col(col));
@@ -274,7 +251,6 @@ void spmm_t_into(Matrix& c, const CscMatrix& a, const Matrix& b) {
   // Each output column depends on one column of b only: embarrassingly
   // parallel with bitwise-identical results per column. Every element is
   // overwritten, so no zero fill is needed.
-  const bool strict = kernel_variant() == KernelVariant::kSimdStrict;
   const Index nblocks = (n + kSpmmNb - 1) / kSpmmNb;
   const Index grain = a.nnz() * n < kForkWork ? nblocks + 1 : 1;
   ThreadPool::global().parallel_for(
@@ -286,11 +262,7 @@ void spmm_t_into(Matrix& c, const CscMatrix& a, const Matrix& b) {
           Workspace::Scope scope;
           double* bpack =
               scope.doubles(static_cast<std::size_t>(kSpmmNb) * a.rows());
-          if (strict) {
-            spmm_t_quad_simd<false>(a, b, c, c0, bpack);
-          } else {
-            spmm_t_quad_simd<simd::kHasFma>(a, b, c, c0, bpack);
-          }
+          spmm_t_quad_simd(a, b, c, c0, bpack);
         } else {
           for (Index col = c0; col < c1; ++col)
             spmm_t_col_naive(a, b.col(col), c.col(col));

@@ -9,13 +9,12 @@
 // SimWorld ranks the kernels always degrade to serial loops so the
 // virtual-time accounting is unaffected.
 //
-// Variants: the SpMM family has two implementations, selected at runtime by
-// support/kernel_variant.hpp. Both process kSpmmNb = 4 output columns per
-// pass over A's index/value arrays, vectorized on support/simd.hpp: `simd`
-// fuses each multiply-add where the ISA has FMA, `simd-strict` keeps the
-// two-rounding chain and the zero-skip of the reference kernels in
-// tests/reference_kernels.hpp, and is bitwise identical to them on every
-// input — the kernel tests assert exactly that.
+// Kernels: the SpMM family processes kSpmmNb = 4 output columns per pass
+// over A's index/value arrays, vectorized on support/simd.hpp, and fuses
+// each multiply-add where the ISA has FMA. Each element keeps the term order
+// of the reference kernels in tests/reference_kernels.hpp (within their ULP
+// bound), and the kernel tests pin the bits exactly against the scalar
+// emulation of these chains (ref::simd_chain_spmm / simd_chain_spmm_t).
 //
 // Allocation: the `_into` entry points reshape a caller-owned output buffer
 // in place (no heap traffic once the buffer has grown to the working-set

@@ -1,13 +1,13 @@
 #pragma once
 // The tile geometry of the simd GEMM drivers, fixed at compile time.
 //
-// The `simd` / `simd-strict` nn and nt drivers (dense/blas.cpp) pack A in
-// mc x kc panels of (mv * width)-row strips and alpha * op(B) in nr-column
-// micro-panels, and run one (mv * width) x nr register micro-tile over
-// them. The values below are that geometry's one home; dense/blas.cpp
-// checks them with static_asserts against its own SIMD width. The simd kernels' per-element accumulation chains do not depend on
-// the tile (see ARCHITECTURE.md, "SIMD microkernels"), so a different tile
-// would change speed, never bits.
+// The simd nn and nt drivers (dense/blas.cpp) pack A in mc x kc panels of
+// (mv * width)-row strips and alpha * op(B) in nr-column micro-panels, and
+// run one (mv * width) x nr register micro-tile over them. The values below
+// are that geometry's one home; dense/blas.cpp checks them with
+// static_asserts against its own SIMD width. The kernels' per-element
+// accumulation chains do not depend on the tile (see ARCHITECTURE.md, "SIMD
+// microkernels"), so a different tile would change speed, never bits.
 
 #include <string>
 

@@ -17,14 +17,15 @@
 // Numerical contract (see ARCHITECTURE.md, "SIMD microkernels"):
 //
 //   * fmadd(a, b, c) is a*b + c with a SINGLE rounding where the ISA has
-//     hardware FMA, and falls back to madd() otherwise. Kernels built on it
-//     (the `simd` variant) are deterministic — same input, same shape, same
-//     bits at any thread count — but are NOT bitwise comparable to the
-//     reference kernels (tests/reference_kernels.hpp); they are gated by a
-//     ULP/relative-error bound instead.
+//     hardware FMA, and falls back to madd() otherwise. The GEMM and SpMM
+//     kernels (the `simd` contract) are built on it: deterministic — same
+//     input, same shape, same bits at any thread count — but NOT bitwise
+//     comparable to the reference kernels (tests/reference_kernels.hpp);
+//     they are gated by a ULP/relative-error bound, and pinned exactly by
+//     the scalar emulations of their chains there.
 //   * madd(a, b, c) is round(round(a*b) + c) in every lane on every ISA —
-//     exactly the scalar chain the reference kernels execute. Kernels built
-//     on it (the `simd-strict` variant) stay bitwise identical to them.
+//     exactly a scalar loop's chain, and fmadd's fallback. axpy, which must
+//     reproduce its scalar loop bit for bit, is built on it.
 //
 // Each ISA's definitions live in a distinct inline namespace so that two TUs
 // compiled at different widths never violate the ODR; code outside the
@@ -141,8 +142,7 @@ inline VecD madd(VecD a, VecD b, VecD c) noexcept {
   return {_mm_add_pd(_mm_mul_pd(a.v, b.v), c.v)};
 }
 
-/// No hardware FMA on SSE2: fmadd degrades to the two-rounding chain, so the
-/// `simd` variant computes exactly the `simd-strict` bits on this ISA.
+/// No hardware FMA on SSE2: fmadd degrades to the two-rounding chain.
 inline VecD fmadd(VecD a, VecD b, VecD c) noexcept { return madd(a, b, c); }
 
 inline double hsum_ordered(VecD a) noexcept {

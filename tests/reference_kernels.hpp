@@ -1,9 +1,9 @@
 #pragma once
 // Reference kernels: the seed GEMM / SpMM / SpMM^T loops that the library's
-// two kernel families are checked against, a scalar emulation of the `simd`
-// GEMM chains that pins that variant exactly, the one-column-at-a-time
-// Householder loops (QR, QRCP, bidiagonalization) that the library's swept
-// reflector kernels must reproduce bit for bit, and the
+// `simd` kernels are checked against, scalar emulations of the `simd` GEMM,
+// SpMM and SpMM^T chains that pin those kernels exactly, the
+// one-column-at-a-time Householder loops (QR, QRCP, bidiagonalization) that
+// the library's swept reflector kernels must reproduce bit for bit, and the
 // sorting SpGEMM / Schur-update loops (a marked sparse accumulator per pool
 // slice, a comparison sort of every column's rows, per-column buffers
 // stitched at the end) that the library's slice-assembled kernels must
@@ -11,13 +11,12 @@
 // Header-only and outside the library on purpose — only the kernel tests and
 // bench/bench_kernels.cpp include it, so no solver can run it.
 //
-// The contracts they anchor (support/kernel_variant.hpp):
-//   * simd-strict is bitwise identical to these loops (memcmp) — on every
-//     input for the sparse kernels and A^T*B, and on inputs free of exact
-//     zeros / non-finite values for A*B and A*B^T, where these loops skip
-//     terms whose dense multiplier is exactly 0.0;
-//   * simd stays within 4 * k_eff * eps * (the same loop on |inputs|) per
-//     element.
+// The contracts they anchor (dense/blas.hpp, sparse/ops.hpp):
+//   * simd stays within 4 * k_eff * eps * (the seed loop on |inputs|) per
+//     element;
+//   * simd is bitwise identical (memcmp) to simd_chain_gemm,
+//     simd_chain_spmm and simd_chain_spmm_t on every input, at every thread
+//     count.
 //
 // The loops and the pool forks are the seed kernels' own: j-k-i rank-1
 // updates cache-blocked over 256 x 256 panels for A*B, whole-k dots then one
@@ -119,6 +118,15 @@ inline void zero_fill(Matrix& c) {
   std::fill(c.data(), c.data() + c.size(), 0.0);
 }
 
+// One term of a `simd` kernel chain: std::fma where the library's kernels
+// fuse (`fused` = simd::simd_has_fma()), else the two-rounding chain.
+inline double chain_madd(bool fused, double x, double y, double z) {
+  return fused ? std::fma(x, y, z) : x * y + z;
+}
+
+// Columns per pass of the library's SpMM quads (kSpmmNb in sparse/ops.cpp).
+inline constexpr Index kSpmmNb = 4;
+
 // One output column of A * B: scan A once, scatter-accumulate into cc.
 inline void spmm_col(const CscMatrix& a, const double* bc, double* cc) {
   for (Index j = 0; j < a.cols(); ++j) {
@@ -169,9 +177,9 @@ inline void gemm(Matrix& c, const Matrix& a, const Matrix& b,
   }
 }
 
-/// The `simd` variant's GEMM chains, one element at a time in scalar code:
-/// the width is simd::simd_width(), and each multiply-add is std::fma
-/// exactly when simd::simd_has_fma() (else the two-rounding chain). C is
+/// The `simd` GEMM chains, one element at a time in scalar code: the width
+/// is simd::simd_width(), and each multiply-add is std::fma exactly when
+/// simd::simd_has_fma() (else the two-rounding chain). C is
 /// scaled by beta as lra::gemm scales it; then
 ///   * nn / nt: one multiply-add per term in ascending k, starting from C,
 ///     with the B term pre-multiplied by alpha: c = fma(a_ip, alpha * b_pj, c);
@@ -185,9 +193,6 @@ inline void simd_chain_gemm(Matrix& c, const Matrix& a, const Matrix& b,
   assert(!(ta == Trans::kYes && tb == Trans::kYes));
   const Index w = simd::simd_width();
   const bool fused = simd::simd_has_fma();
-  const auto madd = [fused](double x, double y, double z) {
-    return fused ? std::fma(x, y, z) : x * y + z;
-  };
   if (beta == 0.0) {
     detail::zero_fill(c);
   } else if (beta != 1.0) {
@@ -203,20 +208,72 @@ inline void simd_chain_gemm(Matrix& c, const Matrix& a, const Matrix& b,
         std::fill(lane.begin(), lane.end(), 0.0);
         for (Index p = 0; p < kv; ++p) {
           double& l = lane[static_cast<std::size_t>(p % w)];
-          l = madd(a(p, i), b(p, j), l);
+          l = detail::chain_madd(fused, a(p, i), b(p, j), l);
         }
         double s = lane[0];
         for (Index l = 1; l < w; ++l) s += lane[static_cast<std::size_t>(l)];
-        for (Index p = kv; p < k; ++p) s = madd(a(p, i), b(p, j), s);
+        for (Index p = kv; p < k; ++p)
+          s = detail::chain_madd(fused, a(p, i), b(p, j), s);
         c(i, j) += alpha * s;
       } else {
         double s = c(i, j);
         for (Index p = 0; p < k; ++p)
-          s = madd(a(i, p), alpha * (tb == Trans::kNo ? b(p, j) : b(j, p)), s);
+          s = detail::chain_madd(
+              fused, a(i, p), alpha * (tb == Trans::kNo ? b(p, j) : b(j, p)),
+              s);
         c(i, j) = s;
       }
     }
   }
+}
+
+/// The `simd` SpMM chains, one column at a time in scalar code: C = A * B
+/// from zero. Each full block of kSpmmNb columns runs one multiply-add per
+/// term, c_iq = fma(a_ij, b_jq, c_iq) over A's columns and their stored
+/// entries in order, with no zero skip (std::fma exactly when
+/// simd::simd_has_fma()); the n mod kSpmmNb leftover columns run the seed
+/// per-column loop, skip included.
+inline Matrix simd_chain_spmm(const CscMatrix& a, const Matrix& b) {
+  assert(a.cols() == b.rows());
+  const bool fused = simd::simd_has_fma();
+  const Index n = b.cols(), nq = n - n % detail::kSpmmNb;
+  Matrix c(a.rows(), n);
+  for (Index q = 0; q < nq; ++q) {
+    double* cq = c.col(q);
+    for (Index j = 0; j < a.cols(); ++j) {
+      const double w = b(j, q);
+      const auto rows = a.col_rows(j);
+      const auto vals = a.col_values(j);
+      for (std::size_t p = 0; p < rows.size(); ++p)
+        cq[rows[p]] = detail::chain_madd(fused, vals[p], w, cq[rows[p]]);
+    }
+  }
+  for (Index q = nq; q < n; ++q) detail::spmm_col(a, b.col(q), c.col(q));
+  return c;
+}
+
+/// The `simd` SpMM^T chains in scalar code: C = A^T * B. In each full block
+/// of kSpmmNb columns, C(j, q) is one multiply-add per stored entry of A's
+/// column j, in order, from 0.0 (std::fma exactly when
+/// simd::simd_has_fma()); the leftover columns run the seed dot loop.
+inline Matrix simd_chain_spmm_t(const CscMatrix& a, const Matrix& b) {
+  assert(a.rows() == b.rows());
+  const bool fused = simd::simd_has_fma();
+  const Index n = b.cols(), nq = n - n % detail::kSpmmNb;
+  Matrix c(a.cols(), n);
+  for (Index q = 0; q < nq; ++q) {
+    const double* bq = b.col(q);
+    for (Index j = 0; j < a.cols(); ++j) {
+      const auto rows = a.col_rows(j);
+      const auto vals = a.col_values(j);
+      double s = 0.0;
+      for (std::size_t p = 0; p < rows.size(); ++p)
+        s = detail::chain_madd(fused, vals[p], bq[rows[p]], s);
+      c(j, q) = s;
+    }
+  }
+  for (Index q = nq; q < n; ++q) detail::spmm_t_col(a, b.col(q), c.col(q));
+  return c;
 }
 
 /// C = A * B into a caller-owned buffer (reshaped to m x n), as

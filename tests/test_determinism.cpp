@@ -1,9 +1,9 @@
-// Bitwise determinism of the solvers across pool thread counts: RandQB_EI and
-// LU_CRTP must produce *identical* factors (not just close) with 1, 2, and 8
-// pool workers under simd-strict, RandQB_EI and RandUBV under the default
-// simd variant too, and the distributed engines must produce identical
-// telemetry structure (per-iteration indicator/rank series) because
-// simulated ranks never fork onto the pool.
+// Bitwise determinism of the solvers across pool thread counts: RandQB_EI,
+// RandUBV and LU_CRTP must produce *identical* factors (not just close) with
+// 1, 2, and 8 pool workers on the `simd` kernels every solve runs, and the
+// distributed engines must produce identical telemetry structure
+// (per-iteration indicator/rank series) because simulated ranks never fork
+// onto the pool.
 
 #include <gtest/gtest.h>
 
@@ -16,19 +16,9 @@
 #include "gen/givens_spray.hpp"
 #include "gen/spectrum.hpp"
 #include "par/pool.hpp"
-#include "support/kernel_variant.hpp"
 
 namespace lra {
 namespace {
-
-// The bitwise suites pin the simd-strict kernels: the vectorized variant
-// whose contract is bitwise identity with the naive reference. Running them
-// here (instead of under the default `simd` variant, which is only
-// ULP-comparable) keeps every bit-equality assertion below meaningful.
-const bool kVariantPinned = [] {
-  set_kernel_variant(KernelVariant::kSimdStrict);
-  return true;
-}();
 
 class PoolGuard {
  public:
@@ -110,24 +100,10 @@ TEST(DeterminismTest, LuCrtpFactorsIdenticalAcrossThreadCounts) {
   }
 }
 
-// The default `simd` variant: its fused chains are not the reference's, but
-// they must not depend on the worker count either. The input has more than
-// 2,048 rows, so the orthonormalizations take the pool TSQR and each
-// Gaussian sketch is drawn in several pool chunks.
-class SimdVariantScope {
- public:
-  SimdVariantScope() : saved_(kernel_variant()) {
-    set_kernel_variant(KernelVariant::kSimd);
-  }
-  ~SimdVariantScope() { set_kernel_variant(saved_); }
-
- private:
-  KernelVariant saved_;
-};
-
-TEST(DeterminismTest, SimdRandQbEiFactorsIdenticalAcrossThreadCounts) {
+// An input with more than 2,048 rows: the orthonormalizations take the pool
+// TSQR and each Gaussian sketch is drawn in several pool chunks.
+TEST(DeterminismTest, RandQbEiPoolTsqrFactorsIdenticalAcrossThreadCounts) {
   PoolGuard guard;
-  SimdVariantScope simd;
   const CscMatrix a = test_matrix(2100, 13);
   RandQbOptions opts;
   opts.block_size = 16;
@@ -154,9 +130,8 @@ TEST(DeterminismTest, SimdRandQbEiFactorsIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(DeterminismTest, SimdRandUbvFactorsIdenticalAcrossThreadCounts) {
+TEST(DeterminismTest, RandUbvPoolTsqrFactorsIdenticalAcrossThreadCounts) {
   PoolGuard guard;
-  SimdVariantScope simd;
   const CscMatrix a = test_matrix(2100, 17);
   RandUbvOptions opts;
   opts.block_size = 16;

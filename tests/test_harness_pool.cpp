@@ -9,19 +9,9 @@
 #include "par/pool.hpp"
 #include "sim/oracle.hpp"
 #include "sim/repro.hpp"
-#include "support/kernel_variant.hpp"
 
 namespace lra::sim {
 namespace {
-
-// The bitwise suites pin the simd-strict kernels: the vectorized variant
-// whose contract is bitwise identity with the naive reference. Running them
-// here (instead of under the default `simd` variant, which is only
-// ULP-comparable) keeps every bit-equality assertion below meaningful.
-const bool kVariantPinned = [] {
-  set_kernel_variant(KernelVariant::kSimdStrict);
-  return true;
-}();
 
 void expect_same_decisions(const SolverDigest& a, const SolverDigest& b,
                            const char* what) {

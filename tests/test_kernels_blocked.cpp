@@ -1,5 +1,5 @@
-// Kernel guarantees that hold under every kernel variant: spmv and the
-// workspace arenas.
+// Kernel guarantees outside the GEMM/SpMM contract: spmv and the workspace
+// arenas.
 //
 // spmv / spmv_t run a fixed chunk grid with a serial fold, so their output is
 // the same at every pool width and matches the reference SpMM on a single
@@ -12,7 +12,7 @@
 // repeat solves while the allocation count keeps advancing).
 //
 // The file name dates from when it also compared the former `blocked` kernel
-// variant against the naive one; the two kernel contracts are checked
+// variant against the naive one; the `simd` kernel contract is checked
 // against the reference kernels in test_kernels_simd.cpp.
 
 #include <gtest/gtest.h>

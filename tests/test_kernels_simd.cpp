@@ -1,27 +1,24 @@
-// The two kernel contracts against the reference loops. The variant-free
-// spmv and workspace-arena tests are in test_kernels_blocked.cpp.
-//
-// `simd-strict` builds every accumulation from madd() — the reference
-// kernels' two-rounding chain, lane-sequential in k — so its output must be
-// bitwise identical (memcmp, stricter than operator==, which treats -0.0 ==
-// +0.0) to the reference kernels in reference_kernels.hpp for every driver,
-// on remainder-heavy shapes straddling the vector width and panel edges, at
-// pool widths 1, 2, and 8.
+// The `simd` kernel contract against the reference loops. The spmv and
+// workspace-arena tests are in test_kernels_blocked.cpp.
 //
 // `simd` uses hardware FMA where compiled in: same terms, same order, single
 // rounding per term. It is gated against the reference by the documented ULP
 // bound
 //   |simd - ref| <= 4 * k_eff * eps * (ref on |inputs|)
 // where k_eff is the reduction length actually feeding an element, must
-// itself be deterministic — same bits at every pool width — and its GEMM
-// must match the scalar emulation of its chains (ref::simd_chain_gemm)
-// bit for bit.
+// itself be deterministic — same bits at every pool width — and must match
+// the scalar emulation of its chains (ref::simd_chain_gemm,
+// ref::simd_chain_spmm, ref::simd_chain_spmm_t) bit for bit (memcmp,
+// stricter than operator==, which treats -0.0 == +0.0) on remainder-heavy
+// shapes straddling the vector width and every tile edge, at pool widths 1,
+// 2 and 8.
 
 #include <gtest/gtest.h>
 
 #include <cfloat>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -32,7 +29,6 @@
 #include "reference_kernels.hpp"
 #include "sparse/ops.hpp"
 #include "support/autotune.hpp"
-#include "support/kernel_variant.hpp"
 #include "support/simd.hpp"
 
 namespace lra {
@@ -45,15 +41,6 @@ class PoolGuard {
 
  private:
   int saved_;
-};
-
-class VariantGuard {
- public:
-  VariantGuard() : saved_(kernel_variant()) {}
-  ~VariantGuard() { set_kernel_variant(saved_); }
-
- private:
-  KernelVariant saved_;
 };
 
 const int kWidths[] = {1, 2, 8};
@@ -116,21 +103,14 @@ CscMatrix sparse_matrix(Index n = 600, std::uint64_t seed = 7) {
                        .seed = seed});
 }
 
-// One gemm case: gaussian operands (zero-free, so the reference kernels'
-// skip never fires), C seeded gaussian so beta != 0 paths are exercised too.
-// `reference` runs ref::gemm instead of the active library variant.
-Matrix run_gemm(bool reference, Index m, Index n, Index k, Trans ta, Trans tb,
-                double alpha, double beta) {
+// One gemm case on gaussian operands: op(A) * op(B).
+Matrix run_gemm(Index m, Index n, Index k, Trans ta, Trans tb) {
   const Matrix a = ta == Trans::kNo ? Matrix::gaussian(m, k, 11)
                                     : Matrix::gaussian(k, m, 11);
   const Matrix b = tb == Trans::kNo ? Matrix::gaussian(k, n, 12)
                                     : Matrix::gaussian(n, k, 12);
-  Matrix c = Matrix::gaussian(m, n, 13);
-  if (reference) {
-    ref::gemm(c, a, b, alpha, beta, ta, tb);
-  } else {
-    gemm(c, a, b, alpha, beta, ta, tb);
-  }
+  Matrix c(m, n);
+  gemm(c, a, b, 1.0, 0.0, ta, tb);
   return c;
 }
 
@@ -141,42 +121,6 @@ struct TransCase {
 const TransCase kTransCases[] = {{Trans::kNo, Trans::kNo, "nn"},
                                  {Trans::kYes, Trans::kNo, "tn"},
                                  {Trans::kNo, Trans::kYes, "nt"}};
-
-// --- simd-strict: bitwise identical to the reference -----------------------
-
-void check_strict_gemm_shape(Index m, Index n, Index k) {
-  for (const TransCase& t : kTransCases) {
-    for (const auto& [alpha, beta] :
-         std::vector<std::pair<double, double>>{{1.0, 0.0}, {1.25, 0.75}}) {
-      const Matrix want = run_gemm(true, m, n, k, t.ta, t.tb, alpha, beta);
-      set_kernel_variant(KernelVariant::kSimdStrict);
-      for (int w : kWidths) {
-        ThreadPool::global().set_num_threads(w);
-        const Matrix got = run_gemm(false, m, n, k, t.ta, t.tb, alpha, beta);
-        EXPECT_TRUE(bits_equal(want, got))
-            << "strict " << t.name << " m=" << m << " n=" << n << " k=" << k
-            << " alpha=" << alpha << " beta=" << beta << " width=" << w;
-      }
-    }
-  }
-}
-
-TEST(KernelsSimdTest, StrictGemmBitwiseIdenticalOnRemainderShapes) {
-  PoolGuard pool;
-  VariantGuard variant;
-  // Below one vector, straddling the vector width, straddling the micro-tile
-  // strip (mr = mv * width, 12 on AVX2; m only), and straddling the mc/kc
-  // panel edges.
-  const Index small[] = {1, 3, 7, 8, 9};
-  for (Index m : {1, 3, 7, 8, 9, 11, 12, 13})
-    for (Index n : small)
-      for (Index k : small) check_strict_gemm_shape(m, n, k);
-  check_strict_gemm_shape(261, 261, 261);
-  check_strict_gemm_shape(261, 9, 8);
-  check_strict_gemm_shape(8, 261, 3);
-  check_strict_gemm_shape(3, 7, 261);
-  check_strict_gemm_shape(17, 19, 23);  // coprime to every lane count
-}
 
 // Tall narrow products (n <= 256, the randomized solvers' m x K times K x k
 // blocks) split over runs of row strips instead of columns, and tn walks A's
@@ -194,60 +138,10 @@ NarrowShape narrow_shape() {
   return {.m = 4 * cfg.mc + 13, .k = cfg.kc + 9};
 }
 
-TEST(KernelsSimdTest, StrictGemmBitwiseIdenticalOnTallNarrowShapes) {
-  PoolGuard pool;
-  VariantGuard variant;
-  const NarrowShape s = narrow_shape();
-  for (Index n : kNarrowNs) check_strict_gemm_shape(s.m, n, s.k);
-}
-
-TEST(KernelsSimdTest, StrictSparseKernelsBitwiseIdenticalAcrossWidths) {
-  PoolGuard pool;
-  VariantGuard variant;
-  const CscMatrix a = sparse_matrix();
-  for (Index cols : {3, 4, 5, 8, 9}) {
-    const Matrix b = Matrix::gaussian(a.cols(), cols, 21);
-    const Matrix bt = Matrix::gaussian(a.rows(), cols, 22);
-
-    const Matrix ref_mm = ref::spmm(a, b);
-    const Matrix ref_tm = ref::spmm_t(a, bt);
-
-    set_kernel_variant(KernelVariant::kSimdStrict);
-    for (int w : kWidths) {
-      ThreadPool::global().set_num_threads(w);
-      EXPECT_TRUE(bits_equal(ref_mm, spmm(a, b)))
-          << "strict spmm cols=" << cols << " width=" << w;
-      EXPECT_TRUE(bits_equal(ref_tm, spmm_t(a, bt)))
-          << "strict spmm_t cols=" << cols << " width=" << w;
-    }
-  }
-}
-
-TEST(KernelsSimdTest, StrictSparsePreservesZeroSkipOnExplicitZeros) {
-  // The reference sparse kernels skip explicit zero B entries; the strict quads
-  // fall back per-lane when a quad holds a zero so they must still match
-  // bitwise — including on inputs where the skipped term would be NaN * 0.
-  PoolGuard pool;
-  VariantGuard variant;
-  const CscMatrix a = sparse_matrix(200, 17);
-  Matrix b = Matrix::gaussian(a.cols(), 6, 24);
-  b(0, 0) = 0.0;
-  b(1, 1) = 0.0;
-  b(5, 2) = 0.0;
-  b(2, 3) = std::numeric_limits<double>::quiet_NaN();
-  const Matrix want = ref::spmm(a, b);
-  set_kernel_variant(KernelVariant::kSimdStrict);
-  for (int w : kWidths) {
-    ThreadPool::global().set_num_threads(w);
-    EXPECT_TRUE(bits_equal(want, spmm(a, b))) << "width=" << w;
-  }
-}
-
 // --- simd: ULP-bounded against the reference, deterministic in itself -------
 
 TEST(KernelsSimdTest, SimdGemmWithinUlpBoundOfReference) {
   PoolGuard pool;
-  VariantGuard variant;
   const Index shapes[][3] = {{7, 9, 8}, {33, 17, 64}, {64, 64, 64},
                              {261, 33, 129}};
   for (const auto& s : shapes) {
@@ -261,7 +155,6 @@ TEST(KernelsSimdTest, SimdGemmWithinUlpBoundOfReference) {
       ref::gemm(want, a, b, 1.0, 0.0, t.ta, t.tb);
       Matrix absref(m, n);
       ref::gemm(absref, abs_matrix(a), abs_matrix(b), 1.0, 0.0, t.ta, t.tb);
-      set_kernel_variant(KernelVariant::kSimd);
       ThreadPool::global().set_num_threads(2);
       Matrix got(m, n);
       gemm(got, a, b, 1.0, 0.0, t.ta, t.tb);
@@ -275,11 +168,12 @@ TEST(KernelsSimdTest, SimdGemmWithinUlpBoundOfReference) {
 // 12 (the AVX2 strip of mv = 3 vectors) from 1 to 11 across the mc = 120
 // panel edge, n with n mod 4 and n mod 3 both nonzero (the nn/nt micro-tile
 // and the tn tile widths), k on both sides of the tn slab (256) and the kc
-// slab (384), a one-strip m (column split) and an n past one B panel.
+// slab (384), a one-strip m (column split) and an n past one B panel; every
+// small m x n x k below one vector, straddling the vector width and the
+// micro-tile strip; 261 on each side of a panel; 17 x 19 x 23, coprime to
+// every lane count; and the tall narrow shapes.
 TEST(KernelsSimdTest, SimdGemmMatchesChainEmulationBitwise) {
   PoolGuard pool;
-  VariantGuard variant;
-  set_kernel_variant(KernelVariant::kSimd);
   const Index ks[] = {3, 255, 256, 257, 383, 384, 385, 769};
   const double alphas[] = {0.75, -1.0};
   const double betas[] = {0.0, 1.0, 0.5};
@@ -293,44 +187,103 @@ TEST(KernelsSimdTest, SimdGemmMatchesChainEmulationBitwise) {
     shapes.push_back({5, 7, k});
     shapes.push_back({13, 263, k});
   }
+  const Index small[] = {1, 3, 7, 8, 9};
+  for (Index m : {1, 3, 7, 8, 9, 11, 12, 13})
+    for (Index n : small)
+      for (Index k : small) shapes.push_back({m, n, k});
+  shapes.push_back({261, 261, 261});
+  shapes.push_back({261, 9, 8});
+  shapes.push_back({8, 261, 3});
+  shapes.push_back({3, 7, 261});
+  shapes.push_back({17, 19, 23});
+  const NarrowShape narrow = narrow_shape();
+  for (Index n : kNarrowNs) shapes.push_back({narrow.m, n, narrow.k});
+
+  struct Case {
+    Shape s;
+    const TransCase* t;
+    Matrix a, b, c0;
+    std::vector<Matrix> wants;  // per (alpha, beta), in loop order
+  };
+  std::vector<Case> cases;
   for (const Shape& s : shapes) {
     for (const TransCase& t : kTransCases) {
-      const Matrix a = t.ta == Trans::kNo ? Matrix::gaussian(s.m, s.k, 11)
-                                          : Matrix::gaussian(s.k, s.m, 11);
-      const Matrix b = t.tb == Trans::kNo ? Matrix::gaussian(s.k, s.n, 12)
-                                          : Matrix::gaussian(s.n, s.k, 12);
-      const Matrix c0 = Matrix::gaussian(s.m, s.n, 13);
-      std::vector<Matrix> wants;
+      Case c{s, &t,
+             t.ta == Trans::kNo ? Matrix::gaussian(s.m, s.k, 11)
+                                : Matrix::gaussian(s.k, s.m, 11),
+             t.tb == Trans::kNo ? Matrix::gaussian(s.k, s.n, 12)
+                                : Matrix::gaussian(s.n, s.k, 12),
+             Matrix::gaussian(s.m, s.n, 13), {}};
       for (double alpha : alphas) {
         for (double beta : betas) {
-          wants.push_back(c0);
-          ref::simd_chain_gemm(wants.back(), a, b, alpha, beta, t.ta, t.tb);
+          c.wants.push_back(c.c0);
+          ref::simd_chain_gemm(c.wants.back(), c.a, c.b, alpha, beta, t.ta,
+                               t.tb);
         }
       }
-      // Widths outside the (alpha, beta) loop: each resize starts threads,
-      // and after some 30,000 thread starts in one process LeakSanitizer
-      // reports the live workers' thread-local destructor records as leaks.
-      for (int w : kWidths) {
-        ThreadPool::global().set_num_threads(w);
-        const Matrix* want = wants.data();
-        for (double alpha : alphas) {
-          for (double beta : betas) {
-            Matrix got = c0;
-            gemm(got, a, b, alpha, beta, t.ta, t.tb);
-            EXPECT_TRUE(bits_equal(*want++, got))
-                << "simd " << t.name << " m=" << s.m << " n=" << s.n
-                << " k=" << s.k << " alpha=" << alpha << " beta=" << beta
-                << " width=" << w;
-          }
+      cases.push_back(std::move(c));
+    }
+  }
+  // The width loop is outermost: every resize restarts the pool's threads,
+  // and after some 30,000 thread starts in one process LeakSanitizer reports
+  // the live workers' thread-local destructor records as leaks.
+  for (int w : kWidths) {
+    ThreadPool::global().set_num_threads(w);
+    for (const Case& c : cases) {
+      const Matrix* want = c.wants.data();
+      for (double alpha : alphas) {
+        for (double beta : betas) {
+          Matrix got = c.c0;
+          gemm(got, c.a, c.b, alpha, beta, c.t->ta, c.t->tb);
+          EXPECT_TRUE(bits_equal(*want++, got))
+              << "simd " << c.t->name << " m=" << c.s.m << " n=" << c.s.n
+              << " k=" << c.s.k << " alpha=" << alpha << " beta=" << beta
+              << " width=" << w;
         }
       }
     }
   }
 }
 
+// The exact sparse chains: spmm and spmm_t against ref::simd_chain_spmm /
+// simd_chain_spmm_t, memcmp, at column counts below, at and around the
+// 4-column quad (leftover columns take the per-column loops), on a B with
+// explicit zeros (the quads multiply through them, the leftover loops skip
+// them) and a NaN.
+TEST(KernelsSimdTest, SimdSparseKernelsMatchChainEmulationBitwise) {
+  PoolGuard pool;
+  const CscMatrix a = sparse_matrix();
+  struct Case {
+    Index cols;
+    Matrix b, bt, want_mm, want_tm;
+  };
+  std::vector<Case> cases;
+  for (Index cols : {3, 4, 5, 8, 9}) {
+    Case c{cols, Matrix::gaussian(a.cols(), cols, 21),
+           Matrix::gaussian(a.rows(), cols, 22), {}, {}};
+    for (Matrix* b : {&c.b, &c.bt}) {
+      (*b)(0, 0) = 0.0;
+      (*b)(1, 1) = 0.0;
+      (*b)(5, 2) = 0.0;
+      (*b)(2, cols - 1) = std::numeric_limits<double>::quiet_NaN();
+    }
+    c.want_mm = ref::simd_chain_spmm(a, c.b);
+    c.want_tm = ref::simd_chain_spmm_t(a, c.bt);
+    cases.push_back(std::move(c));
+  }
+  for (int w : kWidths) {
+    ThreadPool::global().set_num_threads(w);
+    for (const Case& c : cases) {
+      EXPECT_TRUE(bits_equal(c.want_mm, spmm(a, c.b)))
+          << "spmm cols=" << c.cols << " width=" << w;
+      EXPECT_TRUE(bits_equal(c.want_tm, spmm_t(a, c.bt)))
+          << "spmm_t cols=" << c.cols << " width=" << w;
+    }
+  }
+}
+
 TEST(KernelsSimdTest, SimdSparseKernelsWithinUlpBoundOfReference) {
   PoolGuard pool;
-  VariantGuard variant;
   const CscMatrix a = sparse_matrix(400, 9);
   const CscMatrix aa = abs_csc(a);
   const Matrix b = Matrix::gaussian(a.cols(), 8, 21);
@@ -341,7 +294,6 @@ TEST(KernelsSimdTest, SimdSparseKernelsWithinUlpBoundOfReference) {
   const Matrix abs_mm = ref::spmm(aa, abs_matrix(b));
   const Matrix abs_tm = ref::spmm_t(aa, abs_matrix(bt));
 
-  set_kernel_variant(KernelVariant::kSimd);
   ThreadPool::global().set_num_threads(2);
   // Reduction lengths per element: spmm sums over a row's nonzeros, spmm_t
   // over a column's.
@@ -354,8 +306,6 @@ TEST(KernelsSimdTest, SimdGemmPropagatesNanAndInf) {
   // arithmetic: a NaN in row i of A poisons row i of C (dense B), an Inf
   // produces Inf/NaN, and no other row is disturbed.
   PoolGuard pool;
-  VariantGuard variant;
-  set_kernel_variant(KernelVariant::kSimd);
   const Index m = 13, n = 9, k = 21;
   Matrix a = Matrix::gaussian(m, k, 31);
   const Matrix b = Matrix::gaussian(k, n, 32);
@@ -372,8 +322,6 @@ TEST(KernelsSimdTest, SimdGemmPropagatesNanAndInf) {
 
 TEST(KernelsSimdTest, SimdBitsInvariantAcrossWidths) {
   PoolGuard pool;
-  VariantGuard variant;
-  set_kernel_variant(KernelVariant::kSimd);
   const Index m = 67, n = 33, k = 129;
   const Matrix a = Matrix::gaussian(m, k, 41);
   const Matrix b = Matrix::gaussian(k, n, 42);
@@ -394,16 +342,14 @@ TEST(KernelsSimdTest, SimdBitsInvariantAcrossWidths) {
 
 TEST(KernelsSimdTest, SimdBitsInvariantAcrossWidthsOnTallNarrowShapes) {
   PoolGuard pool;
-  VariantGuard variant;
-  set_kernel_variant(KernelVariant::kSimd);
   const NarrowShape s = narrow_shape();
   for (Index n : kNarrowNs) {
     for (const TransCase& t : kTransCases) {
       ThreadPool::global().set_num_threads(1);
-      const Matrix want = run_gemm(false, s.m, n, s.k, t.ta, t.tb, 1.0, 0.0);
+      const Matrix want = run_gemm(s.m, n, s.k, t.ta, t.tb);
       for (int w : kWidths) {
         ThreadPool::global().set_num_threads(w);
-        const Matrix got = run_gemm(false, s.m, n, s.k, t.ta, t.tb, 1.0, 0.0);
+        const Matrix got = run_gemm(s.m, n, s.k, t.ta, t.tb);
         EXPECT_TRUE(bits_equal(want, got))
             << "simd " << t.name << " m=" << s.m << " n=" << n << " k=" << s.k
             << " width=" << w;

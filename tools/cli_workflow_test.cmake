@@ -109,33 +109,29 @@ file(WRITE ${repro} "{\"matrix\": \"M1\", \"scale\": 0.25, \"method\": \"lu_crtp
 run(${LRA_CLI} repro --file=${repro})
 run(${LRA_CLI} --repro=${repro})
 
-# Thread-count leg: under each kernel variant (the `simd` default and the
-# bitwise `simd-strict` contract), the same approximation computed on 1 and
-# on 4 pool workers must serialize to byte-identical factor files. randqb and
-# lu cover the GEMM/SpMM-heavy and the Schur-update paths end to end; M2' at
-# scale 0.3 (600 x 600, ~37k nonzeros) is large enough that their kernels
-# fork onto the pool instead of running inline.
+# Thread-count leg: the same approximation computed on 1 and on 4 pool
+# workers must serialize to byte-identical factor files. randqb and lu cover
+# the GEMM/SpMM-heavy and the Schur-update paths end to end; M2' at scale 0.3
+# (600 x 600, ~37k nonzeros) is large enough that their kernels fork onto the
+# pool instead of running inline.
 set(mtx_threads ${WORK_DIR}/cli_test_threads.mtx)
 run(${LRA_CLI} generate --preset=M2 --scale=0.3 --out=${mtx_threads})
 foreach(method randqb lu)
-  foreach(variant simd simd-strict)
-    set(fact_t1 ${WORK_DIR}/cli_test_${method}_${variant}_t1.fact)
-    set(fact_t4 ${WORK_DIR}/cli_test_${method}_${variant}_t4.fact)
-    foreach(threads 1 4)
-      run(${LRA_CLI} approx --mtx=${mtx_threads} --method=${method} --tau=1e-2
-          --kernel-variant=${variant} --threads=${threads}
-          --out=${fact_t${threads}})
-    endforeach()
-    execute_process(
-      COMMAND ${CMAKE_COMMAND} -E compare_files ${fact_t1} ${fact_t4}
-      RESULT_VARIABLE rc)
-    if(NOT rc EQUAL 0)
-      message(FATAL_ERROR
-              "${method} (${variant}): --threads=1 and --threads=4 produced "
-              "different factor files (${fact_t1} vs ${fact_t4})")
-    endif()
-    file(REMOVE ${fact_t1} ${fact_t4})
+  set(fact_t1 ${WORK_DIR}/cli_test_${method}_t1.fact)
+  set(fact_t4 ${WORK_DIR}/cli_test_${method}_t4.fact)
+  foreach(threads 1 4)
+    run(${LRA_CLI} approx --mtx=${mtx_threads} --method=${method} --tau=1e-2
+        --threads=${threads} --out=${fact_t${threads}})
   endforeach()
+  execute_process(
+    COMMAND ${CMAKE_COMMAND} -E compare_files ${fact_t1} ${fact_t4}
+    RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR
+            "${method}: --threads=1 and --threads=4 produced different "
+            "factor files (${fact_t1} vs ${fact_t4})")
+  endif()
+  file(REMOVE ${fact_t1} ${fact_t4})
 endforeach()
 file(REMOVE ${mtx_threads})
 
@@ -152,22 +148,20 @@ if(found EQUAL -1)
   message(FATAL_ERROR "lra_cli tune did not print the usage line:\n${err}")
 endif()
 
-# A bad variant must be rejected with the usage exit code, not run. `naive`
-# names the reference kernels, which are test-only and not a runtime variant.
-foreach(bad fast naive)
-  execute_process(
-    COMMAND ${LRA_CLI} approx --mtx=${mtx} --tau=1e-2 --kernel-variant=${bad}
-    RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
-  if(NOT rc EQUAL 2)
-    message(FATAL_ERROR
-            "--kernel-variant=${bad} exited ${rc}, expected 2:\n${err}")
-  endif()
-  string(FIND "${err}" "expected simd|simd-strict" found)
-  if(found EQUAL -1)
-    message(FATAL_ERROR
-            "--kernel-variant=${bad} did not explain itself:\n${err}")
-  endif()
-endforeach()
+# `--kernel-variant` names the retired runtime switch between kernel
+# contracts: it is an unknown flag now (exit 2, naming it), not a run.
+execute_process(
+  COMMAND ${LRA_CLI} approx --mtx=${mtx} --tau=1e-2
+          --kernel-variant=simd-strict
+  RESULT_VARIABLE rc OUTPUT_VARIABLE out ERROR_VARIABLE err)
+if(NOT rc EQUAL 2)
+  message(FATAL_ERROR
+          "--kernel-variant exited ${rc}, expected 2:\n${out}\n${err}")
+endif()
+string(FIND "${err}" "unknown flag --kernel-variant" found)
+if(found EQUAL -1)
+  message(FATAL_ERROR "--kernel-variant was not named as unknown:\n${err}")
+endif()
 
 # A flag the subcommand never reads is an error naming it, not a silent
 # default: a typo of --tau, and --comm-algo, which no longer exists (the

@@ -39,11 +39,8 @@
 //   pool (default: LRA_NUM_THREADS or the hardware concurrency; 0 or
 //   negative values warn and fall back to 1). Simulated ranks (--np) always
 //   compute single-threaded per rank so virtual times stay comparable.
-//   Every subcommand also accepts --kernel-variant=simd|simd-strict to pick
-//   the compute-kernel contract (default: LRA_KERNEL_VARIANT or simd):
-//   `simd` fuses multiply-adds where the ISA has FMA, `simd-strict` keeps
-//   the two-rounding chain and stays bitwise identical to the reference
-//   loops the kernel tests compare against.
+//   The compute kernels have one contract, `simd`: multiply-adds fused
+//   where the ISA has FMA, the same bits at any --threads.
 //   An unknown flag (one the subcommand never reads) is an error: exit 2.
 
 #include <algorithm>
@@ -75,7 +72,6 @@
 #include "sparse/io_mm.hpp"
 #include "sparse/ops.hpp"
 #include "support/cli.hpp"
-#include "support/kernel_variant.hpp"
 #include "support/stopwatch.hpp"
 #include "support/workspace.hpp"
 
@@ -377,16 +373,6 @@ int main(int argc, char** argv) {
       const int n =
           lra::resolve_thread_count(cli.get_int("threads", 0), "--threads");
       lra::ThreadPool::global().set_num_threads(n);
-    }
-    if (cli.has("kernel-variant")) {
-      const std::string v = cli.get("kernel-variant", "");
-      lra::KernelVariant kv;
-      if (!lra::parse_kernel_variant(v, &kv)) {
-        std::fprintf(stderr, "error: --kernel-variant=%s (expected %s)\n",
-                     v.c_str(), lra::kKernelVariantNames);
-        return 2;
-      }
-      lra::set_kernel_variant(kv);
     }
     // `lra_cli --repro=case.json` is the one-invocation replay the harness
     // prints on failure; it is sugar for `lra_cli repro --file=case.json`.
