@@ -18,6 +18,7 @@
 #include "sparse/drop.hpp"
 #include "sparse/ops.hpp"
 #include "sparse/spgemm.hpp"
+#include "support/bytes.hpp"
 #include "support/workspace.hpp"
 
 namespace lra {

@@ -1,136 +1,94 @@
 #include "core/serialize.hpp"
 
-#include <cstring>
+#include <array>
 #include <fstream>
+#include <iterator>
 #include <stdexcept>
+#include <utility>
 
 #include "sparse/permute.hpp"
+#include "support/bytes.hpp"
 
 namespace lra {
 namespace {
 
-constexpr char kMagic[8] = {'L', 'R', 'A', 'F', 'A', 'C', 'T', '1'};
+using Magic = std::array<char, 8>;
+constexpr Magic kMagic = {'L', 'R', 'A', 'F', 'A', 'C', 'T', '1'};
 
-class Writer {
- public:
-  explicit Writer(const std::string& path) : os_(path, std::ios::binary) {
-    if (!os_) throw std::runtime_error("cannot open " + path);
-    os_.write(kMagic, sizeof(kMagic));
-  }
-  template <typename T>
-  void pod(const T& v) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    os_.write(reinterpret_cast<const char*>(&v), sizeof(T));
-  }
-  template <typename T>
-  void vec(const std::vector<T>& v) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    pod<std::uint64_t>(v.size());
-    os_.write(reinterpret_cast<const char*>(v.data()),
-              static_cast<std::streamsize>(v.size() * sizeof(T)));
-  }
-  void tag(char c) { pod(c); }
-  void matrix(const Matrix& m) {
-    pod<std::int64_t>(m.rows());
-    pod<std::int64_t>(m.cols());
-    os_.write(reinterpret_cast<const char*>(m.data()),
-              static_cast<std::streamsize>(m.size() * sizeof(double)));
-  }
-  void csc(const CscMatrix& a) {
-    pod<std::int64_t>(a.rows());
-    pod<std::int64_t>(a.cols());
-    vec(a.colptr());
-    vec(a.rowind());
-    vec(a.values());
-  }
-  void check() {
-    if (!os_) throw std::runtime_error("write failed");
-  }
+// --- sections: an i64 row and column count, then the entries ---
 
- private:
-  std::ofstream os_;
-};
+void put_matrix(ByteWriter& w, const Matrix& m) {
+  w.put<std::int64_t>(m.rows());
+  w.put<std::int64_t>(m.cols());
+  w.put_array(std::span<const double>(m.data(), m.size()));
+}
 
-class Reader {
- public:
-  explicit Reader(const std::string& path) : is_(path, std::ios::binary) {
-    if (!is_) throw std::runtime_error("cannot open " + path);
-    is_.seekg(0, std::ios::end);
-    file_size_ = static_cast<std::uint64_t>(is_.tellg());
-    is_.seekg(0, std::ios::beg);
-    char magic[8];
-    is_.read(magic, sizeof(magic));
-    if (!is_ || std::memcmp(magic, kMagic, sizeof(kMagic)) != 0)
-      throw std::runtime_error(path + ": not an lra factorization file");
-  }
-  template <typename T>
-  T pod() {
-    T v;
-    is_.read(reinterpret_cast<char*>(&v), sizeof(T));
-    if (!is_) throw std::runtime_error("truncated factorization file");
-    return v;
-  }
-  template <typename T>
-  std::vector<T> vec() {
-    const auto n = pod<std::uint64_t>();
-    // A corrupted (e.g. bit-flipped) length field must fail here with a
-    // structured error, before the allocation — never by attempting a
-    // multi-gigabyte vector the file cannot possibly back.
-    if (n > remaining() / sizeof(T))
-      throw std::runtime_error(
-          "corrupt factorization file: length field exceeds file size");
-    std::vector<T> v(n);
-    is_.read(reinterpret_cast<char*>(v.data()),
-             static_cast<std::streamsize>(n * sizeof(T)));
-    if (!is_) throw std::runtime_error("truncated factorization file");
-    return v;
-  }
-  Matrix matrix() {
-    const auto rows = pod<std::int64_t>();
-    const auto cols = pod<std::int64_t>();
-    if (rows < 0 || cols < 0)
-      throw std::runtime_error(
-          "corrupt factorization file: negative matrix dimension");
-    const std::uint64_t budget = remaining() / sizeof(double);
-    if (rows > 0 && static_cast<std::uint64_t>(cols) >
-                        budget / static_cast<std::uint64_t>(rows))
-      throw std::runtime_error(
-          "corrupt factorization file: matrix dimensions exceed file size");
-    Matrix m(rows, cols);
-    is_.read(reinterpret_cast<char*>(m.data()),
-             static_cast<std::streamsize>(m.size() * sizeof(double)));
-    if (!is_) throw std::runtime_error("truncated factorization file");
-    return m;
-  }
-  CscMatrix csc() {
-    const auto rows = pod<std::int64_t>();
-    const auto cols = pod<std::int64_t>();
-    if (rows < 0 || cols < 0)
-      throw std::runtime_error(
-          "corrupt factorization file: negative matrix dimension");
-    auto colptr = vec<Index>();
-    auto rowind = vec<Index>();
-    auto values = vec<double>();
-    // Validate the CSC structure before handing it to the constructor (whose
-    // debug-only assert is no defence in release builds): corrupted index
-    // data must be a structured error, never a matrix whose unsorted or
-    // repeated rows break every kernel's invariant downstream.
-    if (!CscMatrix::valid_structure(rows, cols, colptr, rowind, values.size()))
-      throw std::runtime_error(
-          "corrupt factorization file: invalid sparse structure");
-    return CscMatrix(rows, cols, std::move(colptr), std::move(rowind),
-                     std::move(values));
-  }
+void put_csc(ByteWriter& w, const CscMatrix& a) {
+  w.put<std::int64_t>(a.rows());
+  w.put<std::int64_t>(a.cols());
+  put_csc_arrays(w, a);
+}
 
- private:
-  std::uint64_t remaining() {
-    const auto pos = static_cast<std::uint64_t>(is_.tellg());
-    return pos > file_size_ ? 0 : file_size_ - pos;
-  }
+std::pair<Index, Index> get_shape(ByteReader& r) {
+  const Index rows = r.get<std::int64_t>();
+  const Index cols = r.get<std::int64_t>();
+  if (rows < 0 || cols < 0)
+    throw std::out_of_range("negative matrix dimension");
+  return {rows, cols};
+}
 
-  std::ifstream is_;
-  std::uint64_t file_size_ = 0;
-};
+Matrix get_matrix(ByteReader& r) {
+  const auto [rows, cols] = get_shape(r);
+  return Matrix(rows, cols,
+                r.get_array<double>(static_cast<std::uint64_t>(rows),
+                                    static_cast<std::uint64_t>(cols)));
+}
+
+CscMatrix get_csc(ByteReader& r) {
+  const auto [rows, cols] = get_shape(r);
+  return get_csc_arrays(r, rows, cols);
+}
+
+// --- files ---
+
+/// A factor file's header: the magic, then the kind tag.
+ByteWriter start_file(char tag) {
+  ByteWriter w;
+  w.put(kMagic);
+  w.put(tag);
+  return w;
+}
+
+void write_file(const std::string& path, const std::vector<std::byte>& bytes) {
+  std::ofstream os(path, std::ios::binary);
+  if (!os) throw std::runtime_error("cannot open " + path);
+  os.write(reinterpret_cast<const char*>(bytes.data()),
+           static_cast<std::streamsize>(bytes.size()));
+  if (!os) throw std::runtime_error(path + ": write failed");
+}
+
+/// Read the factor file at `path` whole and hand the bytes after its magic
+/// to `decode(reader, kind tag)`. Every error is a std::runtime_error that
+/// names the file; the codec's std::out_of_range means corrupt contents.
+template <typename Decode>
+auto load_file(const std::string& path, Decode&& decode) {
+  std::ifstream is(path, std::ios::binary);
+  if (!is) throw std::runtime_error("cannot open " + path);
+  try {
+    const std::string raw{std::istreambuf_iterator<char>(is), {}};
+    const auto* first = reinterpret_cast<const std::byte*>(raw.data());
+    const std::vector<std::byte> bytes(first, first + raw.size());
+    ByteReader r(bytes);
+    if (bytes.size() < sizeof(Magic) || r.get<Magic>() != kMagic)
+      throw std::runtime_error("not an lra factorization file");
+    return decode(r, r.get<char>());
+  } catch (const std::out_of_range& e) {
+    throw std::runtime_error(path + ": corrupt factorization file: " +
+                             e.what());
+  } catch (const std::runtime_error& e) {
+    throw std::runtime_error(path + ": " + e.what());
+  }
+}
 
 /// Factors that load but cannot be applied together are a structured error
 /// too: every consumer indexes one through the others' dimensions.
@@ -145,101 +103,85 @@ std::string dims(Index rows, Index cols) {
 }  // namespace
 
 void save_factorization(const std::string& path, const LuCrtpResult& r) {
-  Writer w(path);
-  w.tag('L');
-  w.pod<std::int32_t>(static_cast<std::int32_t>(r.status));
-  w.pod<std::int64_t>(r.rank);
-  w.pod<std::int64_t>(r.iterations);
-  w.pod(r.anorm_f);
-  w.pod(r.indicator);
-  w.pod(r.mu);
-  w.csc(r.l);
-  w.csc(r.u);
-  w.vec(r.row_perm);
-  w.vec(r.col_perm);
-  w.check();
+  ByteWriter w = start_file('L');
+  w.put<std::int32_t>(static_cast<std::int32_t>(r.status));
+  w.put<std::int64_t>(r.rank);
+  w.put<std::int64_t>(r.iterations);
+  w.put(r.anorm_f);
+  w.put(r.indicator);
+  w.put(r.mu);
+  put_csc(w, r.l);
+  put_csc(w, r.u);
+  w.put_vec(r.row_perm);
+  w.put_vec(r.col_perm);
+  write_file(path, w.take());
 }
 
 void save_factorization(const std::string& path, const RandQbResult& r) {
-  Writer w(path);
-  w.tag('Q');
-  w.pod<std::int32_t>(static_cast<std::int32_t>(r.status));
-  w.pod<std::int64_t>(r.rank);
-  w.pod<std::int64_t>(r.iterations);
-  w.pod(r.anorm_f);
-  w.pod(r.indicator);
-  w.matrix(r.q);
-  w.matrix(r.b);
-  w.check();
+  ByteWriter w = start_file('Q');
+  w.put<std::int32_t>(static_cast<std::int32_t>(r.status));
+  w.put<std::int64_t>(r.rank);
+  w.put<std::int64_t>(r.iterations);
+  w.put(r.anorm_f);
+  w.put(r.indicator);
+  put_matrix(w, r.q);
+  put_matrix(w, r.b);
+  write_file(path, w.take());
 }
 
 std::string stored_factorization_kind(const std::string& path) {
-  Reader r(path);
-  const char tag = r.pod<char>();
-  if (tag == 'L') return "lu";
-  if (tag == 'Q') return "qb";
-  throw std::runtime_error(path + ": unknown factorization kind");
+  return load_file(path, [](ByteReader&, char tag) -> std::string {
+    if (tag == 'L') return "lu";
+    if (tag == 'Q') return "qb";
+    throw std::runtime_error("unknown factorization kind");
+  });
 }
 
 LuCrtpResult load_lu_factorization(const std::string& path) {
-  Reader rd(path);
-  if (rd.pod<char>() != 'L')
-    throw std::runtime_error(path + ": not an LU factorization");
-  LuCrtpResult r;
-  r.status = static_cast<Status>(rd.pod<std::int32_t>());
-  r.rank = rd.pod<std::int64_t>();
-  r.iterations = rd.pod<std::int64_t>();
-  r.anorm_f = rd.pod<double>();
-  r.indicator = rd.pod<double>();
-  r.mu = rd.pod<double>();
-  r.l = rd.csc();
-  r.u = rd.csc();
-  r.row_perm = rd.vec<Index>();
-  r.col_perm = rd.vec<Index>();
-  require_consistent(r.l.cols() == r.u.rows(),
-                     "L is " + dims(r.l.rows(), r.l.cols()) + " but U is " +
-                         dims(r.u.rows(), r.u.cols()));
-  require_consistent(static_cast<Index>(r.row_perm.size()) == r.l.rows() &&
-                         is_permutation(r.row_perm),
-                     "row_perm is not a permutation of L's " +
-                         std::to_string(r.l.rows()) + " rows");
-  require_consistent(static_cast<Index>(r.col_perm.size()) == r.u.cols() &&
-                         is_permutation(r.col_perm),
-                     "col_perm is not a permutation of U's " +
-                         std::to_string(r.u.cols()) + " columns");
-  return r;
+  return load_file(path, [](ByteReader& rd, char tag) {
+    if (tag != 'L') throw std::runtime_error("not an LU factorization");
+    LuCrtpResult r;
+    r.status = static_cast<Status>(rd.get<std::int32_t>());
+    r.rank = rd.get<std::int64_t>();
+    r.iterations = rd.get<std::int64_t>();
+    r.anorm_f = rd.get<double>();
+    r.indicator = rd.get<double>();
+    r.mu = rd.get<double>();
+    r.l = get_csc(rd);
+    r.u = get_csc(rd);
+    r.row_perm = rd.get_vec<Index>();
+    r.col_perm = rd.get_vec<Index>();
+    require_consistent(r.l.cols() == r.u.rows(),
+                       "L is " + dims(r.l.rows(), r.l.cols()) + " but U is " +
+                           dims(r.u.rows(), r.u.cols()));
+    require_consistent(static_cast<Index>(r.row_perm.size()) == r.l.rows() &&
+                           is_permutation(r.row_perm),
+                       "row_perm is not a permutation of L's " +
+                           std::to_string(r.l.rows()) + " rows");
+    require_consistent(static_cast<Index>(r.col_perm.size()) == r.u.cols() &&
+                           is_permutation(r.col_perm),
+                       "col_perm is not a permutation of U's " +
+                           std::to_string(r.u.cols()) + " columns");
+    return r;
+  });
 }
 
 RandQbResult load_qb_factorization(const std::string& path) {
-  Reader rd(path);
-  if (rd.pod<char>() != 'Q')
-    throw std::runtime_error(path + ": not a QB factorization");
-  RandQbResult r;
-  r.status = static_cast<Status>(rd.pod<std::int32_t>());
-  r.rank = rd.pod<std::int64_t>();
-  r.iterations = rd.pod<std::int64_t>();
-  r.anorm_f = rd.pod<double>();
-  r.indicator = rd.pod<double>();
-  r.q = rd.matrix();
-  r.b = rd.matrix();
-  require_consistent(r.q.cols() == r.b.rows(),
-                     "Q is " + dims(r.q.rows(), r.q.cols()) + " but B is " +
-                         dims(r.b.rows(), r.b.cols()));
-  return r;
-}
-
-void save_csc(const std::string& path, const CscMatrix& a) {
-  Writer w(path);
-  w.tag('S');
-  w.csc(a);
-  w.check();
-}
-
-CscMatrix load_csc(const std::string& path) {
-  Reader rd(path);
-  if (rd.pod<char>() != 'S')
-    throw std::runtime_error(path + ": not a sparse matrix file");
-  return rd.csc();
+  return load_file(path, [](ByteReader& rd, char tag) {
+    if (tag != 'Q') throw std::runtime_error("not a QB factorization");
+    RandQbResult r;
+    r.status = static_cast<Status>(rd.get<std::int32_t>());
+    r.rank = rd.get<std::int64_t>();
+    r.iterations = rd.get<std::int64_t>();
+    r.anorm_f = rd.get<double>();
+    r.indicator = rd.get<double>();
+    r.q = get_matrix(rd);
+    r.b = get_matrix(rd);
+    require_consistent(r.q.cols() == r.b.rows(),
+                       "Q is " + dims(r.q.rows(), r.q.cols()) + " but B is " +
+                           dims(r.b.rows(), r.b.cols()));
+    return r;
+  });
 }
 
 }  // namespace lra

@@ -1,8 +1,16 @@
 #pragma once
 // Binary (de)serialization of factorization results, so a factorization
 // computed once (e.g. by the CLI tool) can be stored and re-applied later.
-// Format: magic + version header, then length-prefixed POD sections; files
-// are not portable across endianness (documented limitation).
+// Layout (support/bytes.hpp): the magic "LRAFACT1", a kind tag ('L' or
+// 'Q'), the i32 status, the i64 rank and iterations, the result's doubles,
+// then the factors. A sparse factor is its i64 row and column counts and
+// its CSC arrays (put_csc_arrays); a dense one its i64 row and column
+// counts and its column-major entries. Files are not portable across
+// endianness (documented limitation).
+//
+// A save encodes the whole file in memory and writes it once; a load reads
+// it whole and decodes it. Every load error, corrupt contents included, is
+// a std::runtime_error that names the file.
 
 #include <string>
 
@@ -19,9 +27,5 @@ std::string stored_factorization_kind(const std::string& path);
 
 LuCrtpResult load_lu_factorization(const std::string& path);
 RandQbResult load_qb_factorization(const std::string& path);
-
-/// Sparse matrix container round-trip (used by tests and the CLI cache).
-void save_csc(const std::string& path, const CscMatrix& a);
-CscMatrix load_csc(const std::string& path);
 
 }  // namespace lra

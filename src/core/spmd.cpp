@@ -1,7 +1,6 @@
 #include "core/spmd.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "dense/blas.hpp"
 #include "dense/qr.hpp"
@@ -113,8 +112,7 @@ Matrix stack_row_blocks(std::vector<double> all, int nranks, Index total_rows,
 // cost (LU_CRTP's factor gather is the same exchange).
 std::vector<double> gather_uncharged(RankCtx& ctx, std::vector<double> mine) {
   if (!ctx.simulated()) return mine;
-  std::vector<std::byte> bytes(mine.size() * sizeof(double));
-  if (!bytes.empty()) std::memcpy(bytes.data(), mine.data(), bytes.size());
+  std::vector<std::byte> bytes = to_bytes(std::span<const double>(mine));
   // Free the block before the exchange blocks, as the charged allgatherv
   // does: holding it across the exchange slowed the simulated solves that
   // follow by 3-8% (distributed_np4's legs).
@@ -122,10 +120,7 @@ std::vector<double> gather_uncharged(RankCtx& ctx, std::vector<double> mine) {
   const auto blobs =
       ctx.exchange_all(std::move(bytes), Cost{}, "gather_factors");
   std::vector<double> all;
-  for (const auto& blob : blobs) {
-    const double* v = reinterpret_cast<const double*>(blob.data());
-    all.insert(all.end(), v, v + blob.size() / sizeof(double));
-  }
+  for (const auto& blob : blobs) append_from_bytes(all, blob);
   return all;
 }
 

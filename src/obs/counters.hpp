@@ -50,58 +50,19 @@ struct CommCounters {
   /// Deepest this rank's incoming mailboxes ever got (filled post-run).
   std::uint64_t max_queue_depth = 0;
 
-  /// Reflection-style field enumeration: visits every counter field with its
-  /// name. `resize()` resets through this visitor, so a field registered here
-  /// can never be missed by reset; the coverage test in test_counters pins
-  /// sizeof(CommCounters) so a field added to the struct but not here fails
-  /// to compile there. Keep registration order = declaration order.
-  template <typename V>
-  void for_each_field(V&& v) {
-    v("msgs_sent_to", msgs_sent_to);
-    v("bytes_sent_to", bytes_sent_to);
-    v("msgs_recv_from", msgs_recv_from);
-    v("bytes_recv_from", bytes_recv_from);
-    v("collective_calls", collective_calls);
-    v("collective_bytes", collective_bytes);
-    v("overlap_seconds", overlap_seconds);
-    v("overlapped_requests", overlapped_requests);
-    v("coll_seconds", coll_seconds);
-    v("msgs_delayed_to", msgs_delayed_to);
-    v("msgs_duplicated_to", msgs_duplicated_to);
-    v("msgs_corrupted_to", msgs_corrupted_to);
-    v("dups_dropped_from", dups_dropped_from);
-    v("corrupt_detected_from", corrupt_detected_from);
-    v("coll_delay_faults", coll_delay_faults);
-    v("coll_flip_faults", coll_flip_faults);
-    v("max_queue_depth", max_queue_depth);
-  }
-  template <typename V>
-  void for_each_field(V&& v) const {
-    const_cast<CommCounters*>(this)->for_each_field(
-        [&](const char* name, const auto& field) { v(name, field); });
-  }
-  /// Number of fields for_each_field visits (kept next to the list above).
-  static constexpr int kFieldCount = 17;
-
-  struct ResetVisitor {
-    std::size_t n;
-    void operator()(const char*, std::vector<std::uint64_t>& v) const {
-      v.assign(n, 0);
-    }
-    void operator()(const char*, std::map<std::string, std::uint64_t>& m) const {
-      m.clear();
-    }
-    void operator()(const char*, std::uint64_t& u) const { u = 0; }
-    void operator()(const char*, double& d) const { d = 0.0; }
-  };
-
+  /// Reset to a fresh set for a world of `nranks`: every field back to its
+  /// initial value, and the nine per-peer vectors sized to the world.
   void resize(int nranks) {
     const std::size_t n = static_cast<std::size_t>(nranks);
-    for_each_field(ResetVisitor{n});
+    *this = CommCounters{};
+    for (auto* v : {&msgs_sent_to, &bytes_sent_to, &msgs_recv_from,
+                    &bytes_recv_from, &msgs_delayed_to, &msgs_duplicated_to,
+                    &msgs_corrupted_to, &dups_dropped_from,
+                    &corrupt_detected_from})
+      v->assign(n, 0);
   }
 
-  /// Memberwise comparison (compiler-generated: covers every field, including
-  /// any added after this line — the coverage test relies on that).
+  /// Memberwise comparison (compiler-generated: covers every field).
   bool operator==(const CommCounters&) const = default;
 
   std::uint64_t total_msgs_sent() const;

@@ -125,13 +125,6 @@ ReplayResult replay(const std::vector<RankTrace>& ranks, Policy p) {
           t += send_charge(p, e);
         } else if (e.op == SpanOp::kCompute) {
           t += e.cost_v;
-        } else if (e.end_v > e.begin_v) {
-          // Legacy generic span with a real duration: replay its recorded
-          // length (teleport under measured, which is exact by definition).
-          if (p == Policy::kMeasured)
-            t = std::max(t, e.end_v);
-          else
-            t += e.end_v - e.begin_v;
         }
         ++cur[r];
         progress = true;
@@ -287,10 +280,6 @@ Profile build_profile(const std::vector<RankTrace>& ranks) {
         case SpanOp::kCompute:
           rp.phases[e.phase].compute += e.end_v - e.begin_v;
           break;
-        case SpanOp::kGeneric:
-          if (e.end_v > e.begin_v)
-            rp.phases[e.phase].compute += e.end_v - e.begin_v;
-          break;
         case SpanOp::kSend:
           rp.phases[e.phase].comm += e.end_v - e.begin_v;
           break;
@@ -307,7 +296,8 @@ Profile build_profile(const std::vector<RankTrace>& ranks) {
           break;
         }
         case SpanOp::kCollPost:
-          break;  // zero-length marker
+        case SpanOp::kFault:
+          break;  // zero-length markers
       }
     }
     rp.total = prev_end;

@@ -11,24 +11,8 @@
 
 namespace lra::obs {
 
-const char* to_string(SpanCat cat) {
-  switch (cat) {
-    case SpanCat::kCompute:
-      return "compute";
-    case SpanCat::kP2P:
-      return "p2p";
-    case SpanCat::kCollective:
-      return "collective";
-    case SpanCat::kFault:
-      return "fault";
-  }
-  return "unknown";
-}
-
 const char* to_string(SpanOp op) {
   switch (op) {
-    case SpanOp::kGeneric:
-      return "generic";
     case SpanOp::kCompute:
       return "compute";
     case SpanOp::kSend:
@@ -39,19 +23,37 @@ const char* to_string(SpanOp op) {
       return "coll_post";
     case SpanOp::kCollWait:
       return "coll_wait";
+    case SpanOp::kFault:
+      return "fault";
   }
-  return "generic";
+  return "unknown";
 }
 
 bool parse_span_op(std::string_view s, SpanOp* out) {
-  if (s == "generic") *out = SpanOp::kGeneric;
-  else if (s == "compute") *out = SpanOp::kCompute;
+  if (s == "compute") *out = SpanOp::kCompute;
   else if (s == "send") *out = SpanOp::kSend;
   else if (s == "recv") *out = SpanOp::kRecv;
   else if (s == "coll_post") *out = SpanOp::kCollPost;
   else if (s == "coll_wait") *out = SpanOp::kCollWait;
+  else if (s == "fault") *out = SpanOp::kFault;
   else return false;
   return true;
+}
+
+const char* category(SpanOp op) {
+  switch (op) {
+    case SpanOp::kCompute:
+      return "compute";
+    case SpanOp::kSend:
+    case SpanOp::kRecv:
+      return "p2p";
+    case SpanOp::kCollPost:
+    case SpanOp::kCollWait:
+      return "collective";
+    case SpanOp::kFault:
+      return "fault";
+  }
+  return "unknown";
 }
 
 namespace {
@@ -177,7 +179,7 @@ void write_chrome_trace(std::ostream& os, const std::vector<RankTrace>& ranks) {
       if (e.bytes > 0) args.field("bytes", e.bytes);
       if (e.peer >= 0) args.field("peer", e.peer);
       args.field("b", e.begin_v).field("e", e.end_v);
-      if (e.op != SpanOp::kGeneric) args.field("op", to_string(e.op));
+      args.field("op", to_string(e.op));
       if (!e.phase.empty()) args.field("phase", e.phase);
       if (e.block_v != e.begin_v) args.field("block", e.block_v);
       if (e.avail_v != 0.0) args.field("avail", e.avail_v);
@@ -188,7 +190,7 @@ void write_chrome_trace(std::ostream& os, const std::vector<RankTrace>& ranks) {
       if (e.flow != 0) args.field("flow", e.flow);
       JsonObj ev;
       ev.field("name", e.name)
-          .field("cat", to_string(e.cat))
+          .field("cat", category(e.op))
           .field("ph", "X")
           .field("ts", e.begin_v * 1e6)  // virtual seconds -> microseconds
           .field("dur", (e.end_v - e.begin_v) * 1e6)

@@ -32,42 +32,34 @@ namespace lra::obs {
 inline constexpr const char* kUnnamedCompute = "compute";
 inline constexpr const char* kChargeSpan = "charge";
 
-enum class SpanCat {
-  kCompute,     // ctx.compute(...) sections, charged by thread-CPU time
-  kP2P,         // send/recv point-to-point
-  kCollective,  // exchange_all-based collectives
-  kFault,       // injected fault events (zero-length markers)
-};
-
-const char* to_string(SpanCat cat);
-
-/// What kind of clock advance (if any) an event records — the profiler's
-/// dispatch key. kGeneric marks pre-profiler spans (fault markers, direct
-/// span() calls); the profiler treats a non-zero-length kGeneric as compute.
+/// An event's kind: which clock advance (if any) it records — the
+/// profiler's dispatch key — and, through category(), its Chrome `cat`.
 enum class SpanOp {
-  kGeneric,   // legacy span / zero-length marker
   kCompute,   // compute()/charge(): clock += cost_v
-  kSend,      // isend post: injection charge cost_v; avail_v = arrival
+  kSend,      // buffered send: injection charge cost_v; avail_v = arrival
   kRecv,      // p2p completion: clock = max(block_v, avail_v)
   kCollPost,  // zero-length marker at collective post time
   kCollWait,  // collective completion: clock = max(block_v, avail_v)
+  kFault,     // zero-length marker of an injected fault (sim/fault)
 };
 
 const char* to_string(SpanOp op);
 /// Inverse of to_string(SpanOp); false on unknown names.
 bool parse_span_op(std::string_view s, SpanOp* out);
+/// The Chrome trace category of an op: "compute", "p2p", "collective" or
+/// "fault".
+const char* category(SpanOp op);
 
 /// One closed span on a rank's virtual timeline.
 struct TraceEvent {
   std::string name;
-  SpanCat cat = SpanCat::kCompute;
+  SpanOp op = SpanOp::kCompute;
   double begin_v = 0.0;  // virtual seconds at span entry (post time for waits)
   double end_v = 0.0;    // virtual seconds at span exit (>= begin_v)
   std::uint64_t bytes = 0;  // payload size for comm spans (0 for compute)
   int peer = -1;            // p2p peer rank (-1 for compute/collectives)
 
   // --- profiling fields (src/obs/prof) ---
-  SpanOp op = SpanOp::kGeneric;
   std::string phase;        // innermost PhaseScope at post time ("" = none)
   double block_v = 0.0;     // clock before this op's advance (tiling begin)
   double avail_v = 0.0;     // absolute arrival (p2p) / finish (collective)
@@ -79,10 +71,8 @@ struct TraceEvent {
 
   /// Clock advance this event accounts for (its tile on the timeline).
   double advance() const {
-    return op == SpanOp::kCompute || op == SpanOp::kSend ||
-                   op == SpanOp::kGeneric
-               ? end_v - begin_v
-               : end_v - block_v;
+    return op == SpanOp::kCompute || op == SpanOp::kSend ? end_v - begin_v
+                                                         : end_v - block_v;
   }
 };
 
@@ -98,18 +88,6 @@ inline std::uint64_t p2p_flow_key(int tag, std::uint64_t seq) {
 struct RankTrace {
   std::vector<TraceEvent> events;
 
-  void span(std::string name, SpanCat cat, double begin_v, double end_v,
-            std::uint64_t bytes = 0, int peer = -1) {
-    TraceEvent e;
-    e.name = std::move(name);
-    e.cat = cat;
-    e.begin_v = begin_v;
-    e.end_v = end_v;
-    e.bytes = bytes;
-    e.peer = peer;
-    e.block_v = begin_v;
-    events.push_back(std::move(e));
-  }
   void push(TraceEvent e) { events.push_back(std::move(e)); }
 };
 

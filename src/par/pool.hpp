@@ -43,9 +43,9 @@
 //
 // Workers are long-lived threads, so each one carries a persistent
 // thread_local workspace arena (support/workspace.hpp) that the simd
-// kernels use for packing scratch; the pool labels the arenas "worker-N" at
-// startup, and set_num_threads() folds torn-down workers' arena counters
-// into the retired workspace tally.
+// kernels use for packing scratch; a worker makes it as it starts, and
+// set_num_threads() folds torn-down workers' arena counters into the
+// retired workspace tally.
 
 #include <cstdint>
 #include <functional>

@@ -56,8 +56,7 @@ std::vector<double> RankCtx::take_local(CollRequest& req) {
 
 // --- point-to-point ---
 
-SimRequest RankCtx::isend_bytes(int dst, std::vector<std::byte> data,
-                                int tag) {
+void RankCtx::send_bytes(int dst, std::vector<std::byte> data, int tag) {
   if (!world_)
     throw std::logic_error("RankCtx: the in-process context has no peers");
   if (world_->aborted_.load(std::memory_order_relaxed)) throw SimAbort{};
@@ -105,8 +104,7 @@ SimRequest RankCtx::isend_bytes(int dst, std::vector<std::byte> data,
     }
   }
 
-  // Buffered send: the sender pays only the injection latency, at post time
-  // — so an isend request is born complete and wait() on it is free.
+  // Buffered send: the sender pays only the injection latency.
   vclock_ += world_->cost_.alpha;
   std::uint64_t match_seq = 0;
   {
@@ -130,7 +128,6 @@ SimRequest RankCtx::isend_bytes(int dst, std::vector<std::byte> data,
   if (trace_) {
     obs::TraceEvent e;
     e.name = "send->" + std::to_string(dst);
-    e.cat = obs::SpanCat::kP2P;
     e.op = obs::SpanOp::kSend;
     e.phase = phases_.top();
     e.begin_v = v0;
@@ -149,19 +146,6 @@ SimRequest RankCtx::isend_bytes(int dst, std::vector<std::byte> data,
   // emitting it earlier would break the tiling contract (block_v must equal
   // the previous event's end_v).
   if (dup) trace_fault("fault:dup", nbytes, dst);
-
-  SimRequest req;
-  req.kind_ = SimRequest::Kind::kSend;
-  req.peer_ = dst;
-  req.tag_ = tag;
-  req.post_vtime_ = v0;
-  req.complete_vtime_ = vclock_;
-  req.done_ = true;
-  return req;
-}
-
-void RankCtx::send_bytes(int dst, std::vector<std::byte> data, int tag) {
-  isend_bytes(dst, std::move(data), tag);
 }
 
 SimRequest RankCtx::irecv_bytes(int src, int tag) {
@@ -171,7 +155,6 @@ SimRequest RankCtx::irecv_bytes(int src, int tag) {
   SimWorld::Mailbox& box =
       world_->mailbox_[static_cast<std::size_t>(rank_) * world_->nranks_ + src];
   SimRequest req;
-  req.kind_ = SimRequest::Kind::kRecv;
   req.peer_ = src;
   req.tag_ = tag;
   req.phase_ = phases_.top();  // the phase that initiated the transfer
@@ -184,8 +167,7 @@ SimRequest RankCtx::irecv_bytes(int src, int tag) {
 }
 
 bool RankCtx::try_complete_recv(SimRequest& req,
-                                std::unique_lock<std::mutex>& lock,
-                                double v_entry) {
+                                std::unique_lock<std::mutex>& lock) {
   const int src = req.peer_;
   SimWorld::Mailbox& box =
       world_->mailbox_[static_cast<std::size_t>(rank_) * world_->nranks_ + src];
@@ -203,19 +185,14 @@ bool RankCtx::try_complete_recv(SimRequest& req,
       SimWorld::Message msg = std::move(*it);
       q.erase(it);
       lock.unlock();
-      const double ov =
-          record_overlap(req.post_vtime_, v_entry, msg.arrival_vtime);
-      // Tiling clock: the value *before* this completion's fold. In a
-      // waitall batch earlier completions already advanced past v_entry, so
-      // this — not v_entry — is where this event's timeline tile begins.
-      const double v_block = vclock_;
+      const double ov = record_overlap(req.post_vtime_, msg.arrival_vtime);
+      const double v_block = vclock_;  // tiling clock, before the fold
       vclock_ = std::max(vclock_, msg.arrival_vtime);
       counters_.msgs_recv_from[src] += 1;
       counters_.bytes_recv_from[src] += msg.data.size();
       if (trace_) {
         obs::TraceEvent e;
         e.name = "recv<-" + std::to_string(src);
-        e.cat = obs::SpanCat::kP2P;
         e.op = obs::SpanOp::kRecv;
         e.phase = req.phase_;
         e.begin_v = req.post_vtime_;
@@ -244,7 +221,6 @@ bool RankCtx::try_complete_recv(SimRequest& req,
             src, rank_);
       }
       req.done_ = true;
-      req.complete_vtime_ = vclock_;
       req.data_ = std::move(msg.data);
       return true;
     }
@@ -253,46 +229,20 @@ bool RankCtx::try_complete_recv(SimRequest& req,
   return false;
 }
 
-void RankCtx::wait_complete(SimRequest& req, double v_entry) {
+std::vector<std::byte> RankCtx::wait(SimRequest& req) {
   if (!req.valid())
     throw std::logic_error("SimRequest: wait on an invalid request");
-  if (req.done_) return;  // sends complete at post; waits are idempotent
+  if (req.done_)
+    throw std::logic_error("SimRequest: receive already waited on");
   SimWorld::Mailbox& box =
       world_->mailbox_[static_cast<std::size_t>(rank_) * world_->nranks_ +
                        req.peer_];
   std::unique_lock<std::mutex> lock(box.mu);
-  for (;;) {
-    if (try_complete_recv(req, lock, v_entry)) return;  // lock released inside
+  while (!try_complete_recv(req, lock)) {  // a hit releases the lock
     if (world_->aborted_.load(std::memory_order_relaxed)) throw SimAbort{};
     box.cv.wait(lock);
   }
-}
-
-std::vector<std::byte> RankCtx::wait(SimRequest& req) {
-  wait_complete(req, vclock_);
-  return req.take_data();
-}
-
-void RankCtx::waitall(std::vector<SimRequest>& reqs) {
-  // Completion clocks are max-folds over arrival times, so finishing the
-  // requests in index order yields the same final clock as any other order.
-  // Overlap is measured against the clock at batch entry: time this rank
-  // spends blocked on earlier requests in the batch is not compute.
-  const double v_entry = vclock_;
-  for (SimRequest& r : reqs) wait_complete(r, v_entry);
-}
-
-bool RankCtx::test(SimRequest& req) {
-  if (!req.valid())
-    throw std::logic_error("SimRequest: test on an invalid request");
-  if (req.done_) return true;
-  SimWorld::Mailbox& box =
-      world_->mailbox_[static_cast<std::size_t>(rank_) * world_->nranks_ +
-                       req.peer_];
-  std::unique_lock<std::mutex> lock(box.mu);
-  if (try_complete_recv(req, lock, vclock_)) return true;
-  if (world_->aborted_.load(std::memory_order_relaxed)) throw SimAbort{};
-  return false;
+  return std::move(req.data_);
 }
 
 std::vector<std::byte> RankCtx::recv_bytes(int src, int tag) {
@@ -343,7 +293,6 @@ CollRequest RankCtx::ipost_exchange(std::vector<std::byte> contribution,
   if (trace_) {
     obs::TraceEvent e;
     e.name = label;
-    e.cat = obs::SpanCat::kCollective;
     e.op = obs::SpanOp::kCollPost;
     e.phase = req.phase_;
     e.begin_v = vclock_;
@@ -401,18 +350,16 @@ std::vector<std::vector<std::byte>> RankCtx::wait_exchange(CollRequest& req) {
   if (!corrupt && ++g.consumed == world_->nranks_) c.gens.erase(it);
   lock.unlock();
 
-  const double ov = record_overlap(req.post_vtime_, vclock_, vt_out);
+  const double ov = record_overlap(req.post_vtime_, vt_out);
   const double v_block = vclock_;  // tiling clock, before the fold
   vclock_ = std::max(vclock_, vt_out);
   req.done_ = true;
-  req.complete_vtime_ = vclock_;
   counters_.collective_calls[req.label_] += 1;
   counters_.collective_bytes[req.label_] += req.nbytes_;
   counters_.coll_seconds += cost.seconds;
   if (trace_) {
     obs::TraceEvent e;
     e.name = req.label_;
-    e.cat = obs::SpanCat::kCollective;
     e.op = obs::SpanOp::kCollWait;
     e.phase = req.phase_;
     e.begin_v = req.post_vtime_;
@@ -468,11 +415,9 @@ void RankCtx::bcast_bytes(std::vector<std::byte>& buf, int root) {
 CollRequest RankCtx::iallreduce_sum(std::vector<double> local) {
   if (!world_) return local_request(std::move(local));
   const std::size_t nbytes = local.size() * sizeof(double);
-  std::vector<std::byte> b(nbytes);
-  if (nbytes) std::memcpy(b.data(), local.data(), nbytes);
   CollRequest req = ipost_exchange(
-      std::move(b), world_->cost_.allreduce(world_->nranks_, nbytes),
-      "allreduce");
+      to_bytes(std::span<const double>(local)),
+      world_->cost_.allreduce(world_->nranks_, nbytes), "allreduce");
   req.elems_ = local.size();
   return req;
 }
@@ -482,10 +427,10 @@ std::vector<double> RankCtx::wait_allreduce_sum(CollRequest& req) {
   const std::size_t elems = req.elems_;
   auto all = wait_exchange(req);
   std::vector<double> out(elems, 0.0);
+  // Summed straight from the received buffers: no decoded copies.
   for (const auto& blob : all) {
-    const double* v = reinterpret_cast<const double*>(blob.data());
-    const std::size_t n = blob.size() / sizeof(double);
-    for (std::size_t i = 0; i < n && i < out.size(); ++i) out[i] += v[i];
+    const std::size_t n = std::min(blob.size() / sizeof(double), elems);
+    for (std::size_t i = 0; i < n; ++i) out[i] += element_at<double>(blob, i);
   }
   return out;
 }
@@ -514,24 +459,19 @@ CollRequest RankCtx::iallgatherv(std::vector<double>&& local) {
 CollRequest RankCtx::iallgatherv(const std::vector<double>& local) {
   if (!world_) return local_request(local);
   const std::size_t nbytes = local.size() * sizeof(double);
-  std::vector<std::byte> b(nbytes);
-  if (nbytes) std::memcpy(b.data(), local.data(), nbytes);
   // Total volume is only known post-exchange; approximate with P * local
   // size, which is exact for the uniform distributions used here.
   return ipost_exchange(
-      std::move(b),
+      to_bytes(std::span<const double>(local)),
       world_->cost_.allgather(world_->nranks_, world_->nranks_ * nbytes),
       "allgatherv");
 }
 
 std::vector<double> RankCtx::wait_allgatherv(CollRequest& req) {
   if (!world_) return take_local(req);
-  auto all = wait_exchange(req);
+  const auto all = wait_exchange(req);
   std::vector<double> out;
-  for (const auto& blob : all) {
-    const double* v = reinterpret_cast<const double*>(blob.data());
-    out.insert(out.end(), v, v + blob.size() / sizeof(double));
-  }
+  for (const auto& blob : all) append_from_bytes(out, blob);
   return out;
 }
 

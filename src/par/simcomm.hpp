@@ -15,19 +15,23 @@
 // This substitutes for the MPI cluster of the paper: strong-scaling curves
 // are read off the final virtual clocks. See DESIGN.md.
 //
-// Nonblocking semantics (isend/irecv/wait and the i-collectives): posting
-// never blocks and never advances the clock beyond the sender-side injection
-// latency; only completion (wait/waitall/test success) advances the clock,
-// to max(own clock, message arrival) for p2p and max(own clock, collective
-// finish) for collectives. A collective's finish time is computed from the
-// ranks' *post-time* clocks, so compute performed between post and wait
-// genuinely overlaps the modeled transfer — that is the modeled win the
-// overlap counters report. Messages are matched per (src, tag) in post
-// order: the k-th receive posted for a (src, tag) stream completes with the
-// k-th message sent on it, so waitall is permutation-invariant and blocking
-// recv (= irecv + wait) keeps its FIFO semantics. Fault hooks (delay, dup,
-// flip, straggle) are decided at post time on the same deterministic
-// decision streams as the blocking paths.
+// Nonblocking semantics (irecv/wait and the i-collectives): sends are
+// buffered, so send_bytes never blocks and charges only the sender-side
+// injection latency; posting a receive or a collective never touches the
+// clock. Only a wait advances it, to max(own clock, message arrival) for
+// p2p and max(own clock, collective finish) for collectives. A collective's
+// finish time is computed from the ranks' *post-time* clocks, so compute
+// performed between post and wait genuinely overlaps the modeled transfer —
+// that is the modeled win the overlap counters report. Messages are matched
+// per (src, tag) in post order: the k-th receive posted for a (src, tag)
+// stream completes with the k-th message sent on it, so the final clock
+// does not depend on the order of the waits, and blocking recv (= irecv +
+// wait) keeps its FIFO semantics. Fault hooks (delay, dup, flip, straggle)
+// are decided at send or post time on the same deterministic decision
+// streams as the blocking paths.
+//
+// Payloads are bytes; the typed calls encode and decode them with the byte
+// codec (support/bytes.hpp), which also packs the SPMD bodies' messages.
 //
 // Observability (src/obs): every rank always carries comm counters (integer
 // increments outside the timed regions — they cannot perturb the clocks),
@@ -59,7 +63,6 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <cstring>
 #include <deque>
 #include <functional>
 #include <map>
@@ -74,6 +77,7 @@
 #include "obs/trace.hpp"
 #include "par/cost_model.hpp"
 #include "sim/fault/fault.hpp"
+#include "support/bytes.hpp"
 #include "support/stopwatch.hpp"
 
 namespace lra {
@@ -105,48 +109,23 @@ struct SimRun {
   std::vector<obs::RankTrace> trace;  // per-rank spans (collect_trace only)
 };
 
-/// Handle for a nonblocking point-to-point operation. Move-only value type;
-/// pass it back to the RankCtx that issued it (wait/waitall/test). A send
-/// request is already complete when isend returns (buffered send: the
-/// payload left the caller at post time); a receive request completes when
-/// its matching message is consumed, which is also when the payload becomes
-/// readable through data()/take().
+/// Handle for a posted receive (irecv_bytes). Move-only value type; pass
+/// it back to the RankCtx that issued it, whose wait() completes it and
+/// hands over the payload.
 class SimRequest {
  public:
   SimRequest() = default;
 
-  bool valid() const { return kind_ != Kind::kNone; }
-  bool completed() const { return done_; }
-  int peer() const { return peer_; }
-  int tag() const { return tag_; }
-  /// Virtual clock of the issuing rank when the request was posted.
-  double post_vtime() const { return post_vtime_; }
-  /// Virtual clock at completion (meaningful once completed()).
-  double complete_vtime() const { return complete_vtime_; }
-
-  /// Payload of a completed receive (empty for sends).
-  const std::vector<std::byte>& data() const { return data_; }
-  std::vector<std::byte> take_data() { return std::move(data_); }
-  template <typename T>
-  std::vector<T> take() {
-    static_assert(std::is_trivially_copyable_v<T>);
-    std::vector<T> v(data_.size() / sizeof(T));
-    if (!v.empty()) std::memcpy(v.data(), data_.data(), v.size() * sizeof(T));
-    data_.clear();
-    return v;
-  }
+  bool valid() const { return peer_ >= 0; }
 
  private:
   friend class RankCtx;
-  enum class Kind { kNone, kSend, kRecv };
 
-  Kind kind_ = Kind::kNone;
   int peer_ = -1;
   int tag_ = 0;
-  std::uint64_t ticket_ = 0;  // per-(src,tag) match sequence (receives)
+  std::uint64_t ticket_ = 0;  // per-(src,tag) match sequence
   const char* phase_ = "";    // innermost PhaseScope at post time
   double post_vtime_ = 0.0;
-  double complete_vtime_ = 0.0;
   bool done_ = false;
   std::vector<std::byte> data_;
 };
@@ -162,14 +141,11 @@ class CollRequest {
   CollRequest() = default;
   bool valid() const { return gen_ >= 0; }
   bool completed() const { return done_; }
-  double post_vtime() const { return post_vtime_; }
-  double complete_vtime() const { return complete_vtime_; }
 
  private:
   friend class RankCtx;
   long gen_ = -1;  // world-wide collective generation index
   double post_vtime_ = 0.0;
-  double complete_vtime_ = 0.0;
   std::size_t nbytes_ = 0;  // local contribution size (counters)
   std::size_t elems_ = 0;   // element count for typed waits
   const char* label_ = "";
@@ -231,14 +207,16 @@ class RankCtx {
     return compute(obs::kUnnamedCompute, std::forward<F>(f));
   }
 
-  // --- point-to-point (buffered send, blocking receive) ---
+  // --- point-to-point (buffered send; blocking or posted receive) ---
 
-  /// Buffered send: enqueues and returns immediately; the payload is moved
-  /// into the mailbox (no aliasing with the caller afterwards).
+  /// Buffered send: enqueues and returns immediately, charging only the
+  /// sender-side injection latency (alpha); the payload is moved into the
+  /// mailbox (no aliasing with the caller afterwards).
   /// @pre  0 <= dst < size(), dst != rank().
   void send_bytes(int dst, std::vector<std::byte> data, int tag = 0);
-  /// Blocking receive from `src` with matching `tag`; advances this rank's
-  /// virtual clock to max(own clock, sender's send clock + transfer cost).
+  /// Blocking receive from `src` with matching `tag` (irecv_bytes + wait);
+  /// advances this rank's virtual clock to max(own clock, sender's send
+  /// clock + transfer cost).
   /// @pre  0 <= src < size(), src != rank(). Messages from a given (src,
   /// tag) are delivered in send order; a receive with no matching send ever
   /// posted deadlocks, exactly like MPI.
@@ -246,53 +224,23 @@ class RankCtx {
 
   template <typename T>
   void send(int dst, const std::vector<T>& v, int tag = 0) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    std::vector<std::byte> b(v.size() * sizeof(T));
-    if (!b.empty()) std::memcpy(b.data(), v.data(), b.size());
-    send_bytes(dst, std::move(b), tag);
+    send_bytes(dst, to_bytes(std::span<const T>(v)), tag);
   }
   template <typename T>
   std::vector<T> recv(int src, int tag = 0) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    std::vector<std::byte> b = recv_bytes(src, tag);
-    std::vector<T> v(b.size() / sizeof(T));
-    if (!v.empty()) std::memcpy(v.data(), b.data(), v.size() * sizeof(T));
+    std::vector<T> v;
+    append_from_bytes(v, recv_bytes(src, tag));
     return v;
   }
 
-  // --- nonblocking point-to-point ---
-  //
-  // isend is a buffered send: the payload is enqueued at post time with the
-  // sender-side injection latency (alpha) charged immediately, so the
-  // request is born complete and wait() on it is free — `isend; wait` is
-  // bit-identical to send_bytes. irecv registers a match ticket for the
-  // next message on the (src, tag) stream without touching the clock; the
-  // clock advances only when wait/waitall/test consumes the message.
-
-  SimRequest isend_bytes(int dst, std::vector<std::byte> data, int tag = 0);
+  /// Post a receive: registers a match ticket for the next message on the
+  /// (src, tag) stream without touching the clock.
   SimRequest irecv_bytes(int src, int tag = 0);
-  template <typename T>
-  SimRequest isend(int dst, const std::vector<T>& v, int tag = 0) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    std::vector<std::byte> b(v.size() * sizeof(T));
-    if (!b.empty()) std::memcpy(b.data(), v.data(), b.size());
-    return isend_bytes(dst, std::move(b), tag);
-  }
-  /// Typed receive: post with irecv_bytes, read with req.take<T>() after
-  /// the wait.
-
-  /// Block until `req` completes; returns the payload (empty for sends) and
-  /// advances the clock to max(own clock, arrival). Idempotent on completed
-  /// requests (returns whatever payload is still held).
+  /// Block until `req`'s message arrives; returns the payload and advances
+  /// the clock to max(own clock, arrival). Compute between the post and
+  /// this call counts as overlap.
+  /// @pre  `req` is valid and not yet waited on.
   std::vector<std::byte> wait(SimRequest& req);
-  /// Complete every request; payloads stay in the requests (data()/take()).
-  /// Equivalent to waiting in any order — completion clocks are max-folds,
-  /// so the final clock is permutation-invariant.
-  void waitall(std::vector<SimRequest>& reqs);
-  /// Try to complete `req` without blocking: true (and the clock advance +
-  /// payload delivery of wait) if the message is available, false with the
-  /// clock untouched otherwise. Sends always test true.
-  bool test(SimRequest& req);
 
   // --- collectives (all ranks must call in the same order) ---
 
@@ -357,15 +305,7 @@ class RankCtx {
   /// verification — releasing the lock, storing the payload in the request,
   /// and returning true. Injected duplicate copies encountered during the
   /// scan are dropped on sight, as in the blocking path.
-  /// `v_entry` is the rank's clock when the enclosing wait began — NOT the
-  /// current clock, which earlier completions in a waitall batch may already
-  /// have advanced past this request's post time (blocked time must not be
-  /// credited as overlap).
-  bool try_complete_recv(SimRequest& req, std::unique_lock<std::mutex>& lock,
-                         double v_entry);
-  /// Block until `req` completes, leaving the payload in the request
-  /// (wait/waitall are thin wrappers). `v_entry` as in try_complete_recv.
-  void wait_complete(SimRequest& req, double v_entry);
+  bool try_complete_recv(SimRequest& req, std::unique_lock<std::mutex>& lock);
 
   /// Close a compute section opened at thread-CPU time `t0`: advance the
   /// clock by the (straggled) CPU time and trace it under `kernel`.
@@ -385,7 +325,6 @@ class RankCtx {
     if (trace_) {
       obs::TraceEvent e;
       e.name = name;
-      e.cat = obs::SpanCat::kCompute;
       e.op = obs::SpanOp::kCompute;
       e.phase = phases_.top();
       e.begin_v = v0;
@@ -403,17 +342,26 @@ class RankCtx {
 
   /// Zero-length fault marker on this rank's virtual timeline.
   void trace_fault(const char* name, std::uint64_t bytes = 0, int peer = -1) {
-    if (trace_)
-      trace_->span(name, obs::SpanCat::kFault, vclock_, vclock_, bytes, peer);
+    if (trace_) {
+      obs::TraceEvent e;
+      e.name = name;
+      e.op = obs::SpanOp::kFault;
+      e.begin_v = vclock_;
+      e.block_v = vclock_;
+      e.end_v = vclock_;
+      e.bytes = bytes;
+      e.peer = peer;
+      trace_->push(std::move(e));
+    }
   }
 
-  /// Overlap reclaimed by a request completing at clock `v_entry` (the
-  /// rank's clock when the wait began) for work in flight since `post`
-  /// finishing at `avail`: the stretch of [post, avail] the rank spent
-  /// computing instead of blocked. Returns the credited seconds (0.0 when
-  /// none) so the completion's trace event can carry it.
-  double record_overlap(double post, double v_entry, double avail) {
-    const double ov = std::min(v_entry, avail) - post;
+  /// Overlap reclaimed by a request completing now (at the clock the wait
+  /// began with) for work in flight since `post` finishing at `avail`: the
+  /// stretch of [post, avail] the rank spent computing instead of blocked.
+  /// Returns the credited seconds (0.0 when none) so the completion's trace
+  /// event can carry it.
+  double record_overlap(double post, double avail) {
+    const double ov = std::min(vclock_, avail) - post;
     if (ov > 0.0) {
       counters_.overlap_seconds += ov;
       counters_.overlapped_requests += 1;
@@ -547,83 +495,6 @@ class SimWorld {
   double elapsed_virtual_ = 0.0;
   obs::CommStats comm_stats_;
   std::vector<obs::RankTrace> trace_bufs_;
-};
-
-// --- byte packing helpers for heterogeneous payloads ---
-class ByteWriter {
- public:
-  template <typename T>
-  void put(const T& v) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    const std::size_t off = buf_.size();
-    buf_.resize(off + sizeof(T));
-    std::memcpy(buf_.data() + off, &v, sizeof(T));
-  }
-  template <typename T>
-  void put_vec(const std::vector<T>& v) {
-    put_span(std::span<const T>(v));
-  }
-  /// Same layout as put_vec: read back with ByteReader::get_vec.
-  template <typename T>
-  void put_span(std::span<const T> v) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    put<std::uint64_t>(v.size());
-    if (v.empty()) return;  // memcpy must not see a null pointer
-    const std::size_t off = buf_.size();
-    buf_.resize(off + v.size() * sizeof(T));
-    std::memcpy(buf_.data() + off, v.data(), v.size() * sizeof(T));
-  }
-  std::vector<std::byte> take() { return std::move(buf_); }
-
- private:
-  std::vector<std::byte> buf_;
-};
-
-/// Reader over a packed payload. Every get checks the remaining length and
-/// throws std::out_of_range on truncated or malformed input (a corrupted
-/// length prefix must never turn into a memcpy past the buffer end).
-class ByteReader {
- public:
-  explicit ByteReader(const std::vector<std::byte>& b) : buf_(b) {}
-  template <typename T>
-  T get() {
-    static_assert(std::is_trivially_copyable_v<T>);
-    require(sizeof(T));
-    T v;
-    std::memcpy(&v, buf_.data() + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return v;
-  }
-  template <typename T>
-  std::vector<T> get_vec() {
-    static_assert(std::is_trivially_copyable_v<T>);
-    const auto n = get<std::uint64_t>();
-    // Guard the multiply too: a corrupted prefix like 2^61 would overflow
-    // n * sizeof(T) before the bounds check.
-    if (n > (buf_.size() - pos_) / sizeof(T))
-      throw std::out_of_range(
-          "ByteReader: vector length " + std::to_string(n) + " of " +
-          std::to_string(sizeof(T)) + "-byte elements exceeds the " +
-          std::to_string(buf_.size() - pos_) + " bytes remaining");
-    std::vector<T> v(n);
-    if (n == 0) return v;  // memcpy must not see a null pointer
-    std::memcpy(v.data(), buf_.data() + pos_, n * sizeof(T));
-    pos_ += n * sizeof(T);
-    return v;
-  }
-  bool done() const { return pos_ == buf_.size(); }
-
- private:
-  void require(std::size_t bytes) const {
-    if (bytes > buf_.size() - pos_)
-      throw std::out_of_range("ByteReader: truncated payload: need " +
-                              std::to_string(bytes) + " bytes at offset " +
-                              std::to_string(pos_) + " of " +
-                              std::to_string(buf_.size()));
-  }
-
-  const std::vector<std::byte>& buf_;
-  std::size_t pos_ = 0;
 };
 
 }  // namespace lra

@@ -4,6 +4,7 @@
 #include <cassert>
 
 #include "dense/qrcp.hpp"
+#include "support/bytes.hpp"
 
 namespace lra {
 
@@ -74,9 +75,7 @@ std::vector<std::byte> pack_candidates(const CandidateColumns& cand) {
   ByteWriter w;
   w.put<std::int64_t>(cand.cols.rows());
   w.put_vec(cand.global_index);
-  w.put_vec(cand.cols.colptr());
-  w.put_vec(cand.cols.rowind());
-  w.put_vec(cand.cols.values());
+  put_csc_arrays(w, cand.cols);
   return w.take();
 }
 
@@ -85,11 +84,8 @@ CandidateColumns unpack_candidates(const std::vector<std::byte>& bytes) {
   const Index rows = r.get<std::int64_t>();
   CandidateColumns cand;
   cand.global_index = r.get_vec<Index>();
-  auto colptr = r.get_vec<Index>();
-  auto rowind = r.get_vec<Index>();
-  auto values = r.get_vec<double>();
-  cand.cols = CscMatrix(rows, static_cast<Index>(cand.global_index.size()),
-                        std::move(colptr), std::move(rowind), std::move(values));
+  cand.cols = get_csc_arrays(r, rows,
+                             static_cast<Index>(cand.global_index.size()));
   return cand;
 }
 

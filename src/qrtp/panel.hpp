@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "dense/matrix.hpp"
-#include "par/simcomm.hpp"
 #include "sparse/csc.hpp"
 
 namespace lra {
@@ -34,9 +33,12 @@ std::vector<Index> select_k(const CscMatrix& a, std::span<const Index> ids,
 std::vector<Index> select_k_dense(const Matrix& a,
                                   std::span<const Index> global_index, Index k);
 
-/// Serialize candidates for a tournament message; layout is
-/// [ncols][rows][nnz per col...][rowind...][values...][global ids...].
+/// Serialize candidates for a tournament message (support/bytes.hpp): the
+/// i64 row count, then the global ids, colptr, rowind and values, each a
+/// u64-prefixed vector; the column count is the number of ids.
 std::vector<std::byte> pack_candidates(const CandidateColumns& cand);
+/// Inverse of pack_candidates. Throws std::out_of_range on a truncated
+/// payload or columns that are not a valid CSC structure.
 CandidateColumns unpack_candidates(const std::vector<std::byte>& bytes);
 
 /// Merge two candidate sets (column-wise concatenation).

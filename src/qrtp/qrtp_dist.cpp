@@ -4,6 +4,7 @@
 
 #include "obs/prof/phase.hpp"
 #include "qrtp/tournament.hpp"
+#include "support/bytes.hpp"
 
 namespace lra {
 namespace {

@@ -3,6 +3,10 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <stdexcept>
+#include <string>
+
+#include "support/bytes.hpp"
 
 namespace lra {
 
@@ -225,6 +229,24 @@ bool CscMatrix::valid_structure(Index rows, Index cols,
 
 bool CscMatrix::structurally_valid() const {
   return valid_structure(rows_, cols_, colptr_, rowind_, values_.size());
+}
+
+void put_csc_arrays(ByteWriter& w, const CscMatrix& a) {
+  w.put_vec(a.colptr());
+  w.put_vec(a.rowind());
+  w.put_vec(a.values());
+}
+
+CscMatrix get_csc_arrays(ByteReader& r, Index rows, Index cols) {
+  auto colptr = r.get_vec<Index>();
+  auto rowind = r.get_vec<Index>();
+  auto values = r.get_vec<double>();
+  if (!CscMatrix::valid_structure(rows, cols, colptr, rowind, values.size()))
+    throw std::out_of_range("invalid sparse structure for a " +
+                            std::to_string(rows) + " x " +
+                            std::to_string(cols) + " matrix");
+  return CscMatrix(rows, cols, std::move(colptr), std::move(rowind),
+                   std::move(values));
 }
 
 }  // namespace lra

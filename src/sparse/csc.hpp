@@ -10,6 +10,9 @@
 
 namespace lra {
 
+class ByteReader;  // support/bytes.hpp
+class ByteWriter;
+
 class CscMatrix {
  public:
   CscMatrix() = default;
@@ -79,8 +82,8 @@ class CscMatrix {
   /// True when the arrays describe a valid CSC structure: `colptr` holds
   /// cols + 1 nondecreasing offsets from 0 to rowind.size(), there are as
   /// many values as row indices, and each column's row indices strictly
-  /// increase within [0, rows). Safe on arbitrary (corrupted) input; the
-  /// factor-file loader checks with it before constructing.
+  /// increase within [0, rows). Safe on arbitrary (corrupted) input;
+  /// get_csc_arrays checks with it before constructing.
   static bool valid_structure(Index rows, Index cols,
                               std::span<const Index> colptr,
                               std::span<const Index> rowind,
@@ -95,5 +98,14 @@ class CscMatrix {
   std::vector<Index> rowind_;
   std::vector<double> values_;
 };
+
+/// The one CSC encoding of factor files and tournament payloads: `a`'s
+/// colptr, rowind and values, each a u64-prefixed vector (the shape is the
+/// caller's to store).
+void put_csc_arrays(ByteWriter& w, const CscMatrix& a);
+/// The rows x cols matrix put_csc_arrays encoded. Throws std::out_of_range
+/// on truncated input and on arrays that fail valid_structure(), so
+/// corrupted index data never reaches a kernel.
+CscMatrix get_csc_arrays(ByteReader& r, Index rows, Index cols);
 
 }  // namespace lra

@@ -29,7 +29,7 @@ Registry& registry() {
 
 }  // namespace
 
-Workspace::Workspace() : name_("thread") {
+Workspace::Workspace() {
   Registry& r = registry();
   std::lock_guard<std::mutex> lock(r.mu);
   r.live.push_back(this);
@@ -54,10 +54,6 @@ Workspace::~Workspace() {
 Workspace& Workspace::current() {
   thread_local Workspace ws;
   return ws;
-}
-
-void Workspace::name_current_thread(const std::string& name) {
-  current().name_ = name;
 }
 
 void* Workspace::allocate(std::size_t n) {
@@ -120,16 +116,6 @@ double* Workspace::Scope::zeroed_doubles(std::size_t n) {
 
 void* Workspace::Scope::bytes(std::size_t n) { return ws_.allocate(n); }
 
-WorkspaceStats Workspace::stats() const {
-  WorkspaceStats s;
-  s.arenas = 1;
-  s.capacity = capacity_.load(std::memory_order_relaxed);
-  s.high_water = high_water_.load(std::memory_order_relaxed);
-  s.allocs = allocs_.load(std::memory_order_relaxed);
-  s.grows = grows_.load(std::memory_order_relaxed);
-  return s;
-}
-
 WorkspaceStats Workspace::aggregate() {
   Registry& r = registry();
   std::lock_guard<std::mutex> lock(r.mu);
@@ -142,15 +128,6 @@ WorkspaceStats Workspace::aggregate() {
     s.grows += w->grows_.load(std::memory_order_relaxed);
   }
   return s;
-}
-
-std::vector<WorkspaceStats> Workspace::per_arena() {
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  std::vector<WorkspaceStats> out;
-  out.reserve(r.live.size());
-  for (const Workspace* w : r.live) out.push_back(w->stats());
-  return out;
 }
 
 }  // namespace lra

@@ -32,12 +32,11 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 namespace lra {
 
-/// Aggregated arena counters (one arena, or totals over all arenas).
+/// Arena counters, totalled over every arena.
 struct WorkspaceStats {
   std::uint64_t arenas = 0;      ///< arenas ever created (live + retired)
   std::uint64_t capacity = 0;    ///< bytes reserved in arena blocks
@@ -55,10 +54,6 @@ class Workspace {
   ~Workspace();
   Workspace(const Workspace&) = delete;
   Workspace& operator=(const Workspace&) = delete;
-
-  /// Name this thread's arena in per-arena stats ("main", "worker-3", ...).
-  /// The thread pool labels its workers on startup.
-  static void name_current_thread(const std::string& name);
 
   /// RAII allocation frame on the calling thread's arena.
   class Scope {
@@ -83,15 +78,9 @@ class Workspace {
     std::uint64_t mark_in_use_;
   };
 
-  /// Stats of this arena alone.
-  WorkspaceStats stats() const;
-  const std::string& name() const { return name_; }
-
   /// Totals over every arena ever created in this process (live arenas plus
   /// the retired tally of exited threads). Monotonic in allocs/grows.
   static WorkspaceStats aggregate();
-  /// Per-live-arena snapshot (for debugging / verbose reports).
-  static std::vector<WorkspaceStats> per_arena();
 
  private:
   Workspace();
@@ -112,7 +101,6 @@ class Workspace {
   std::atomic<std::uint64_t> capacity_{0};
   std::atomic<std::uint64_t> allocs_{0};
   std::atomic<std::uint64_t> grows_{0};
-  std::string name_;
 };
 
 }  // namespace lra

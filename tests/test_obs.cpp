@@ -81,10 +81,23 @@ TEST(JsonTest, ObjBuildsInInsertionOrder) {
 // --- Chrome trace export ---
 
 TEST(TraceTest, ChromeExportHasTracksAndCats) {
+  // Each event's Chrome category follows from its op.
+  auto event = [](const char* name, obs::SpanOp op, double b, double e,
+                  std::uint64_t bytes = 0, int peer = -1) {
+    obs::TraceEvent ev;
+    ev.name = name;
+    ev.op = op;
+    ev.begin_v = ev.block_v = b;
+    ev.end_v = e;
+    ev.bytes = bytes;
+    ev.peer = peer;
+    return ev;
+  };
   std::vector<obs::RankTrace> ranks(2);
-  ranks[0].span("spmm", obs::SpanCat::kCompute, 0.0, 1.5);
-  ranks[0].span("send->1", obs::SpanCat::kP2P, 1.5, 1.6, 64, 1);
-  ranks[1].span("allreduce", obs::SpanCat::kCollective, 0.0, 2.0, 8);
+  ranks[0].push(event("spmm", obs::SpanOp::kCompute, 0.0, 1.5));
+  ranks[0].push(event("send->1", obs::SpanOp::kSend, 1.5, 1.6, 64, 1));
+  ranks[0].push(event("fault:dup", obs::SpanOp::kFault, 1.6, 1.6, 64, 1));
+  ranks[1].push(event("allreduce", obs::SpanOp::kCollWait, 0.0, 2.0, 8));
   std::ostringstream os;
   obs::write_chrome_trace(os, ranks);
   const std::string s = os.str();
@@ -93,6 +106,8 @@ TEST(TraceTest, ChromeExportHasTracksAndCats) {
   EXPECT_NE(s.find("\"cat\":\"compute\""), std::string::npos);
   EXPECT_NE(s.find("\"cat\":\"p2p\""), std::string::npos);
   EXPECT_NE(s.find("\"cat\":\"collective\""), std::string::npos);
+  EXPECT_NE(s.find("\"cat\":\"fault\""), std::string::npos);
+  EXPECT_NE(s.find("\"op\":\"fault\""), std::string::npos);
   EXPECT_NE(s.find("\"tid\":1"), std::string::npos);
   EXPECT_NE(s.find("rank 1"), std::string::npos);
   // 1.5 virtual seconds -> 1.5e6 microseconds of duration.
@@ -126,9 +141,10 @@ TEST(TraceTest, SimWorldRecordsAllCategoriesPerRank) {
     bool has_compute = false, has_p2p = false, has_coll = false;
     for (const auto& ev : tr[static_cast<std::size_t>(r)].events) {
       EXPECT_GE(ev.end_v, ev.begin_v);
-      if (ev.cat == obs::SpanCat::kCompute) has_compute = true;
-      if (ev.cat == obs::SpanCat::kP2P) has_p2p = true;
-      if (ev.cat == obs::SpanCat::kCollective) has_coll = true;
+      const std::string cat = obs::category(ev.op);
+      if (cat == "compute") has_compute = true;
+      if (cat == "p2p") has_p2p = true;
+      if (cat == "collective") has_coll = true;
     }
     EXPECT_TRUE(has_compute) << "rank " << r;
     EXPECT_TRUE(has_p2p) << "rank " << r;

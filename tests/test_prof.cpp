@@ -42,8 +42,8 @@ using obs::prof::PhaseScope;
 using obs::prof::Profile;
 
 // Deterministic charge-only schedule exercising every event kind: phased
-// compute, a p2p ring with shuffled waitall, a nonblocking allreduce with
-// compute in its shadow, and a barrier. seed varies the waitall permutation.
+// compute, a p2p ring waited in shuffled order, a nonblocking allreduce
+// with compute in its shadow, and a barrier. seed varies the wait order.
 std::vector<RankTrace> run_synthetic(int p, bool trace_on, std::uint64_t seed,
                                      std::vector<double>* clocks_out) {
   SimOptions o;
@@ -63,12 +63,12 @@ std::vector<RankTrace> run_synthetic(int p, bool trace_on, std::uint64_t seed,
         reqs.push_back(ctx.irecv_bytes((r + p - 1) % p, k));
       for (int k = 0; k < 3; ++k) {
         const std::vector<double> payload(8, static_cast<double>(r + k));
-        ctx.isend(( r + 1) % p, payload, k);
+        ctx.send((r + 1) % p, payload, k);
       }
       ctx.charge(5e-5);
       std::mt19937_64 rng(seed * 1000 + static_cast<std::uint64_t>(r));
       std::shuffle(reqs.begin(), reqs.end(), rng);
-      ctx.waitall(reqs);
+      for (SimRequest& q : reqs) (void)ctx.wait(q);
     }
     {
       PhaseScope ph(ctx, "tsqr");
@@ -145,7 +145,7 @@ TEST(Prof, P2PFlowsPairAcrossRanksCausally) {
           ASSERT_NE(it, sends.end())
               << "recv flow " << e.flow << " has no matching send";
           // Causal order: the message arrives no earlier than the sender
-          // entered its isend, and the receive completes at or after arrival.
+          // entered its send, and the receive completes at or after arrival.
           EXPECT_GE(e.avail_v, it->second->block_v);
           EXPECT_GE(e.end_v, e.avail_v);
           EXPECT_EQ(e.bytes, it->second->bytes);
@@ -180,8 +180,8 @@ TEST(Prof, CollectivePostWaitPairsOnEveryRank) {
   }
 }
 
-TEST(Prof, WaitallPermutationKeepsClocksAndComputeAttribution) {
-  // Different waitall orders re-shuffle where idle lands between events, but
+TEST(Prof, WaitOrderKeepsClocksAndComputeAttribution) {
+  // Different wait orders re-shuffle where idle lands between events, but
   // the final clocks, the compute attribution, and conservation are order-
   // independent.
   for (int p : {2, 8}) {
@@ -375,46 +375,68 @@ TEST(ProfSolvers, AbortedRunStillYieldsAnalyzableTrace) {
 }
 
 TEST(ProfSolvers, TraceFileRoundTripsToBitwiseIdenticalProfile) {
-  SimOptions sim;
-  sim.collect_trace = true;
-  const SolverRun run = run_solver("randqb", 4, sim);
-  const Profile live = obs::prof::build_profile(run.trace);
-  expect_conserved(live, "live");
+  // Clean, and under a benign plan whose fault markers must round-trip too.
+  sim::FaultPlan benign;
+  benign.seed = 3;
+  benign.delay_prob = 0.5;
+  benign.delay_factor = 8.0;
+  benign.dup_prob = 0.3;
+  for (const bool faulted : {false, true}) {
+    SCOPED_TRACE(faulted ? "benign faults" : "fault-free");
+    SimOptions sim;
+    sim.collect_trace = true;
+    if (faulted) sim.faults = benign;
+    const SolverRun run = run_solver("randqb", 4, sim);
+    const Profile live = obs::prof::build_profile(run.trace);
+    expect_conserved(live, "live");
 
-  const std::string path = ::testing::TempDir() + "prof_roundtrip_trace.json";
-  obs::write_chrome_trace_file(path, run.trace);
-  const std::vector<RankTrace> reread = obs::prof::read_chrome_trace_file(path);
-  std::remove(path.c_str());
-  const Profile back = obs::prof::build_profile(reread);
-  expect_conserved(back, "reread");
+    const std::string path =
+        ::testing::TempDir() + "prof_roundtrip_trace.json";
+    obs::write_chrome_trace_file(path, run.trace);
+    const std::vector<RankTrace> reread =
+        obs::prof::read_chrome_trace_file(path);
+    std::remove(path.c_str());
+    ASSERT_EQ(reread.size(), run.trace.size());
+    std::size_t markers = 0;
+    for (std::size_t r = 0; r < reread.size(); ++r) {
+      ASSERT_EQ(reread[r].events.size(), run.trace[r].events.size());
+      for (std::size_t i = 0; i < reread[r].events.size(); ++i) {
+        EXPECT_EQ(reread[r].events[i].op, run.trace[r].events[i].op);
+        if (reread[r].events[i].op == SpanOp::kFault) ++markers;
+      }
+    }
+    EXPECT_EQ(markers > 0, faulted);
+    const Profile back = obs::prof::build_profile(reread);
+    expect_conserved(back, "reread");
 
-  EXPECT_EQ(live.makespan, back.makespan);
-  EXPECT_EQ(live.whatif.measured, back.whatif.measured);
-  EXPECT_EQ(live.whatif.alpha0, back.whatif.alpha0);
-  EXPECT_EQ(live.whatif.beta0, back.whatif.beta0);
-  EXPECT_EQ(live.whatif.full_overlap, back.whatif.full_overlap);
-  EXPECT_EQ(live.whatif.compute_only, back.whatif.compute_only);
-  EXPECT_EQ(live.crit_length, back.crit_length);
-  ASSERT_EQ(live.ranks.size(), back.ranks.size());
-  for (std::size_t r = 0; r < live.ranks.size(); ++r) {
-    EXPECT_EQ(live.ranks[r].total, back.ranks[r].total);
-    EXPECT_EQ(live.ranks[r].compute, back.ranks[r].compute);
-    EXPECT_EQ(live.ranks[r].comm, back.ranks[r].comm);
-    EXPECT_EQ(live.ranks[r].idle, back.ranks[r].idle);
-    EXPECT_EQ(live.ranks[r].overlap, back.ranks[r].overlap);
+    EXPECT_EQ(live.makespan, back.makespan);
+    EXPECT_EQ(live.whatif.measured, back.whatif.measured);
+    EXPECT_EQ(live.whatif.alpha0, back.whatif.alpha0);
+    EXPECT_EQ(live.whatif.beta0, back.whatif.beta0);
+    EXPECT_EQ(live.whatif.full_overlap, back.whatif.full_overlap);
+    EXPECT_EQ(live.whatif.compute_only, back.whatif.compute_only);
+    EXPECT_EQ(live.crit_length, back.crit_length);
+    ASSERT_EQ(live.ranks.size(), back.ranks.size());
+    for (std::size_t r = 0; r < live.ranks.size(); ++r) {
+      EXPECT_EQ(live.ranks[r].total, back.ranks[r].total);
+      EXPECT_EQ(live.ranks[r].compute, back.ranks[r].compute);
+      EXPECT_EQ(live.ranks[r].comm, back.ranks[r].comm);
+      EXPECT_EQ(live.ranks[r].idle, back.ranks[r].idle);
+      EXPECT_EQ(live.ranks[r].overlap, back.ranks[r].overlap);
+    }
+    ASSERT_EQ(live.phases.size(), back.phases.size());
+    for (const auto& [phase, cost] : live.phases) {
+      const auto it = back.phases.find(phase);
+      ASSERT_NE(it, back.phases.end()) << phase;
+      EXPECT_EQ(cost.compute, it->second.compute) << phase;
+      EXPECT_EQ(cost.comm, it->second.comm) << phase;
+    }
+    // The printed reports agree byte for byte.
+    std::ostringstream a, b;
+    obs::prof::print_profile(a, live);
+    obs::prof::print_profile(b, back);
+    EXPECT_EQ(a.str(), b.str());
   }
-  ASSERT_EQ(live.phases.size(), back.phases.size());
-  for (const auto& [phase, cost] : live.phases) {
-    const auto it = back.phases.find(phase);
-    ASSERT_NE(it, back.phases.end()) << phase;
-    EXPECT_EQ(cost.compute, it->second.compute) << phase;
-    EXPECT_EQ(cost.comm, it->second.comm) << phase;
-  }
-  // The printed reports agree byte for byte.
-  std::ostringstream a, b;
-  obs::prof::print_profile(a, live);
-  obs::prof::print_profile(b, back);
-  EXPECT_EQ(a.str(), b.str());
 }
 
 TEST(Prof, JsonlRecordsCarrySchemaFields) {

@@ -63,46 +63,6 @@ TEST(Serialize, QbRoundTrip) {
   std::remove(path.c_str());
 }
 
-TEST(Serialize, CscRoundTrip) {
-  const CscMatrix a = test_matrix();
-  const std::string path = ::testing::TempDir() + "/lra_mat.bin";
-  save_csc(path, a);
-  const CscMatrix back = load_csc(path);
-  EXPECT_EQ(back.nnz(), a.nnz());
-  testing::expect_near_matrix(back.to_dense(), a.to_dense(), 0.0);
-  std::remove(path.c_str());
-}
-
-TEST(Serialize, KindMismatchThrows) {
-  const CscMatrix a = test_matrix();
-  const std::string path = ::testing::TempDir() + "/lra_mix.fact";
-  save_csc(path, a);
-  EXPECT_THROW(load_lu_factorization(path), std::runtime_error);
-  EXPECT_THROW(load_qb_factorization(path), std::runtime_error);
-  std::remove(path.c_str());
-}
-
-TEST(Serialize, GarbageFileRejected) {
-  const std::string path = ::testing::TempDir() + "/lra_garbage.fact";
-  {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    std::fputs("this is not a factorization", f);
-    std::fclose(f);
-  }
-  EXPECT_THROW(stored_factorization_kind(path), std::runtime_error);
-  EXPECT_THROW(load_csc(path), std::runtime_error);
-  std::remove(path.c_str());
-}
-
-TEST(Serialize, MissingFileThrows) {
-  EXPECT_THROW(load_lu_factorization("/nonexistent/x.fact"),
-               std::runtime_error);
-}
-
-// --- corrupted-payload hardening: the same ByteReader bounds checks that let
-// --- the fault harness turn in-flight bit-flips into structured errors must
-// --- also hold for on-disk factorizations.
-
 namespace {
 
 std::vector<unsigned char> slurp(const std::string& path) {
@@ -125,7 +85,130 @@ void spit(const std::string& path, const std::vector<unsigned char>& bytes) {
   std::fclose(f);
 }
 
+// A factor file image assembled field by field, independently of the codec:
+// each value's bytes in host order, a vector as its u64 count and then its
+// elements.
+struct Image {
+  std::vector<unsigned char> bytes;
+  template <typename T>
+  Image& pod(const T& v) {
+    const auto* p = reinterpret_cast<const unsigned char*>(&v);
+    bytes.insert(bytes.end(), p, p + sizeof(T));
+    return *this;
+  }
+  template <typename T>
+  Image& vec(const std::vector<T>& v) {
+    pod<std::uint64_t>(v.size());
+    for (const T& x : v) pod(x);
+    return *this;
+  }
+  Image& header(char tag) {
+    for (const char c : std::string("LRAFACT1")) pod(c);
+    return pod(tag);
+  }
+  Image& csc(const CscMatrix& a) {
+    pod<std::int64_t>(a.rows()).pod<std::int64_t>(a.cols());
+    return vec(a.colptr()).vec(a.rowind()).vec(a.values());
+  }
+  Image& matrix(const Matrix& m) {
+    pod<std::int64_t>(m.rows()).pod<std::int64_t>(m.cols());
+    for (Index i = 0; i < m.size(); ++i) pod(m.data()[i]);
+    return *this;
+  }
+};
+
 }  // namespace
+
+TEST(Serialize, FileLayoutIsPinned) {
+  // Stored factors outlive the code that wrote them: the byte layout of
+  // both kinds is fixed.
+  const std::string path = ::testing::TempDir() + "/lra_layout.fact";
+  LuCrtpResult lu;
+  lu.status = Status::kConverged;
+  lu.rank = 2;
+  lu.iterations = 1;
+  lu.anorm_f = 3.5;
+  lu.indicator = 0.25;
+  lu.mu = 1.5;
+  lu.l = CscMatrix(3, 2, {0, 2, 3}, {0, 2, 1}, {1.0, -2.0, 4.0});
+  lu.u = CscMatrix(2, 3, {0, 1, 2, 3}, {0, 1, 0}, {5.0, 6.0, 7.0});
+  lu.row_perm = {2, 0, 1};
+  lu.col_perm = {1, 2, 0};
+  save_factorization(path, lu);
+  Image want_lu;
+  want_lu.header('L')
+      .pod<std::int32_t>(static_cast<std::int32_t>(lu.status))
+      .pod<std::int64_t>(lu.rank)
+      .pod<std::int64_t>(lu.iterations)
+      .pod(lu.anorm_f)
+      .pod(lu.indicator)
+      .pod(lu.mu)
+      .csc(lu.l)
+      .csc(lu.u)
+      .vec(lu.row_perm)
+      .vec(lu.col_perm);
+  EXPECT_EQ(slurp(path), want_lu.bytes);
+
+  RandQbResult qb;
+  qb.status = Status::kMaxIterations;
+  qb.rank = 2;
+  qb.iterations = 3;
+  qb.anorm_f = 9.0;
+  qb.indicator = 0.125;
+  qb.q = Matrix(3, 2, {1.0, 2.0, 3.0, 4.0, 5.0, 6.0});
+  qb.b = Matrix(2, 1, {-1.0, 0.5});
+  save_factorization(path, qb);
+  Image want_qb;
+  want_qb.header('Q')
+      .pod<std::int32_t>(static_cast<std::int32_t>(qb.status))
+      .pod<std::int64_t>(qb.rank)
+      .pod<std::int64_t>(qb.iterations)
+      .pod(qb.anorm_f)
+      .pod(qb.indicator)
+      .matrix(qb.q)
+      .matrix(qb.b);
+  EXPECT_EQ(slurp(path), want_qb.bytes);
+  std::remove(path.c_str());
+}
+
+TEST(Serialize, KindMismatchThrows) {
+  const std::string path = ::testing::TempDir() + "/lra_mix.fact";
+  LuCrtpResult lu;
+  lu.l = CscMatrix(2, 1);
+  lu.u = CscMatrix(1, 2);
+  lu.row_perm = identity_perm(2);
+  lu.col_perm = identity_perm(2);
+  save_factorization(path, lu);
+  EXPECT_THROW(load_qb_factorization(path), std::runtime_error);
+  RandQbResult qb;
+  qb.q = Matrix(2, 1);
+  qb.b = Matrix(1, 2);
+  save_factorization(path, qb);
+  EXPECT_THROW(load_lu_factorization(path), std::runtime_error);
+  std::remove(path.c_str());
+}
+
+TEST(Serialize, GarbageFileRejected) {
+  const std::string path = ::testing::TempDir() + "/lra_garbage.fact";
+  {
+    std::FILE* f = std::fopen(path.c_str(), "wb");
+    std::fputs("this is not a factorization", f);
+    std::fclose(f);
+  }
+  EXPECT_THROW(stored_factorization_kind(path), std::runtime_error);
+  EXPECT_THROW(load_lu_factorization(path), std::runtime_error);
+  EXPECT_THROW(load_qb_factorization(path), std::runtime_error);
+  std::remove(path.c_str());
+}
+
+TEST(Serialize, MissingFileThrows) {
+  EXPECT_THROW(load_lu_factorization("/nonexistent/x.fact"),
+               std::runtime_error);
+}
+
+// --- corrupted-payload hardening: the same ByteReader bounds checks that let
+// --- the fault harness turn in-flight bit-flips into structured errors must
+// --- also hold for on-disk factorizations.
 
 TEST(Serialize, SingleBitFlipsNeverCrashTheLoader) {
   // Flip one bit at a time across the whole file and reload. A flip in a
@@ -264,26 +347,21 @@ bool corrupt_row_pair(std::vector<unsigned char>& bytes, const CscMatrix& m,
 TEST(Serialize, UnsortedOrRepeatedRowIndicesAreRejected) {
   // A column whose row indices do not strictly increase passes the pointer
   // and range checks, but breaks the CSC invariant every kernel relies on:
-  // both loaders must refuse it with the structured error.
+  // the loader must refuse it with the structured error.
   const CscMatrix a = test_matrix();
   const std::string path = ::testing::TempDir() + "/lra_rows.fact";
-  for (const bool repeat : {false, true}) {
-    save_csc(path, a);
-    std::vector<unsigned char> bytes = slurp(path);
-    ASSERT_TRUE(corrupt_row_pair(bytes, a, repeat));
-    spit(path, bytes);
-    EXPECT_THROW(load_csc(path), std::runtime_error) << "repeat " << repeat;
-  }
-
   LuCrtpOptions o;
   o.block_size = 10;
   o.tau = 1e-2;
   const LuCrtpResult r = ilut_crtp(a, o);
-  save_factorization(path, r);
-  std::vector<unsigned char> bytes = slurp(path);
-  ASSERT_TRUE(corrupt_row_pair(bytes, r.l, /*repeat=*/false));
-  spit(path, bytes);
-  EXPECT_THROW(load_lu_factorization(path), std::runtime_error);
+  for (const bool repeat : {false, true}) {
+    save_factorization(path, r);
+    std::vector<unsigned char> bytes = slurp(path);
+    ASSERT_TRUE(corrupt_row_pair(bytes, r.l, repeat));
+    spit(path, bytes);
+    EXPECT_THROW(load_lu_factorization(path), std::runtime_error)
+        << "repeat " << repeat;
+  }
   std::remove(path.c_str());
 }
 

@@ -1,7 +1,8 @@
-// Property suite for the nonblocking point-to-point layer (isend / irecv /
-// wait / waitall / test): randomized schedules must deliver exactly the
-// payloads the blocking runtime delivers, in per-(src, tag) post order, and
-// finish with bitwise-identical per-rank virtual clocks. All schedules use
+// Property suite for the nonblocking point-to-point layer (buffered send,
+// irecv, wait): randomized schedules must deliver exactly the payloads the
+// blocking runtime delivers, in per-(src, tag) post order, and finish with
+// bitwise-identical per-rank virtual clocks whatever the post and wait
+// orders. All schedules use
 // charge() (modeled seconds) rather than compute() (measured CPU seconds),
 // so both runs are fully deterministic and the comparison is exact.
 
@@ -101,13 +102,6 @@ std::vector<double> expected_stream_payload(const Schedule& s, int dst,
   throw std::logic_error("schedule has no such stream message");
 }
 
-std::vector<double> as_doubles(const std::vector<std::byte>& b) {
-  std::vector<double> v(b.size() / sizeof(double));
-  if (!v.empty())  // memcpy must not see the null pointer of an empty payload
-    std::memcpy(v.data(), b.data(), v.size() * sizeof(double));
-  return v;
-}
-
 /// Blocking reference: send everything, then recv everything; returns the
 /// final per-rank virtual clocks.
 std::vector<double> run_blocking(const Schedule& s) {
@@ -130,7 +124,7 @@ std::vector<double> run_blocking(const Schedule& s) {
   return clocks;
 }
 
-/// Nonblocking run: isend everything, post irecvs in post_order, charge,
+/// Nonblocking run: send everything, post irecvs in post_order, charge,
 /// wait in wait_order; checks per-stream ordering, returns final clocks.
 std::vector<double> run_nonblocking(const Schedule& s) {
   std::vector<double> clocks(static_cast<std::size_t>(s.nranks), 0.0);
@@ -139,12 +133,7 @@ std::vector<double> run_nonblocking(const Schedule& s) {
     const int r = ctx.rank();
     ctx.charge(s.pre_charge[static_cast<std::size_t>(r)]);
     for (const ScheduledMsg& m : s.msgs)
-      if (m.src == r) {
-        SimRequest req = ctx.isend(m.dst, m.payload, m.tag);
-        if (!req.completed())
-          throw std::runtime_error("isend request not born complete");
-        ctx.wait(req);  // free: buffered sends complete at post
-      }
+      if (m.src == r) ctx.send<double>(m.dst, m.payload, m.tag);
     ctx.charge(s.mid_charge[static_cast<std::size_t>(r)]);
 
     // Post in post_order; the k-th post on a (src, tag) stream takes that
@@ -162,7 +151,8 @@ std::vector<double> run_nonblocking(const Schedule& s) {
     }
     for (const std::size_t mi : s.wait_order[static_cast<std::size_t>(r)]) {
       const std::size_t ri = req_of_msg.at(mi);
-      const auto got = as_doubles(ctx.wait(reqs[ri]));
+      std::vector<double> got;
+      append_from_bytes(got, ctx.wait(reqs[ri]));
       if (got != expect[ri])
         throw std::runtime_error("per-(src,tag) ordering violated");
     }
@@ -183,42 +173,6 @@ TEST(SimCommNbProperty, RandomSchedulesMatchBlockingBitwise) {
     for (std::size_t r = 0; r < ref.size(); ++r)
       EXPECT_EQ(ref[r], got[r])  // bitwise: identical charges and max-folds
           << "schedule " << iter << " (P=" << p << ") rank " << r;
-  }
-}
-
-TEST(SimCommNbProperty, WaitallIsPermutationInvariant) {
-  const std::vector<int> sizes = property_world_sizes();
-  for (int iter = 0; iter < 40; ++iter) {
-    const int p = sizes[static_cast<std::size_t>(iter) % sizes.size()];
-    const Schedule s = make_schedule(p, 7000 + static_cast<std::uint64_t>(iter));
-    // Same schedule, waits replaced by one waitall over a shuffled request
-    // vector: the final clocks must still equal the blocking reference.
-    const std::vector<double> ref = run_blocking(s);
-    std::vector<double> clocks(static_cast<std::size_t>(p), 0.0);
-    SimWorld w(p);
-    w.run([&](RankCtx& ctx) {
-      const int r = ctx.rank();
-      ctx.charge(s.pre_charge[static_cast<std::size_t>(r)]);
-      for (const ScheduledMsg& m : s.msgs)
-        if (m.src == r) ctx.isend(m.dst, m.payload, m.tag);
-      ctx.charge(s.mid_charge[static_cast<std::size_t>(r)]);
-      std::vector<SimRequest> reqs;
-      for (const std::size_t mi : s.post_order[static_cast<std::size_t>(r)]) {
-        const ScheduledMsg& m = s.msgs[mi];
-        reqs.push_back(ctx.irecv_bytes(m.src, m.tag));
-      }
-      // Shuffle the vector itself; tickets were taken at post time, so the
-      // match order is unaffected and only the wait order changes.
-      std::mt19937_64 rng(static_cast<std::uint64_t>(r) * 131 + 17);
-      std::shuffle(reqs.begin(), reqs.end(), rng);
-      ctx.waitall(reqs);
-      for (const SimRequest& q : reqs)
-        if (!q.completed())
-          throw std::runtime_error("waitall left a request incomplete");
-      clocks[static_cast<std::size_t>(r)] = ctx.vtime();
-    });
-    for (std::size_t r = 0; r < clocks.size(); ++r)
-      EXPECT_EQ(ref[r], clocks[r]) << "schedule " << iter << " rank " << r;
   }
 }
 
@@ -246,32 +200,6 @@ TEST(SimCommNb, PerStreamOrderingUnderReversedWaits) {
   EXPECT_EQ(w.comm_stats().check_invariants(), "");
 }
 
-TEST(SimCommNb, TestIsFalseBeforeArrivalTrueAfterAndClockNeutral) {
-  // Barriers fence real time: before the first barrier the sender cannot
-  // have posted, so test() is deterministically false; after the second it
-  // deterministically finds the message.
-  SimWorld w(2);
-  w.run([](RankCtx& ctx) {
-    if (ctx.rank() == 0) {
-      ctx.barrier();
-      ctx.send<double>(1, {2.25}, /*tag=*/9);
-      ctx.barrier();
-    } else {
-      SimRequest req = ctx.irecv_bytes(0, /*tag=*/9);
-      const double v0 = ctx.vtime();
-      if (ctx.test(req)) throw std::runtime_error("test true before send");
-      if (ctx.vtime() != v0)
-        throw std::runtime_error("failed test moved the clock");
-      ctx.barrier();
-      ctx.barrier();
-      if (!ctx.test(req)) throw std::runtime_error("test false after send");
-      if (as_doubles(req.take_data()) != std::vector<double>{2.25})
-        throw std::runtime_error("test delivered the wrong payload");
-    }
-  });
-  EXPECT_EQ(w.comm_stats().check_invariants(), "");
-}
-
 TEST(SimCommNb, OverlapCountersSeeComputeBetweenPostAndWait) {
   // Receiver posts, charges modeled compute longer than the transfer, then
   // waits: the whole transfer window counts as overlap and the wait is free.
@@ -288,7 +216,7 @@ TEST(SimCommNb, OverlapCountersSeeComputeBetweenPostAndWait) {
   const obs::CommCounters& c = w.comm_stats().per_rank[1];
   EXPECT_EQ(c.overlapped_requests, 1u);
   EXPECT_GT(c.overlap_seconds, 0.0);
-  // Sender overlaps nothing: its isend completed at post.
+  // Sender overlaps nothing: a buffered send has no wait.
   EXPECT_EQ(w.comm_stats().per_rank[0].overlapped_requests, 0u);
 }
 
@@ -364,12 +292,12 @@ TEST(SimCommNb, BenignFaultsKeepNonblockingClocksDeterministic) {
       const int r = ctx.rank();
       ctx.charge(s.pre_charge[static_cast<std::size_t>(r)]);
       for (const ScheduledMsg& m : s.msgs)
-        if (m.src == r) ctx.isend(m.dst, m.payload, m.tag);
+        if (m.src == r) ctx.send<double>(m.dst, m.payload, m.tag);
       std::vector<SimRequest> reqs;
       for (const std::size_t mi : s.post_order[static_cast<std::size_t>(r)])
         reqs.push_back(
             ctx.irecv_bytes(s.msgs[mi].src, s.msgs[mi].tag));
-      ctx.waitall(reqs);
+      for (SimRequest& q : reqs) (void)ctx.wait(q);
       clocks[static_cast<std::size_t>(r)] = ctx.vtime();
     });
     if (w.comm_stats().check_invariants() != "")

@@ -1,9 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <sstream>
+#include <vector>
 
+#include "qrtp/panel.hpp"
+#include "support/bytes.hpp"
 #include "support/cli.hpp"
 #include "support/stopwatch.hpp"
 #include "support/table.hpp"
@@ -127,6 +133,105 @@ TEST(CliParser, NumericValuesMustParseCompletely) {
   EXPECT_EQ(cli.get_int("ok", 0), -12);
   EXPECT_EQ(cli.get_double("eps", 0.0), 2.5e-3);
   EXPECT_EQ(cli.get_int_list("list", {}), (std::vector<long long>{1, 2, 4}));
+}
+
+// --- the byte codec: corrupted payloads and files must throw, never memcpy ---
+
+TEST(ByteReaderTest, RoundTripsHeterogeneousPayload) {
+  ByteWriter w;
+  w.put<std::int64_t>(-7);
+  w.put<double>(2.5);
+  w.put_vec<int>({1, 2, 3});
+  const std::vector<std::byte> blob = w.take();
+  ByteReader rd(blob);
+  EXPECT_EQ(rd.get<std::int64_t>(), -7);
+  EXPECT_EQ(rd.get<double>(), 2.5);
+  EXPECT_EQ(rd.get_vec<int>(), (std::vector<int>{1, 2, 3}));
+  EXPECT_TRUE(rd.done());
+}
+
+TEST(ByteReaderTest, TruncatedScalarThrows) {
+  std::vector<std::byte> blob(3);  // shorter than a double
+  ByteReader rd(blob);
+  EXPECT_THROW(rd.get<double>(), std::out_of_range);
+}
+
+TEST(ByteReaderTest, ReadPastEndThrows) {
+  ByteWriter w;
+  w.put<int>(42);
+  const std::vector<std::byte> blob = w.take();
+  ByteReader rd(blob);
+  EXPECT_EQ(rd.get<int>(), 42);
+  EXPECT_THROW(rd.get<int>(), std::out_of_range);
+}
+
+TEST(ByteReaderTest, CorruptedVectorLengthThrows) {
+  ByteWriter w;
+  w.put_vec<double>({1.0, 2.0});
+  std::vector<std::byte> blob = w.take();
+  // Overwrite the length prefix with a count larger than the payload.
+  const std::uint64_t bogus = 1000;
+  std::memcpy(blob.data(), &bogus, sizeof(bogus));
+  ByteReader rd(blob);
+  EXPECT_THROW(rd.get_vec<double>(), std::out_of_range);
+}
+
+TEST(ByteReaderTest, HugeVectorLengthDoesNotOverflow) {
+  ByteWriter w;
+  w.put_vec<double>({1.0});
+  std::vector<std::byte> blob = w.take();
+  // 2^61 elements: n * sizeof(double) wraps to 0 in 64-bit arithmetic, so a
+  // naive `n * sizeof(T) > remaining` check would pass and memcpy wildly.
+  const std::uint64_t bogus = std::uint64_t{1} << 61;
+  std::memcpy(blob.data(), &bogus, sizeof(bogus));
+  ByteReader rd(blob);
+  EXPECT_THROW(rd.get_vec<double>(), std::out_of_range);
+}
+
+TEST(ByteReaderTest, TruncatedVectorBodyThrows) {
+  ByteWriter w;
+  w.put_vec<double>({1.0, 2.0, 3.0});
+  std::vector<std::byte> blob = w.take();
+  blob.resize(blob.size() - 1);  // drop the last byte of the body
+  ByteReader rd(blob);
+  EXPECT_THROW(rd.get_vec<double>(), std::out_of_range);
+}
+
+TEST(ByteReaderTest, ArrayDimensionsThatOverflowThrow) {
+  ByteWriter w;
+  w.put_array(std::span<const double>(std::vector<double>{1.0, 2.0}));
+  const std::vector<std::byte> blob = w.take();
+  ByteReader ok(blob);
+  EXPECT_EQ(ok.get_array<double>(1, 2), (std::vector<double>{1.0, 2.0}));
+  EXPECT_TRUE(ok.done());
+  // 2^32 x 2^32 wraps to 0 in 64-bit arithmetic: a naive rows * cols check
+  // would pass and allocate nothing, then read the wrong matrix.
+  const std::uint64_t big = std::uint64_t{1} << 32;
+  ByteReader rd(blob);
+  EXPECT_THROW(rd.get_array<double>(big, big), std::out_of_range);
+  EXPECT_THROW(rd.get_array<double>(3, 1), std::out_of_range);
+  EXPECT_EQ(rd.get_array<double>(0, big).size(), 0u);  // empty is fine
+}
+
+TEST(ByteReaderTest, CandidatesWithUnsortedRowsAreRejected) {
+  // Two candidate columns, the first holding rows {1, 3}.
+  CandidateColumns cand;
+  cand.global_index = {7, 9};
+  cand.cols = CscMatrix(5, 2, {0, 2, 3}, {1, 3, 0}, {1.0, 2.0, 3.0});
+  std::vector<std::byte> blob = pack_candidates(cand);
+  const CandidateColumns back = unpack_candidates(blob);
+  EXPECT_EQ(back.global_index, cand.global_index);
+  EXPECT_EQ(back.cols.rowind(), cand.cols.rowind());
+
+  // Swap the first column's row indices in place: the payload keeps its
+  // length, so only the structure check can catch it.
+  const Index rows[2] = {1, 3};
+  auto at = std::search(blob.begin(), blob.end(),
+                        reinterpret_cast<const std::byte*>(rows),
+                        reinterpret_cast<const std::byte*>(rows + 2));
+  ASSERT_NE(at, blob.end());
+  std::swap_ranges(at, at + sizeof(Index), at + sizeof(Index));
+  EXPECT_THROW(unpack_candidates(blob), std::out_of_range);
 }
 
 TEST(StopwatchTest, MeasuresElapsedWallTime) {
